@@ -19,7 +19,7 @@ from . import expr as E
 from . import scm as S
 from . import zoo as Z
 from .consolidation import CcvCluster, ConsolidatedScm, PassConfig, consolidate, eval_consolidated
-from .errors import ParseError, ScmcError
+from .errors import ModelTooDeepError, ParseError, ScmcError
 from .evaluation import eval_scm, sample_exogenous
 from .expr import VarRef, node_count, parse_var_name
 from .scm import InterventionSet, Scm, derive_graph, validate
@@ -90,6 +90,10 @@ def main(argv=None) -> int:
         _emit_error(args, "parse", str(exc))
         return 1
     except ScmcError as exc:
+        _emit_error(args, type(exc).__name__, str(exc))
+        return 1
+    except RecursionError:
+        exc = ModelTooDeepError("expression nesting exceeds the recursion limit")
         _emit_error(args, type(exc).__name__, str(exc))
         return 1
 

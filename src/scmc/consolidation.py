@@ -374,7 +374,7 @@ def run_passes(
     equivalence gate answers Equal over the cluster's local spaces.  Raises
     when the round cap is hit while rewrites are still firing.
     """
-    from .verification import gate_strategy_for, verify_pass
+    from .verification import GateMemo, gate_strategy_for, verify_pass
 
     config = config or PassConfig()
     log = log if log is not None else []
@@ -387,6 +387,7 @@ def run_passes(
     var_kinds = sub.var_kinds()
     inverse_rules = _inverse_rules(sub)
     strategy = gate_strategy_for(sub, config) if config.gate else None
+    memo = GateMemo()
     exhaustive_gate = strategy is not None and strategy.mode == "exhaustive"
 
     current = ccv
@@ -396,7 +397,7 @@ def run_passes(
         nonlocal current
         verdict = "ungated"
         if strategy is not None:
-            report = verify_pass(current, trial, sub, strategy)
+            report = verify_pass(current, trial, sub, strategy, memo)
             verdict = report.verdict
             if report.verdict != "equal":
                 rejected.append(
@@ -468,9 +469,10 @@ def run_passes(
 def eval_ccv(ccv: Ccv, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
     """Evaluate the targets in order; earlier targets are visible to later ones."""
     env: Assignment = dict(local_u)
+    forced_values = dict(local_iv.assignments)
     out: Assignment = {}
     for t in ccv.targets:
-        val = E.eval_expr(ccv.rho[t], env, local_iv, rng=rng)
+        val = ccv.rho[t]._eval(env, forced_values, rng)
         env[t] = val
         out[t] = val
     return out

@@ -53,6 +53,10 @@ class BudgetExceededError(ScmcError):
     pass
 
 
+class ModelTooDeepError(ScmcError):
+    """An expression nests deeper than the recursive tree walkers can follow."""
+
+
 class InvalidParameterError(ScmcError):
     pass
 

@@ -55,13 +55,14 @@ def eval_scm(
         if not E.value_in_domain(u[row.var], row.domain):
             raise DomainError(f"input {row.var}={u[row.var]} is outside its domain")
         env[row.var] = u[row.var]
+    forced_values = dict(iv.assignments)
     out: Assignment = {}
     for row in scm.endogenous:
-        forced = iv.get(row.var)
+        forced = forced_values.get(row.var)
         if forced is not None:
             val = forced
         else:
-            val = E.eval_expr(row.equation, env, iv, rng=rng)
+            val = row.equation._eval(env, forced_values, rng)
         if not E.value_in_domain(val, row.domain):
             raise DomainError(f"{row.var} evaluated to {val}, outside its domain")
         env[row.var] = val
@@ -106,13 +107,14 @@ def eval_partitioned(
 
 def eval_sub_scm(sub: SubScm, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
     env: Assignment = dict(local_u)
+    forced_values = dict(local_iv.assignments)
     out: Assignment = {}
     for var in sub.order:
-        forced = local_iv.get(var)
+        forced = forced_values.get(var)
         if forced is not None:
             val = forced
         else:
-            val = E.eval_expr(sub.equations[var], env, local_iv, rng=rng)
+            val = sub.equations[var]._eval(env, forced_values, rng)
         if not E.value_in_domain(val, sub.domains[var]):
             raise DomainError(f"{var} evaluated to {val}, outside its domain")
         env[var] = val

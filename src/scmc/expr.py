@@ -47,6 +47,10 @@ class VReal:
 
 Value = Union[VBool, VInt, VSym, VReal]
 
+#: Results of the boolean nodes; values are immutable, so evaluation can
+#: share two instances instead of allocating one per node visit.
+_TRUE, _FALSE = VBool(True), VBool(False)
+
 #: Absolute tolerance used when tests compare real-valued results.
 EPS_VAL = 1e-9
 
@@ -213,16 +217,31 @@ def parse_var_name(text: str) -> VarRef:
 class Const:
     value: Value
 
+    def _eval(self, env, iv, rng):
+        return self.value
+
 
 @dataclass(frozen=True)
 class Ref:
     var: VarRef
+
+    def _eval(self, env, iv, rng):
+        if self.var not in env:
+            raise UnboundRefError(self.var)
+        return env[self.var]
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # "neg" | "not"
     operand: "Expr"
+
+    def _eval(self, env, iv, rng):
+        if self.op == "not":
+            return _FALSE if _as_bool(self.operand._eval(env, iv, rng)) else _TRUE
+        if self.op == "neg":
+            return _wrap_number(-_numeric(self.operand._eval(env, iv, rng)))
+        raise DomainError(f"unknown unary operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -231,12 +250,27 @@ class Binary:
     left: "Expr"
     right: "Expr"
 
+    def _eval(self, env, iv, rng):
+        op = self.op
+        if op == "and":
+            ok = _as_bool(self.left._eval(env, iv, rng)) and _as_bool(self.right._eval(env, iv, rng))
+            return _TRUE if ok else _FALSE
+        if op == "or":
+            ok = _as_bool(self.left._eval(env, iv, rng)) or _as_bool(self.right._eval(env, iv, rng))
+            return _TRUE if ok else _FALSE
+        return _apply_binary(op, self.left._eval(env, iv, rng), self.right._eval(env, iv, rng))
+
 
 @dataclass(frozen=True)
 class IfThenElse:
     cond: "Expr"
     then: "Expr"
     orelse: "Expr"
+
+    def _eval(self, env, iv, rng):
+        if _as_bool(self.cond._eval(env, iv, rng)):
+            return self.then._eval(env, iv, rng)
+        return self.orelse._eval(env, iv, rng)
 
 
 @dataclass(frozen=True)
@@ -250,12 +284,21 @@ class CaseList:
     cases: tuple[tuple["Expr", "Expr"], ...]
     default: "Expr"
 
+    def _eval(self, env, iv, rng):
+        for g, b in self.cases:
+            if _as_bool(g._eval(env, iv, rng)):
+                return b._eval(env, iv, rng)
+        return self.default._eval(env, iv, rng)
+
 
 @dataclass(frozen=True)
 class IsIntervened:
     """True iff the active intervention set contains an atom on `var`."""
 
     var: VarRef
+
+    def _eval(self, env, iv, rng):
+        return _TRUE if self.var in iv else _FALSE
 
 
 @dataclass(frozen=True)
@@ -270,6 +313,14 @@ class InterventionValue:
     var: VarRef
     fallback: Optional["Expr"] = None
 
+    def _eval(self, env, iv, rng):
+        got = iv.get(self.var)
+        if got is not None:
+            return got
+        if self.fallback is None:
+            raise UnboundRefError(self.var)
+        return self.fallback._eval(env, iv, rng)
+
 
 @dataclass(frozen=True)
 class ExistsIntervention:
@@ -280,6 +331,20 @@ class ExistsIntervention:
     hi: Optional[int] = None
     value: Optional[Value] = None
 
+    def _eval(self, env, iv, rng):
+        lo, hi, value = self.lo, self.hi, self.value
+        for var, val in iv.items():
+            if var.name != self.family or var.index is None:
+                continue
+            if lo is not None and var.index < lo:
+                continue
+            if hi is not None and var.index > hi:
+                continue
+            if value is not None and val != value:
+                continue
+            return _TRUE
+        return _FALSE
+
 
 @dataclass(frozen=True)
 class MaxIntervenedIndex:
@@ -288,6 +353,18 @@ class MaxIntervenedIndex:
     family: str
     upper: "Expr"
     default: "Expr"
+
+    def _eval(self, env, iv, rng):
+        bound = self.upper._eval(env, iv, rng)
+        if not isinstance(bound, VInt):
+            raise DomainError("max_intervened_index bound must be an integer")
+        best = None
+        for var in iv:
+            if var.name != self.family or var.index is None or var.index > bound.i:
+                continue
+            if best is None or var.index > best:
+                best = var.index
+        return VInt(best) if best is not None else self.default._eval(env, iv, rng)
 
 
 @dataclass(frozen=True)
@@ -301,6 +378,14 @@ class RandomBernoulli:
     """
 
     p: "Expr"
+
+    def _eval(self, env, iv, rng):
+        if rng is None:
+            raise NonDeterministicModelError(
+                "model draws at evaluation time; reparameterize it or pass an rng"
+            )
+        pv = _numeric(self.p._eval(env, iv, rng))
+        return VBool(pv < rng.random())
 
 
 Expr = Union[
@@ -630,80 +715,14 @@ def eval_expr(
     Deterministic: identical arguments always produce the identical value.
     `rng` is only consulted by `RandomBernoulli` nodes; omitting it makes any
     draw an error, which keeps reparameterized models honest.
+
+    Each node class evaluates itself with `_eval(env, iv, rng)`, where `iv`
+    is the intervention set as a plain dict from variable to forced value.
+    Callers that evaluate many trees under one set build that dict once and
+    call `_eval` on the roots directly.
     """
-    from .scm import InterventionSet  # local import to avoid a module cycle
-
-    iv = interventions if interventions is not None else InterventionSet.empty()
-
-    def ev(x: Expr) -> Value:
-        match x:
-            case Const(v):
-                return v
-            case Ref(v):
-                if v not in env:
-                    raise UnboundRefError(v)
-                return env[v]
-            case Unary("neg", a):
-                return _wrap_number(-_numeric(ev(a)))
-            case Unary("not", a):
-                return VBool(not _as_bool(ev(a)))
-            case Unary(op, _):
-                raise DomainError(f"unknown unary operator {op!r}")
-            case Binary("and", l, r):
-                return VBool(_as_bool(ev(l)) and _as_bool(ev(r)))
-            case Binary("or", l, r):
-                return VBool(_as_bool(ev(l)) or _as_bool(ev(r)))
-            case Binary(op, l, r):
-                return _apply_binary(op, ev(l), ev(r))
-            case IfThenElse(c, t, o):
-                return ev(t) if _as_bool(ev(c)) else ev(o)
-            case CaseList(cases, default):
-                for g, b in cases:
-                    if _as_bool(ev(g)):
-                        return ev(b)
-                return ev(default)
-            case IsIntervened(v):
-                return VBool(iv.has(v))
-            case InterventionValue(v, fb):
-                got = iv.get(v)
-                if got is not None:
-                    return got
-                if fb is None:
-                    raise UnboundRefError(v)
-                return ev(fb)
-            case ExistsIntervention(family, lo, hi, value):
-                for var, val in iv.assignments:
-                    if var.name != family or var.index is None:
-                        continue
-                    if lo is not None and var.index < lo:
-                        continue
-                    if hi is not None and var.index > hi:
-                        continue
-                    if value is not None and val != value:
-                        continue
-                    return VBool(True)
-                return VBool(False)
-            case MaxIntervenedIndex(family, upper, default):
-                bound = ev(upper)
-                if not isinstance(bound, VInt):
-                    raise DomainError("max_intervened_index bound must be an integer")
-                best = None
-                for var, _val in iv.assignments:
-                    if var.name != family or var.index is None or var.index > bound.i:
-                        continue
-                    if best is None or var.index > best:
-                        best = var.index
-                return VInt(best) if best is not None else ev(default)
-            case RandomBernoulli(p):
-                if rng is None:
-                    raise NonDeterministicModelError(
-                        "model draws at evaluation time; reparameterize it or pass an rng"
-                    )
-                pv = _numeric(ev(p))
-                return VBool(pv < rng.random())
-        raise TypeError(f"not an Expr: {x!r}")
-
-    return ev(e)
+    iv = dict(interventions.assignments) if interventions is not None else {}
+    return e._eval(env, iv, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ explicitly probabilistic verdict for continuous inputs or huge spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import expr as E
 from . import scm as S
@@ -80,30 +80,27 @@ class EquivalenceReport:
 
 
 def _first_mismatch(
-    targets: list[VarRef],
-    base_out: Assignment,
-    cons_out: Assignment,
-    tolerance: float,
-) -> tuple[Optional[VarRef], float]:
+    base_vals: Sequence[Value], cons_vals: Sequence[Value], tolerance: float
+) -> tuple[Optional[int], float]:
+    """Position of the first disagreeing target, and the largest real deviation."""
     worst = 0.0
-    bad: Optional[VarRef] = None
-    for t in targets:
-        a, b = base_out[t], cons_out[t]
+    bad: Optional[int] = None
+    for i, (a, b) in enumerate(zip(base_vals, cons_vals)):
         if isinstance(a, E.VReal) or isinstance(b, E.VReal):
             try:
                 av = a.r if isinstance(a, E.VReal) else float(a.i)
                 bv = b.r if isinstance(b, E.VReal) else float(b.i)
             except AttributeError:
                 if bad is None:
-                    bad = t
+                    bad = i
                 continue
             dev = abs(av - bv)
             worst = max(worst, dev)
             if dev > tolerance and bad is None:
-                bad = t
+                bad = i
         elif a != b:
             if bad is None:
-                bad = t
+                bad = i
     return bad, worst
 
 
@@ -165,7 +162,9 @@ def verify_equivalence(
         base_out = eval_scm(base, u, iv, check_membership=False)
         cons_out = eval_consolidated(cons, u, iv, check_membership=False)
         checked += 1
-        bad, dev = _first_mismatch(tlist, base_out, cons_out, strategy.tolerance)
+        base_vals = [base_out[t] for t in tlist]
+        cons_vals = [cons_out[t] for t in tlist]
+        bad, dev = _first_mismatch(base_vals, cons_vals, strategy.tolerance)
         worst = max(worst, dev)
         if bad is not None:
             return EquivalenceReport(
@@ -176,9 +175,9 @@ def verify_equivalence(
                 counterexample=CounterExample(
                     u=tuple(sorted(u.items(), key=lambda p: ref_sort_key(p[0]))),
                     interventions=iv,
-                    var=bad,
-                    base_value=base_out[bad],
-                    ccv_value=cons_out[bad],
+                    var=tlist[bad],
+                    base_value=base_vals[bad],
+                    ccv_value=cons_vals[bad],
                 ),
             )
     return EquivalenceReport(
@@ -273,51 +272,101 @@ def gate_strategy_for(sub: SubScm, config: PassConfig) -> EquivalenceStrategy:
     )
 
 
-def verify_pass(before: Ccv, after: Ccv, sub: SubScm, strategy: EquivalenceStrategy) -> EquivalenceReport:
+def _gate_cases(
+    sub: SubScm, strategy: EquivalenceStrategy
+) -> tuple[Optional[list[tuple[Assignment, InterventionSet]]], bool, str]:
+    """The gate's case list and whether it was sampled, or None and why not."""
+    if strategy.mode == EXHAUSTIVE:
+        n = local_case_count(sub)
+        if n is None:
+            return None, False, "local space is not enumerable"
+        if n > max(strategy.intervention_budget, 10**6):
+            return None, False, f"local space has {n} cases"
+        return enumerate_local_cases(sub), False, ""
+    return sample_local_cases(sub, strategy.sample_count, strategy.seed), True, ""
+
+
+class GateMemo:
+    """What the gate calls of one `run_passes` share.
+
+    The cluster's case list is built on the first call.  The target values
+    of `before` are filled lazily, one tuple per case in case order, and
+    kept for as long as the same `before` object comes back, that is, until
+    a candidate is accepted.
+    """
+
+    def __init__(self):
+        self._sub: Optional[SubScm] = None
+        self._strategy: Optional[EquivalenceStrategy] = None
+        self._cases: tuple = (None, False, "")
+        self._before: Optional[Ccv] = None
+        self._before_values: list[tuple[Value, ...]] = []
+
+    def cases(self, sub: SubScm, strategy: EquivalenceStrategy) -> tuple:
+        if self._sub is not sub or self._strategy is not strategy:
+            self._sub, self._strategy = sub, strategy
+            self._cases = _gate_cases(sub, strategy)
+            self._before = None
+        return self._cases
+
+    def before_values(self, before: Ccv) -> list[tuple[Value, ...]]:
+        if self._before is not before:
+            self._before, self._before_values = before, []
+        return self._before_values
+
+
+def verify_pass(
+    before: Ccv,
+    after: Ccv,
+    sub: SubScm,
+    strategy: EquivalenceStrategy,
+    memo: Optional[GateMemo] = None,
+) -> EquivalenceReport:
     """Same contract as `verify_equivalence`, restricted to one cluster.
 
     Both compositional variables are evaluated over the cluster's local
     exogenous space and its projected intervention family; all targets are
     compared, so a rewrite that corrupts a value any later target consumes is
     caught even when the edited tree itself still agrees.
+
+    `memo` carries the case list and `before`'s values from one call to the
+    next.  With or without it, cases are visited in the same order and
+    `before` is evaluated ahead of `after` on each case, so the report, or
+    the error raised, is the same.
     """
     if set(before.targets) != set(after.targets):
         return EquivalenceReport("inconclusive", message="target sets differ")
-    if strategy.mode == EXHAUSTIVE:
-        n = local_case_count(sub)
-        if n is None:
-            return EquivalenceReport("inconclusive", message="local space is not enumerable")
-        if n > max(strategy.intervention_budget, 10**6):
-            return EquivalenceReport("inconclusive", message=f"local space has {n} cases")
-        cases = enumerate_local_cases(sub)
-        probabilistic = False
-    else:
-        cases = sample_local_cases(sub, strategy.sample_count, strategy.seed)
-        probabilistic = True
+    memo = memo if memo is not None else GateMemo()
+    cases, probabilistic, message = memo.cases(sub, strategy)
+    if cases is None:
+        return EquivalenceReport("inconclusive", message=message)
 
+    known = memo.before_values(before)
     tlist = list(before.targets)
     worst = 0.0
-    checked = 0
-    for env, iv in cases:
-        out_a = eval_ccv(before, env, iv)
+    for k, (env, iv) in enumerate(cases):
+        if k == len(known):
+            out_a = eval_ccv(before, env, iv)
+            known.append(tuple([out_a[t] for t in tlist]))
+        want = known[k]
         out_b = eval_ccv(after, env, iv)
-        checked += 1
-        bad, dev = _first_mismatch(tlist, out_a, out_b, strategy.tolerance)
+        got = [out_b[t] for t in tlist]
+        bad, dev = _first_mismatch(want, got, strategy.tolerance)
         worst = max(worst, dev)
         if bad is not None:
             return EquivalenceReport(
                 "counterexample",
-                cases_checked=checked,
+                cases_checked=k + 1,
                 max_abs_deviation=worst,
                 probabilistic=probabilistic,
                 counterexample=CounterExample(
                     u=tuple(sorted(env.items(), key=lambda p: ref_sort_key(p[0]))),
                     interventions=iv,
-                    var=bad,
-                    base_value=out_a[bad],
-                    ccv_value=out_b[bad],
+                    var=tlist[bad],
+                    base_value=want[bad],
+                    ccv_value=got[bad],
                 ),
             )
     return EquivalenceReport(
-        "equal", cases_checked=checked, max_abs_deviation=worst, probabilistic=probabilistic
+        "equal", cases_checked=len(cases), max_abs_deviation=worst, probabilistic=probabilistic
     )

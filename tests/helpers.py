@@ -6,13 +6,20 @@ from __future__ import annotations
 import random
 
 from scmc import expr as E
+from scmc.errors import DomainError, NonDeterministicModelError, UnboundRefError
 from scmc.expr import (
     Binary,
     BoolDomain,
     CaseList,
+    ExistsIntervention,
     IfThenElse,
     IntDomain,
+    InterventionValue,
+    IsIntervened,
+    MaxIntervenedIndex,
+    RandomBernoulli,
     Ref,
+    Unary,
     VarRef,
     band,
     bconst,
@@ -223,3 +230,88 @@ def random_intervention(scm: Scm, seed: int) -> InterventionSet:
     from scmc.evaluation import make_rng
 
     return scm.interventions.sample(make_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator
+# ---------------------------------------------------------------------------
+
+
+def oracle_eval(e: E.Expr, env, interventions: InterventionSet = None, rng=None) -> E.Value:
+    """A `match`-based tree walker with the evaluation semantics of `eval_expr`.
+
+    Kept apart from the library so the per-node evaluator has something
+    independent to agree with.  It queries the intervention set through
+    `InterventionSet.has`/`get` and walks its atoms in stored order.
+    """
+    iv = interventions if interventions is not None else InterventionSet.empty()
+
+    def ev(x: E.Expr) -> E.Value:
+        match x:
+            case E.Const(v):
+                return v
+            case Ref(v):
+                if v not in env:
+                    raise UnboundRefError(v)
+                return env[v]
+            case Unary("neg", a):
+                return E._wrap_number(-E._numeric(ev(a)))
+            case Unary("not", a):
+                return E.VBool(not E._as_bool(ev(a)))
+            case Unary(op, _):
+                raise DomainError(f"unknown unary operator {op!r}")
+            case Binary("and", l, r):
+                return E.VBool(E._as_bool(ev(l)) and E._as_bool(ev(r)))
+            case Binary("or", l, r):
+                return E.VBool(E._as_bool(ev(l)) or E._as_bool(ev(r)))
+            case Binary(op, l, r):
+                return E._apply_binary(op, ev(l), ev(r))
+            case IfThenElse(c, t, o):
+                return ev(t) if E._as_bool(ev(c)) else ev(o)
+            case CaseList(cases, default):
+                for g, b in cases:
+                    if E._as_bool(ev(g)):
+                        return ev(b)
+                return ev(default)
+            case IsIntervened(v):
+                return E.VBool(iv.has(v))
+            case InterventionValue(v, fb):
+                got = iv.get(v)
+                if got is not None:
+                    return got
+                if fb is None:
+                    raise UnboundRefError(v)
+                return ev(fb)
+            case ExistsIntervention(family, lo, hi, value):
+                for var, val in iv.assignments:
+                    if var.name != family or var.index is None:
+                        continue
+                    if lo is not None and var.index < lo:
+                        continue
+                    if hi is not None and var.index > hi:
+                        continue
+                    if value is not None and val != value:
+                        continue
+                    return E.VBool(True)
+                return E.VBool(False)
+            case MaxIntervenedIndex(family, upper, default):
+                bound = ev(upper)
+                if not isinstance(bound, E.VInt):
+                    raise DomainError("max_intervened_index bound must be an integer")
+                best = None
+                for var, _val in iv.assignments:
+                    if var.name != family or var.index is None or var.index > bound.i:
+                        continue
+                    if best is None or var.index > best:
+                        best = var.index
+                return E.VInt(best) if best is not None else ev(default)
+            case RandomBernoulli(p):
+                if rng is None:
+                    raise NonDeterministicModelError(
+                        "model draws at evaluation time; reparameterize it or pass an rng"
+                    )
+                pv = E._numeric(ev(p))
+                return E.VBool(pv < rng.random())
+        raise TypeError(f"not an Expr: {x!r}")
+
+    return ev(e)

@@ -125,6 +125,31 @@ class TestEval:
         assert rows["F"] == "true" and rows["C"] == "false" and rows["H"] == "true"
 
 
+class TestDeepModels:
+    def deep_model(self, tmp_path, depth=5000):
+        # written by hand: json.dumps itself cannot nest this deep
+        eq = '{"op": "not", "args": [' * depth + '{"ref": "U"}' + "]}" * depth
+        text = (
+            '{"name": "deep", "exogenous": [{"name": "U", "domain": {"kind": "bool"}, '
+            '"dist": {"kind": "uniform_finite", "values": [false, true]}}], '
+            '"endogenous": [{"name": "A", "domain": {"kind": "bool"}, "eq": ' + eq + "}], "
+            '"interventions": {"mode": "power_set", "atoms": []}}'
+        )
+        path = tmp_path / "deep.model.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_deep_nesting_is_a_typed_error(self, tmp_path, capsys):
+        path = self.deep_model(tmp_path)
+        assert main(["--json", "eval", path, "--exo", "U=true"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"]["kind"] == "ModelTooDeepError"
+        assert "Traceback" not in err
+        assert main(["eval", path, "--exo", "U=true"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestConsolidateVerify:
     def test_end_to_end_with_report(self, demo_dir, tmp_path, capsys):
         model = demo_dir / "step-by-step.model.json"

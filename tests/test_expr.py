@@ -1,9 +1,10 @@
 """Expression IR: evaluation, node counting, substitution."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scmc import expr as E
 from scmc.errors import (
@@ -15,6 +16,7 @@ from scmc.errors import (
 from scmc.expr import (
     Binary,
     CaseList,
+    Const,
     ExistsIntervention,
     IfThenElse,
     InterventionValue,
@@ -27,6 +29,7 @@ from scmc.expr import (
     VBool,
     VInt,
     VReal,
+    VSym,
     bconst,
     eval_expr,
     iconst,
@@ -35,6 +38,8 @@ from scmc.expr import (
     substitute,
 )
 from scmc.scm import InterventionSet
+
+from helpers import oracle_eval
 
 S1, S3, A, B = VarRef("S", 1), VarRef("S", 3), VarRef("A"), VarRef("B")
 
@@ -222,3 +227,162 @@ def test_substitution_node_count_bound(e, bound):
     occurrences = 1
     got = node_count(substitute(target, {Bv: bound}))
     assert got <= node_count(target) + occurrences * node_count(bound)
+
+
+# ---------------------------------------------------------------------------
+# Parity with the reference evaluator
+# ---------------------------------------------------------------------------
+
+S2 = VarRef("S", 2)
+Z = VarRef("Z")  # never bound, never intervened
+BOUNDABLE = [A, B, S1, S2, S3]
+VALUES = [
+    VBool(False),
+    VBool(True),
+    VInt(-2),
+    VInt(0),
+    VInt(1),
+    VInt(2),
+    VReal(-1.5),
+    VReal(0.0),
+    VReal(1.0),
+    VReal(2.5),
+    VSym("a"),
+    VSym("b"),
+]
+values = st.sampled_from(VALUES)
+maybe_index = st.one_of(st.none(), st.integers(0, 4))
+
+
+@st.composite
+def leaves(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return Const(draw(values))
+    if kind == 1:
+        return Ref(draw(st.sampled_from(BOUNDABLE + [Z])))
+    if kind == 2:
+        return IsIntervened(draw(st.sampled_from(BOUNDABLE)))
+    return ExistsIntervention(
+        draw(st.sampled_from(["S", "A"])),
+        draw(maybe_index),
+        draw(maybe_index),
+        draw(st.one_of(st.none(), values)),
+    )
+
+
+@st.composite
+def any_exprs(draw, depth=3):
+    """Every node class, including ill-kinded and erroring combinations."""
+    if depth == 0:
+        return draw(leaves())
+    sub = any_exprs(depth=depth - 1)
+    kind = draw(st.integers(0, 8))
+    if kind == 0:
+        return draw(leaves())
+    if kind == 1:
+        return Unary(draw(st.sampled_from(["neg", "not", "abs"])), draw(sub))
+    if kind == 2:
+        op = draw(st.sampled_from(sorted(E.BINARY_OPS) + ["xor"]))
+        return Binary(op, draw(sub), draw(sub))
+    if kind == 3:
+        return IfThenElse(draw(sub), draw(sub), draw(sub))
+    if kind == 4:
+        arms = draw(st.lists(st.tuples(sub, sub), max_size=2))
+        return CaseList(tuple(arms), draw(sub))
+    if kind == 5:
+        return InterventionValue(draw(st.sampled_from(BOUNDABLE + [Z])), draw(st.one_of(st.none(), sub)))
+    if kind == 6:
+        return MaxIntervenedIndex(draw(st.sampled_from(["S", "A"])), draw(sub), draw(sub))
+    if kind == 7:
+        return RandomBernoulli(draw(sub))
+    return draw(leaves())
+
+
+envs = st.dictionaries(st.sampled_from(BOUNDABLE), values)
+intervention_sets = st.dictionaries(st.sampled_from(BOUNDABLE), values).map(InterventionSet.of)
+
+
+def outcome(fn):
+    try:
+        return "value", fn()
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return "raises", type(exc)
+
+
+@settings(max_examples=500)
+@given(any_exprs(), envs, intervention_sets, st.one_of(st.none(), st.integers(0, 2**16)))
+def test_eval_matches_reference_evaluator(e, env, iv, seed):
+    rng_a = random.Random(seed) if seed is not None else None
+    rng_b = random.Random(seed) if seed is not None else None
+    got = outcome(lambda: eval_expr(e, env, iv, rng_a))
+    want = outcome(lambda: oracle_eval(e, env, iv, rng_b))
+    # dataclass equality also tells VInt(1) from VReal(1.0)
+    assert got == want
+    if got[0] == "raises":
+        assert got[1] in (DivisionByZeroError, DomainError, UnboundRefError, NonDeterministicModelError, OverflowError)
+    if seed is not None:
+        assert rng_a.random() == rng_b.random()  # the same number of draws was taken
+
+
+class ScriptedRng:
+    """Hands out fixed draws in order and counts them."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.taken = 0
+
+    def random(self):
+        self.taken += 1
+        return self.draws.pop(0)
+
+
+DIV_ZERO = Binary("eq", Binary("div", iconst(1), iconst(0)), iconst(0))
+
+
+class TestEvalOrder:
+    def test_and_or_short_circuit(self):
+        assert eval_expr(Binary("and", bconst(False), DIV_ZERO), {}) == VBool(False)
+        assert eval_expr(Binary("or", bconst(True), DIV_ZERO), {}) == VBool(True)
+        with pytest.raises(DivisionByZeroError):
+            eval_expr(Binary("and", bconst(True), DIV_ZERO), {})
+
+    def test_case_list_evaluates_up_to_the_first_true_guard(self):
+        e = CaseList(((bconst(False), DIV_ZERO), (bconst(True), iconst(1)), (DIV_ZERO, iconst(2))), DIV_ZERO)
+        assert eval_expr(e, {}) == VInt(1)
+        fall_through = CaseList(((bconst(False), DIV_ZERO),), iconst(3))
+        assert eval_expr(fall_through, {}) == VInt(3)
+        with pytest.raises(DivisionByZeroError):
+            eval_expr(CaseList(((bconst(False), iconst(1)),), DIV_ZERO), {})
+
+    def test_min_max_return_the_chosen_operand(self):
+        assert eval_expr(Binary("min", iconst(1), rconst(1.0)), {}) == VInt(1)
+        assert eval_expr(Binary("min", rconst(1.0), iconst(1)), {}) == VReal(1.0)
+        assert eval_expr(Binary("max", rconst(2.0), iconst(2)), {}) == VReal(2.0)
+        assert eval_expr(Binary("max", iconst(1), rconst(0.5)), {}) == VInt(1)
+        assert eval_expr(Binary("min", iconst(3), rconst(0.5)), {}) == VReal(0.5)
+
+    def test_fallback_runs_only_when_not_intervened(self):
+        e = InterventionValue(A, Binary("div", iconst(1), iconst(0)))
+        assert eval_expr(e, {}, ivs({A: VInt(4)})) == VInt(4)
+        with pytest.raises(DivisionByZeroError):
+            eval_expr(e, {}, ivs({B: VInt(4)}))
+
+    def test_draws_are_taken_in_evaluation_order(self):
+        # left operand draws first
+        pair = Binary("eq", RandomBernoulli(rconst(0.25)), RandomBernoulli(rconst(0.75)))
+        rng = ScriptedRng([0.5, 0.9])
+        assert eval_expr(pair, {}, None, rng) == VBool(True)
+        assert rng.taken == 2
+        # a draw inside the parameter happens before the node's own draw
+        nested = RandomBernoulli(IfThenElse(RandomBernoulli(rconst(0.5)), rconst(0.1), rconst(0.9)))
+        rng = ScriptedRng([0.7, 0.5])
+        assert eval_expr(nested, {}, None, rng) == VBool(True)
+        assert rng.taken == 2
+        # a short-circuited draw is never taken
+        rng = ScriptedRng([0.1])
+        assert eval_expr(Binary("and", RandomBernoulli(rconst(0.5)), RandomBernoulli(rconst(0.5))), {}, None, rng) == VBool(False)
+        assert rng.taken == 1
+        for e, draws in [(pair, [0.5, 0.9]), (nested, [0.7, 0.5])]:
+            a, b = ScriptedRng(draws), ScriptedRng(draws)
+            assert eval_expr(e, {}, None, a) == oracle_eval(e, {}, None, b)

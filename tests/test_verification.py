@@ -1,18 +1,25 @@
 """The equivalence oracle: exhaustive completeness, counterexamples, replay."""
 
+import pytest
+
 from scmc import expr as E
 from scmc import zoo
 from scmc.consolidation import (
     Ccv,
     PassConfig,
     attach_ccvs,
+    build_rho,
     consolidate,
+    run_passes,
 )
-from scmc.expr import Binary, IfThenElse, IsIntervened, Ref, VarRef, bconst, bnot, iconst
+from scmc.errors import DivisionByZeroError
+from scmc.expr import Binary, IfThenElse, IntDomain, IsIntervened, Ref, VarRef, bconst, bnot, iconst
 from scmc.partition import extract_sub_scm
-from scmc.scm import InterventionSet
+from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite
 from scmc.verification import (
     EquivalenceStrategy,
+    GateMemo,
+    gate_strategy_for,
     replay_counterexample,
     verify_equivalence,
     verify_pass,
@@ -189,3 +196,87 @@ class TestMutationSuite:
             assert report.verdict == "counterexample", name
             replay = verify_pass(good, broken, sub, EquivalenceStrategy.exhaustive())
             assert replay.counterexample == report.counterexample, name
+
+
+class TestGateMemo:
+    def walkthrough_cluster(self):
+        entry = zoo.step_by_step()
+        sub = extract_sub_scm(entry.scm, [VarRef("E"), VarRef("F"), VarRef("G")])
+        built, _ = build_rho(sub, [VarRef("F"), VarRef("G")])
+        good = run_passes(built, sub, PassConfig())
+        candidates = [good, built] + [
+            Ccv(good.targets, mutate(dict(good.rho)), good.interventions, 0) for _, mutate in BROKEN_REWRITES
+        ]
+        return sub, good, candidates
+
+    def test_shared_memo_matches_fresh_calls(self):
+        sub, good, candidates = self.walkthrough_cluster()
+        strategies = [EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)]
+        for strategy in strategies:
+            memo = GateMemo()
+            for after in candidates + candidates[::-1]:
+                shared = verify_pass(good, after, sub, strategy, memo)
+                fresh = verify_pass(good, after, sub, strategy)
+                assert shared == fresh
+                assert shared.cases_checked > 0
+            verdicts = [verify_pass(good, c, sub, strategy, memo).verdict for c in candidates]
+            assert verdicts.count("counterexample") == len(BROKEN_REWRITES)
+
+    def test_sampled_gate_over_real_arithmetic(self):
+        entry = zoo.tool_wear(6, "sampled")
+        cluster = entry.partition.clusters[0]
+        sub = extract_sub_scm(entry.scm, cluster)
+        built, _ = build_rho(sub, sorted(cluster, key=E.ref_sort_key))
+        config = PassConfig(gate_sample_count=32)
+        strategy = gate_strategy_for(sub, config)
+        assert strategy.mode == "sampled"
+        first = built.targets[0]
+        nudged = Ccv(
+            built.targets,
+            {**built.rho, first: Binary("add", built.rho[first], E.rconst(1e-12))},
+            built.interventions,
+            0,
+        )
+        memo = GateMemo()
+        for after in [built, nudged, run_passes(built, sub, config)]:
+            assert verify_pass(built, after, sub, strategy, memo) == verify_pass(built, after, sub, strategy)
+        assert verify_pass(built, nudged, sub, strategy, memo).max_abs_deviation > 0
+
+    def test_memo_resets_when_before_changes(self):
+        sub, good, candidates = self.walkthrough_cluster()
+        strategy = EquivalenceStrategy.exhaustive()
+        broken = candidates[-1]
+        memo = GateMemo()
+        assert verify_pass(good, good, sub, strategy, memo).equal
+        # a memo that kept good's values would call this equal
+        swapped = verify_pass(broken, good, sub, strategy, memo)
+        assert swapped.verdict == "counterexample"
+        assert swapped == verify_pass(broken, good, sub, strategy)
+        assert verify_pass(good, broken, sub, strategy, memo) == verify_pass(good, broken, sub, strategy)
+
+    def test_earlier_mismatch_wins_over_later_error_in_before(self):
+        X, T = VarRef("X"), VarRef("T")
+        scm = Scm(
+            name="late-error",
+            endogenous=(EndoVar(T, IntDomain(-1, 1), Ref(X)),),
+            exogenous=(ExoVar(X, IntDomain(0, 3), UniformFinite(tuple(E.VInt(i) for i in range(4)))),),
+            interventions=InterventionSpace.power_set([]),
+        )
+        sub = extract_sub_scm(scm, [T])
+        space = sub.interventions
+        # raises on the last case only, X = 3
+        before = Ccv((T,), {T: Binary("div", iconst(1), Binary("sub", iconst(3), Ref(X)))}, space, 0)
+        same_trees = Ccv((T,), {T: Binary("div", iconst(1), Binary("sub", iconst(3), Ref(X)))}, space, 0)
+        first_case_differs = Ccv((T,), {T: iconst(5)}, space, 0)
+        strategy = EquivalenceStrategy.exhaustive()
+        memo = GateMemo()
+        with pytest.raises(DivisionByZeroError):
+            verify_pass(before, same_trees, sub, strategy, memo)
+        for m in (memo, None):
+            report = verify_pass(before, first_case_differs, sub, strategy, m)
+            assert report.verdict == "counterexample"
+            assert report.cases_checked == 1
+            assert report.counterexample.u == ((X, E.VInt(0)),)
+            assert (report.counterexample.base_value, report.counterexample.ccv_value) == (E.VInt(0), E.VInt(5))
+        with pytest.raises(DivisionByZeroError):
+            verify_pass(before, same_trees, sub, strategy, memo)

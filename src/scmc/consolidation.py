@@ -183,21 +183,24 @@ def prune_childless(scm: Scm, targets: Iterable[VarRef]) -> tuple[Scm, list[VarR
     for t in tset:
         if not any(r.var == t for r in scm.endogenous):
             raise InvalidTargetError(f"{t} is not an endogenous variable")
-    alive = dict.fromkeys(scm.endo_vars())
+    graph = S.derive_graph_unchecked(scm)
+    position = {v: k for k, v in enumerate(scm.endo_vars())}
+    consumers = {v: len(graph.children[v]) for v in position}
+    alive = set(position)
     removed: list[VarRef] = []
-    while True:
-        graph = S.derive_graph_unchecked(_restrict(scm, alive))
-        dropped_now = []
-        for v in list(alive):
-            if v in tset:
-                continue
-            if not graph.children.get(v):
-                dropped_now.append(v)
-        if not dropped_now:
-            break
-        for v in dropped_now:
-            del alive[v]
-            removed.append(v)
+    # peel sinks layer by layer, each layer in model order
+    layer = [v for v in position if v not in tset and not consumers[v]]
+    while layer:
+        alive.difference_update(layer)
+        removed.extend(layer)
+        freed = []
+        for v in layer:
+            for p in graph.parents[v]:
+                if p in alive:
+                    consumers[p] -= 1
+                    if not consumers[p] and p not in tset:
+                        freed.append(p)
+        layer = sorted(freed, key=position.__getitem__)
     had_atoms = [v for v in removed if scm.interventions.atom_values(v)]
     pruned = _restrict(scm, alive)
     pruned = replace(pruned, interventions=scm.interventions.drop_atoms(removed))

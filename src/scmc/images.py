@@ -14,7 +14,7 @@ the compression report records those sizes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from . import expr as E
@@ -220,19 +220,69 @@ class ImageContext:
     `env` maps referencable variables to their images; `space` is the local
     intervention space, consulted for atom values; `assume_intervened`
     carries guard knowledge collected while descending branches.
+
+    A context remembers the image of every node analysed in it, so a subtree
+    shared by several consumers is analysed once per context.  Contexts are
+    canonical: `child` only makes a new one when the subtree can observe the
+    added assumption, and makes it once per (variable, state).
     """
 
     env: Mapping[VarRef, Image]
     space: InterventionSpace
     assume_intervened: dict[VarRef, bool]
+    #: id(node) -> (node, image); holding the node keeps its id from reuse
+    _images: dict[int, tuple[Expr, Image]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _children: dict[tuple[VarRef, bool], "ImageContext"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: id(node) -> (node, variables it queries); shared by a family of contexts
+    _queried: dict[int, tuple[Expr, frozenset[VarRef]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def child(self, var: VarRef, state: bool) -> "ImageContext":
-        assume = dict(self.assume_intervened)
-        assume[var] = state
-        return ImageContext(self.env, self.space, assume)
+    def child(self, var: VarRef, state: bool, subtree: Expr) -> "ImageContext":
+        """The context for `subtree` once `var`'s intervention state is known."""
+        if var not in self._queried_vars(subtree):
+            return self
+        kid = self._children.get((var, state))
+        if kid is None:
+            assume = dict(self.assume_intervened)
+            assume[var] = state
+            kid = ImageContext(self.env, self.space, assume)
+            kid._queried = self._queried
+            self._children[(var, state)] = kid
+        return kid
+
+    def _queried_vars(self, e: Expr) -> frozenset[VarRef]:
+        """Variables whose assumed state `e` reads: the only nodes that look
+        at `assume_intervened` are `IsIntervened` and `InterventionValue`."""
+        hit = self._queried.get(id(e))
+        if hit is not None:
+            return hit[1]
+        out: frozenset[VarRef] = frozenset()
+        for c in E.children(e):
+            below = self._queried_vars(c)
+            out = below if not out else out | below
+        if isinstance(e, (E.IsIntervened, E.InterventionValue)) and e.var not in out:
+            out = out | {e.var}
+        self._queried[id(e)] = (e, out)
+        return out
 
 
 def image_of(e: Expr, ctx: ImageContext) -> Image:
+    """The image of `e` in `ctx`, computed once per node and context."""
+    hit = ctx._images.get(id(e))
+    if hit is not None:
+        return hit[1]
+    img = _image_of(e, ctx)
+    ctx._images[id(e)] = (e, img)
+    return img
+
+
+def _image_of(e: Expr, ctx: ImageContext) -> Image:
+    """One node's image; children go through `image_of` and its memo."""
     match e:
         case E.Const(v):
             return FiniteImage(frozenset({v}))
@@ -272,8 +322,8 @@ def image_of(e: Expr, ctx: ImageContext) -> Image:
             ic = image_of(c, ctx)
             then_ctx, else_ctx = ctx, ctx
             if isinstance(c, E.IsIntervened):
-                then_ctx = ctx.child(c.var, True)
-                else_ctx = ctx.child(c.var, False)
+                then_ctx = ctx.child(c.var, True, t)
+                else_ctx = ctx.child(c.var, False, o)
             sv = singleton_value(ic)
             if sv == E.VBool(True):
                 return image_of(t, then_ctx)

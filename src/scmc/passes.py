@@ -95,8 +95,8 @@ def fold_by_image(e: Expr, ctx: PassContext) -> Expr:
             case E.IfThenElse(c, t, o) if isinstance(c, E.IsIntervened):
                 return E.IfThenElse(
                     walk(c, ictx),
-                    walk(t, ictx.child(c.var, True)),
-                    walk(o, ictx.child(c.var, False)),
+                    walk(t, ictx.child(c.var, True, t)),
+                    walk(o, ictx.child(c.var, False, o)),
                 )
         return _rebuild(x, lambda ch: walk(ch, ictx))
 
@@ -282,8 +282,8 @@ def prune_branches(e: Expr, ctx: PassContext) -> Expr:
                 gi = I.singleton_value(I.image_of(c, ictx))
                 then_ctx, else_ctx = ictx, ictx
                 if isinstance(c, E.IsIntervened):
-                    then_ctx = ictx.child(c.var, True)
-                    else_ctx = ictx.child(c.var, False)
+                    then_ctx = ictx.child(c.var, True, t)
+                    else_ctx = ictx.child(c.var, False, o)
                 if gi == E.VBool(True):
                     ctx.stats.guards_dropped += 1
                     return walk(t, then_ctx)

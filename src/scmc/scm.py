@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from . import expr as E
@@ -188,17 +189,30 @@ class InterventionSpace:
         ordered = tuple(sorted(seen, key=lambda s: [(ref_sort_key(v), repr(val)) for v, val in s.assignments]))
         return InterventionSpace(EXPLICIT, normed, ordered)
 
-    def atom_values(self, var: VarRef) -> tuple[Value, ...]:
+    @cached_property
+    def _atom_index(self) -> dict[VarRef, tuple[Value, ...]]:
+        """The atom table by variable, built on first use.
+
+        Not a field: equality, hashing, repr and documents ignore it.  The
+        first row wins, as a scan of `atoms` would.
+        """
+        index: dict[VarRef, tuple[Value, ...]] = {}
         for v, vals in self.atoms:
-            if v == var:
-                return vals
-        return ()
+            index.setdefault(v, vals)
+        return index
+
+    def atom_values(self, var: VarRef) -> tuple[Value, ...]:
+        return self._atom_index.get(var, ())
 
     def intervenable_vars(self) -> list[VarRef]:
         return [v for v, vals in self.atoms if vals]
 
     def family_atoms(self, family: str) -> list[tuple[VarRef, tuple[Value, ...]]]:
-        return [(v, vals) for v, vals in self.atoms if v.name == family and v.index is not None]
+        return [
+            (v, vals)
+            for v, vals in self._atom_index.items()
+            if v.name == family and v.index is not None
+        ]
 
     def contains(self, iset: InterventionSet) -> bool:
         if self.mode == EXPLICIT:

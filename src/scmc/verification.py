@@ -147,6 +147,14 @@ def verify_equivalence(
             i_cases = _intervention_cases(base.interventions, strategy)
         except (DomainError, EnumerationTooLargeError) as exc:
             return EquivalenceReport("inconclusive", message=str(exc))
+        budget = max(strategy.intervention_budget, strategy.exogenous_budget)
+        n = len(u_cases) * len(i_cases)
+        if n > budget:
+            return EquivalenceReport(
+                "inconclusive",
+                message=f"{len(u_cases)} inputs x {len(i_cases)} intervention sets "
+                f"= {n} cases, budget is {budget}",
+            )
         probabilistic = False
         case_iter = ((u, iv) for u in u_cases for iv in i_cases)
     else:

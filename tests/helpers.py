@@ -1,11 +1,15 @@
-"""Shared builders for the test suite: a small layered example model and a
-seeded random-model generator used by the property suites."""
+"""Shared builders for the test suite: a small layered example model, a
+seeded random-model generator used by the property suites, and reference
+implementations the library is checked against."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from scmc import expr as E
+from scmc import images as I
 from scmc.errors import DomainError, NonDeterministicModelError, UnboundRefError
 from scmc.expr import (
     Binary,
@@ -315,3 +319,143 @@ def oracle_eval(e: E.Expr, env, interventions: InterventionSet = None, rng=None)
         raise TypeError(f"not an Expr: {x!r}")
 
     return ev(e)
+
+
+# ---------------------------------------------------------------------------
+# Reference image analysis
+# ---------------------------------------------------------------------------
+
+
+def _scan_atom_values(space: InterventionSpace, var: VarRef) -> tuple:
+    for v, vals in space.atoms:
+        if v == var:
+            return vals
+    return ()
+
+
+def _scan_family_atoms(space: InterventionSpace, family: str) -> list:
+    return [(v, vals) for v, vals in space.atoms if v.name == family and v.index is not None]
+
+
+@dataclass
+class OracleImageContext:
+    """`ImageContext` without memo or canonical children: every `child` is a
+    fresh context carrying the added assumption."""
+
+    env: Mapping[VarRef, I.Image]
+    space: InterventionSpace
+    assume_intervened: dict
+
+    def child(self, var: VarRef, state: bool) -> "OracleImageContext":
+        assume = dict(self.assume_intervened)
+        assume[var] = state
+        return OracleImageContext(self.env, self.space, assume)
+
+
+def oracle_image_of(e: E.Expr, ctx: OracleImageContext) -> I.Image:
+    """The image analysis recomputed for every node and every context.
+
+    Kept apart from the library so the memoized analysis has something
+    independent to agree with.  It reads the atom table by scanning
+    `space.atoms`, not through the space's index.
+    """
+    FiniteImage, IntervalImage = I.FiniteImage, I.IntervalImage
+    match e:
+        case E.Const(v):
+            return FiniteImage(frozenset({v}))
+        case Ref(v):
+            return ctx.env.get(v, I.TOP)
+        case Unary(op, a):
+            ia = oracle_image_of(a, ctx)
+            if isinstance(ia, FiniteImage):
+                return I._apply_finite_unary(op, ia)
+            if op == "neg":
+                nb = I._numeric_bounds(ia)
+                if nb is None:
+                    return I.TOP
+                lo, hi, is_int = nb
+                return IntervalImage(
+                    None if hi is None else -hi, None if lo is None else -lo, is_int
+                )
+            return I.BOOL_BOTH
+        case Binary(op, l, r):
+            il, ir = oracle_image_of(l, ctx), oracle_image_of(r, ctx)
+            if isinstance(il, FiniteImage) and isinstance(ir, FiniteImage):
+                return I._apply_finite_binary(op, il, ir)
+            if op in ("and", "or"):
+                tv, fv = E.VBool(True), E.VBool(False)
+                short = fv if op == "and" else tv
+                for side in (il, ir):
+                    if I.singleton_value(side) == short:
+                        return FiniteImage(frozenset({short}))
+                svl, svr = I.singleton_value(il), I.singleton_value(ir)
+                other = tv if op == "and" else fv
+                if svl == other and svr == other:
+                    return FiniteImage(frozenset({other}))
+                return I.BOOL_BOTH
+            return I._interval_binary(op, il, ir)
+        case IfThenElse(c, t, o):
+            ic = oracle_image_of(c, ctx)
+            then_ctx, else_ctx = ctx, ctx
+            if isinstance(c, IsIntervened):
+                then_ctx = ctx.child(c.var, True)
+                else_ctx = ctx.child(c.var, False)
+            sv = I.singleton_value(ic)
+            if sv == E.VBool(True):
+                return oracle_image_of(t, then_ctx)
+            if sv == E.VBool(False):
+                return oracle_image_of(o, else_ctx)
+            return I.union(oracle_image_of(t, then_ctx), oracle_image_of(o, else_ctx))
+        case CaseList(cases, default):
+            acc: Optional[I.Image] = None
+            for g, b in cases:
+                ig = I.singleton_value(oracle_image_of(g, ctx))
+                if ig == E.VBool(False):
+                    continue
+                bi = oracle_image_of(b, ctx)
+                acc = bi if acc is None else I.union(acc, bi)
+                if ig == E.VBool(True):
+                    return acc
+            di = oracle_image_of(default, ctx)
+            return di if acc is None else I.union(acc, di)
+        case IsIntervened(v):
+            if v in ctx.assume_intervened:
+                return FiniteImage(frozenset({E.VBool(ctx.assume_intervened[v])}))
+            if not _scan_atom_values(ctx.space, v):
+                return FiniteImage(frozenset({E.VBool(False)}))
+            return I.BOOL_BOTH
+        case InterventionValue(v, fb):
+            atom_img = I._cap(FiniteImage(frozenset(_scan_atom_values(ctx.space, v))))
+            fb_img = oracle_image_of(fb, ctx) if fb is not None else None
+            state = ctx.assume_intervened.get(v)
+            if state is True:
+                return atom_img
+            if state is False:
+                return fb_img if fb_img is not None else I.TOP
+            if fb_img is None:
+                return atom_img
+            return I.union(atom_img, fb_img)
+        case ExistsIntervention(family, lo, hi, value):
+            for var, vals in _scan_family_atoms(ctx.space, family):
+                if lo is not None and var.index < lo:
+                    continue
+                if hi is not None and var.index > hi:
+                    continue
+                if value is not None and value not in vals:
+                    continue
+                return I.BOOL_BOTH
+            return FiniteImage(frozenset({E.VBool(False)}))
+        case MaxIntervenedIndex(family, upper, default):
+            up = I._numeric_bounds(oracle_image_of(upper, ctx))
+            idxs = []
+            for var, _vals in _scan_family_atoms(ctx.space, family):
+                if up is not None and up[1] is not None and var.index > up[1]:
+                    continue
+                idxs.append(E.VInt(var.index))
+            di = oracle_image_of(default, ctx)
+            if not idxs:
+                return di
+            return I.union(I._cap(FiniteImage(frozenset(idxs))), di)
+        case RandomBernoulli():
+            return I.BOOL_BOTH
+    raise TypeError(f"not an Expr: {e!r}")

@@ -1,6 +1,8 @@
 """Required sets, inlining, childless pruning, the pass pipeline, and the
 end-to-end consolidation contract."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import random_model
@@ -42,6 +44,7 @@ from scmc.scm import (
     InterventionSpace,
     Scm,
     UniformFinite,
+    derive_graph,
     validate,
 )
 from scmc.verification import EquivalenceStrategy, verify_equivalence, verify_pass
@@ -197,6 +200,46 @@ class TestPruneChildless:
             eval_consolidated(narrowed, u, iv)[VarRef("H")]
             == eval_scm(entry.scm, u, iv)[VarRef("H")]
         )
+
+    def test_tool_wear_derives_the_graph_once(self, monkeypatch):
+        from scmc import scm as S
+
+        calls = []
+        inner = S.derive_graph_unchecked
+
+        def counting(scm):
+            calls.append(1)
+            return inner(scm)
+
+        monkeypatch.setattr(S, "derive_graph_unchecked", counting)
+        entry = zoo.tool_wear(36)
+        prune_childless(entry.scm, entry.targets)
+        assert len(calls) == 1
+
+    def test_removal_order_is_layer_by_layer_in_model_order(self):
+        """`removed` is persisted as `variables_marginalized`: its order is
+        the one of dropping every current sink, round after round."""
+
+        def by_rounds(scm, targets):
+            alive = list(scm.endo_vars())
+            removed = []
+            while True:
+                rows = tuple(r for r in scm.endogenous if r.var in alive)
+                graph = derive_graph(replace(scm, endogenous=rows))
+                sinks = [v for v in alive if v not in targets and not graph.children[v]]
+                if not sinks:
+                    return removed
+                alive = [v for v in alive if v not in sinks]
+                removed += sinks
+
+        entry = zoo.tool_wear(6)
+        cases = [(entry.scm, list(entry.targets))]
+        for seed in range(60):
+            scm = random_model(seed, max_endo=10)
+            cases.append((scm, scm.endo_vars()[:1]))
+        for scm, targets in cases:
+            _, removed, _ = prune_childless(scm, targets)
+            assert removed == by_rounds(scm, targets)
 
     def test_prune_preserves_surviving_values(self):
         for seed in range(40):

@@ -1,5 +1,7 @@
 """Model validation, graph derivation, kin queries, reparameterization."""
 
+import json
+
 import pytest
 
 from helpers import random_model
@@ -219,6 +221,28 @@ class TestReparameterize:
 
 
 class TestInterventionSpace:
+    def test_atom_index_is_invisible(self):
+        """Spaces compare, hash and serialize alike whether or not their
+        atom index has been built."""
+        from scmc import documents as D
+
+        used, fresh = zoo.tool_wear(8).scm, zoo.tool_wear(8).scm
+        for v, vals in used.interventions.atoms:
+            assert used.interventions.atom_values(v) == vals
+        assert used.interventions.atom_values(VarRef("nope")) == ()
+        assert "_atom_index" in vars(used.interventions)
+        assert "_atom_index" not in vars(fresh.interventions)
+        assert used.interventions == fresh.interventions
+        assert hash(used.interventions) == hash(fresh.interventions)
+        assert repr(used.interventions) == repr(fresh.interventions)
+        text = D.to_json(D.model_to_doc(used))
+        assert text == D.to_json(D.model_to_doc(fresh))
+        back = D.model_from_doc(json.loads(text))
+        assert back.interventions == used.interventions
+        assert D.to_json(D.model_to_doc(back)) == text
+        back.interventions.atom_values(VarRef("S", 1))
+        assert D.to_json(D.model_to_doc(back)) == text
+
     def test_singleton_enumeration(self):
         space = zoo.dominoes(5).scm.interventions
         sets = space.enumerate()

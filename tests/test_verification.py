@@ -109,6 +109,27 @@ class TestVerifyEquivalence:
         assert report.verdict == "inconclusive"
         assert report.cases_checked == 0
 
+    def test_joint_case_budget_is_inconclusive_before_any_case(self, monkeypatch):
+        from scmc import verification as Q
+
+        entry = zoo.dominoes(10)
+        cons = reference_consolidated(entry)
+        # 2 inputs x 21 sets = 42 cases; each axis alone fits a budget of 40
+        strategy = EquivalenceStrategy.exhaustive(intervention_budget=40, exogenous_budget=40)
+
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case was evaluated")
+
+        monkeypatch.setattr(Q, "eval_scm", no_case)
+        monkeypatch.setattr(Q, "eval_consolidated", no_case)
+        report = verify_equivalence(entry.scm, cons, entry.targets, strategy)
+        assert report.verdict == "inconclusive"
+        assert report.cases_checked == 0
+        assert "42 cases" in report.message
+        monkeypatch.undo()
+        fits = EquivalenceStrategy.exhaustive(intervention_budget=42, exogenous_budget=40)
+        assert verify_equivalence(entry.scm, cons, entry.targets, fits).cases_checked == 42
+
     def test_continuous_inputs_make_exhaustive_inconclusive(self):
         entry = zoo.tool_wear(4, "sampled")
         cons = entry.consolidated()

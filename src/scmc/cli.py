@@ -19,7 +19,7 @@ from . import expr as E
 from . import scm as S
 from . import zoo as Z
 from .consolidation import CcvCluster, ConsolidatedScm, PassConfig, consolidate, eval_consolidated
-from .errors import ModelTooDeepError, ParseError, ScmcError
+from .errors import ParseError, ScmcError, recursion_as_too_deep
 from .evaluation import eval_scm, sample_exogenous
 from .expr import VarRef, node_count, parse_var_name
 from .scm import InterventionSet, Scm, derive_graph, validate
@@ -92,10 +92,6 @@ def main(argv=None) -> int:
     except ScmcError as exc:
         _emit_error(args, type(exc).__name__, str(exc))
         return 1
-    except RecursionError:
-        exc = ModelTooDeepError("expression nesting exceeds the recursion limit")
-        _emit_error(args, type(exc).__name__, str(exc))
-        return 1
 
 
 def _emit_error(args, kind: str, message: str):
@@ -105,6 +101,7 @@ def _emit_error(args, kind: str, message: str):
         print(f"error: {message}", file=sys.stderr)
 
 
+@recursion_as_too_deep
 def _dispatch(args) -> int:
     return {
         "validate": cmd_validate,

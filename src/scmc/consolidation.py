@@ -25,6 +25,7 @@ from .errors import (
     InvalidTargetError,
     PassBudgetExceededError,
     UnboundRefError,
+    recursion_as_too_deep,
 )
 from .evaluation import Assignment, eval_sub_scm
 from .expr import Expr, VarRef, node_count, ref_sort_key
@@ -503,7 +504,7 @@ def eval_consolidated(
     for row in cons.exogenous:
         if row.var not in u:
             raise UnboundRefError(row.var)
-        if not E.value_in_domain(u[row.var], row.domain):
+        if not row.domain._contains(u[row.var]):
             raise DomainError(f"input {row.var}={u[row.var]} is outside its domain")
         acc[row.var] = u[row.var]
     for cluster in cons.clusters:
@@ -522,6 +523,7 @@ def eval_consolidated(
 # ---------------------------------------------------------------------------
 
 
+@recursion_as_too_deep
 def consolidate(
     scm: Scm,
     partition: Partition,
@@ -534,7 +536,8 @@ def consolidate(
     `clusters_to_consolidate` selects cluster indices of the *original*
     partition; everything else is kept as an ordinary sub-model.  Passing an
     empty set yields the partitioned model unchanged (no compositional
-    equations at all).
+    equations at all).  A model nested too deeply for the recursive tree
+    walkers raises `ModelTooDeepError`.
     """
     config = config or PassConfig()
     tlist = sorted(set(targets), key=ref_sort_key)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import functools
+
 
 class ScmcError(Exception):
     """Base class for everything this package raises on purpose."""
@@ -55,6 +57,24 @@ class BudgetExceededError(ScmcError):
 
 class ModelTooDeepError(ScmcError):
     """An expression nests deeper than the recursive tree walkers can follow."""
+
+    def __init__(self, message="expression nesting exceeds the recursion limit"):
+        super().__init__(message)
+
+
+def recursion_as_too_deep(fn):
+    """Decorate an entry point so a `RecursionError` escaping it, raised by
+    the recursive tree walkers on a deeply nested model, surfaces as
+    `ModelTooDeepError` instead."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError as exc:
+            raise ModelTooDeepError() from exc
+
+    return wrapper
 
 
 class InvalidParameterError(ScmcError):

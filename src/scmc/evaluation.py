@@ -52,7 +52,7 @@ def eval_scm(
     for row in scm.exogenous:
         if row.var not in u:
             raise UnboundRefError(row.var)
-        if not E.value_in_domain(u[row.var], row.domain):
+        if not row.domain._contains(u[row.var]):
             raise DomainError(f"input {row.var}={u[row.var]} is outside its domain")
         env[row.var] = u[row.var]
     forced_values = dict(iv.assignments)
@@ -63,7 +63,7 @@ def eval_scm(
             val = forced
         else:
             val = row.equation._eval(env, forced_values, rng)
-        if not E.value_in_domain(val, row.domain):
+        if not row.domain._contains(val):
             raise DomainError(f"{row.var} evaluated to {val}, outside its domain")
         env[row.var] = val
         out[row.var] = val
@@ -115,7 +115,7 @@ def eval_sub_scm(sub: SubScm, local_u: Assignment, local_iv: InterventionSet, rn
             val = forced
         else:
             val = sub.equations[var]._eval(env, forced_values, rng)
-        if not E.value_in_domain(val, sub.domains[var]):
+        if not sub.domains[var]._contains(val):
             raise DomainError(f"{var} evaluated to {val}, outside its domain")
         env[var] = val
         out[var] = val

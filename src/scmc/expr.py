@@ -15,7 +15,7 @@ forced to a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Mapping, Optional, Union
 
 from .errors import DivisionByZeroError, DomainError, NonDeterministicModelError, UnboundRefError
@@ -83,7 +83,8 @@ def values_close(a: Value, b: Value, eps: float = EPS_VAL) -> bool:
 
 @dataclass(frozen=True)
 class BoolDomain:
-    pass
+    def _contains(self, v: Value) -> bool:
+        return isinstance(v, VBool)
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,9 @@ class IntDomain:
         if self.lo > self.hi:
             raise DomainError(f"empty integer domain {self.lo}..{self.hi}")
 
+    def _contains(self, v: Value) -> bool:
+        return isinstance(v, VInt) and self.lo <= v.i <= self.hi
+
 
 @dataclass(frozen=True)
 class SymDomain:
@@ -107,6 +111,9 @@ class SymDomain:
             raise DomainError("symbolic domain needs at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
             raise DomainError("duplicate symbols in domain")
+
+    def _contains(self, v: Value) -> bool:
+        return isinstance(v, VSym) and v.name in self.symbols
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,20 @@ class RealDomain:
     def __post_init__(self):
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise DomainError(f"empty real interval [{self.lo}, {self.hi}]")
+
+    def _contains(self, v: Value) -> bool:
+        if isinstance(v, VReal):
+            r = v.r
+        elif isinstance(v, VInt):
+            # integers are acceptable carriers for real-valued variables
+            r = float(v.i)
+        else:
+            return False
+        if self.lo is not None and r < self.lo:
+            return False
+        if self.hi is not None and r > self.hi:
+            return False
+        return True
 
 
 Domain = Union[BoolDomain, IntDomain, SymDomain, RealDomain]
@@ -138,23 +159,9 @@ def domain_kind(d: Domain) -> str:
 
 
 def value_in_domain(v: Value, d: Domain) -> bool:
-    match d, v:
-        case BoolDomain(), VBool():
-            return True
-        case IntDomain(lo, hi), VInt(i):
-            return lo <= i <= hi
-        case SymDomain(symbols), VSym(name):
-            return name in symbols
-        case RealDomain(lo, hi), VReal(r):
-            if lo is not None and r < lo:
-                return False
-            if hi is not None and r > hi:
-                return False
-            return True
-        case RealDomain(lo, hi), VInt(i):
-            # integers are acceptable carriers for real-valued variables
-            return value_in_domain(VReal(float(i)), d)
-    return False
+    """Membership of a value in a domain.  Each domain class answers with
+    `_contains(v)`; hot loops call that method directly."""
+    return d._contains(v)
 
 
 def domain_values(d: Domain) -> list[Value]:
@@ -180,16 +187,51 @@ def domain_is_finite(d: Domain) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class VarRef:
     """Reference to a model variable.
 
     `index` is set for members of indexed families (S_3 is
     ``VarRef("S", 3)``) and None for scalar variables.
+
+    Refs are interned: the constructor returns the one instance per
+    ``(name, index)``, so equality and hashing are object identity and every
+    dict or set lookup keyed on a ref hashes in C.  Compare refs with ``==``
+    and build them only through the constructor (copying and pickling go
+    through it too).  The hash is the object's id, so it differs from one
+    process to the next.  Refs are immutable.
     """
 
+    __slots__ = ("name", "index")
+    __match_args__ = ("name", "index")
+
+    #: (name, index) -> the interned ref; never shrinks.
+    _interned: dict = {}
+
     name: str
-    index: Optional[int] = None
+    index: Optional[int]
+
+    def __new__(cls, name: str, index: Optional[int] = None):
+        key = (name, index)
+        got = cls._interned.get(key)
+        if got is None:
+            fresh = object.__new__(cls)
+            object.__setattr__(fresh, "name", name)
+            object.__setattr__(fresh, "index", index)
+            # of two racing constructors, setdefault hands both the first one stored
+            got = cls._interned.setdefault(key, fresh)
+        return got
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return (VarRef, (self.name, self.index))
+
+    def __repr__(self):
+        return f"VarRef(name={self.name!r}, index={self.index!r})"
 
     def __str__(self):
         return self.name if self.index is None else f"{self.name}_{self.index}"
@@ -632,11 +674,10 @@ def check_expr(e: Expr, var_kinds: Mapping[VarRef, str]) -> str:
 
 
 def _numeric(v: Value) -> float | int:
-    match v:
-        case VInt(i):
-            return i
-        case VReal(r):
-            return r
+    if isinstance(v, VInt):
+        return v.i
+    if isinstance(v, VReal):
+        return v.r
     raise DomainError(f"expected a number, got {v}")
 
 

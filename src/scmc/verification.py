@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from . import expr as E
 from . import scm as S
 from .consolidation import Ccv, ConsolidatedScm, PassConfig, eval_ccv, eval_consolidated
-from .errors import DomainError, EnumerationTooLargeError
+from .errors import DomainError, EnumerationTooLargeError, recursion_as_too_deep
 from .evaluation import Assignment, enumerate_exogenous, eval_scm, make_rng, sample_exogenous
 from .expr import Value, VarRef, ref_sort_key
 from .partition import SubScm
@@ -119,6 +119,7 @@ def _intervention_cases(space, strategy: EquivalenceStrategy) -> list[Interventi
     return space.enumerate(strategy.intervention_budget)
 
 
+@recursion_as_too_deep
 def verify_equivalence(
     base: Scm,
     cons: ConsolidatedScm,
@@ -130,7 +131,8 @@ def verify_equivalence(
     Exhaustive mode visits every (input, intervention) pair exactly once, in
     canonical order, so the reported counterexample is the smallest failing
     case.  Budget overruns surface as an inconclusive verdict, never as a
-    silently truncated pass.
+    silently truncated pass.  A model nested too deeply for the recursive
+    tree walkers raises `ModelTooDeepError`.
     """
     strategy = strategy or EquivalenceStrategy.exhaustive()
     tlist = sorted(set(targets) if targets is not None else set(cons.targets), key=ref_sort_key)

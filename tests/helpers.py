@@ -10,7 +10,7 @@ from typing import Mapping, Optional
 
 from scmc import expr as E
 from scmc import images as I
-from scmc.errors import DomainError, NonDeterministicModelError, UnboundRefError
+from scmc.errors import DivisionByZeroError, DomainError, NonDeterministicModelError, UnboundRefError
 from scmc.expr import (
     Binary,
     BoolDomain,
@@ -237,6 +237,109 @@ def random_intervention(scm: Scm, seed: int) -> InterventionSet:
 
 
 # ---------------------------------------------------------------------------
+# Reference arithmetic and domain membership
+# ---------------------------------------------------------------------------
+#
+# `match`-based copies of the library's number unwrapping, binary operators
+# and membership check, so the oracle evaluator below and the membership
+# parity test do not share code with what they check.
+
+
+def oracle_numeric(v: E.Value) -> float | int:
+    match v:
+        case E.VInt(i):
+            return i
+        case E.VReal(r):
+            return r
+    raise DomainError(f"expected a number, got {v}")
+
+
+def oracle_as_bool(v: E.Value) -> bool:
+    match v:
+        case E.VBool(b):
+            return b
+    raise DomainError(f"expected a boolean, got {v}")
+
+
+def oracle_wrap_number(x) -> E.Value:
+    return E.VInt(x) if isinstance(x, int) else E.VReal(float(x))
+
+
+def oracle_apply_binary(op: str, a: E.Value, b: E.Value) -> E.Value:
+    if op == "and":
+        return E.VBool(oracle_as_bool(a) and oracle_as_bool(b))
+    if op == "or":
+        return E.VBool(oracle_as_bool(a) or oracle_as_bool(b))
+    if op == "eq":
+        if isinstance(a, (E.VInt, E.VReal)) and isinstance(b, (E.VInt, E.VReal)):
+            return E.VBool(oracle_numeric(a) == oracle_numeric(b))
+        if E.value_kind(a) != E.value_kind(b):
+            raise DomainError(f"cannot compare {a} with {b}")
+        return E.VBool(a == b)
+
+    x, y = oracle_numeric(a), oracle_numeric(b)
+    if op == "add":
+        return oracle_wrap_number(x + y)
+    if op == "sub":
+        return oracle_wrap_number(x - y)
+    if op == "mul":
+        return oracle_wrap_number(x * y)
+    if op == "div":
+        if y == 0:
+            raise DivisionByZeroError("division by zero")
+        if isinstance(x, int) and isinstance(y, int):
+            return E.VInt(x // y)
+        return E.VReal(x / y)
+    if op == "mod":
+        if not (isinstance(x, int) and isinstance(y, int)):
+            raise DomainError("mod is defined on integers only")
+        if y == 0:
+            raise DivisionByZeroError("modulo by zero")
+        return E.VInt(x % y)
+    if op == "pow":
+        if isinstance(x, int) and isinstance(y, int):
+            if y < 0:
+                if x == 0:
+                    raise DivisionByZeroError("zero to a negative power")
+                return E.VReal(float(x) ** y)
+            return E.VInt(x**y)
+        if x == 0 and y < 0:
+            raise DivisionByZeroError("zero to a negative power")
+        if x < 0 and not float(y).is_integer():
+            raise DomainError("negative base with fractional exponent")
+        return E.VReal(float(x) ** float(y))
+    if op == "min":
+        return a if oracle_numeric(a) <= oracle_numeric(b) else b
+    if op == "max":
+        return a if oracle_numeric(a) >= oracle_numeric(b) else b
+    if op == "lt":
+        return E.VBool(x < y)
+    if op == "le":
+        return E.VBool(x <= y)
+    raise DomainError(f"unknown binary operator {op!r}")
+
+
+def oracle_value_in_domain(v: E.Value, d: E.Domain) -> bool:
+    match d, v:
+        case BoolDomain(), E.VBool():
+            return True
+        case IntDomain(lo, hi), E.VInt(i):
+            return lo <= i <= hi
+        case E.SymDomain(symbols), E.VSym(name):
+            return name in symbols
+        case E.RealDomain(lo, hi), E.VReal(r):
+            if lo is not None and r < lo:
+                return False
+            if hi is not None and r > hi:
+                return False
+            return True
+        case E.RealDomain(lo, hi), E.VInt(i):
+            # integers are acceptable carriers for real-valued variables
+            return oracle_value_in_domain(E.VReal(float(i)), d)
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Reference evaluator
 # ---------------------------------------------------------------------------
 
@@ -259,22 +362,22 @@ def oracle_eval(e: E.Expr, env, interventions: InterventionSet = None, rng=None)
                     raise UnboundRefError(v)
                 return env[v]
             case Unary("neg", a):
-                return E._wrap_number(-E._numeric(ev(a)))
+                return oracle_wrap_number(-oracle_numeric(ev(a)))
             case Unary("not", a):
-                return E.VBool(not E._as_bool(ev(a)))
+                return E.VBool(not oracle_as_bool(ev(a)))
             case Unary(op, _):
                 raise DomainError(f"unknown unary operator {op!r}")
             case Binary("and", l, r):
-                return E.VBool(E._as_bool(ev(l)) and E._as_bool(ev(r)))
+                return E.VBool(oracle_as_bool(ev(l)) and oracle_as_bool(ev(r)))
             case Binary("or", l, r):
-                return E.VBool(E._as_bool(ev(l)) or E._as_bool(ev(r)))
+                return E.VBool(oracle_as_bool(ev(l)) or oracle_as_bool(ev(r)))
             case Binary(op, l, r):
-                return E._apply_binary(op, ev(l), ev(r))
+                return oracle_apply_binary(op, ev(l), ev(r))
             case IfThenElse(c, t, o):
-                return ev(t) if E._as_bool(ev(c)) else ev(o)
+                return ev(t) if oracle_as_bool(ev(c)) else ev(o)
             case CaseList(cases, default):
                 for g, b in cases:
-                    if E._as_bool(ev(g)):
+                    if oracle_as_bool(ev(g)):
                         return ev(b)
                 return ev(default)
             case IsIntervened(v):
@@ -314,7 +417,7 @@ def oracle_eval(e: E.Expr, env, interventions: InterventionSet = None, rng=None)
                     raise NonDeterministicModelError(
                         "model draws at evaluation time; reparameterize it or pass an rng"
                     )
-                pv = E._numeric(ev(p))
+                pv = oracle_numeric(ev(p))
                 return E.VBool(pv < rng.random())
         raise TypeError(f"not an Expr: {x!r}")
 

@@ -21,7 +21,12 @@ from scmc.consolidation import (
     prune_childless,
     register_closed_form,
 )
-from scmc.errors import EquivalenceFailedError, InterventionNotAllowedError, InvalidTargetError
+from scmc.errors import (
+    EquivalenceFailedError,
+    InterventionNotAllowedError,
+    InvalidTargetError,
+    ModelTooDeepError,
+)
 from scmc.evaluation import enumerate_exogenous, eval_scm
 from scmc.expr import (
     Binary,
@@ -512,3 +517,11 @@ class TestForkDeterminism:
         for u in sample_exogenous(fixed, 7, 500):
             out = eval_consolidated(cons, u, InterventionSet.empty())
             assert out[VarRef("C")] == out[VarRef("D")]
+
+
+def test_too_deep_model_is_a_typed_error():
+    # the recursive walkers spend 2-3 frames per level of the chain
+    entry = zoo.dominoes(400)
+    with pytest.raises(ModelTooDeepError) as info:
+        consolidate(entry.scm, entry.partition, entry.targets)
+    assert isinstance(info.value.__cause__, RecursionError)

@@ -1,12 +1,19 @@
 """Expression IR: evaluation, node counting, substitution."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scmc import documents as D
 from scmc import expr as E
+from scmc import zoo
 from scmc.errors import (
     DivisionByZeroError,
     DomainError,
@@ -15,15 +22,19 @@ from scmc.errors import (
 )
 from scmc.expr import (
     Binary,
+    BoolDomain,
     CaseList,
     Const,
     ExistsIntervention,
     IfThenElse,
+    IntDomain,
     InterventionValue,
     IsIntervened,
     MaxIntervenedIndex,
     RandomBernoulli,
+    RealDomain,
     Ref,
+    SymDomain,
     Unary,
     VarRef,
     VBool,
@@ -34,12 +45,14 @@ from scmc.expr import (
     eval_expr,
     iconst,
     node_count,
+    parse_var_name,
     rconst,
     substitute,
+    value_in_domain,
 )
 from scmc.scm import InterventionSet
 
-from helpers import oracle_eval
+from helpers import oracle_eval, oracle_value_in_domain
 
 S1, S3, A, B = VarRef("S", 1), VarRef("S", 3), VarRef("A"), VarRef("B")
 
@@ -325,6 +338,20 @@ def test_eval_matches_reference_evaluator(e, env, iv, seed):
         assert rng_a.random() == rng_b.random()  # the same number of draws was taken
 
 
+def test_operators_match_reference_evaluator_on_value_grid():
+    """Every operator on every pair of sample values, so the arithmetic
+    core is compared case by case, not only where random trees reach."""
+    grid = VALUES + [VInt(3), VInt(-1), VReal(-0.0), VReal(3.0)]
+    for op in sorted(E.BINARY_OPS):
+        for a, b in itertools.product(grid, repeat=2):
+            e = Binary(op, Const(a), Const(b))
+            assert outcome(lambda: eval_expr(e, {})) == outcome(lambda: oracle_eval(e, {})), (op, a, b)
+    for op in sorted(E.UNARY_OPS):
+        for a in grid:
+            e = Unary(op, Const(a))
+            assert outcome(lambda: eval_expr(e, {})) == outcome(lambda: oracle_eval(e, {})), (op, a)
+
+
 class ScriptedRng:
     """Hands out fixed draws in order and counts them."""
 
@@ -386,3 +413,173 @@ class TestEvalOrder:
         for e, draws in [(pair, [0.5, 0.9]), (nested, [0.7, 0.5])]:
             a, b = ScriptedRng(draws), ScriptedRng(draws)
             assert eval_expr(e, {}, None, a) == oracle_eval(e, {}, None, b)
+
+
+# ---------------------------------------------------------------------------
+# Interned variable references
+# ---------------------------------------------------------------------------
+
+
+class TestVarRefInterning:
+    def test_equal_refs_are_one_object(self):
+        s3 = VarRef("S", 3)
+        assert VarRef("S", 3) is s3
+        assert VarRef(name="S", index=3) is s3
+        assert parse_var_name("S_3") is s3
+        assert parse_var_name("A") is VarRef("A") is VarRef("A", None)
+        assert copy.copy(s3) is s3
+        assert copy.deepcopy(s3) is s3
+        assert copy.deepcopy({s3: [Ref(s3)]})[s3][0].var is s3
+        assert pickle.loads(pickle.dumps(s3)) is s3
+        assert pickle.loads(pickle.dumps(Ref(s3), protocol=0)).var is s3
+
+    def test_racing_constructors_get_one_object(self):
+        keys = [("race", i) for i in range(3000)]
+        results = [[] for _ in range(8)]
+        barrier = threading.Barrier(len(results))
+
+        def build(out):
+            barrier.wait()
+            out.extend(VarRef(name, index) for name, index in keys)
+
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in results:
+            assert len(out) == len(keys)
+            assert all(a is b for a, b in zip(results[0], out))
+
+    def test_refs_of_a_loaded_model_are_the_interned_ones(self):
+        scm = zoo.dominoes(4).scm
+        loaded = D.model_from_doc(D.model_to_doc(scm))
+        for a, b in zip(scm.endogenous + scm.exogenous, loaded.endogenous + loaded.exogenous):
+            assert a.var is b.var
+        for (va, _), (vb, _) in zip(scm.interventions.atoms, loaded.interventions.atoms):
+            assert va is vb
+
+    def test_different_name_or_index_is_a_different_ref(self):
+        refs = [VarRef("S"), VarRef("S", 0), VarRef("S", 1), VarRef("T", 1), VarRef("S_1"), VarRef("T")]
+        assert len({id(r) for r in refs}) == len(refs)
+        assert len(set(refs)) == len(refs)
+        for a, b in itertools.combinations(refs, 2):
+            assert a != b and not (a == b)
+
+    def test_refs_are_frozen(self):
+        s3 = VarRef("S", 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s3.name = "T"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s3.index = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del s3.index
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s3.extra = 1
+        assert (s3.name, s3.index) == ("S", 3)
+
+    def test_repr_and_str(self):
+        assert repr(VarRef("S", 3)) == "VarRef(name='S', index=3)"
+        assert repr(VarRef("A")) == "VarRef(name='A', index=None)"
+        assert str(VarRef("S", 3)) == "S_3"
+        assert str(VarRef("S", -1)) == "S_-1"
+        assert str(VarRef("A")) == "A"
+
+    def test_class_pattern_matches(self):
+        match VarRef("S", 3):
+            case VarRef(name, index):
+                assert (name, index) == ("S", 3)
+            case _:
+                pytest.fail("VarRef(name, index) did not match")
+        match VarRef("A"):
+            case VarRef("A", None):
+                pass
+            case _:
+                pytest.fail("VarRef('A', None) did not match")
+
+
+# ---------------------------------------------------------------------------
+# Domain membership against the reference copy
+# ---------------------------------------------------------------------------
+
+bounds = st.one_of(st.none(), st.floats(-4, 4), st.integers(-4, 4))
+# 10**400 is too large for float(): in a real domain both sides must raise alike
+numbers = st.one_of(st.integers(-6, 6), st.sampled_from([-(10**400), 10**400]))
+
+
+@st.composite
+def domains(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return BoolDomain()
+    if kind == 1:
+        lo = draw(st.integers(-4, 4))
+        return IntDomain(lo, lo + draw(st.integers(0, 4)))
+    if kind == 2:
+        return SymDomain(tuple(draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True))))
+    lo, hi = draw(bounds), draw(bounds)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    return RealDomain(lo, hi)
+
+
+domain_values_any = st.one_of(
+    st.builds(VBool, st.booleans()),
+    st.builds(VInt, numbers),
+    st.builds(VSym, st.sampled_from("abcdz")),
+    st.builds(VReal, st.one_of(st.floats(-6, 6), st.sampled_from([float("inf"), float("-inf"), float("nan")]))),
+)
+
+
+@settings(max_examples=1000)
+@given(domains(), domain_values_any)
+def test_value_in_domain_matches_reference(d, v):
+    assert outcome(lambda: value_in_domain(v, d)) == outcome(lambda: oracle_value_in_domain(v, d))
+
+
+def test_value_in_domain_grid_matches_reference():
+    """Every domain kind against every value kind, bounds open and set."""
+    grid_domains = [
+        BoolDomain(),
+        IntDomain(0, 2),
+        IntDomain(-1, -1),
+        SymDomain(("a", "b")),
+        RealDomain(),
+        RealDomain(0.0, None),
+        RealDomain(None, 1.5),
+        RealDomain(-1.0, 1.0),
+        RealDomain(1, 1),
+    ]
+    grid_values = [
+        VBool(False),
+        VBool(True),
+        VInt(-2),
+        VInt(-1),
+        VInt(0),
+        VInt(1),
+        VInt(2),
+        VInt(10**400),
+        VSym("a"),
+        VSym("z"),
+        VReal(-1.0),
+        VReal(0.0),
+        VReal(1.0),
+        VReal(1.5),
+        VReal(1.5000001),
+        VReal(float("nan")),
+        VReal(float("inf")),
+    ]
+    hits = set()
+    for d, v in itertools.product(grid_domains, grid_values):
+        got = outcome(lambda: value_in_domain(v, d))
+        assert got == outcome(lambda: oracle_value_in_domain(v, d)), (d, v)
+        if got == ("value", True):
+            hits.add((type(d), type(v)))
+    # members of each kind were found, ints carried by real domains included
+    assert {(BoolDomain, VBool), (IntDomain, VInt), (SymDomain, VSym), (RealDomain, VReal), (RealDomain, VInt)} == hits

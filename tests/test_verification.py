@@ -1,5 +1,7 @@
 """The equivalence oracle: exhaustive completeness, counterexamples, replay."""
 
+import sys
+
 import pytest
 
 from scmc import expr as E
@@ -12,7 +14,7 @@ from scmc.consolidation import (
     consolidate,
     run_passes,
 )
-from scmc.errors import DivisionByZeroError
+from scmc.errors import DivisionByZeroError, ModelTooDeepError
 from scmc.expr import Binary, IfThenElse, IntDomain, IsIntervened, Ref, VarRef, bconst, bnot, iconst
 from scmc.partition import extract_sub_scm
 from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite
@@ -301,3 +303,27 @@ class TestGateMemo:
             assert (report.counterexample.base_value, report.counterexample.ccv_value) == (E.VInt(0), E.VInt(5))
         with pytest.raises(DivisionByZeroError):
             verify_pass(before, same_trees, sub, strategy, memo)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_too_deep_model_is_a_typed_error():
+    """The consolidated dominoes(400) nests 400 levels; evaluating it with
+    fewer frames left raises ModelTooDeepError, not RecursionError."""
+    entry = zoo.dominoes(400)
+    old_limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(4000)
+        cons = consolidate(entry.scm, entry.partition, entry.targets)
+        sys.setrecursionlimit(_stack_depth() + 200)
+        with pytest.raises(ModelTooDeepError) as info:
+            verify_equivalence(entry.scm, cons, entry.targets)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert isinstance(info.value.__cause__, RecursionError)
+    assert verify_equivalence(entry.scm, cons, entry.targets).equal

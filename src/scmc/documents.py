@@ -11,6 +11,7 @@ denotes the indexed member of a family.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from . import expr as E
@@ -24,7 +25,7 @@ from .consolidation import (
     PassLogEntry,
     PassthroughCluster,
 )
-from .errors import ParseError
+from .errors import ParseError, recursion_as_too_deep
 from .expr import Domain, Expr, Value, VarRef, parse_var_name, ref_sort_key
 from .partition import Partition, SubScm
 from .scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm
@@ -382,6 +383,7 @@ def iset_to_json(s: InterventionSet) -> list:
 _MODEL_KEYS = {"name", "exogenous", "endogenous", "interventions", "inverse_pairs"}
 
 
+@recursion_as_too_deep
 def model_to_doc(scm: Scm) -> dict:
     doc = {
         "name": scm.name,
@@ -400,6 +402,7 @@ def model_to_doc(scm: Scm) -> dict:
     return doc
 
 
+@recursion_as_too_deep
 def model_from_doc(doc) -> Scm:
     if not isinstance(doc, dict):
         raise ParseError("model document must be an object")
@@ -568,6 +571,7 @@ _CONS_KEYS = {
 }
 
 
+@recursion_as_too_deep
 def consolidated_to_doc(cons: ConsolidatedScm) -> dict:
     clusters = []
     for c in cons.clusters:
@@ -603,6 +607,7 @@ def consolidated_to_doc(cons: ConsolidatedScm) -> dict:
     }
 
 
+@recursion_as_too_deep
 def consolidated_from_doc(doc) -> ConsolidatedScm:
     if not isinstance(doc, dict):
         raise ParseError("consolidated document must be an object")
@@ -679,8 +684,108 @@ def consolidated_from_doc(doc) -> ConsolidatedScm:
 # ---------------------------------------------------------------------------
 
 
-def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+_INF = float("inf")
+_END = object()
+
+
+def _float_text(x: float) -> str:
+    """A float as `json.dumps` spells it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key that is not a string, quoted as `json.dumps` converts it."""
+    if isinstance(key, float):
+        return encode_basestring_ascii(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def to_json(doc) -> str:
+    """The canonical text of a document: exactly `json.dumps(doc, indent=2)
+    + "\\n"`, with the same `ValueError` for a container that contains itself
+    and `TypeError` for a value or key JSON cannot hold.
+
+    With `indent`, `json.dumps` runs a pure-Python encoder that nests one
+    generator per open container, so every chunk climbs through all of them
+    and the nesting depth is capped by the recursion limit.  This walk keeps
+    the open containers on an explicit stack instead and appends each chunk
+    to one list, so its cost is linear in the output and its depth is
+    unbounded."""
+    parts = []
+    push = parts.append
+    breaks = ["\n"]  # breaks[d] == "\n" + "  " * d
+    commas = [",\n"]  # commas[d] == "," + breaks[d]
+    open_ids = set()
+    stack = []  # (entries, in_dict, container) of every enclosing container
+    entries = in_dict = container = None
+    sep = comma = None  # written before the current container's next entry
+    value = doc
+    while True:
+        if isinstance(value, str):
+            push(encode_basestring_ascii(value))
+        elif value is None:
+            push("null")
+        elif value is True:
+            push("true")
+        elif value is False:
+            push("false")
+        elif isinstance(value, int):
+            push(int.__repr__(value))
+        elif isinstance(value, float):
+            push(_float_text(value))
+        elif not isinstance(value, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        elif not value:
+            push("{}" if isinstance(value, dict) else "[]")
+        elif id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        else:
+            open_ids.add(id(value))
+            stack.append((entries, in_dict, container))
+            container = value
+            in_dict = isinstance(value, dict)
+            entries = iter(value.items()) if in_dict else iter(value)
+            depth = len(stack)
+            if depth == len(breaks):
+                breaks.append(breaks[-1] + "  ")
+                commas.append(commas[-1] + "  ")
+            push("{" if in_dict else "[")
+            sep, comma = breaks[depth], commas[depth]
+        # Take the next entry, closing every container that has none left.
+        while True:
+            if container is None:
+                return "".join(parts) + "\n"
+            entry = next(entries, _END)
+            if entry is not _END:
+                break
+            open_ids.remove(id(container))
+            depth = len(stack) - 1
+            push(breaks[depth])
+            push("}" if in_dict else "]")
+            entries, in_dict, container = stack.pop()
+            sep = comma = commas[depth]
+        push(sep)
+        sep = comma
+        if in_dict:
+            key, value = entry
+            push(encode_basestring_ascii(key) if isinstance(key, str) else _key_text(key))
+            push(": ")
+        else:
+            value = entry
 
 
 def load_json(path: str) -> Any:
@@ -689,6 +794,8 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("document nests too deeply") from exc
     except OSError as exc:
         raise ParseError(str(exc)) from exc
 

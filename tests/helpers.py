@@ -4,6 +4,7 @@ implementations the library is checked against."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -562,3 +563,13 @@ def oracle_image_of(e: E.Expr, ctx: OracleImageContext) -> I.Image:
         case RandomBernoulli():
             return I.BOOL_BOTH
     raise TypeError(f"not an Expr: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Reference document text
+# ---------------------------------------------------------------------------
+
+
+def oracle_to_json(doc) -> str:
+    """The canonical document text as the standard library writes it."""
+    return json.dumps(doc, indent=2) + "\n"

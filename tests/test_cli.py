@@ -140,14 +140,36 @@ class TestDeepModels:
         return str(path)
 
     def test_deep_nesting_is_a_typed_error(self, tmp_path, capsys):
+        # the document itself nests past the JSON decoder's limit
         path = self.deep_model(tmp_path)
         assert main(["--json", "eval", path, "--exo", "U=true"]) == 1
         out, err = capsys.readouterr()
-        assert json.loads(out)["error"]["kind"] == "ModelTooDeepError"
+        assert json.loads(out)["error"] == {"kind": "parse", "message": "document nests too deeply"}
         assert "Traceback" not in err
         assert main(["eval", path, "--exo", "U=true"]) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_too_deep_document_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["--json", "validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == {"kind": "parse", "message": "document nests too deeply"}
+        assert main(["metrics", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: document nests too deeply\n"
+
+    def test_too_deep_model_is_a_typed_error(self, tmp_path, capsys):
+        # the document loads; inlining the 400-stone chain is what nests too deep
+        assert main(["demo", "dominoes", "n=400", "--out-dir", str(tmp_path)]) == 0
+        model, part = tmp_path / "dominoes.model.json", tmp_path / "dominoes.partition.json"
+        capsys.readouterr()
+        args = ["--json", "consolidate", str(model), str(part), "--targets", "S_400", "--clusters", "1"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"]["kind"] == "ModelTooDeepError"
+        assert "Traceback" not in err
 
 
 class TestConsolidateVerify:

@@ -397,11 +397,11 @@ def run_passes(
     current = ccv
     enabled = [p for p in config.passes if p in P.PURE_PASSES or p == P.ABSORB]
 
-    def gated(trial: Ccv, pass_name: str, target, removed: int, guards: int) -> bool:
+    def gated(trial: Ccv, pass_name: str, target, removed: int, guards: int, key) -> bool:
         nonlocal current
         verdict = "ungated"
         if strategy is not None:
-            report = verify_pass(current, trial, sub, strategy, memo)
+            report = verify_pass(current, trial, sub, strategy, memo, key)
             verdict = report.verdict
             if report.verdict != "equal":
                 rejected.append(
@@ -422,13 +422,15 @@ def run_passes(
                     accepted = True
                     while accepted:
                         accepted = False
-                        for candidate in P.absorb_candidates(current.rho[target]):
+                        # passes are deterministic, so (pass, target, position)
+                        # names one candidate for as long as `current` stands
+                        for pos, candidate in enumerate(P.absorb_candidates(current.rho[target])):
                             before_tree = current.rho[target]
                             removed = node_count(before_tree) - node_count(candidate)
                             if candidate == before_tree or removed < 0:
                                 continue
                             trial = replace(current, rho={**current.rho, target: candidate})
-                            if gated(trial, P.ABSORB, target, removed, 0):
+                            if gated(trial, P.ABSORB, target, removed, 0, (P.ABSORB, target, pos)):
                                 accepted = True
                                 changed = True
                                 break
@@ -458,7 +460,7 @@ def run_passes(
             if all(new_rho[t] == current.rho[t] for t in current.targets):
                 continue
             trial = replace(current, rho=new_rho)
-            if gated(trial, pass_name, None, removed_total, guards_total):
+            if gated(trial, pass_name, None, removed_total, guards_total, (pass_name,)):
                 changed = True
         if not changed:
             return current

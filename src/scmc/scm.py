@@ -264,7 +264,11 @@ class InterventionSpace:
 
     def sample(self, rng) -> InterventionSet:
         """One member drawn with the package RNG; uniform over the enumeration
-        for explicit/singleton modes, independent per-atom for power sets."""
+        for explicit/singleton modes, independent per-atom for power sets.
+
+        A power set draws every atom with one `rng.integers` call on the list
+        of bounds, which consumes the stream exactly like one scalar call per
+        atom in atom order."""
         if self.mode == EXPLICIT:
             return self.sets[int(rng.integers(len(self.sets)))]
         if self.mode == SINGLETON:
@@ -278,12 +282,12 @@ class InterventionSpace:
                     return InterventionSet.of({var: vals[k]})
                 k -= len(vals)
             raise AssertionError("unreachable")
-        pairs = []
-        for var, vals in self.atoms:
-            k = int(rng.integers(1 + len(vals)))
-            if k > 0:
-                pairs.append((var, vals[k - 1]))
-        return InterventionSet.of(pairs)
+        if not self.atoms:
+            return InterventionSet.empty()
+        draws = rng.integers([1 + len(vals) for _, vals in self.atoms]).tolist()
+        return InterventionSet.of(
+            [(var, vals[k - 1]) for (var, vals), k in zip(self.atoms, draws) if k]
+        )
 
     def restrict(self, cluster: Iterable[VarRef]) -> "InterventionSpace":
         """Image of the space under the projection onto `cluster`."""

@@ -10,14 +10,15 @@ explicitly probabilistic verdict for continuous inputs or huge spaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from . import expr as E
 from . import scm as S
 from .consolidation import Ccv, ConsolidatedScm, PassConfig, eval_ccv, eval_consolidated
 from .errors import DomainError, EnumerationTooLargeError, recursion_as_too_deep
-from .evaluation import Assignment, enumerate_exogenous, eval_scm, make_rng, sample_exogenous
+from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng, sample_exogenous
 from .expr import Value, VarRef, ref_sort_key
 from .partition import SubScm
 from .scm import InterventionSet, Scm
@@ -219,7 +220,7 @@ def _local_exo_values(sub: SubScm, var: VarRef) -> Optional[list[Value]]:
     return None
 
 
-def local_case_count(sub: SubScm, intervention_budget: int = 4096) -> Optional[int]:
+def local_case_count(sub: SubScm) -> Optional[int]:
     """Exhaustive case count for a cluster, or None when not enumerable."""
     total = 1
     for v in sub.local_exogenous:
@@ -247,19 +248,18 @@ def enumerate_local_cases(sub: SubScm) -> list[tuple[Assignment, InterventionSet
 def sample_local_cases(
     sub: SubScm, count: int, seed: int
 ) -> list[tuple[Assignment, InterventionSet]]:
+    """`count` seeded cases: each draws the local inputs in order, then one
+    intervention set."""
     rng = make_rng(seed)
+    axes = [(v, sub.local_dists.get(v), sub.domains[v]) for v in sub.local_exogenous]
+    space = sub.interventions
     out = []
     for _ in range(count):
-        env: Assignment = {}
-        for v in sub.local_exogenous:
-            dist = sub.local_dists.get(v)
-            if dist is not None:
-                from .evaluation import _draw
-
-                env[v] = _draw(dist, rng)
-            else:
-                env[v] = _sample_domain(sub.domains[v], rng)
-        out.append((env, sub.interventions.sample(rng)))
+        env: Assignment = {
+            v: _draw(dist, rng) if dist is not None else _sample_domain(dom, rng)
+            for v, dist, dom in axes
+        }
+        out.append((env, space.sample(rng)))
     return out
 
 
@@ -290,7 +290,7 @@ def _gate_cases(
         n = local_case_count(sub)
         if n is None:
             return None, False, "local space is not enumerable"
-        if n > max(strategy.intervention_budget, 10**6):
+        if n > max(strategy.intervention_budget, strategy.exogenous_budget):
             return None, False, f"local space has {n} cases"
         return enumerate_local_cases(sub), False, ""
     return sample_local_cases(sub, strategy.sample_count, strategy.seed), True, ""
@@ -300,9 +300,12 @@ class GateMemo:
     """What the gate calls of one `run_passes` share.
 
     The cluster's case list is built on the first call.  The target values
-    of `before` are filled lazily, one tuple per case in case order, and
-    kept for as long as the same `before` object comes back, that is, until
-    a candidate is accepted.
+    of `before` are kept, one tuple per case in case order, for as long as
+    the same `before` object comes back, that is, until a candidate is
+    accepted.  They are filled lazily, except after an acceptance: the
+    candidate that passed left its own values behind, so the new `before`
+    is not evaluated again.  Rejections are kept by key against the same
+    `before`, so a candidate proposed again gets its report back unevaluated.
     """
 
     def __init__(self):
@@ -311,18 +314,39 @@ class GateMemo:
         self._cases: tuple = (None, False, "")
         self._before: Optional[Ccv] = None
         self._before_values: list[tuple[Value, ...]] = []
+        #: the last candidate that passed against `_before`, with its values
+        self.passed: Optional[tuple[Ccv, list[tuple[Value, ...]]]] = None
+        #: reports of the candidates rejected against `_before`, by key
+        self.rejected: dict[Hashable, EquivalenceReport] = {}
 
     def cases(self, sub: SubScm, strategy: EquivalenceStrategy) -> tuple:
         if self._sub is not sub or self._strategy is not strategy:
             self._sub, self._strategy = sub, strategy
             self._cases = _gate_cases(sub, strategy)
-            self._before = None
+            self._before = self.passed = None
         return self._cases
 
     def before_values(self, before: Ccv) -> list[tuple[Value, ...]]:
         if self._before is not before:
+            passed, self.passed = self.passed, None
             self._before, self._before_values = before, []
+            if passed is not None and passed[0] is before:
+                self._before_values = passed[1]
+            self.rejected = {}
         return self._before_values
+
+
+def _same_values(a: tuple[Value, ...], b: tuple[Value, ...]) -> bool:
+    """Whether two target tuples are interchangeable: equal, with no real
+    zero differing in sign (`VReal(0.0) == VReal(-0.0)`, yet they print
+    differently)."""
+    if a != b:
+        return False
+    for x, y in zip(a, b):
+        if x is not y and type(x) is E.VReal and x.r == 0.0:
+            if math.copysign(1.0, x.r) != math.copysign(1.0, y.r):
+                return False
+    return True
 
 
 def verify_pass(
@@ -331,6 +355,7 @@ def verify_pass(
     sub: SubScm,
     strategy: EquivalenceStrategy,
     memo: Optional[GateMemo] = None,
+    key: Optional[Hashable] = None,
 ) -> EquivalenceReport:
     """Same contract as `verify_equivalence`, restricted to one cluster.
 
@@ -339,10 +364,18 @@ def verify_pass(
     compared, so a rewrite that corrupts a value any later target consumes is
     caught even when the edited tree itself still agrees.
 
-    `memo` carries the case list and `before`'s values from one call to the
-    next.  With or without it, cases are visited in the same order and
-    `before` is evaluated ahead of `after` on each case, so the report, or
-    the error raised, is the same.
+    `memo` carries the case list, `before`'s values and the rejections from
+    one call to the next.  When `after` passes, its values stay in the memo,
+    so a later call with `after` as `before` evaluates `before` on no case.
+    `key` names `after` among the candidates proposed against `before`: with
+    a memo, a candidate rejected under the same key against the same `before`
+    gets the recorded report back without any evaluation, so a key must
+    always name the same candidate.  Keys are never compared trees, since
+    trees that differ only in the sign of a real zero compare equal.
+
+    With or without a memo, cases are visited in the same order and `before`
+    is evaluated ahead of `after` on each case, so the report, or the error
+    raised, is the same.
     """
     if set(before.targets) != set(after.targets):
         return EquivalenceReport("inconclusive", message="target sets differ")
@@ -352,19 +385,23 @@ def verify_pass(
         return EquivalenceReport("inconclusive", message=message)
 
     known = memo.before_values(before)
+    if key is not None and key in memo.rejected:
+        return memo.rejected[key]
     tlist = list(before.targets)
     worst = 0.0
+    # `after`'s values, sharing `before`'s tuple wherever they are the same
+    after_values: list[tuple[Value, ...]] = []
     for k, (env, iv) in enumerate(cases):
         if k == len(known):
             out_a = eval_ccv(before, env, iv)
             known.append(tuple([out_a[t] for t in tlist]))
         want = known[k]
         out_b = eval_ccv(after, env, iv)
-        got = [out_b[t] for t in tlist]
+        got = tuple([out_b[t] for t in tlist])
         bad, dev = _first_mismatch(want, got, strategy.tolerance)
         worst = max(worst, dev)
         if bad is not None:
-            return EquivalenceReport(
+            report = EquivalenceReport(
                 "counterexample",
                 cases_checked=k + 1,
                 max_abs_deviation=worst,
@@ -377,6 +414,12 @@ def verify_pass(
                     ccv_value=got[bad],
                 ),
             )
+            if key is not None:
+                memo.rejected[key] = report
+            return report
+        after_values.append(want if _same_values(want, got) else got)
+    if after.targets == before.targets:  # the tuples follow `before`'s target order
+        memo.passed = (after, after_values)
     return EquivalenceReport(
         "equal", cases_checked=len(cases), max_abs_deviation=worst, probabilistic=probabilistic
     )

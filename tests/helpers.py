@@ -238,6 +238,39 @@ def random_intervention(scm: Scm, seed: int) -> InterventionSet:
 
 
 # ---------------------------------------------------------------------------
+# Reference sampling streams
+# ---------------------------------------------------------------------------
+#
+# One scalar `rng.integers` call per atom: the stream that the library's one
+# call per power-set draw must reproduce exactly.
+
+
+def oracle_sample_power_set(space: InterventionSpace, rng) -> InterventionSet:
+    pairs = []
+    for var, vals in space.atoms:
+        k = int(rng.integers(1 + len(vals)))
+        if k > 0:
+            pairs.append((var, vals[k - 1]))
+    return InterventionSet.of(pairs)
+
+
+def oracle_sample_local_cases(sub, count: int, seed: int) -> list:
+    """The gate's sampled case list, one variable and one atom at a time."""
+    from scmc.evaluation import _draw, make_rng
+    from scmc.verification import _sample_domain
+
+    rng = make_rng(seed)
+    out = []
+    for _ in range(count):
+        env = {}
+        for v in sub.local_exogenous:
+            dist = sub.local_dists.get(v)
+            env[v] = _draw(dist, rng) if dist is not None else _sample_domain(sub.domains[v], rng)
+        out.append((env, oracle_sample_power_set(sub.interventions, rng)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Reference arithmetic and domain membership
 # ---------------------------------------------------------------------------
 #

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import random_model
+from helpers import oracle_sample_power_set, random_model
 from scmc import expr as E
 from scmc import zoo
 from scmc.errors import EnumerationTooLargeError, UnknownVariableError
@@ -275,6 +275,31 @@ class TestInterventionSpace:
 
                 for combo in it.combinations(s.assignments, r):
                     assert InterventionSet(tuple(combo)) in sets
+
+    def test_power_set_sample_matches_per_atom_stream(self):
+        """One bounds-array draw per set consumes the generator exactly like
+        one scalar draw per atom, interleaved with other draws too."""
+        from scmc.evaluation import make_rng
+
+        X, Y = VarRef("X"), VarRef("Y")
+        spaces = [
+            InterventionSpace.power_set([]),
+            InterventionSpace.power_set([(X, [])]),
+            InterventionSpace.power_set([(X, [E.VBool(True)])]),
+            InterventionSpace.power_set([(X, [E.VInt(0), E.VInt(1)])]),
+            InterventionSpace.power_set([(X, []), (Y, [E.VInt(i) for i in range(300)]), (A, [E.VInt(2)])]),
+            zoo.firing_squad(4).scm.interventions,
+            zoo.tool_wear(36).scm.interventions,
+        ]
+        for space in spaces:
+            assert space.mode == "power_set"
+            for seed in (0, 1, 7, 13):
+                ours, theirs = make_rng(seed), make_rng(seed)
+                for _ in range(20):
+                    assert space.sample(ours) == oracle_sample_power_set(space, theirs)
+                    assert ours.random() == theirs.random()
+                    assert ours.standard_normal() == theirs.standard_normal()
+                    assert ours.integers(2**40) == theirs.integers(2**40)
 
     def test_sampling_is_deterministic(self):
         from scmc.evaluation import make_rng

@@ -1,10 +1,14 @@
 """The equivalence oracle: exhaustive completeness, counterexamples, replay."""
 
+import math
 import sys
 
 import pytest
 
+from helpers import oracle_sample_local_cases
+from scmc import documents as D
 from scmc import expr as E
+from scmc import verification as Q
 from scmc import zoo
 from scmc.consolidation import (
     Ccv,
@@ -15,14 +19,29 @@ from scmc.consolidation import (
     run_passes,
 )
 from scmc.errors import DivisionByZeroError, ModelTooDeepError
-from scmc.expr import Binary, IfThenElse, IntDomain, IsIntervened, Ref, VarRef, bconst, bnot, iconst
+from scmc.expr import (
+    Binary,
+    Const,
+    IfThenElse,
+    IntDomain,
+    IsIntervened,
+    RealDomain,
+    Ref,
+    VarRef,
+    bconst,
+    bnot,
+    iconst,
+    rconst,
+)
 from scmc.partition import extract_sub_scm
 from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite
 from scmc.verification import (
     EquivalenceStrategy,
     GateMemo,
     gate_strategy_for,
+    local_case_count,
     replay_counterexample,
+    sample_local_cases,
     verify_equivalence,
     verify_pass,
 )
@@ -139,6 +158,27 @@ class TestVerifyEquivalence:
         assert report.verdict == "inconclusive"
 
 
+def count_evals(monkeypatch) -> list:
+    """Every Ccv the gate evaluates from now on, one entry per case."""
+    seen = []
+    real = Q.eval_ccv
+
+    def counting(ccv, *args, **kwargs):
+        seen.append(ccv)
+        return real(ccv, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "eval_ccv", counting)
+    return seen
+
+
+def test_sample_local_cases_matches_per_atom_stream():
+    entry = zoo.tool_wear(6, "sampled")
+    for cluster in entry.partition.clusters:
+        sub = extract_sub_scm(entry.scm, cluster)
+        for seed in (0, 3, 11):
+            assert sample_local_cases(sub, 50, seed) == oracle_sample_local_cases(sub, 50, seed)
+
+
 class TestVerifyPass:
     def setup_method(self):
         self.entry = zoo.step_by_step()
@@ -182,6 +222,23 @@ class TestVerifyPass:
     def test_noop_pass_is_equal(self):
         report = verify_pass(self.built, self.built, self.sub, EquivalenceStrategy.exhaustive())
         assert report.equal
+
+    def test_gate_budget_is_inconclusive_before_any_case(self, monkeypatch):
+        entry = zoo.step_by_step()
+        sub = extract_sub_scm(entry.scm, [VarRef("E"), VarRef("F"), VarRef("G")])
+        built, _ = build_rho(sub, [VarRef("F"), VarRef("G")])
+        n = local_case_count(sub)
+        assert n > 8
+        seen = count_evals(monkeypatch)
+        small = EquivalenceStrategy.exhaustive(intervention_budget=8, exogenous_budget=8)
+        report = verify_pass(built, built, sub, small)
+        assert report.verdict == "inconclusive"
+        assert report.cases_checked == 0
+        assert f"{n} cases" in report.message
+        assert seen == []
+        # the larger of the two budgets applies, as in verify_equivalence
+        fits = EquivalenceStrategy.exhaustive(intervention_budget=8, exogenous_budget=n)
+        assert verify_pass(built, built, sub, fits).cases_checked == n
 
     def test_differing_target_sets_are_inconclusive(self):
         other = Ccv((VarRef("B"),), {VarRef("B"): iconst(0)}, self.built.interventions, 1)
@@ -303,6 +360,131 @@ class TestGateMemo:
             assert (report.counterexample.base_value, report.counterexample.ccv_value) == (E.VInt(0), E.VInt(5))
         with pytest.raises(DivisionByZeroError):
             verify_pass(before, same_trees, sub, strategy, memo)
+
+
+    def test_accepted_candidate_is_not_evaluated_again(self, monkeypatch):
+        sub, good, candidates = self.walkthrough_cluster()
+        built = candidates[1]
+        seen = count_evals(monkeypatch)
+        for strategy in (EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)):
+            memo = GateMemo()
+            assert verify_pass(built, good, sub, strategy, memo).equal
+            for after in candidates:
+                fresh = verify_pass(good, after, sub, strategy)
+                seen.clear()
+                shared = verify_pass(good, after, sub, strategy, memo)
+                # only `after` is evaluated: `good` left its values behind
+                assert len(seen) == shared.cases_checked
+                assert all(c is after for c in seen)
+                assert shared == fresh
+
+    def test_rejected_candidate_is_not_evaluated_again(self, monkeypatch):
+        sub, good, candidates = self.walkthrough_cluster()
+        broken = candidates[2:]
+        seen = count_evals(monkeypatch)
+        for strategy in (EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)):
+            fresh = [verify_pass(good, b, sub, strategy) for b in broken]
+            memo = GateMemo()
+            first = [verify_pass(good, b, sub, strategy, memo, ("mutant", i)) for i, b in enumerate(broken)]
+            seen.clear()
+            again = [verify_pass(good, b, sub, strategy, memo, ("mutant", i)) for i, b in enumerate(broken)]
+            assert seen == []
+            assert again == first == fresh
+            assert all(r.verdict == "counterexample" for r in again)
+            # a new `before` forgets the rejections recorded against the old one
+            assert verify_pass(candidates[1], good, sub, strategy, memo).equal
+            seen.clear()
+            assert verify_pass(good, broken[0], sub, strategy, memo, ("mutant", 0)) == fresh[0]
+            assert len(seen) == fresh[0].cases_checked
+
+    def test_equal_comparing_candidates_keep_their_own_verdicts(self, monkeypatch):
+        X, T = VarRef("X"), VarRef("T")
+        scm = Scm(
+            name="signed-zero",
+            endogenous=(EndoVar(T, RealDomain(), Ref(X)),),
+            exogenous=(ExoVar(X, IntDomain(0, 1), UniformFinite((E.VInt(0), E.VInt(1)))),),
+            interventions=InterventionSpace.power_set([]),
+        )
+        sub = extract_sub_scm(scm, [T])
+        space = sub.interventions
+        before = Ccv((T,), {T: rconst(1.0)}, space, 0)
+        plus = Ccv((T,), {T: Const(E.VReal(0.0))}, space, 0)
+        minus = Ccv((T,), {T: Const(E.VReal(-0.0))}, space, 0)
+        assert plus == minus and hash(plus.rho[T]) == hash(minus.rho[T])
+        strategy = EquivalenceStrategy.exhaustive()
+        memo = GateMemo()
+        seen = count_evals(monkeypatch)
+        assert verify_pass(before, plus, sub, strategy, memo, ("absorb", T, 0)).verdict == "counterexample"
+        seen.clear()
+        report = verify_pass(before, minus, sub, strategy, memo, ("absorb", T, 1))
+        assert seen == [minus]
+        assert math.copysign(1.0, report.counterexample.ccv_value.r) == -1.0
+        assert str(report.counterexample) == str(verify_pass(before, minus, sub, strategy).counterexample)
+
+    def test_carried_values_keep_the_sign_of_zero(self):
+        X, T = VarRef("X"), VarRef("T")
+        scm = Scm(
+            name="signed-zero",
+            endogenous=(EndoVar(T, RealDomain(), Ref(X)),),
+            exogenous=(ExoVar(X, IntDomain(0, 1), UniformFinite((E.VInt(0), E.VInt(1)))),),
+            interventions=InterventionSpace.power_set([]),
+        )
+        sub = extract_sub_scm(scm, [T])
+        space = sub.interventions
+        negative = Ccv((T,), {T: Binary("mul", rconst(-1.0), rconst(0.0))}, space, 0)
+        positive = Ccv((T,), {T: rconst(0.0)}, space, 0)
+        other = Ccv((T,), {T: rconst(5.0)}, space, 0)
+        strategy = EquivalenceStrategy.exhaustive()
+        memo = GateMemo()
+        assert verify_pass(negative, positive, sub, strategy, memo).equal
+        shared = verify_pass(positive, other, sub, strategy, memo)
+        fresh = verify_pass(positive, other, sub, strategy)
+        assert str(shared.counterexample) == str(fresh.counterexample)
+        assert math.copysign(1.0, shared.counterexample.base_value.r) == 1.0
+
+    def test_raising_candidate_records_no_verdict(self):
+        X, T = VarRef("X"), VarRef("T")
+        scm = Scm(
+            name="late-error",
+            endogenous=(EndoVar(T, IntDomain(-1, 1), Ref(X)),),
+            exogenous=(ExoVar(X, IntDomain(0, 3), UniformFinite(tuple(E.VInt(i) for i in range(4)))),),
+            interventions=InterventionSpace.power_set([]),
+        )
+        sub = extract_sub_scm(scm, [T])
+        space = sub.interventions
+        before = Ccv((T,), {T: iconst(0)}, space, 0)
+        # agrees on X = 0..2, raises on the last case only
+        late_error = Ccv((T,), {T: Binary("div", iconst(0), Binary("sub", iconst(3), Ref(X)))}, space, 0)
+        strategy = EquivalenceStrategy.exhaustive()
+        memo = GateMemo()
+        for _ in range(2):
+            with pytest.raises(DivisionByZeroError):
+                verify_pass(before, late_error, sub, strategy, memo, "late")
+        # nor does it leave values behind for when it comes back as `before`
+        with pytest.raises(DivisionByZeroError):
+            verify_pass(late_error, before, sub, strategy, memo)
+
+    def test_run_passes_matches_fresh_gate_calls(self, monkeypatch):
+        """Consolidation with the shared memo gives the same trees and logs as
+        with a fresh `verify_pass` per candidate, from fewer evaluations."""
+        entry = zoo.firing_squad(8)
+
+        def run():
+            cons = consolidate(entry.scm, entry.partition, entry.targets, {1})
+            return D.to_json(D.consolidated_to_doc(cons)), cons.report.passes, cons.report.rejected
+
+        seen = count_evals(monkeypatch)
+        shared = run()
+        shared_evals = len(seen)
+        real = Q.verify_pass
+        monkeypatch.setattr(
+            Q, "verify_pass", lambda before, after, sub, strategy, memo=None, key=None: real(before, after, sub, strategy)
+        )
+        seen.clear()
+        fresh = run()
+        assert shared == fresh
+        assert [e.pass_name for e in shared[2]].count("absorb") > 0
+        assert shared_evals < len(seen)
 
 
 def _stack_depth() -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import expr as E
 from .errors import (
@@ -201,6 +201,22 @@ class InterventionSpace:
             index.setdefault(v, vals)
         return index
 
+    @cached_property
+    def _atom_pairs(self) -> tuple[tuple, Callable[[tuple], InterventionSet]]:
+        """Per atom row, its `(var, value)` pairs, and what makes a set of a
+        selection of them in row order.
+
+        That is the `InterventionSet` constructor when the rows are in
+        `ref_sort_key` order, one per variable, as `_norm_atoms` leaves
+        them, since `InterventionSet.of` would sort and check them for
+        nothing; else `InterventionSet.of`.  Worked out once per space,
+        since `InterventionSpace(...)` takes atoms in any order.
+        """
+        rows = tuple(tuple((v, val) for val in vals) for v, vals in self.atoms)
+        keys = [ref_sort_key(v) for v, _ in self.atoms]
+        canonical = len({v for v, _ in self.atoms}) == len(keys) and keys == sorted(keys)
+        return rows, InterventionSet if canonical else InterventionSet.of
+
     def atom_values(self, var: VarRef) -> tuple[Value, ...]:
         return self._atom_index.get(var, ())
 
@@ -251,16 +267,11 @@ class InterventionSpace:
                 for val in vals:
                     out.append(InterventionSet.of({var: val}))
             return out
-        options = [[None] + list(vals) for _, vals in self.atoms]
-        out = []
-        for combo in itertools.product(*options):
-            pairs = [
-                (var, val)
-                for (var, _), val in zip(self.atoms, combo)
-                if val is not None
-            ]
-            out.append(InterventionSet.of(pairs))
-        return out
+        rows, make = self._atom_pairs
+        return [
+            make(tuple([p for p in combo if p is not None]))
+            for combo in itertools.product(*[(None,) + row for row in rows])
+        ]
 
     def sample(self, rng) -> InterventionSet:
         """One member drawn with the package RNG; uniform over the enumeration
@@ -285,9 +296,8 @@ class InterventionSpace:
         if not self.atoms:
             return InterventionSet.empty()
         draws = rng.integers([1 + len(vals) for _, vals in self.atoms]).tolist()
-        return InterventionSet.of(
-            [(var, vals[k - 1]) for (var, vals), k in zip(self.atoms, draws) if k]
-        )
+        rows, make = self._atom_pairs
+        return make(tuple([row[k - 1] for row, k in zip(rows, draws) if k]))
 
     def restrict(self, cluster: Iterable[VarRef]) -> "InterventionSpace":
         """Image of the space under the projection onto `cluster`."""

@@ -10,10 +10,10 @@ explicitly probabilistic verdict for continuous inputs or huge spaces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
+from . import columns as C
 from . import expr as E
 from . import scm as S
 from .consolidation import Ccv, ConsolidatedScm, PassConfig, eval_ccv, eval_consolidated
@@ -159,41 +159,103 @@ def verify_equivalence(
                 f"= {n} cases, budget is {budget}",
             )
         probabilistic = False
-        case_iter = ((u, iv) for u in u_cases for iv in i_cases)
+        per_u = len(i_cases)
+
+        def case(k: int) -> tuple[Assignment, InterventionSet]:
+            return u_cases[k // per_u], i_cases[k % per_u]
+
     else:
         rng = make_rng(strategy.seed)
         u_cases = sample_exogenous(base, strategy.seed, strategy.sample_count, strict=False)
         i_cases = [base.interventions.sample(rng) for _ in range(strategy.sample_count)]
         probabilistic = True
-        case_iter = zip(u_cases, i_cases)
+        n = len(u_cases)
 
-    checked = 0
-    worst = 0.0
-    for u, iv in case_iter:
+        def case(k: int) -> tuple[Assignment, InterventionSet]:
+            return u_cases[k], i_cases[k]
+
+    def values(k: int, u: Assignment, iv: InterventionSet) -> tuple[list[Value], list[Value]]:
         base_out = eval_scm(base, u, iv, check_membership=False)
         cons_out = eval_consolidated(cons, u, iv, check_membership=False)
-        checked += 1
-        base_vals = [base_out[t] for t in tlist]
-        cons_vals = [cons_out[t] for t in tlist]
-        bad, dev = _first_mismatch(base_vals, cons_vals, strategy.tolerance)
+        return [base_out[t] for t in tlist], [cons_out[t] for t in tlist]
+
+    keep = frozenset(tlist)
+
+    def blocks():
+        for lo in range(0, n, _BLOCK_CASES):
+            hi = min(lo + _BLOCK_CASES, n)
+            picked = [case(k) for k in range(lo, hi)]
+            cases = C.Cases([u for u, _ in picked], [iv for _, iv in picked])
+            yield lo, hi, C.scm_columns(base, cases, keep), C.consolidated_columns(cons, cases, keep)
+
+    return _check_cases(tlist, n, strategy.tolerance, probabilistic, case, values, blocks)
+
+
+#: cases of a verifier column block; bounds the columns held at once
+_BLOCK_CASES = 256
+#: leading cases the gate checks one by one before the columns take over:
+#: a rejected rewrite usually disagrees on the very first case
+_PROBE_CASES = 1
+
+
+def _case_loop(tlist, tolerance, probabilistic, case, values, lo, hi, worst):
+    """The per-case loop over cases lo..hi-1: the first disagreeing case as a
+    counterexample report, or None; and the largest real deviation seen."""
+    for k in range(lo, hi):
+        u, iv = case(k)
+        want, got = values(k, u, iv)
+        bad, dev = _first_mismatch(want, got, tolerance)
         worst = max(worst, dev)
         if bad is not None:
-            return EquivalenceReport(
+            report = EquivalenceReport(
                 "counterexample",
-                cases_checked=checked,
+                cases_checked=k + 1,
                 max_abs_deviation=worst,
                 probabilistic=probabilistic,
                 counterexample=CounterExample(
                     u=tuple(sorted(u.items(), key=lambda p: ref_sort_key(p[0]))),
                     interventions=iv,
                     var=tlist[bad],
-                    base_value=base_vals[bad],
-                    ccv_value=cons_vals[bad],
+                    base_value=want[bad],
+                    ccv_value=got[bad],
                 ),
             )
-    return EquivalenceReport(
-        "equal", cases_checked=checked, max_abs_deviation=worst, probabilistic=probabilistic
-    )
+            return report, worst
+    return None, worst
+
+
+def _check_cases(tlist, n, tolerance, probabilistic, case, values, blocks, probe=0) -> EquivalenceReport:
+    """The report of the per-case loop over cases 0..n-1, computed by columns
+    where they agree.
+
+    `case(k)` is the k-th (inputs, intervention set) pair, and
+    `values(k, u, iv)` gives the two target-value sequences the loop
+    compares.  The loop checks the first `probe` cases.  Then `blocks()`
+    yields `(lo, hi, want, got)`: the target columns of both sides over cases
+    lo..hi-1.  They stand in for the loop up to the first case on which they
+    disagree; from there, or from wherever a block raised, the loop takes
+    over again.  Columns compute every value the loop would and raise
+    wherever it would, so the report, or the error raised, is the loop's own.
+    """
+    report, worst = _case_loop(tlist, tolerance, probabilistic, case, values, 0, min(probe, n), 0.0)
+    if report is not None:
+        return report
+    k = min(probe, n)
+    if k < n:
+        try:
+            for lo, hi, want, got in blocks():
+                stop, dev = C.first_disagreement(tlist, want, got, tolerance, k - lo, hi - lo)
+                worst = max(worst, dev)
+                if stop is not None:
+                    k = lo + stop
+                    break
+                k = hi
+        except Exception:  # noqa: BLE001 - the loop from `k` meets the same error, or none
+            pass
+    report, worst = _case_loop(tlist, tolerance, probabilistic, case, values, k, n, worst)
+    if report is not None:
+        return report
+    return EquivalenceReport("equal", cases_checked=n, max_abs_deviation=worst, probabilistic=probabilistic)
 
 
 def replay_counterexample(
@@ -299,23 +361,29 @@ def _gate_cases(
 class GateMemo:
     """What the gate calls of one `run_passes` share.
 
-    The cluster's case list is built on the first call.  The target values
-    of `before` are kept, one tuple per case in case order, for as long as
-    the same `before` object comes back, that is, until a candidate is
-    accepted.  They are filled lazily, except after an acceptance: the
-    candidate that passed left its own values behind, so the new `before`
-    is not evaluated again.  Rejections are kept by key against the same
-    `before`, so a candidate proposed again gets its report back unevaluated.
+    The cluster's case list is built on the first call, and turned into
+    columns on the first call that evaluates columns.  The target columns of
+    `before` are kept for as long as the same `before` object comes back,
+    that is, until a candidate is accepted.  They are computed once, except
+    after an acceptance: the candidate that passed left its own columns
+    behind, so the new `before` is not evaluated again.  Rejections are kept
+    by key against the same `before`, so a candidate proposed again gets its
+    report back unevaluated.
     """
 
     def __init__(self):
         self._sub: Optional[SubScm] = None
         self._strategy: Optional[EquivalenceStrategy] = None
         self._cases: tuple = (None, False, "")
+        self._columns: Optional[C.Cases] = None
         self._before: Optional[Ccv] = None
-        self._before_values: list[tuple[Value, ...]] = []
-        #: the last candidate that passed against `_before`, with its values
-        self.passed: Optional[tuple[Ccv, list[tuple[Value, ...]]]] = None
+        #: `before`'s target columns; None until computed, or when they cannot be
+        self._before_columns: Optional[dict] = None
+        self._walked = False
+        #: `before`'s target values per case in case order, while it has no columns
+        self._known: list[tuple[Value, ...]] = []
+        #: the last candidate that passed against `_before`, with its columns
+        self.passed: Optional[tuple[Ccv, dict]] = None
         #: reports of the candidates rejected against `_before`, by key
         self.rejected: dict[Hashable, EquivalenceReport] = {}
 
@@ -323,30 +391,51 @@ class GateMemo:
         if self._sub is not sub or self._strategy is not strategy:
             self._sub, self._strategy = sub, strategy
             self._cases = _gate_cases(sub, strategy)
+            self._columns = None
             self._before = self.passed = None
         return self._cases
 
-    def before_values(self, before: Ccv) -> list[tuple[Value, ...]]:
+    def track(self, before: Ccv) -> None:
+        """Start keeping values for `before`, unless they are kept already."""
         if self._before is not before:
             passed, self.passed = self.passed, None
-            self._before, self._before_values = before, []
+            self._before, self._known = before, []
+            self._before_columns, self._walked = None, False
             if passed is not None and passed[0] is before:
-                self._before_values = passed[1]
+                self._before_columns, self._walked = passed[1], True
             self.rejected = {}
-        return self._before_values
+
+    def before_values(self, k: int, env: Assignment, iv: InterventionSet, tlist) -> tuple[Value, ...]:
+        """`before`'s target values on case k; the loop asks for cases in order."""
+        cols = self._before_columns
+        if cols is not None:
+            return tuple([C.value(cols[t][k]) for t in tlist])
+        if k == len(self._known):
+            out = eval_ccv(self._before, env, iv)
+            self._known.append(tuple([out[t] for t in tlist]))
+        return self._known[k]
+
+    def columns(self) -> tuple[C.Cases, dict]:
+        """The case list as columns, and `before`'s target columns over it.
+
+        Raises when they cannot be computed; `before` is walked at most once.
+        """
+        if self._columns is None:
+            cases = self._cases[0]
+            self._columns = C.Cases([env for env, _ in cases], [iv for _, iv in cases])
+        if not self._walked:
+            self._walked = True
+            self._before_columns = gate_columns(self._before, self._columns, self._sub)
+        if self._before_columns is None:
+            raise C.Unsupported("before has no columns")
+        return self._columns, self._before_columns
 
 
-def _same_values(a: tuple[Value, ...], b: tuple[Value, ...]) -> bool:
-    """Whether two target tuples are interchangeable: equal, with no real
-    zero differing in sign (`VReal(0.0) == VReal(-0.0)`, yet they print
-    differently)."""
-    if a != b:
-        return False
-    for x, y in zip(a, b):
-        if x is not y and type(x) is E.VReal and x.r == 0.0:
-            if math.copysign(1.0, x.r) != math.copysign(1.0, y.r):
-                return False
-    return True
+def gate_columns(ccv: Ccv, cases: C.Cases, sub: SubScm, before=None) -> dict:
+    """One column walk of a cluster's compositional variable over the gate's
+    case list; `before` is passed on to `columns.ccv_columns`."""
+    inputs = {v: cases.input(v) for v in sub.local_exogenous}
+    return C.ccv_columns(ccv, cases, inputs, before=before)
 
 
 def verify_pass(
@@ -364,8 +453,14 @@ def verify_pass(
     compared, so a rewrite that corrupts a value any later target consumes is
     caught even when the edited tree itself still agrees.
 
-    `memo` carries the case list, `before`'s values and the rejections from
-    one call to the next.  When `after` passes, its values stay in the memo,
+    The first case is checked on its own, since a rejected rewrite usually
+    disagrees there; then `after` is walked once over all cases by columns
+    (`columns.ccv_columns`), and the per-case loop resumes only where the
+    columns disagree or cannot be evaluated.  A leading run of targets whose
+    trees are `before`'s own objects takes `before`'s columns unevaluated.
+
+    `memo` carries the case list, `before`'s columns and the rejections from
+    one call to the next.  When `after` passes, its columns stay in the memo,
     so a later call with `after` as `before` evaluates `before` on no case.
     `key` names `after` among the candidates proposed against `before`: with
     a memo, a candidate rejected under the same key against the same `before`
@@ -373,9 +468,9 @@ def verify_pass(
     always name the same candidate.  Keys are never compared trees, since
     trees that differ only in the sign of a real zero compare equal.
 
-    With or without a memo, cases are visited in the same order and `before`
-    is evaluated ahead of `after` on each case, so the report, or the error
-    raised, is the same.
+    With or without a memo, the report, or the error raised, is that of the
+    per-case loop, which visits cases in order and evaluates `before` ahead
+    of `after` on each.
     """
     if set(before.targets) != set(after.targets):
         return EquivalenceReport("inconclusive", message="target sets differ")
@@ -384,42 +479,29 @@ def verify_pass(
     if cases is None:
         return EquivalenceReport("inconclusive", message=message)
 
-    known = memo.before_values(before)
+    memo.track(before)
     if key is not None and key in memo.rejected:
         return memo.rejected[key]
     tlist = list(before.targets)
-    worst = 0.0
-    # `after`'s values, sharing `before`'s tuple wherever they are the same
-    after_values: list[tuple[Value, ...]] = []
-    for k, (env, iv) in enumerate(cases):
-        if k == len(known):
-            out_a = eval_ccv(before, env, iv)
-            known.append(tuple([out_a[t] for t in tlist]))
-        want = known[k]
-        out_b = eval_ccv(after, env, iv)
-        got = tuple([out_b[t] for t in tlist])
-        bad, dev = _first_mismatch(want, got, strategy.tolerance)
-        worst = max(worst, dev)
-        if bad is not None:
-            report = EquivalenceReport(
-                "counterexample",
-                cases_checked=k + 1,
-                max_abs_deviation=worst,
-                probabilistic=probabilistic,
-                counterexample=CounterExample(
-                    u=tuple(sorted(env.items(), key=lambda p: ref_sort_key(p[0]))),
-                    interventions=iv,
-                    var=tlist[bad],
-                    base_value=want[bad],
-                    ccv_value=got[bad],
-                ),
-            )
-            if key is not None:
-                memo.rejected[key] = report
-            return report
-        after_values.append(want if _same_values(want, got) else got)
-    if after.targets == before.targets:  # the tuples follow `before`'s target order
-        memo.passed = (after, after_values)
-    return EquivalenceReport(
-        "equal", cases_checked=len(cases), max_abs_deviation=worst, probabilistic=probabilistic
+    walked: list[dict] = []
+
+    def values(k: int, env: Assignment, iv: InterventionSet) -> tuple[tuple[Value, ...], tuple[Value, ...]]:
+        want = memo.before_values(k, env, iv, tlist)
+        out = eval_ccv(after, env, iv)
+        return want, tuple([out[t] for t in tlist])
+
+    def blocks():
+        columns, want = memo.columns()
+        got = gate_columns(after, columns, sub, before=(before, want))
+        walked.append(got)
+        yield 0, len(cases), want, got
+
+    report = _check_cases(
+        tlist, len(cases), strategy.tolerance, probabilistic, cases.__getitem__, values, blocks, _PROBE_CASES
     )
+    if report.verdict == "equal":
+        if walked:
+            memo.passed = (after, walked[0])
+    elif key is not None:
+        memo.rejected[key] = report
+    return report

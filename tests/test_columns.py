@@ -1,0 +1,588 @@
+"""Column evaluation against the per-case evaluators it stands in for.
+
+`scmc.columns` walks a tree once per case list.  Each test here evaluates
+the same trees per case, with the node classes' own `_eval`, with the
+library's model evaluators and with `helpers.oracle_eval`, and requires the
+columns to hold the same values (compared by `repr`, so a real zero keeps
+its sign and an int stays an int) or, wherever some case raises, to raise.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from helpers import oracle_eval, random_model, random_partition
+from scmc import columns as C
+from scmc import expr as E
+from scmc import verification as Q
+from scmc import zoo
+from scmc.consolidation import PassConfig, consolidate, eval_ccv, eval_consolidated
+from scmc.errors import DivisionByZeroError, DomainError
+from scmc.evaluation import enumerate_exogenous, eval_scm, make_rng, sample_exogenous
+from scmc.expr import (
+    Binary,
+    BoolDomain,
+    CaseList,
+    ExistsIntervention,
+    IfThenElse,
+    IntDomain,
+    InterventionValue,
+    IsIntervened,
+    MaxIntervenedIndex,
+    RealDomain,
+    Ref,
+    Unary,
+    VarRef,
+    bconst,
+    iconst,
+    rconst,
+    sconst,
+)
+from scmc.partition import extract_sub_scm
+from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite
+from scmc.verification import EquivalenceStrategy, verify_equivalence, verify_pass
+
+X, Y, Z, B = VarRef("X"), VarRef("Y"), VarRef("Z"), VarRef("B")
+
+
+def reprs(values) -> list[str]:
+    return [repr(v) for v in values]
+
+
+def column_values(col) -> list[str]:
+    return reprs(C.value(x) for x in col)
+
+
+def make_cases(rows):
+    """`Cases` from (env, intervention set) rows, with every input converted."""
+    cases = C.Cases([env for env, _ in rows], [iv for _, iv in rows])
+    env = {v: cases.input(v) for v in (rows[0][0] if rows else {})}
+    return cases, env
+
+
+def per_case(tree, rows, visible=None):
+    """The tree's value on every row through `_eval`, or None when a row raises."""
+    out = []
+    for env, iv in rows:
+        if visible is not None:
+            iv = iv.restrict(visible)
+        try:
+            out.append(tree._eval(env, dict(iv.assignments), None))
+        except Exception:  # noqa: BLE001 - any error: the columns must raise too
+            return None
+    return out
+
+
+def assert_column_matches(tree, rows, visible=None, oracle=True):
+    """Columns equal `_eval` (and the oracle) on every row, or raise where a row raises."""
+    want = per_case(tree, rows, visible)
+    cases, env = make_cases(rows)
+    if want is None:
+        with pytest.raises(Exception):
+            C.column(tree, cases, env, visible)
+        return
+    got = C.column(tree, cases, env, visible)
+    assert column_values(got) == reprs(want), tree
+    if oracle:
+        restricted = [(e, iv.restrict(visible) if visible is not None else iv) for e, iv in rows]
+        assert reprs(oracle_eval(tree, e, iv) for e, iv in restricted) == reprs(want)
+
+
+def rows_over(var: VarRef, values, ivs=(InterventionSet.empty(),)):
+    return [({var: v}, iv) for v in values for iv in ivs]
+
+
+INTS = [E.VInt(i) for i in (-3, -1, 0, 1, 2, 7)]
+REALS = [E.VReal(r) for r in (-2.5, -0.0, 0.0, 0.5, 3.0)]
+
+
+# ---------------------------------------------------------------------------
+# Models: random ones and the zoo
+# ---------------------------------------------------------------------------
+
+
+def case_rows(scm: Scm, seed: int, limit: int = 400):
+    """Every input and intervention set when few, else a seeded sample."""
+    space = scm.interventions
+    try:
+        us = enumerate_exogenous(scm, budget=64)
+    except DomainError:
+        us = sample_exogenous(scm, seed, 16, strict=False)
+    if space.size() <= 256:
+        ivs = space.enumerate(256)
+    else:
+        rng = make_rng(seed)
+        ivs = [space.sample(rng) for _ in range(48)]
+    return [(u, iv) for u in us for iv in ivs][:limit]
+
+
+def assert_model_columns(scm: Scm, rows):
+    keep = frozenset(scm.endo_vars())
+    cases = C.Cases([u for u, _ in rows], [iv for _, iv in rows])
+    try:
+        want = [eval_scm(scm, u, iv, check_membership=False) for u, iv in rows]
+    except Exception:  # noqa: BLE001
+        with pytest.raises(Exception):
+            C.scm_columns(scm, cases, keep)
+        return
+    got = C.scm_columns(scm, cases, keep)
+    for v in keep:
+        assert column_values(got[v]) == reprs(out[v] for out in want), (scm.name, v)
+
+
+def assert_consolidated_columns(cons, rows):
+    keep = cons.computed_vars()
+    cases = C.Cases([u for u, _ in rows], [iv for _, iv in rows])
+    want = [eval_consolidated(cons, u, iv, check_membership=False) for u, iv in rows]
+    got = C.consolidated_columns(cons, cases, keep)
+    for v in keep:
+        assert column_values(got[v]) == reprs(out[v] for out in want), (cons.name, v)
+
+
+def test_random_models_match_eval_scm_and_eval_consolidated():
+    for seed in range(120):
+        scm = random_model(seed, max_endo=10, max_domain=4)
+        rows = case_rows(scm, seed)
+        assert_model_columns(scm, rows)
+        cons = consolidate(scm, random_partition(scm, seed + 5), scm.endo_vars()[-3:])
+        assert_consolidated_columns(cons, rows)
+
+
+def test_random_equations_match_eval_and_the_oracle():
+    for seed in range(120):
+        scm = random_model(seed, max_endo=10, max_domain=4)
+        rows = case_rows(scm, seed, limit=120)
+        outs = [eval_scm(scm, u, iv, check_membership=False) for u, iv in rows]
+        env_rows = [({**u, **out}, iv) for (u, iv), out in zip(rows, outs)]
+        for row in scm.endogenous:
+            assert_column_matches(row.equation, env_rows)
+
+
+@pytest.mark.parametrize("name", sorted(zoo.ZOO_BUILDERS))
+def test_zoo_models_match(name):
+    entry = zoo.ZOO_BUILDERS[name]()
+    rows = case_rows(entry.scm, 3)
+    assert_model_columns(entry.scm, rows)
+    if name == "bernoulli_fork":
+        # a draw has no column form: the columns give up, the loop decides
+        with pytest.raises(C.Unsupported):
+            C.scm_columns(entry.scm, C.Cases([u for u, _ in rows], [iv for _, iv in rows]), frozenset())
+        return
+    assert_consolidated_columns(entry.consolidated(), rows)
+    if entry.reference_ccvs:
+        assert_consolidated_columns(entry.reference_consolidated(), rows)
+
+
+def test_sampled_tool_wear_matches():
+    entry = zoo.tool_wear(6, "sampled")
+    rows = case_rows(entry.scm, 11)
+    assert_model_columns(entry.scm, rows)
+    assert_consolidated_columns(entry.consolidated(), rows)
+
+
+# ---------------------------------------------------------------------------
+# The per-case semantics, rule by rule
+# ---------------------------------------------------------------------------
+
+
+def test_and_or_short_circuit_per_case():
+    # 1 div X is evaluated only where the left operand leaves it to decide
+    risky = Binary("lt", Binary("div", iconst(1), Ref(X)), iconst(5))
+    rows = rows_over(X, INTS)
+    for tree in (
+        Binary("and", Unary("not", Binary("eq", Ref(X), iconst(0))), risky),
+        Binary("or", Binary("eq", Ref(X), iconst(0)), risky),
+    ):
+        assert per_case(tree, rows) is not None
+        assert_column_matches(tree, rows)
+    # both operands must be booleans
+    assert_column_matches(Binary("and", bconst(True), iconst(1)), rows)
+    assert_column_matches(Binary("or", iconst(0), bconst(True)), rows)
+
+
+def test_untaken_branches_are_not_evaluated():
+    rows = rows_over(X, INTS)
+    inverse = Binary("div", iconst(1), Ref(X))
+    nonzero = Unary("not", Binary("eq", Ref(X), iconst(0)))
+    trees = [
+        IfThenElse(nonzero, inverse, iconst(0)),
+        IfThenElse(Unary("not", nonzero), iconst(0), inverse),
+        CaseList(
+            ((Binary("eq", Ref(X), iconst(0)), iconst(9)), (Binary("lt", inverse, iconst(0)), iconst(-1))),
+            inverse,
+        ),
+    ]
+    for tree in trees:
+        assert per_case(tree, rows) is not None
+        assert_column_matches(tree, rows)
+    # a fallback runs only where the variable is not intervened on
+    guarded = [
+        ({X: E.VInt(0)}, InterventionSet.of({Y: E.VInt(4)})),
+        ({X: E.VInt(2)}, InterventionSet.empty()),
+        ({X: E.VInt(0)}, InterventionSet.of({Y: E.VInt(-1)})),
+    ]
+    tree = InterventionValue(Y, inverse)
+    assert per_case(tree, guarded) is not None
+    assert_column_matches(tree, guarded)
+    # ... and a missing one raises only where it is needed
+    assert_column_matches(InterventionValue(Y), guarded)
+    assert_column_matches(IfThenElse(IsIntervened(Y), InterventionValue(Y), iconst(3)), guarded)
+
+
+def test_guards_and_conditions_must_be_booleans():
+    rows = rows_over(X, INTS)
+    for tree in (
+        IfThenElse(Ref(X), iconst(1), iconst(2)),
+        CaseList(((Ref(X), iconst(1)),), iconst(2)),
+        Unary("not", Ref(X)),
+    ):
+        assert per_case(tree, rows) is None
+        assert_column_matches(tree, rows)
+
+
+def test_int_division_floors_and_mixed_division_is_real():
+    rows = rows_over(X, [E.VInt(i) for i in (-7, -1, 1, 2, 7)] + REALS[:1] + REALS[3:])
+    for tree in (
+        Binary("div", Ref(X), iconst(2)),
+        Binary("div", iconst(-7), Ref(X)),
+        Binary("div", Ref(X), rconst(2.0)),
+        Binary("mod", Ref(X), iconst(3)),
+    ):
+        assert_column_matches(tree, rows)
+    floor = C.column(Binary("div", iconst(-7), iconst(2)), *make_cases(rows[:1]))
+    assert column_values(floor) == ["VInt(i=-4)"]
+    # division by a zero of either carrier raises
+    assert_column_matches(Binary("div", iconst(1), Ref(X)), rows_over(X, [E.VInt(1), E.VReal(-0.0)]))
+
+
+def test_min_max_keep_the_operand_and_its_carrier():
+    rows = rows_over(X, INTS + REALS + [E.VReal(1.0), E.VReal(math.nan)])
+    for op in ("min", "max"):
+        for left, right in ((Ref(X), iconst(1)), (rconst(1.0), Ref(X)), (Ref(X), rconst(-0.0))):
+            assert_column_matches(Binary(op, left, right), rows)
+    one = make_cases(rows[:1])
+    assert column_values(C.column(Binary("min", iconst(1), rconst(1.0)), *one)) == ["VInt(i=1)"]
+    assert column_values(C.column(Binary("max", rconst(1.0), iconst(1)), *one)) == ["VReal(r=1.0)"]
+
+
+def test_real_zero_keeps_its_sign():
+    rows = rows_over(X, REALS)
+    for tree in (
+        Unary("neg", Ref(X)),
+        Binary("mul", rconst(-1.0), Ref(X)),
+        Binary("min", Ref(X), rconst(0.0)),
+        Binary("max", rconst(-0.0), Ref(X)),
+        Binary("add", Ref(X), rconst(-0.0)),
+    ):
+        assert_column_matches(tree, rows)
+    one = make_cases(rows[:1])
+    assert column_values(C.column(Unary("neg", rconst(0.0)), *one)) == ["VReal(r=-0.0)"]
+
+
+def test_nan_follows_the_per_case_comparisons():
+    nan = E.VReal(math.nan)
+    rows = rows_over(X, [nan, E.VReal(1.0), E.VInt(2)])
+    for tree in (
+        Binary("eq", Ref(X), Ref(X)),
+        Binary("lt", Ref(X), rconst(1.5)),
+        Binary("le", rconst(1.5), Ref(X)),
+        Binary("min", Ref(X), iconst(1)),
+        Binary("max", iconst(1), Ref(X)),
+        Binary("pow", Ref(X), rconst(0.0)),
+        IfThenElse(Binary("lt", Ref(X), rconst(5.0)), iconst(1), iconst(0)),
+    ):
+        assert_column_matches(tree, rows)
+
+
+def test_integers_beyond_64_bits_stay_exact():
+    big = [E.VInt(2**64 + 1), E.VInt(-(2**70)), E.VInt(2**53 + 1)]
+    rows = rows_over(X, big)
+    for tree in (
+        Binary("add", Ref(X), Ref(X)),
+        Binary("mul", Ref(X), iconst(3)),
+        Binary("div", Ref(X), iconst(3)),
+        Binary("mod", Ref(X), iconst(7)),
+        Binary("eq", Ref(X), rconst(float(2**53))),
+        Binary("lt", Ref(X), rconst(1e30)),
+        Binary("pow", Ref(X), iconst(2)),
+    ):
+        assert_column_matches(tree, rows)
+    # past the float range the mixed operations raise, per case and by columns
+    assert_column_matches(Binary("add", Ref(X), rconst(1.0)), rows_over(X, [E.VInt(10**400)]))
+
+
+def test_pow_with_negative_and_fractional_exponents():
+    bases = [E.VInt(i) for i in (-8, -2, 0, 2, 4)] + [E.VReal(r) for r in (-8.0, 0.0, 2.25)]
+    rows = rows_over(X, bases)
+    for exponent in (iconst(2), iconst(-1), iconst(0), rconst(0.5), rconst(-0.5), rconst(2.0), rconst(-1.0)):
+        for tree in (Binary("pow", Ref(X), exponent), Binary("pow", exponent, Ref(X))):
+            assert_column_matches(tree, rows)
+    # each erroring base alone: zero to a negative power, negative to a fraction
+    for base, exponent in ((iconst(0), iconst(-1)), (rconst(0.0), rconst(-1.0)), (iconst(-8), rconst(0.5))):
+        assert_column_matches(Binary("pow", base, exponent), rows[:1])
+
+
+def test_eq_needs_comparable_kinds():
+    rows = rows_over(B, [E.VBool(False), E.VBool(True)])
+    for tree in (
+        Binary("eq", Ref(B), iconst(1)),
+        Binary("eq", iconst(0), Ref(B)),
+        Binary("eq", Ref(B), rconst(1.0)),
+        Binary("eq", Ref(B), sconst("true")),
+    ):
+        assert per_case(tree, rows) is None  # a bool is not an int here
+        assert_column_matches(tree, rows)
+    assert_column_matches(Binary("eq", Ref(B), bconst(True)), rows)
+    assert_column_matches(Binary("eq", sconst("a"), sconst("a")), rows)
+    assert_column_matches(Binary("eq", iconst(1), rconst(1.0)), rows)
+
+
+def test_booleans_are_not_numbers():
+    rows = rows_over(B, [E.VBool(False), E.VBool(True)])
+    for tree in (
+        Binary("add", Ref(B), iconst(1)),
+        Binary("lt", Ref(B), iconst(1)),
+        Binary("min", Ref(B), rconst(0.5)),
+        Binary("mod", Ref(B), iconst(2)),
+        Unary("neg", Ref(B)),
+        MaxIntervenedIndex("S", Ref(B), iconst(0)),
+    ):
+        assert per_case(tree, rows) is None
+        assert_column_matches(tree, rows)
+
+
+def test_every_value_is_checked_against_its_domain():
+    def model(domain, equation, atoms=()):
+        return Scm(
+            name="domains",
+            endogenous=(EndoVar(Y, domain, equation),),
+            exogenous=(ExoVar(X, IntDomain(0, 2), UniformFinite(tuple(E.VInt(i) for i in range(3)))),),
+            interventions=InterventionSpace.power_set(atoms),
+        )
+
+    inputs = [{X: E.VInt(i)} for i in range(3)]
+    empty = InterventionSet.empty()
+    every = [(u, empty) for u in inputs]
+    cases = [
+        (model(IntDomain(0, 1), Binary("add", Ref(X), iconst(0))), every),
+        (model(IntDomain(0, 2), Binary("lt", Ref(X), iconst(1))), every),
+        (model(BoolDomain(), Ref(X)), every),
+        (model(RealDomain(0.0, 1.5), Ref(X)), every),
+        (model(RealDomain(None, 5.0), Binary("mul", Ref(X), rconst(3.0))), every),
+        # a forced value is checked too
+        (model(IntDomain(0, 2), Ref(X), [(Y, [E.VInt(7)])]), [(inputs[0], InterventionSet.of({Y: E.VInt(7)}))]),
+        # and so is every input
+        (model(IntDomain(0, 9), Ref(X)), [({X: E.VInt(5)}, empty)]),
+        (model(IntDomain(0, 9), Ref(X)), [({X: E.VBool(True)}, empty)]),
+    ]
+    for scm, rows in cases:
+        with pytest.raises(DomainError):
+            for u, iv in rows:
+                eval_scm(scm, u, iv, check_membership=False)
+        with pytest.raises(C.Unsupported):
+            C.scm_columns(scm, C.Cases([u for u, _ in rows], [iv for _, iv in rows]), frozenset({Y}))
+    # values inside their domains pass, an int carrying a real included
+    fine = model(RealDomain(0.0, 2.0), Ref(X))
+    assert_model_columns(fine, every)
+
+
+def test_intervention_queries_see_only_the_visible_atoms():
+    S = [VarRef("S", i) for i in range(1, 6)]
+    sets = [
+        InterventionSet.empty(),
+        InterventionSet.of({S[0]: E.VBool(True)}),
+        InterventionSet.of({S[1]: E.VBool(False), S[3]: E.VBool(True)}),
+        InterventionSet.of({S[2]: E.VBool(True), S[4]: E.VBool(False)}),
+        InterventionSet.of({s: E.VBool(True) for s in S}),
+    ]
+    rows = [({X: E.VInt(i)}, iv) for i in (1, 3, 5) for iv in sets]
+    trees = [
+        ExistsIntervention("S"),
+        ExistsIntervention("S", lo=2, hi=4),
+        ExistsIntervention("S", value=E.VBool(True)),
+        ExistsIntervention("S", hi=3, value=E.VBool(False)),
+        MaxIntervenedIndex("S", Ref(X), iconst(-1)),
+        MaxIntervenedIndex("S", iconst(5), Ref(X)),
+        IfThenElse(IsIntervened(S[3]), InterventionValue(S[3]), bconst(False)),
+        InterventionValue(S[1], Binary("lt", Ref(X), iconst(2))),
+    ]
+    for visible in (None, frozenset(S[1:4]), frozenset(S) - {S[3]}, frozenset()):
+        for tree in trees:
+            assert_column_matches(tree, rows, visible)
+
+
+def test_clusters_see_their_own_atoms_minus_the_dropped_ones():
+    # the dominoes closed form asks whether any stone of its cluster is forced
+    entry = zoo.dominoes(6)
+    cons = entry.reference_consolidated()
+    rows = case_rows(entry.scm, 1)
+    assert any(iv.has(VarRef("S", 1)) for _, iv in rows)  # an atom outside the cluster
+    assert_consolidated_columns(cons, rows)
+    for dropped in ({VarRef("S", 3)}, {VarRef("S", 1), VarRef("S", 6)}):
+        assert_consolidated_columns(replace(cons, dropped_atom_vars=frozenset(dropped)), rows)
+    # and the tool-wear closed form asks for the latest reset of its own stones
+    entry = zoo.tool_wear(5)
+    cons = entry.reference_consolidated()
+    rows = case_rows(entry.scm, 2)
+    assert_consolidated_columns(cons, rows)
+    assert_consolidated_columns(replace(cons, dropped_atom_vars=frozenset({VarRef("S", 4)})), rows)
+
+
+# ---------------------------------------------------------------------------
+# Comparison, and the verdicts built on it
+# ---------------------------------------------------------------------------
+
+
+def test_first_disagreement_matches_the_per_case_comparison():
+    import random
+
+    pool = [
+        E.VInt(0), E.VInt(1), E.VInt(2**70), E.VReal(0.0), E.VReal(-0.0), E.VReal(1.0),
+        E.VReal(1.0 + 1e-12), E.VReal(1.5), E.VReal(math.nan), E.VReal(math.inf),
+        E.VBool(True), E.VBool(False), E.VSym("a"), E.VSym("b"),
+    ]
+    rng = random.Random(5)
+    targets = [VarRef("T", i) for i in range(3)]
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        base = [[rng.choice(pool) for _ in targets] for _ in range(n)]
+        cons = [[v if rng.random() < 0.7 else rng.choice(pool) for v in row] for row in base]
+        tolerance = rng.choice([0.0, 1e-9, 0.7, -1.0])
+        worst, first = 0.0, None
+        for k in range(n):
+            bad, dev = Q._first_mismatch(base[k], cons[k], tolerance)
+            if bad is not None:
+                first = k
+                break
+            worst = max(worst, dev)
+        want = {t: [C.raw(row[j]) for row in base] for j, t in enumerate(targets)}
+        got = {t: [C.raw(row[j]) for row in cons] for j, t in enumerate(targets)}
+        assert C.first_disagreement(targets, want, got, tolerance, 0, n) == (first, worst)
+        if tolerance >= 0:  # a column compared with itself never disagrees
+            assert C.first_disagreement(targets, want, want, tolerance, 0, n) == (None, 0.0)
+
+
+def loop_only(monkeypatch):
+    """Make every column walk raise, so verdicts come from the per-case loop alone."""
+
+    def unsupported(*args, **kwargs):
+        raise C.Unsupported("disabled")
+
+    monkeypatch.setattr(Q.C, "scm_columns", unsupported)
+    monkeypatch.setattr(Q, "gate_columns", unsupported)
+
+
+def test_reports_equal_the_per_case_loop(monkeypatch):
+    checks = []
+    for seed in range(40):
+        scm = random_model(seed, max_endo=8, max_domain=4)
+        cons = consolidate(scm, random_partition(scm, seed + 5), scm.endo_vars()[-2:])
+        strategy = EquivalenceStrategy.sampled(count=64, seed=seed)
+        checks.append((scm, cons, scm.endo_vars()[-2:], strategy))
+        checks.append((scm, cons, scm.endo_vars()[-2:], EquivalenceStrategy.exhaustive(intervention_budget=512)))
+    for entry in (zoo.dominoes(5), zoo.tool_wear(6), zoo.firing_squad(4)):
+        sampled = EquivalenceStrategy.sampled(count=64, seed=2)
+        checks.append((entry.scm, entry.consolidated(), entry.targets, sampled))
+        checks.append((entry.scm, entry.reference_consolidated(), entry.targets, sampled))
+    # the broken rewrites of the verifier's mutation suite, in whole models
+    from test_verification import BROKEN_REWRITES
+
+    entry = zoo.step_by_step()
+    good = entry.consolidated()
+    for _, mutate in BROKEN_REWRITES:
+        first, *rest = good.clusters  # cluster 0 computes F and G
+        broken = replace(first, ccv=replace(first.ccv, rho=mutate(dict(first.ccv.rho))))
+        cons = replace(good, clusters=(broken, *rest))
+        checks.append((entry.scm, cons, entry.targets, EquivalenceStrategy.exhaustive()))
+    by_columns = [verify_equivalence(*check) for check in checks]
+    assert sum(r.verdict == "counterexample" for r in by_columns) >= len(BROKEN_REWRITES)
+    loop_only(monkeypatch)
+    assert [verify_equivalence(*check) for check in checks] == by_columns
+
+
+def partial_model(divisor: E.Expr) -> Scm:
+    """`Y = 1 div divisor` with `X` in {0, 1}, and `Z = Y + 1`."""
+    return Scm(
+        name="partial",
+        endogenous=(
+            EndoVar(Y, IntDomain(-5, 5), Binary("div", iconst(1), divisor)),
+            EndoVar(Z, IntDomain(-5, 6), Binary("add", Ref(Y), iconst(1))),
+        ),
+        exogenous=(ExoVar(X, IntDomain(0, 1), UniformFinite((E.VInt(0), E.VInt(1)))),),
+        interventions=InterventionSpace.power_set([(Y, [E.VInt(1)])]),
+    )
+
+
+def test_partial_equations_raise_the_per_case_error(monkeypatch):
+    from scmc.partition import Partition
+
+    scm = partial_model(Ref(X))
+    partition = Partition.of([[Y, Z]])
+    with pytest.raises(DivisionByZeroError, match="^division by zero$"):
+        consolidate(scm, partition, [Z])
+    plain = consolidate(scm, partition, [Z], clusters_to_consolidate=set())
+    with pytest.raises(DivisionByZeroError) as by_columns:
+        verify_equivalence(scm, plain, [Z])
+    loop_only(monkeypatch)
+    with pytest.raises(DivisionByZeroError) as by_loop:
+        verify_equivalence(scm, plain, [Z])
+    assert str(by_columns.value) == str(by_loop.value) == "division by zero"
+
+
+def test_a_counterexample_before_an_erroring_case_is_reported():
+    from scmc.consolidation import Ccv, attach_ccvs
+    from scmc.partition import Partition
+
+    # Y = 1 div (1 - X): the case X = 1 raises, and comes after X = 0
+    scm = partial_model(Binary("sub", iconst(1), Ref(X)))
+    partition = Partition.of([[Y, Z]])
+    plain = consolidate(scm, partition, [Z], clusters_to_consolidate=set())
+    with pytest.raises(DivisionByZeroError):
+        verify_equivalence(scm, plain, [Z])
+    space = plain.clusters[0].sub.interventions
+    wrong = attach_ccvs(plain, {0: Ccv((Z,), {Z: iconst(5)}, space, 0)})
+    report = verify_equivalence(scm, wrong, [Z])
+    assert report.verdict == "counterexample"
+    assert report.cases_checked == 1
+    assert report.counterexample.u == ((X, E.VInt(0)),)
+    assert (report.counterexample.base_value, report.counterexample.ccv_value) == (E.VInt(2), E.VInt(5))
+    # the gate keeps the same order: the mismatch on the first case wins
+    sub = extract_sub_scm(scm, [Y, Z])
+    inverse = Binary("div", iconst(1), Binary("sub", iconst(1), Ref(X)))
+    built = Ccv((Z,), {Z: Binary("add", inverse, iconst(1))}, sub.interventions, 0)
+    five = Ccv((Z,), {Z: iconst(5)}, sub.interventions, 0)
+    gate = verify_pass(built, five, sub, EquivalenceStrategy.exhaustive())
+    assert gate.verdict == "counterexample" and gate.cases_checked == 1
+    with pytest.raises(DivisionByZeroError):
+        verify_pass(built, built, sub, EquivalenceStrategy.exhaustive())
+
+
+def test_gate_reports_equal_the_per_case_loop(monkeypatch):
+    from test_verification import BROKEN_REWRITES
+    from scmc.consolidation import Ccv, build_rho, run_passes
+
+    entry = zoo.step_by_step()
+    sub = extract_sub_scm(entry.scm, [VarRef("E"), VarRef("F"), VarRef("G")])
+    built, _ = build_rho(sub, [VarRef("F"), VarRef("G")])
+    good = run_passes(built, sub, PassConfig())
+    broken = [Ccv(good.targets, m(dict(good.rho)), good.interventions, 0) for _, m in BROKEN_REWRITES]
+    candidates = [good, built] + broken
+    strategies = [EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)]
+    by_columns = [verify_pass(good, c, sub, s) for s in strategies for c in candidates]
+    loop_only(monkeypatch)
+    assert [verify_pass(good, c, sub, s) for s in strategies for c in candidates] == by_columns
+
+
+def test_gate_columns_match_eval_ccv():
+    from scmc.consolidation import build_rho
+
+    entry = zoo.platformer()
+    for cluster in entry.partition.clusters:
+        sub = extract_sub_scm(entry.scm, cluster)
+        cases, _, _ = Q._gate_cases(sub, Q.gate_strategy_for(sub, PassConfig()))
+        ccv, _ = build_rho(sub, sorted(cluster, key=E.ref_sort_key))
+        cols = Q.gate_columns(ccv, C.Cases([e for e, _ in cases], [iv for _, iv in cases]), sub)
+        want = [eval_ccv(ccv, env, iv) for env, iv in cases]
+        for t in ccv.targets:
+            assert column_values(cols[t]) == reprs(out[t] for out in want)

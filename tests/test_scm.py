@@ -1,5 +1,6 @@
 """Model validation, graph derivation, kin queries, reparameterization."""
 
+import itertools
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from helpers import oracle_sample_power_set, random_model
 from scmc import expr as E
 from scmc import zoo
-from scmc.errors import EnumerationTooLargeError, UnknownVariableError
+from scmc.errors import DomainError, EnumerationTooLargeError, UnknownVariableError
 from scmc.evaluation import sample_exogenous
 from scmc.expr import Binary, BoolDomain, IntDomain, RealDomain, Ref, VarRef, iconst
 from scmc.scm import (
@@ -276,13 +277,10 @@ class TestInterventionSpace:
                 for combo in it.combinations(s.assignments, r):
                     assert InterventionSet(tuple(combo)) in sets
 
-    def test_power_set_sample_matches_per_atom_stream(self):
-        """One bounds-array draw per set consumes the generator exactly like
-        one scalar draw per atom, interleaved with other draws too."""
-        from scmc.evaluation import make_rng
-
+    @staticmethod
+    def power_set_spaces() -> list[InterventionSpace]:
         X, Y = VarRef("X"), VarRef("Y")
-        spaces = [
+        return [
             InterventionSpace.power_set([]),
             InterventionSpace.power_set([(X, [])]),
             InterventionSpace.power_set([(X, [E.VBool(True)])]),
@@ -291,6 +289,13 @@ class TestInterventionSpace:
             zoo.firing_squad(4).scm.interventions,
             zoo.tool_wear(36).scm.interventions,
         ]
+
+    def test_power_set_sample_matches_per_atom_stream(self):
+        """One bounds-array draw per set consumes the generator exactly like
+        one scalar draw per atom, interleaved with other draws too."""
+        from scmc.evaluation import make_rng
+
+        spaces = self.power_set_spaces()
         for space in spaces:
             assert space.mode == "power_set"
             for seed in (0, 1, 7, 13):
@@ -300,6 +305,37 @@ class TestInterventionSpace:
                     assert ours.random() == theirs.random()
                     assert ours.standard_normal() == theirs.standard_normal()
                     assert ours.integers(2**40) == theirs.integers(2**40)
+
+    def test_power_set_members_are_built_without_sorting(self):
+        """Spaces whose atoms are canonical build drawn and enumerated sets
+        from shared pairs; the sets equal `InterventionSet.of` of the same
+        pairs, and the stream moves exactly as one scalar draw per atom."""
+        from scmc.evaluation import make_rng
+
+        for space in self.power_set_spaces():
+            assert space._atom_pairs[1] is InterventionSet
+            for seed in (0, 7):
+                ours, theirs = make_rng(seed), make_rng(seed)
+                for _ in range(20):
+                    drawn = space.sample(ours)
+                    assert drawn == InterventionSet.of(list(drawn.assignments))
+                    assert drawn == oracle_sample_power_set(space, theirs)
+                    assert ours.integers(2**40) == theirs.integers(2**40)
+            if space.size() <= 4096:
+                options = [[None] + [(v, val) for val in vals] for v, vals in space.atoms]
+                want = [InterventionSet.of([p for p in combo if p]) for combo in itertools.product(*options)]
+                assert space.enumerate(4096) == want
+        # the constructor takes atoms in any order: those spaces sort and check
+        X, Y = VarRef("X"), VarRef("Y")
+        unsorted = InterventionSpace("power_set", ((Y, (E.VInt(1),)), (X, (E.VInt(0),))))
+        repeated = InterventionSpace("power_set", ((X, (E.VInt(0),)), (X, (E.VInt(1),))))
+        assert unsorted._atom_pairs[1] == repeated._atom_pairs[1] == InterventionSet.of
+        rng, oracle = make_rng(3), make_rng(3)
+        for _ in range(20):
+            assert unsorted.sample(rng) == oracle_sample_power_set(unsorted, oracle)
+        assert unsorted.enumerate()[-1].assignments == ((X, E.VInt(0)), (Y, E.VInt(1)))
+        with pytest.raises(DomainError):
+            repeated.enumerate()
 
     def test_sampling_is_deterministic(self):
         from scmc.evaluation import make_rng

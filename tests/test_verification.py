@@ -158,17 +158,23 @@ class TestVerifyEquivalence:
         assert report.verdict == "inconclusive"
 
 
-def count_evals(monkeypatch) -> list:
-    """Every Ccv the gate evaluates from now on, one entry per case."""
-    seen = []
-    real = Q.eval_ccv
+def count_evals(monkeypatch) -> tuple[list, list]:
+    """Every Ccv the gate evaluates from now on: one entry per case evaluated
+    on its own, and one per column walk over the whole case list."""
+    cases, walks = [], []
+    real_eval, real_walk = Q.eval_ccv, Q.gate_columns
 
     def counting(ccv, *args, **kwargs):
-        seen.append(ccv)
-        return real(ccv, *args, **kwargs)
+        cases.append(ccv)
+        return real_eval(ccv, *args, **kwargs)
+
+    def walking(ccv, *args, **kwargs):
+        walks.append(ccv)
+        return real_walk(ccv, *args, **kwargs)
 
     monkeypatch.setattr(Q, "eval_ccv", counting)
-    return seen
+    monkeypatch.setattr(Q, "gate_columns", walking)
+    return cases, walks
 
 
 def test_sample_local_cases_matches_per_atom_stream():
@@ -229,13 +235,13 @@ class TestVerifyPass:
         built, _ = build_rho(sub, [VarRef("F"), VarRef("G")])
         n = local_case_count(sub)
         assert n > 8
-        seen = count_evals(monkeypatch)
+        seen, walks = count_evals(monkeypatch)
         small = EquivalenceStrategy.exhaustive(intervention_budget=8, exogenous_budget=8)
         report = verify_pass(built, built, sub, small)
         assert report.verdict == "inconclusive"
         assert report.cases_checked == 0
         assert f"{n} cases" in report.message
-        assert seen == []
+        assert seen == [] and walks == []
         # the larger of the two budgets applies, as in verify_equivalence
         fits = EquivalenceStrategy.exhaustive(intervention_budget=8, exogenous_budget=n)
         assert verify_pass(built, built, sub, fits).cases_checked == n
@@ -365,37 +371,45 @@ class TestGateMemo:
     def test_accepted_candidate_is_not_evaluated_again(self, monkeypatch):
         sub, good, candidates = self.walkthrough_cluster()
         built = candidates[1]
-        seen = count_evals(monkeypatch)
+        seen, walks = count_evals(monkeypatch)
         for strategy in (EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)):
             memo = GateMemo()
             assert verify_pass(built, good, sub, strategy, memo).equal
             for after in candidates:
                 fresh = verify_pass(good, after, sub, strategy)
                 seen.clear()
+                walks.clear()
                 shared = verify_pass(good, after, sub, strategy, memo)
-                # only `after` is evaluated: `good` left its values behind
-                assert len(seen) == shared.cases_checked
-                assert all(c is after for c in seen)
+                # only `after` is evaluated: `good` left its columns behind
+                assert all(c is after for c in seen + walks)
+                assert len(walks) <= 1 and len(seen) <= shared.cases_checked
+                if shared.equal:
+                    # one walk settles every case after the leading ones
+                    assert len(walks) == 1 and len(seen) == Q._PROBE_CASES
                 assert shared == fresh
 
     def test_rejected_candidate_is_not_evaluated_again(self, monkeypatch):
         sub, good, candidates = self.walkthrough_cluster()
         broken = candidates[2:]
-        seen = count_evals(monkeypatch)
+        seen, walks = count_evals(monkeypatch)
         for strategy in (EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)):
             fresh = [verify_pass(good, b, sub, strategy) for b in broken]
             memo = GateMemo()
             first = [verify_pass(good, b, sub, strategy, memo, ("mutant", i)) for i, b in enumerate(broken)]
             seen.clear()
+            walks.clear()
             again = [verify_pass(good, b, sub, strategy, memo, ("mutant", i)) for i, b in enumerate(broken)]
-            assert seen == []
+            assert seen == [] and walks == []
             assert again == first == fresh
             assert all(r.verdict == "counterexample" for r in again)
             # a new `before` forgets the rejections recorded against the old one
             assert verify_pass(candidates[1], good, sub, strategy, memo).equal
             seen.clear()
+            walks.clear()
             assert verify_pass(good, broken[0], sub, strategy, memo, ("mutant", 0)) == fresh[0]
-            assert len(seen) == fresh[0].cases_checked
+            assert seen and all(c is broken[0] for c in seen + walks)
+            # the counterexample's own case is evaluated on its own
+            assert len(seen) <= fresh[0].cases_checked and len(walks) <= 1
 
     def test_equal_comparing_candidates_keep_their_own_verdicts(self, monkeypatch):
         X, T = VarRef("X"), VarRef("T")
@@ -413,11 +427,11 @@ class TestGateMemo:
         assert plus == minus and hash(plus.rho[T]) == hash(minus.rho[T])
         strategy = EquivalenceStrategy.exhaustive()
         memo = GateMemo()
-        seen = count_evals(monkeypatch)
+        seen, walks = count_evals(monkeypatch)
         assert verify_pass(before, plus, sub, strategy, memo, ("absorb", T, 0)).verdict == "counterexample"
         seen.clear()
         report = verify_pass(before, minus, sub, strategy, memo, ("absorb", T, 1))
-        assert seen == [minus]
+        assert seen == [minus] and walks == []
         assert math.copysign(1.0, report.counterexample.ccv_value.r) == -1.0
         assert str(report.counterexample) == str(verify_pass(before, minus, sub, strategy).counterexample)
 
@@ -473,18 +487,19 @@ class TestGateMemo:
             cons = consolidate(entry.scm, entry.partition, entry.targets, {1})
             return D.to_json(D.consolidated_to_doc(cons)), cons.report.passes, cons.report.rejected
 
-        seen = count_evals(monkeypatch)
+        seen, walks = count_evals(monkeypatch)
         shared = run()
-        shared_evals = len(seen)
+        shared_evals, shared_walks = len(seen), len(walks)
         real = Q.verify_pass
         monkeypatch.setattr(
             Q, "verify_pass", lambda before, after, sub, strategy, memo=None, key=None: real(before, after, sub, strategy)
         )
         seen.clear()
+        walks.clear()
         fresh = run()
         assert shared == fresh
         assert [e.pass_name for e in shared[2]].count("absorb") > 0
-        assert shared_evals < len(seen)
+        assert shared_evals < len(seen) and shared_walks < len(walks)
 
 
 def _stack_depth() -> int:

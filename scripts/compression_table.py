@@ -4,7 +4,7 @@
 For each model: per-cluster node counts of the freshly inlined equations vs
 the pass-minimized ones, the variables marginalized away, the intervention
 atoms dropped, and the verification verdict of the final model against its
-base.
+base.  Exits with status 1 when any verdict is not "equal".
 
 Usage: python scripts/compression_table.py
 """
@@ -25,6 +25,7 @@ def main() -> int:
         ("platformer", zoo.platformer),
     ]
     print(f"{'model':<18} {'cluster':>7} {'before':>7} {'after':>6} {'saved':>6}  verdict")
+    not_equal = []
     for label, build in builders:
         entry = build()
         started = time.perf_counter()
@@ -36,6 +37,8 @@ def main() -> int:
         )
         verdict = verify_equivalence(entry.scm, cons, entry.targets, strategy).verdict
         elapsed = time.perf_counter() - started
+        if verdict != "equal":
+            not_equal.append(label)
         for c in cons.report.clusters:
             saved = c.nodes_before - c.nodes_after
             print(
@@ -49,6 +52,9 @@ def main() -> int:
         if cons.report.atoms_dropped:
             gone = ", ".join(str(v) for v in cons.report.atoms_dropped)
             print(f"{'':<18} atoms dropped on: {gone}")
+    if not_equal:
+        print(f"not equal: {', '.join(not_equal)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -213,66 +213,6 @@ def _restrict(scm: Scm, keep: Iterable[VarRef]) -> Scm:
     return replace(scm, endogenous=tuple(r for r in scm.endogenous if r.var in ks))
 
 
-def prune_childless_consolidated(
-    cons: ConsolidatedScm, targets: Iterable[VarRef]
-) -> tuple[ConsolidatedScm, list[VarRef], list[VarRef]]:
-    """Childless pruning over an already consolidated model.
-
-    Only passthrough clusters can shed variables (a compositional cluster's
-    targets are all required by construction); consumers are equations within
-    the same cluster and later clusters' local inputs.
-    """
-    tset = set(targets)
-    computed = set(cons.computed_vars())
-    for t in tset:
-        if t not in computed:
-            raise InvalidTargetError(f"{t} is not computed by the model")
-    removed: list[VarRef] = []
-    clusters = list(cons.clusters)
-    while True:
-        needed = set(tset)
-        for c in clusters:
-            needed.update(c.sub.local_exogenous)
-            if isinstance(c, CcvCluster):
-                needed.update(c.ccv.targets)
-                for tree in c.ccv.rho.values():
-                    needed.update(E.free_refs(tree))
-            else:
-                for tree in c.sub.equations.values():
-                    needed.update(E.free_refs(tree))
-        dropped_now = []
-        for ci, c in enumerate(clusters):
-            if isinstance(c, CcvCluster):
-                continue
-            for v in c.sub.order:
-                if v not in needed:
-                    dropped_now.append((ci, v))
-        if not dropped_now:
-            break
-        for ci, v in dropped_now:
-            c = clusters[ci]
-            sub = c.sub
-            clusters[ci] = PassthroughCluster(
-                c.index,
-                replace(
-                    sub,
-                    cluster=sub.cluster - {v},
-                    order=tuple(x for x in sub.order if x != v),
-                    equations={k: e for k, e in sub.equations.items() if k != v},
-                ),
-            )
-            removed.append(v)
-        clusters = [c for c in clusters if c.sub.order]
-    had_atoms = [v for v in removed if cons.interventions.atom_values(v)]
-    pruned = replace(
-        cons,
-        clusters=tuple(clusters),
-        interventions=cons.interventions.drop_atoms(removed),
-        dropped_atom_vars=cons.dropped_atom_vars | frozenset(removed),
-    )
-    return pruned, removed, had_atoms
-
-
 # ---------------------------------------------------------------------------
 # Building the compositional equations
 # ---------------------------------------------------------------------------
@@ -437,27 +377,28 @@ def run_passes(
                 continue
             # one application sweeps every target, then the gate runs once
             fn = P.PURE_PASSES[pass_name]
+            ctx = P.PassContext(
+                env_images=env_images,
+                space=current.interventions,
+                var_kinds=var_kinds,
+                inverse_rules=inverse_rules,
+            )
             new_rho: dict[VarRef, Expr] = {}
             removed_total = 0
             guards_total = 0
-            for pos, target in enumerate(current.targets):
-                ctx = P.PassContext(
-                    env_images=env_images,
-                    space=current.interventions,
-                    var_kinds=var_kinds,
-                    inverse_rules=inverse_rules,
-                    earlier_targets={t: new_rho[t] for t in current.targets[:pos]},
-                )
+            for target in current.targets:
+                ctx.stats = P.PassStats()
                 before_tree = current.rho[target]
                 candidate = fn(before_tree, ctx)
                 removed = node_count(before_tree) - node_count(candidate)
                 if candidate == before_tree or removed < 0:
-                    new_rho[target] = before_tree
-                    continue
+                    candidate = before_tree
+                else:
+                    removed_total += removed
+                    guards_total += ctx.stats.guards_dropped
                 new_rho[target] = candidate
-                removed_total += removed
-                guards_total += ctx.stats.guards_dropped
-            if all(new_rho[t] == current.rho[t] for t in current.targets):
+                ctx.add_earlier_target(target, candidate)
+            if all(new_rho[t] is current.rho[t] for t in current.targets):
                 continue
             trial = replace(current, rho=new_rho)
             if gated(trial, pass_name, None, removed_total, guards_total, (pass_name,)):

@@ -1,9 +1,12 @@
 """Typed expression trees for structural equations and consolidated equations.
 
 Every structural equation, every consolidation function and every rewrite
-pass operates on the node types defined here.  Trees are immutable; sharing
-a subtree between two expressions is allowed but rewrites always build fresh
-nodes, so one expression never observes mutation through another.
+pass operates on the node types defined here.  Trees are immutable, so
+rewrites share subtrees freely: `map_children` copies only the path to what
+changed and hands back every untouched node as the same object.  Each node
+computes its size (`node_count`) and its hash once, on first use, and keeps
+them for as long as it lives; nodes are never merged, so two equal nodes stay
+two objects.
 
 Besides the usual arithmetic/boolean operators the IR carries four
 intervention primitives (`IsIntervened`, `InterventionValue`,
@@ -15,8 +18,9 @@ forced to a value.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Mapping, Optional, Union
+from dataclasses import FrozenInstanceError, dataclass, fields
+from operator import attrgetter
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import DivisionByZeroError, DomainError, NonDeterministicModelError, UnboundRefError
 
@@ -255,16 +259,64 @@ def parse_var_name(text: str) -> VarRef:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Base of the expression node classes: two cache slots, not dataclass
+    fields, so they are never compared, printed or written to documents.
+
+    `_size` holds `node_count` and `_hash` the hash of the field tuple; each
+    is filled with `object.__setattr__` on first use.  Reading an unfilled
+    slot raises AttributeError.
+    """
+
+    __slots__ = ("_size", "_hash")
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+
+def _node(cls):
+    """Make `cls` a slotted frozen dataclass whose hash is computed once.
+
+    The hash is the dataclass's own, the hash of the field tuple, so values
+    are unchanged; only repeat calls are saved.  The tuple is read in C, so a
+    deep tree costs one Python frame per level to hash, as before.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    field_tuple = attrgetter(*names)  # a bare value, not a tuple, for one name
+    single = len(names) == 1
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            key = field_tuple(self)
+            h = hash((key,) if single else key)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    # the dataclass's own frozen guards name the class they were made for,
+    # which `slots=True` replaces: on Python 3.11 assigning a name that is
+    # not a field raises TypeError through them
+    cls.__setattr__ = _Node.__setattr__
+    cls.__delattr__ = _Node.__delattr__
+    return cls
+
+
+@_node
+class Const(_Node):
     value: Value
 
     def _eval(self, env, iv, rng):
         return self.value
 
 
-@dataclass(frozen=True)
-class Ref:
+@_node
+class Ref(_Node):
     var: VarRef
 
     def _eval(self, env, iv, rng):
@@ -273,8 +325,8 @@ class Ref:
         return env[self.var]
 
 
-@dataclass(frozen=True)
-class Unary:
+@_node
+class Unary(_Node):
     op: str  # "neg" | "not"
     operand: "Expr"
 
@@ -286,8 +338,8 @@ class Unary:
         raise DomainError(f"unknown unary operator {self.op!r}")
 
 
-@dataclass(frozen=True)
-class Binary:
+@_node
+class Binary(_Node):
     op: str  # add sub mul div pow mod min max lt le eq and or
     left: "Expr"
     right: "Expr"
@@ -303,8 +355,8 @@ class Binary:
         return _apply_binary(op, self.left._eval(env, iv, rng), self.right._eval(env, iv, rng))
 
 
-@dataclass(frozen=True)
-class IfThenElse:
+@_node
+class IfThenElse(_Node):
     cond: "Expr"
     then: "Expr"
     orelse: "Expr"
@@ -315,8 +367,8 @@ class IfThenElse:
         return self.orelse._eval(env, iv, rng)
 
 
-@dataclass(frozen=True)
-class CaseList:
+@_node
+class CaseList(_Node):
     """Ordered guard->expression pairs with first-match semantics.
 
     Guards may overlap; the first guard that evaluates to true selects the
@@ -333,8 +385,8 @@ class CaseList:
         return self.default._eval(env, iv, rng)
 
 
-@dataclass(frozen=True)
-class IsIntervened:
+@_node
+class IsIntervened(_Node):
     """True iff the active intervention set contains an atom on `var`."""
 
     var: VarRef
@@ -343,8 +395,8 @@ class IsIntervened:
         return _TRUE if self.var in iv else _FALSE
 
 
-@dataclass(frozen=True)
-class InterventionValue:
+@_node
+class InterventionValue(_Node):
     """The value forced onto `var`, else the fallback when not intervened.
 
     The fallback may be omitted when the node is guarded by an
@@ -364,8 +416,8 @@ class InterventionValue:
         return self.fallback._eval(env, iv, rng)
 
 
-@dataclass(frozen=True)
-class ExistsIntervention:
+@_node
+class ExistsIntervention(_Node):
     """True iff some atom on the named family matches index range and value."""
 
     family: str
@@ -388,8 +440,8 @@ class ExistsIntervention:
         return _FALSE
 
 
-@dataclass(frozen=True)
-class MaxIntervenedIndex:
+@_node
+class MaxIntervenedIndex(_Node):
     """Largest intervened index of the family that is <= `upper`, else `default`."""
 
     family: str
@@ -409,8 +461,8 @@ class MaxIntervenedIndex:
         return VInt(best) if best is not None else self.default._eval(env, iv, rng)
 
 
-@dataclass(frozen=True)
-class RandomBernoulli:
+@_node
+class RandomBernoulli(_Node):
     """Non-deterministic draw; true with probability 1 - p under the
     evaluation convention ``draw = (p < r)`` with r uniform on [0, 1).
 
@@ -485,14 +537,27 @@ def node_count(e: Expr) -> int:
     children.  The intervention primitives additionally count their variable
     or family slot as one leaf, so ``IsIntervened(V)`` weighs the same as a
     negated reference would.
+
+    Computed once per node and kept on it; a subtree shared by several trees
+    is counted once.
     """
-    match e:
-        case Const() | Ref():
-            return 1
-        case IsIntervened() | InterventionValue() | ExistsIntervention() | MaxIntervenedIndex():
-            return 2 + sum(node_count(c) for c in children(e))
-        case _:
-            return 1 + sum(node_count(c) for c in children(e))
+    try:
+        return e._size
+    except AttributeError:
+        n = _size_of(e)
+        object.__setattr__(e, "_size", n)
+        return n
+
+
+_SLOTTED_PRIMITIVES = (IsIntervened, InterventionValue, ExistsIntervention, MaxIntervenedIndex)
+
+
+def _size_of(e: Expr) -> int:
+    """One node's size from its children's; `node_count` caches the result."""
+    n = 2 if isinstance(e, _SLOTTED_PRIMITIVES) else 1
+    for c in children(e):
+        n += node_count(c)
+    return n
 
 
 def free_refs(e: Expr) -> set[VarRef]:
@@ -502,15 +567,17 @@ def free_refs(e: Expr) -> set[VarRef]:
     value, so their variable slots do not appear here.
     """
     out: set[VarRef] = set()
-
-    def walk(x: Expr):
-        if isinstance(x, Ref):
-            out.add(x.var)
-        for c in children(x):
-            walk(c)
-
-    walk(e)
+    _add_free_refs(e, out)
     return out
+
+
+def _add_free_refs(x: Expr, out: set[VarRef]) -> None:
+    # a module-level walker, not a closure: a recursive closure is a reference
+    # cycle, and would keep `out` alive until the cyclic collector runs
+    if isinstance(x, Ref):
+        out.add(x.var)
+    for c in children(x):
+        _add_free_refs(c, out)
 
 
 def intervention_queries(e: Expr) -> set[VarRef]:
@@ -519,18 +586,18 @@ def intervention_queries(e: Expr) -> set[VarRef]:
     Family queries are reported as index-less refs.
     """
     out: set[VarRef] = set()
-
-    def walk(x: Expr):
-        match x:
-            case IsIntervened(v) | InterventionValue(v, _):
-                out.add(v)
-            case ExistsIntervention(family=f) | MaxIntervenedIndex(family=f):
-                out.add(VarRef(f))
-        for c in children(x):
-            walk(c)
-
-    walk(e)
+    _add_intervention_queries(e, out)
     return out
+
+
+def _add_intervention_queries(x: Expr, out: set[VarRef]) -> None:
+    match x:
+        case IsIntervened(v) | InterventionValue(v, _):
+            out.add(v)
+        case ExistsIntervention(family=f) | MaxIntervenedIndex(family=f):
+            out.add(VarRef(f))
+    for c in children(x):
+        _add_intervention_queries(c, out)
 
 
 def contains_draw(e: Expr) -> bool:
@@ -539,37 +606,65 @@ def contains_draw(e: Expr) -> bool:
     return any(contains_draw(c) for c in children(e))
 
 
+def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """`e` with `f` applied to each expression child.
+
+    `f` sees the children in `children` order: a `CaseList` gives each
+    guard, then its branch, then the default; an `InterventionValue` without
+    a fallback has no child and `f` is not called.  When `f` hands back every
+    child as the same object, `e` itself is returned, so a rewrite copies
+    only the path to what it changed and shares every other subtree.
+    """
+    match e:
+        case Const() | Ref() | IsIntervened() | ExistsIntervention():
+            return e
+        case Unary(op, a):
+            a2 = f(a)
+            return e if a2 is a else Unary(op, a2)
+        case Binary(op, l, r):
+            l2 = f(l)
+            r2 = f(r)
+            return e if l2 is l and r2 is r else Binary(op, l2, r2)
+        case IfThenElse(c, t, o):
+            c2 = f(c)
+            t2 = f(t)
+            o2 = f(o)
+            return e if c2 is c and t2 is t and o2 is o else IfThenElse(c2, t2, o2)
+        case CaseList(cases, default):
+            cases2 = tuple((f(g), f(b)) for g, b in cases)
+            d2 = f(default)
+            if d2 is default and all(g2 is g and b2 is b for (g2, b2), (g, b) in zip(cases2, cases)):
+                return e
+            return CaseList(cases2, d2)
+        case InterventionValue(v, fb):
+            if fb is None:
+                return e
+            fb2 = f(fb)
+            return e if fb2 is fb else InterventionValue(v, fb2)
+        case MaxIntervenedIndex(fam, u, d):
+            u2 = f(u)
+            d2 = f(d)
+            return e if u2 is u and d2 is d else MaxIntervenedIndex(fam, u2, d2)
+        case RandomBernoulli(p):
+            p2 = f(p)
+            return e if p2 is p else RandomBernoulli(p2)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
 def substitute(e: Expr, bindings: Mapping[VarRef, Expr]) -> Expr:
-    """Replace every `Ref` whose variable is bound with a copy of its binding.
+    """Replace every `Ref` whose variable is bound with its binding.
 
     Variable slots of intervention primitives are identities, not value
     reads, and are left alone; the fallback of `InterventionValue` is an
-    ordinary child and is rewritten.
+    ordinary child and is rewritten.  Bindings are shared, not copied.
     """
     if not bindings:
         return e
 
     def walk(x: Expr) -> Expr:
-        match x:
-            case Ref(v):
-                return bindings.get(v, x)
-            case Const() | IsIntervened() | ExistsIntervention():
-                return x
-            case Unary(op, a):
-                return Unary(op, walk(a))
-            case Binary(op, l, r):
-                return Binary(op, walk(l), walk(r))
-            case IfThenElse(c, t, o):
-                return IfThenElse(walk(c), walk(t), walk(o))
-            case CaseList(cases, default):
-                return CaseList(tuple((walk(g), walk(b)) for g, b in cases), walk(default))
-            case InterventionValue(v, fb):
-                return InterventionValue(v, walk(fb) if fb is not None else None)
-            case MaxIntervenedIndex(f, u, d):
-                return MaxIntervenedIndex(f, walk(u), walk(d))
-            case RandomBernoulli(p):
-                return RandomBernoulli(walk(p))
-        raise TypeError(f"not an Expr: {x!r}")
+        if isinstance(x, Ref):
+            return bindings.get(x.var, x)
+        return map_children(x, walk)
 
     return walk(e)
 

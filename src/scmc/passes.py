@@ -31,56 +31,66 @@ class PassContext:
     inverse_rules: list[tuple[Expr, Expr]] = field(default_factory=list)
     earlier_targets: dict[VarRef, Expr] = field(default_factory=dict)
     stats: PassStats = field(default_factory=PassStats)
+    #: earlier targets' trees of two or more nodes -> the target; of two
+    #: equal trees the later target wins.  Kept in step with `earlier_targets`.
+    _dedupe_table: dict[Expr, VarRef] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for var, tree in self.earlier_targets.items():
+            self._note_for_dedupe(var, tree)
+
+    def add_earlier_target(self, var: VarRef, tree: Expr) -> None:
+        """Record the final tree of a target swept before the next one."""
+        self.earlier_targets[var] = tree
+        self._note_for_dedupe(var, tree)
+
+    def _note_for_dedupe(self, var: VarRef, tree: Expr) -> None:
+        if E.node_count(tree) >= 2:
+            self._dedupe_table[tree] = var
 
     def image_ctx(self) -> I.ImageContext:
         return I.ImageContext(self.env_images, self.space, {})
 
 
-def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """Apply f to every child, keeping the node itself."""
-    match e:
-        case E.Const() | E.Ref() | E.IsIntervened() | E.ExistsIntervention():
-            return e
-        case E.Unary(op, a):
-            return E.Unary(op, f(a))
-        case E.Binary(op, l, r):
-            return E.Binary(op, f(l), f(r))
-        case E.IfThenElse(c, t, o):
-            return E.IfThenElse(f(c), f(t), f(o))
-        case E.CaseList(cases, default):
-            return E.CaseList(tuple((f(g), f(b)) for g, b in cases), f(default))
-        case E.InterventionValue(v, fb):
-            return E.InterventionValue(v, f(fb) if fb is not None else None)
-        case E.MaxIntervenedIndex(fam, u, d):
-            return E.MaxIntervenedIndex(fam, f(u), f(d))
-        case E.RandomBernoulli(p):
-            return E.RandomBernoulli(f(p))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _is_closed(e: Expr) -> bool:
-    """No refs, no intervention queries, no draws: evaluable right now."""
-    match e:
-        case E.Ref() | E.IsIntervened() | E.InterventionValue() | E.ExistsIntervention() | E.MaxIntervenedIndex() | E.RandomBernoulli():
-            return False
-    return all(_is_closed(c) for c in E.children(e))
+#: Nodes that read the environment, the intervention set or a random source.
+_OPEN_NODES = (
+    E.Ref,
+    E.IsIntervened,
+    E.InterventionValue,
+    E.ExistsIntervention,
+    E.MaxIntervenedIndex,
+    E.RandomBernoulli,
+)
 
 
 def fold_constants(e: Expr, ctx: PassContext) -> Expr:
-    """Evaluate closed subtrees; a subtree that errors is left in place."""
+    """Evaluate closed subtrees (no refs, no intervention queries, no draws);
+    a subtree that errors is left in place."""
+    opened = 0  # open nodes walked so far: a subtree is closed when it adds none
 
     def walk(x: Expr) -> Expr:
-        x = _rebuild(x, walk)
-        if isinstance(x, E.Const):
-            return x
-        if _is_closed(x):
+        nonlocal opened
+        before = opened
+        x = E.map_children(x, walk)
+        if isinstance(x, _OPEN_NODES):
+            opened += 1
+        elif opened == before and not isinstance(x, E.Const):
             try:
                 return E.Const(E.eval_expr(x, {}, None))
             except Exception:  # noqa: BLE001 - leave the erroring node alone
-                return x
+                pass
         return x
 
     return walk(e)
+
+
+def _branch_contexts(x: E.IfThenElse, ictx: I.ImageContext) -> tuple[I.ImageContext, ...]:
+    """Contexts for the guard, the then- and the else-branch of `x`: under an
+    `IsIntervened` guard each branch knows its variable's intervention state."""
+    c = x.cond
+    if isinstance(c, E.IsIntervened):
+        return ictx, ictx.child(c.var, True, x.then), ictx.child(c.var, False, x.orelse)
+    return ictx, ictx, ictx
 
 
 def fold_by_image(e: Expr, ctx: PassContext) -> Expr:
@@ -91,14 +101,10 @@ def fold_by_image(e: Expr, ctx: PassContext) -> Expr:
             sv = I.singleton_value(I.image_of(x, ictx))
             if sv is not None:
                 return E.Const(sv)
-        match x:
-            case E.IfThenElse(c, t, o) if isinstance(c, E.IsIntervened):
-                return E.IfThenElse(
-                    walk(c, ictx),
-                    walk(t, ictx.child(c.var, True, t)),
-                    walk(o, ictx.child(c.var, False, o)),
-                )
-        return _rebuild(x, lambda ch: walk(ch, ictx))
+        if isinstance(x, E.IfThenElse):
+            contexts = iter(_branch_contexts(x, ictx))
+            return E.map_children(x, lambda ch: walk(ch, next(contexts)))
+        return E.map_children(x, lambda ch: walk(ch, ictx))
 
     return walk(e, ctx.image_ctx())
 
@@ -137,7 +143,7 @@ def simplify_algebra(e: Expr, ctx: PassContext) -> Expr:
     """Operator identities plus branch canonicalization."""
 
     def walk(x: Expr) -> Expr:
-        x = _rebuild(x, walk)
+        x = E.map_children(x, walk)
         match x:
             case E.Unary("not", E.Unary("not", inner)):
                 return inner
@@ -280,17 +286,15 @@ def prune_branches(e: Expr, ctx: PassContext) -> Expr:
         match x:
             case E.IfThenElse(c, t, o):
                 gi = I.singleton_value(I.image_of(c, ictx))
-                then_ctx, else_ctx = ictx, ictx
-                if isinstance(c, E.IsIntervened):
-                    then_ctx = ictx.child(c.var, True, t)
-                    else_ctx = ictx.child(c.var, False, o)
+                guard_ctx, then_ctx, else_ctx = _branch_contexts(x, ictx)
                 if gi == E.VBool(True):
                     ctx.stats.guards_dropped += 1
                     return walk(t, then_ctx)
                 if gi == E.VBool(False):
                     ctx.stats.guards_dropped += 1
                     return walk(o, else_ctx)
-                return E.IfThenElse(walk(c, ictx), walk(t, then_ctx), walk(o, else_ctx))
+                contexts = iter((guard_ctx, then_ctx, else_ctx))
+                return E.map_children(x, lambda ch: walk(ch, next(contexts)))
             case E.CaseList(cases, default):
                 kept = []
                 new_default = default
@@ -304,6 +308,8 @@ def prune_branches(e: Expr, ctx: PassContext) -> Expr:
                         new_default = b
                         break
                     kept.append((g, b))
+                if kept and len(kept) == len(cases):
+                    return E.map_children(x, lambda ch: walk(ch, ictx))
                 out = E.CaseList(tuple((walk(g, ictx), walk(b, ictx)) for g, b in kept), walk(new_default, ictx))
                 if not out.cases:
                     return out.default
@@ -318,8 +324,7 @@ def prune_branches(e: Expr, ctx: PassContext) -> Expr:
                         return E.Const(vals[0])
                 if state is False and fb is not None:
                     return walk(fb, ictx)
-                return E.InterventionValue(v, walk(fb, ictx) if fb is not None else None)
-        return _rebuild(x, lambda ch: walk(ch, ictx))
+        return E.map_children(x, lambda ch: walk(ch, ictx))
 
     return walk(e, ctx.image_ctx())
 
@@ -328,7 +333,7 @@ def prune_interventions(e: Expr, ctx: PassContext) -> Expr:
     """Specialize intervention queries against the local atom table."""
 
     def walk(x: Expr) -> Expr:
-        x = _rebuild(x, walk)
+        x = E.map_children(x, walk)
         match x:
             case E.IsIntervened(v):
                 if not ctx.space.atom_values(v):
@@ -363,7 +368,7 @@ def cancel_inverses(e: Expr, ctx: PassContext) -> Expr:
         for pattern, replacement in ctx.inverse_rules:
             if x == pattern:
                 return replacement
-        return _rebuild(x, walk)
+        return E.map_children(x, walk)
 
     return walk(e)
 
@@ -371,13 +376,7 @@ def cancel_inverses(e: Expr, ctx: PassContext) -> Expr:
 def dedupe_targets(e: Expr, ctx: PassContext) -> Expr:
     """Replace subtrees that equal an earlier target's final equation with a
     reference to that target; the shared work is then computed once."""
-    if not ctx.earlier_targets:
-        return e
-    table = {
-        tree: var
-        for var, tree in ctx.earlier_targets.items()
-        if E.node_count(tree) >= 2
-    }
+    table = ctx._dedupe_table
     if not table:
         return e
 
@@ -385,7 +384,7 @@ def dedupe_targets(e: Expr, ctx: PassContext) -> Expr:
         hit = table.get(x)
         if hit is not None:
             return E.Ref(hit)
-        return _rebuild(x, walk)
+        return E.map_children(x, walk)
 
     return walk(e)
 
@@ -416,47 +415,24 @@ def absorb_candidates(e: Expr):
     Yields whole-tree replacements; the caller keeps a candidate only when
     an exhaustive equivalence check over the local spaces accepts it.
     """
-
-    def rebuild_at(root: Expr, path: tuple[int, ...], new: Expr) -> Expr:
-        if not path:
-            return new
-        idx = path[0]
-        kids = list(E.children(root))
-        kids[idx] = rebuild_at(kids[idx], path[1:], new)
-        return _with_children(root, kids)
-
-    def walk(x: Expr, path: tuple[int, ...]):
-        if isinstance(x, E.Binary) and x.op in ("and", "or"):
-            yield rebuild_at(e, path, x.right)
-            yield rebuild_at(e, path, x.left)
-        for i, c in enumerate(E.children(x)):
-            yield from walk(c, path + (i,))
-
-    yield from walk(e, ())
+    yield from _absorb_walk(e, e, ())
 
 
-def _with_children(e: Expr, kids: list[Expr]) -> Expr:
+# module-level walkers, not closures: a recursive closure is a reference
+# cycle, and would keep the whole tree alive until the cyclic collector runs
+def _absorb_walk(root: Expr, x: Expr, path: tuple[int, ...]):
+    if isinstance(x, E.Binary) and x.op in ("and", "or"):
+        yield _replace_at(root, path, x.right)
+        yield _replace_at(root, path, x.left)
+    for i, c in enumerate(E.children(x)):
+        yield from _absorb_walk(root, c, path + (i,))
+
+
+def _replace_at(root: Expr, path: tuple[int, ...], new: Expr) -> Expr:
+    """`root` with the subtree at `path`, a list of child indices, replaced."""
+    if not path:
+        return new
+    kids = list(E.children(root))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
     it = iter(kids)
-
-    def nxt() -> Expr:
-        return next(it)
-
-    match e:
-        case E.Const() | E.Ref() | E.IsIntervened() | E.ExistsIntervention():
-            return e
-        case E.Unary(op, _):
-            return E.Unary(op, nxt())
-        case E.Binary(op, _, _):
-            return E.Binary(op, nxt(), nxt())
-        case E.IfThenElse(_, _, _):
-            return E.IfThenElse(nxt(), nxt(), nxt())
-        case E.CaseList(cases, _):
-            new_cases = tuple((nxt(), nxt()) for _ in cases)
-            return E.CaseList(new_cases, nxt())
-        case E.InterventionValue(v, fb):
-            return E.InterventionValue(v, nxt() if fb is not None else None)
-        case E.MaxIntervenedIndex(fam, _, _):
-            return E.MaxIntervenedIndex(fam, nxt(), nxt())
-        case E.RandomBernoulli(_):
-            return E.RandomBernoulli(nxt())
-    raise TypeError(f"not an Expr: {e!r}")
+    return E.map_children(root, lambda _: next(it))

@@ -750,26 +750,11 @@ def reparameterize(scm: Scm) -> Scm:
         return VarRef(name)
 
     def rewrite(e: Expr) -> Expr:
-        match e:
-            case E.RandomBernoulli(p):
-                r = fresh_name()
-                fresh_rows.append(ExoVar(r, E.RealDomain(0.0, 1.0), UniformReal(0.0, 1.0)))
-                return E.Binary("lt", rewrite(p), E.Ref(r))
-            case E.Const() | E.Ref() | E.IsIntervened() | E.ExistsIntervention():
-                return e
-            case E.Unary(op, a):
-                return E.Unary(op, rewrite(a))
-            case E.Binary(op, l, r):
-                return E.Binary(op, rewrite(l), rewrite(r))
-            case E.IfThenElse(c, t, o):
-                return E.IfThenElse(rewrite(c), rewrite(t), rewrite(o))
-            case E.CaseList(cases, default):
-                return E.CaseList(tuple((rewrite(g), rewrite(b)) for g, b in cases), rewrite(default))
-            case E.InterventionValue(v, fb):
-                return E.InterventionValue(v, rewrite(fb) if fb is not None else None)
-            case E.MaxIntervenedIndex(f, u, d):
-                return E.MaxIntervenedIndex(f, rewrite(u), rewrite(d))
-        raise TypeError(f"not an Expr: {e!r}")
+        if isinstance(e, E.RandomBernoulli):
+            r = fresh_name()
+            fresh_rows.append(ExoVar(r, E.RealDomain(0.0, 1.0), UniformReal(0.0, 1.0)))
+            return E.Binary("lt", rewrite(e.p), E.Ref(r))
+        return E.map_children(e, rewrite)
 
     new_endo = []
     changed = False

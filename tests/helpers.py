@@ -4,6 +4,7 @@ implementations the library is checked against."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass
@@ -371,6 +372,151 @@ def oracle_value_in_domain(v: E.Value, d: E.Domain) -> bool:
             # integers are acceptable carriers for real-valued variables
             return oracle_value_in_domain(E.VReal(float(i)), d)
     return False
+
+
+def random_expr(seed: int, depth: int = 5) -> E.Expr:
+    """A seeded random tree over every node class, kinds ignored.
+
+    Leaves repeat, so equal subtrees occur; reals include -0.0 and 0.0.
+    """
+    rng = random.Random(seed)
+    refs = [VarRef("A"), VarRef("B"), VarRef("S", 1), VarRef("S", 2)]
+    leaf_values = [E.VBool(True), E.VInt(0), E.VInt(3), E.VReal(0.0), E.VReal(-0.0), E.VSym("a")]
+
+    def leaf() -> E.Expr:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return E.Const(rng.choice(leaf_values))
+        if kind == 1:
+            return Ref(rng.choice(refs))
+        if kind == 2:
+            return IsIntervened(rng.choice(refs))
+        return ExistsIntervention(
+            rng.choice(["S", "A"]),
+            rng.choice([None, 1]),
+            rng.choice([None, 2]),
+            rng.choice([None, E.VInt(1)]),
+        )
+
+    def tree(d: int) -> E.Expr:
+        if d <= 0:
+            return leaf()
+        kind = rng.randrange(9)
+        if kind == 0:
+            return leaf()
+        if kind == 1:
+            return Unary(rng.choice(["neg", "not"]), tree(d - 1))
+        if kind == 2:
+            return Binary(rng.choice(["add", "and", "lt", "eq"]), tree(d - 1), tree(d - 1))
+        if kind == 3:
+            return IfThenElse(tree(d - 1), tree(d - 1), tree(d - 1))
+        if kind == 4:
+            cases = tuple((tree(d - 1), tree(d - 1)) for _ in range(rng.randrange(3)))
+            return CaseList(cases, tree(d - 1))
+        if kind == 5:
+            return InterventionValue(rng.choice(refs), rng.choice([None, tree(d - 1)]))
+        if kind == 6:
+            return MaxIntervenedIndex(rng.choice(["S", "A"]), tree(d - 1), tree(d - 1))
+        if kind == 7:
+            return RandomBernoulli(tree(d - 1))
+        return leaf()
+
+    return tree(depth)
+
+
+def subtrees(e: E.Expr) -> list[E.Expr]:
+    """Every node of `e`, root first, each shared node once per occurrence."""
+    out = [e]
+    for c in E.children(e):
+        out.extend(subtrees(c))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference node size and hash
+# ---------------------------------------------------------------------------
+
+_SLOTTED = (IsIntervened, InterventionValue, ExistsIntervention, MaxIntervenedIndex)
+
+
+def oracle_node_count(e: E.Expr) -> int:
+    """`node_count` recomputed on every call, from the cost model alone."""
+    own = 2 if isinstance(e, _SLOTTED) else 1
+    return own + sum(oracle_node_count(c) for c in E.children(e))
+
+
+class _HashesAs:
+    """Stands in for a node inside a tuple: tuples hash their items' hashes."""
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def oracle_hash(e: E.Expr) -> int:
+    """A frozen dataclass's hash, the hash of its field tuple, with every
+    subtree's hash computed afresh instead of read from the node."""
+
+    def stand_in(v):
+        if isinstance(v, tuple):
+            return tuple(stand_in(x) for x in v)
+        if isinstance(v, E._Node):
+            return _HashesAs(oracle_hash(v))
+        return v
+
+    return hash(tuple(stand_in(getattr(e, f.name)) for f in dataclasses.fields(e)))
+
+
+def oracle_rebuild(x: E.Expr, f) -> E.Expr:
+    """A new node of `x`'s class with `f` applied to every expression child."""
+    values = []
+    for fld in dataclasses.fields(x):
+        v = getattr(x, fld.name)
+        if isinstance(v, E._Node):
+            v = f(v)
+        elif isinstance(v, tuple):  # CaseList arms
+            v = tuple((f(g), f(b)) for g, b in v)
+        values.append(v)
+    return type(x)(*values)
+
+
+def oracle_dedupe_targets(e: E.Expr, ctx) -> E.Expr:
+    """`dedupe_targets` with its table built from scratch out of
+    `ctx.earlier_targets` on every call, and every node rebuilt."""
+    table = {tree: var for var, tree in ctx.earlier_targets.items() if oracle_node_count(tree) >= 2}
+
+    def walk(x: E.Expr) -> E.Expr:
+        hit = table.get(x)
+        if hit is not None:
+            return Ref(hit)
+        return oracle_rebuild(x, walk)
+
+    return walk(e)
+
+
+def _oracle_is_closed(e: E.Expr) -> bool:
+    """No refs, no intervention queries, no draws: evaluable right now."""
+    match e:
+        case Ref() | IsIntervened() | InterventionValue() | ExistsIntervention() | MaxIntervenedIndex() | RandomBernoulli():
+            return False
+    return all(_oracle_is_closed(c) for c in E.children(e))
+
+
+def oracle_fold_constants(e: E.Expr) -> E.Expr:
+    """`fold_constants` testing each rebuilt node's closedness afresh."""
+
+    def walk(x: E.Expr) -> E.Expr:
+        x = oracle_rebuild(x, walk)
+        if isinstance(x, E.Const) or not _oracle_is_closed(x):
+            return x
+        try:
+            return E.Const(oracle_eval(x, {}))
+        except Exception:  # noqa: BLE001 - the erroring node stays
+            return x
+
+    return walk(e)
 
 
 # ---------------------------------------------------------------------------

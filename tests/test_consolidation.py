@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import random_model
+from helpers import random_model, subtrees
 from scmc import expr as E
 from scmc import zoo
 from scmc.consolidation import (
@@ -187,25 +187,6 @@ class TestPruneChildless:
         assert removed == []
         assert pruned.endo_vars() == scm.endo_vars()
 
-    def test_consolidated_variant_prunes_passthroughs(self):
-        from scmc.consolidation import prune_childless_consolidated
-
-        entry = zoo.step_by_step()
-        # keep everything at first, then narrow the targets afterwards
-        cons = consolidate(
-            entry.scm, entry.partition, entry.scm.endo_vars(), clusters_to_consolidate=set()
-        )
-        narrowed, removed, atom_vars = prune_childless_consolidated(cons, [VarRef("H")])
-        assert VarRef("D") in removed
-        assert VarRef("D") in atom_vars
-        assert VarRef("D") not in set(narrowed.computed_vars())
-        u = {A: E.VInt(7)}
-        iv = InterventionSet.of({VarRef("G"): E.VBool(False)})
-        assert (
-            eval_consolidated(narrowed, u, iv)[VarRef("H")]
-            == eval_scm(entry.scm, u, iv)[VarRef("H")]
-        )
-
     def test_tool_wear_derives_the_graph_once(self, monkeypatch):
         from scmc import scm as S
 
@@ -294,7 +275,7 @@ class TestRunPasses:
         assert verify_equivalence(scm, cons, [Bv]).equal
         # identity with two guards: far below the inlined original
         assert node_count(tree) <= 9
-        assert Ref(X) in _subtrees(tree)
+        assert Ref(X) in subtrees(tree)
 
     def test_every_accepted_rewrite_was_gated_equal(self):
         entry = zoo.step_by_step()
@@ -315,13 +296,6 @@ class TestRunPasses:
         cluster = ccv_cluster(cons, 1)
         assert node_count(cluster.ccv.rho[VarRef("C")]) == 29
         assert verify_equivalence(entry.scm, cons, entry.targets).equal
-
-
-def _subtrees(tree):
-    out = [tree]
-    for c in E.children(tree):
-        out.extend(_subtrees(c))
-    return out
 
 
 class TestConsolidate:

@@ -52,7 +52,14 @@ from scmc.expr import (
 )
 from scmc.scm import InterventionSet
 
-from helpers import oracle_eval, oracle_value_in_domain
+from helpers import (
+    oracle_eval,
+    oracle_hash,
+    oracle_node_count,
+    oracle_value_in_domain,
+    random_expr,
+    subtrees,
+)
 
 S1, S3, A, B = VarRef("S", 1), VarRef("S", 3), VarRef("A"), VarRef("B")
 
@@ -184,6 +191,158 @@ class TestSubstitute:
         got = substitute(e, {A: iconst(3)})
         # value reads are replaced, intervention identities are not
         assert got == IfThenElse(IsIntervened(A), InterventionValue(A, iconst(3)), iconst(3))
+
+
+def _filled(node, slot: str) -> bool:
+    try:
+        getattr(node, slot)
+    except AttributeError:
+        return False
+    return True
+
+
+NODE_SAMPLES = [
+    iconst(1),
+    Ref(A),
+    Unary("not", Ref(A)),
+    Binary("add", Ref(A), iconst(1)),
+    IfThenElse(IsIntervened(A), InterventionValue(A), Ref(B)),
+    CaseList(((bconst(True), iconst(1)),), iconst(2)),
+    IsIntervened(A),
+    InterventionValue(A, Ref(B)),
+    ExistsIntervention("S", 1, None, VInt(2)),
+    MaxIntervenedIndex("S", iconst(3), iconst(0)),
+    RandomBernoulli(rconst(0.5)),
+]
+
+
+class TestNodeCaches:
+    """Each node computes its size and its hash once and keeps them in two
+    slots that are not dataclass fields."""
+
+    def _check(self, root):
+        nodes = subtrees(root)
+        sizes = [oracle_node_count(n) for n in nodes]
+        hashes = [oracle_hash(n) for n in nodes]
+        assert not any(_filled(n, "_size") or _filled(n, "_hash") for n in nodes)
+        for _ in range(2):  # the first pass fills the caches, the second reads them
+            assert [node_count(n) for n in nodes] == sizes
+            assert [hash(n) for n in nodes] == hashes
+            assert all(_filled(n, "_size") and _filled(n, "_hash") for n in nodes)
+
+    def test_size_and_hash_match_the_oracle_on_random_trees(self):
+        for seed in range(400):
+            self._check(random_expr(seed))
+
+    def test_size_and_hash_match_the_oracle_on_consolidated_zoo_trees(self):
+        for entry in (
+            zoo.dominoes(16),
+            zoo.tool_wear(12),
+            zoo.firing_squad(5),
+            zoo.step_by_step(),
+            zoo.platformer(),
+            zoo.bernoulli_fork(),
+        ):
+            cons = entry.consolidated()
+            # the pipeline's own trees, caches filled while it ran
+            for ccv in cons.ccvs():
+                for tree in ccv.rho.values():
+                    for n in subtrees(tree):
+                        assert node_count(n) == oracle_node_count(n)
+                        assert hash(n) == oracle_hash(n)
+            # the same trees loaded afresh, caches empty
+            for ccv in D.consolidated_from_doc(D.consolidated_to_doc(cons)).ccvs():
+                for tree in ccv.rho.values():
+                    self._check(tree)
+
+    def test_nodes_have_no_instance_dict_and_stay_frozen(self):
+        for node in NODE_SAMPLES:
+            assert not hasattr(node, "__dict__")
+            node_count(node)
+            hash(node)
+            for name in [f.name for f in dataclasses.fields(node)] + ["_size", "_hash", "extra"]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(node, name)
+
+    def test_fields_init_match_args_and_repr_are_the_dataclass_ones(self):
+        for node in NODE_SAMPLES:
+            names = tuple(f.name for f in dataclasses.fields(node))
+            assert type(node).__match_args__ == names
+            assert type(node)(*[getattr(node, n) for n in names]) == node
+            assert "_size" not in repr(node) and "_hash" not in repr(node)
+        assert repr(Binary("add", Ref(A), iconst(1))) == (
+            "Binary(op='add', left=Ref(var=VarRef(name='A', index=None)), right=Const(value=VInt(i=1)))"
+        )
+        assert repr(InterventionValue(A)) == "InterventionValue(var=VarRef(name='A', index=None), fallback=None)"
+        assert dataclasses.replace(Binary("add", Ref(A), iconst(1)), op="sub") == Binary("sub", Ref(A), iconst(1))
+
+    def test_equal_nodes_stay_distinct_objects(self):
+        neg, pos = Const(VReal(-0.0)), Const(VReal(0.0))
+        assert neg == pos and hash(neg) == hash(pos)
+        assert repr(neg) == "Const(value=VReal(r=-0.0))" and repr(pos) == "Const(value=VReal(r=0.0))"
+        assert Binary("add", neg, Ref(A)) == Binary("add", pos, Ref(A))
+        assert Binary("add", neg, Ref(A)).left is neg
+        assert Const(VReal(-0.0)) is not neg
+        # a filled cache is never compared
+        cached = Binary("add", Ref(A), iconst(1))
+        node_count(cached), hash(cached)
+        assert cached == Binary("add", Ref(A), iconst(1))
+        assert Binary("add", Ref(A), iconst(1)) == cached
+        assert cached != Binary("add", Ref(A), iconst(2))
+
+    def test_class_patterns_match(self):
+        e = IfThenElse(IsIntervened(A), InterventionValue(A, Ref(B)), Binary("lt", Ref(B), rconst(-0.0)))
+        node_count(e), hash(e)
+        match e:
+            case IfThenElse(IsIntervened(v), InterventionValue(var=w, fallback=Ref(fb)), Binary("lt", _, Const(VReal(r)))):
+                assert (v, w, fb, str(r)) == (A, A, B, "-0.0")
+            case _:
+                pytest.fail("class patterns did not match")
+
+
+class TestMapChildren:
+    def test_identity_when_no_child_changes(self):
+        for seed in range(100):
+            e = random_expr(seed)
+            for n in subtrees(e):
+                assert E.map_children(n, lambda c: c) is n
+
+    def test_children_are_visited_in_children_order(self):
+        for seed in range(100):
+            e = random_expr(seed)
+            seen = []
+            E.map_children(e, lambda c: seen.append(c) or c)
+            assert len(seen) == len(E.children(e))
+            assert all(a is b for a, b in zip(seen, E.children(e)))
+
+    def test_changing_any_one_child_rebuilds_only_that_node(self):
+        marker = Const(VSym("changed"))
+        for node in NODE_SAMPLES:
+            kids = E.children(node)
+            for i in range(len(kids)):
+                it = iter(range(len(kids)))
+                got = E.map_children(node, lambda c: marker if next(it) == i else c)
+                assert got is not node and type(got) is type(node)
+                new_kids = E.children(got)
+                assert new_kids[i] is marker
+                assert all(new_kids[j] is kids[j] for j in range(len(kids)) if j != i)
+
+    def test_fallback_less_intervention_value_is_not_visited(self):
+        node = InterventionValue(A)
+        assert E.map_children(node, lambda c: pytest.fail("visited")) is node
+
+    def test_substitute_shares_what_it_does_not_bind(self):
+        left = Binary("mul", Ref(B), iconst(2))
+        e = Binary("add", left, Ref(A))
+        got = substitute(e, {A: iconst(5)})
+        assert got == Binary("add", left, iconst(5))
+        assert got.left is left
+        assert substitute(e, {VarRef("Q"): iconst(1)}) is e
+        for seed in range(100):
+            tree = random_expr(seed)
+            assert substitute(tree, {VarRef("Q"): iconst(1)}) is tree
 
 
 # ---------------------------------------------------------------------------

@@ -213,3 +213,32 @@ class TestPlatformer:
         assert cx.base_value == E.VSym("finished")
         assert cx.ccv_value == E.VSym("flag")
         assert cx.interventions.has(VarRef("target_coin"))
+
+
+def _compression_table():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compression_table.py"
+    spec = importlib.util.spec_from_file_location("compression_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compression_table_exit_status(monkeypatch, capsys):
+    table = _compression_table()
+    assert table.main() == 0
+    assert "not equal" not in capsys.readouterr().err
+
+    real = table.verify_equivalence
+
+    def platformer_fails(scm, cons, targets, strategy):
+        report = real(scm, cons, targets, strategy)
+        if scm.name == zoo.platformer().scm.name:
+            report.verdict = "counterexample"
+        return report
+
+    monkeypatch.setattr(table, "verify_equivalence", platformer_fails)
+    assert table.main() == 1
+    assert "not equal: platformer" in capsys.readouterr().err

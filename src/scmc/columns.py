@@ -7,6 +7,12 @@ stand for `VBool`, `VInt`, `VReal` and `VSym`.  Interpreting a node is then
 paid once per list rather than once per case, as in the column-at-a-time
 execution of MonetDB/X100 (Boncz, Zukowski, Nes, CIDR 2005).
 
+Case lists are built in column form from the start: `Cases` holds a column
+per input and a table of the values each case's intervention set forces,
+and `Tiling` makes those columns per block for an exhaustive check by
+repeating each input row and tiling the sets.  A case as the per-case loop
+reads it, an assignment and an intervention set, is made only on demand.
+
 Every node keeps the per-case semantics of its `_eval`:
 
 - `and`/`or` short-circuit per case, and the branches of `IfThenElse` and
@@ -30,12 +36,13 @@ counterexamples and errors.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import expr as E
 from .consolidation import Ccv, CcvCluster, ConsolidatedScm
 from .expr import Value, VarRef
-from .scm import InterventionSet, Scm
+from .scm import POWER_SET, InterventionSet, InterventionSpace, Scm
 
 Column = list
 
@@ -78,51 +85,184 @@ def value(x) -> Value:
     return _VALUE_OF[type(x)](x)
 
 
-class Cases:
+def entries(values: Sequence[Value]) -> tuple[list, bool]:
+    """The column entries of `values` and False; or, when some value has no
+    column form, the values themselves and True."""
+    try:
+        return [raw(v) for v in values], False
+    except Unsupported:
+        return list(values), True
+
+
+def _forced_of(sets: Sequence[InterventionSet]) -> dict[VarRef, Column]:
+    """The forced table of one intervention set per case."""
+    n = len(sets)
+    forced: dict[VarRef, Column] = {}
+    for k, iv in enumerate(sets):
+        for var, val in iv.assignments:
+            col = forced.get(var)
+            if col is None:
+                col = forced[var] = [None] * n
+            elif col[k] is not None:
+                raise Unsupported(f"two atoms on {var} in one set")
+            col[k] = raw(val)
+    return forced
+
+
+def _forced_of_picks(atoms, picks: Sequence[list]) -> dict[VarRef, Column]:
+    """The forced table of power-set `picks` over atom rows that are sorted
+    and one per variable."""
+    forced: dict[VarRef, Column] = {}
+    for (var, vals), col in zip(atoms, zip(*picks)):
+        if any(col):
+            table = [None] + [raw(v) for v in vals]
+            forced[var] = [table[k] for k in col]
+    return forced
+
+
+def _table(build, *args):
+    """`build(*args)`, or the `Unsupported` it raised."""
+    try:
+        return build(*args)
+    except Unsupported as exc:
+        return exc
+
+
+class _Indexed:
+    """`lst[k]` is `lst.case(k)`, and `lst[i:j]` a list of cases."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self.case(i) for i in range(len(self))[k]]
+        return self.case(range(len(self))[k])
+
+
+class Cases(_Indexed):
     """A case list in column form.
 
-    `forced[var]` holds, per case, the raw value the case's intervention set
-    forces onto `var`, or None; only variables intervened on in some case
-    have an entry.  Input columns are converted on first use and kept.
+    `input(var)` is an input's column, one raw entry per case.  `forced[var]`
+    holds, per case, the raw value the case's intervention set forces onto
+    `var`, or None; only variables intervened on in some case have an entry.
+    `case(k)` is the k-th case as the per-case loop reads it, an assignment
+    of the inputs and an intervention set, made when asked for; the values
+    equal the ones drawn or enumerated, in value and in type.
+
+    An input whose values have no exact column form keeps the values
+    themselves, for `case` to hand out, and `input` raises for it; `forced`
+    raises when the sets have no exact column form.
+
+    The inputs are given as `{var: entries(...)}` in declared order.
     """
 
-    __slots__ = ("every", "envs", "ivs", "forced", "_inputs")
+    __slots__ = ("every", "_inputs", "_exact", "_forced", "_set")
 
-    def __init__(self, envs: Sequence[Mapping[VarRef, Value]], ivs: Sequence[InterventionSet]):
-        n = len(ivs)
+    def __init__(
+        self,
+        inputs: Mapping[VarRef, tuple[list, bool]],
+        forced,
+        set_at: Callable[[int], InterventionSet],
+        n: int,
+    ):
         self.every = range(n)
-        self.envs = envs
-        self.ivs = ivs
-        forced: dict[VarRef, Column] = {}
-        for k, iv in enumerate(ivs):
-            for var, val in iv.assignments:
-                col = forced.get(var)
-                if col is None:
-                    col = forced[var] = [None] * n
-                elif col[k] is not None:
-                    raise Unsupported(f"two atoms on {var} in one set")
-                col[k] = raw(val)
-        self.forced = forced
-        self._inputs: dict[VarRef, Column] = {}
+        self._inputs = {v: col for v, (col, _) in inputs.items()}
+        self._exact = frozenset(v for v, (_, exact) in inputs.items() if exact)
+        self._forced = forced
+        self._set = set_at
+
+    @staticmethod
+    def listed(inputs: Mapping[VarRef, tuple[list, bool]], sets: Sequence[InterventionSet]) -> "Cases":
+        """Cases whose k-th intervention set is `sets[k]`."""
+        return Cases(inputs, _table(_forced_of, sets), sets.__getitem__, len(sets))
+
+    @staticmethod
+    def drawn(inputs: Mapping[VarRef, tuple[list, bool]], space: InterventionSpace, picks: list) -> "Cases":
+        """Cases whose k-th intervention set is `space.member(picks[k])`."""
+        if space.mode == POWER_SET and space.atoms_canonical:
+            forced = _table(_forced_of_picks, space.atoms, picks)
+            return Cases(inputs, forced, lambda k: space.member(picks[k]), len(picks))
+        # members of a listed space are shared; a power set whose atoms must be
+        # sorted makes its sets now, and raises where `sample` would
+        return Cases.listed(inputs, [space.member(p) for p in picks])
+
+    @property
+    def forced(self) -> dict[VarRef, Column]:
+        if isinstance(self._forced, Unsupported):
+            raise self._forced
+        return self._forced
 
     def input(self, var: VarRef) -> Column:
-        col = self._inputs.get(var)
-        if col is None:
-            col = self._inputs[var] = [raw(env[var]) for env in self.envs]
-        return col
+        if var in self._exact:
+            raise Unsupported(f"no column form for the values of {var}")
+        return self._inputs[var]
+
+    def case(self, k: int) -> tuple[dict[VarRef, Value], InterventionSet]:
+        exact = self._exact
+        env = {v: col[k] if v in exact else value(col[k]) for v, col in self._inputs.items()}
+        return env, self._set(k)
+
+    def block(self, lo: int, hi: int) -> "Cases":
+        """Cases lo..hi-1 of this list."""
+        if lo == 0 and hi == len(self.every):
+            return self
+        forced = self._forced
+        if not isinstance(forced, Unsupported):
+            forced = {v: col[lo:hi] for v, col in forced.items()}
+        inputs = {v: (col[lo:hi], v in self._exact) for v, col in self._inputs.items()}
+        return Cases(inputs, forced, lambda k: self._set(lo + k), hi - lo)
+
+    def __len__(self) -> int:
+        return len(self.every)
+
+
+class Tiling(_Indexed):
+    """The case list of an exhaustive check: each input row, in turn, with
+    every intervention set, rows outermost.
+
+    `case(k)` hands out the row's own assignment and the set.  Columns are
+    made per block of cases, by repeating each row's entries once per set
+    and tiling the sets once per row.
+    """
+
+    __slots__ = ("_envs", "_sets", "_inputs")
+
+    def __init__(
+        self, names: Sequence[VarRef], envs: Sequence[Mapping[VarRef, Value]], sets: Sequence[InterventionSet]
+    ):
+        self._envs = envs
+        self._sets = list(sets)
+        self._inputs = {v: entries([env[v] for env in envs]) for v in names}
+
+    def __len__(self) -> int:
+        return len(self._envs) * len(self._sets)
+
+    def case(self, k: int) -> tuple[Mapping[VarRef, Value], InterventionSet]:
+        per = len(self._sets)
+        return self._envs[k // per], self._sets[k % per]
+
+    def block(self, lo: int, hi: int) -> Cases:
+        """Cases lo..hi-1 in column form."""
+        per = len(self._sets)
+        first = lo // per if per else 0
+        rows = -(-hi // per) - first if per else 0
+        skip, n = lo - first * per, hi - lo
+        inputs = {}
+        for v, (col, exact) in self._inputs.items():
+            repeated = list(chain.from_iterable(repeat(x, per) for x in col[first : first + rows]))
+            inputs[v] = (repeated[skip : skip + n], exact)
+        return Cases.listed(inputs, (self._sets * rows)[skip : skip + n])
 
 
 class _Scope:
     """What one model's trees read: the columns computed so far, and the
     atoms visible to them (all of them when `visible` is None)."""
 
-    __slots__ = ("every", "env", "ivs", "visible", "forced")
+    __slots__ = ("every", "env", "forced")
 
     def __init__(self, cases: Cases, env: dict, visible: Optional[frozenset] = None):
         self.every = cases.every
         self.env = env
-        self.ivs = cases.ivs
-        self.visible = visible
         if visible is None:
             self.forced = cases.forced
         else:
@@ -277,27 +417,25 @@ def _intervention_value(s, e, sel):
     return col if got is None else _fill(got, col)
 
 
-def _exists(s, e, sel):
-    family, lo, hi, want = e.family, e.lo, e.hi, e.value
-    visible, ivs = s.visible, s.ivs
+def _family(s, e, lo=None, hi=None) -> list[tuple[int, Column]]:
+    """(index, forced column) of the visible atoms on `e`'s family with an
+    index in lo..hi, largest index first."""
     out = []
-    for i in sel:
-        hit = False
-        for var, val in ivs[i].assignments:
-            if visible is not None and var not in visible:
-                continue
-            if var.name != family or var.index is None:
-                continue
-            if lo is not None and var.index < lo:
-                continue
-            if hi is not None and var.index > hi:
-                continue
-            if want is not None and val != want:
-                continue
-            hit = True
-            break
-        out.append(hit)
+    for var, col in s.forced.items():
+        i = var.index
+        if var.name != e.family or i is None or (lo is not None and i < lo) or (hi is not None and i > hi):
+            continue
+        out.append((i, col))
+    out.sort(key=lambda p: -p[0])
     return out
+
+
+def _exists(s, e, sel):
+    cols = [col for _, col in _family(s, e, e.lo, e.hi)]
+    want = e.value
+    if want is None:
+        return [any(col[i] is not None for col in cols) for i in sel]
+    return [any(col[i] is not None and value(col[i]) == want for col in cols) for i in sel]
 
 
 def _max_index(s, e, sel):
@@ -305,17 +443,14 @@ def _max_index(s, e, sel):
     bounds = _COLUMN[type(upper)](s, upper, sel)
     if not _INTS.issuperset(map(type, bounds)):
         raise Unsupported("max_intervened_index bound must be an integer")
-    family, visible, ivs = e.family, s.visible, s.ivs
+    family = _family(s, e)
     out = []
     for i, bound in zip(sel, bounds):
         best = None
-        for var, _ in ivs[i].assignments:
-            if visible is not None and var not in visible:
-                continue
-            if var.name != family or var.index is None or var.index > bound:
-                continue
-            if best is None or var.index > best:
-                best = var.index
+        for index, col in family:
+            if index <= bound and col[i] is not None:
+                best = index
+                break
         out.append(best)
     missing = [i for i, x in zip(sel, out) if x is None]
     if not missing:

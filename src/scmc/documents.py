@@ -25,7 +25,7 @@ from .consolidation import (
     PassLogEntry,
     PassthroughCluster,
 )
-from .errors import ParseError, recursion_as_too_deep
+from .errors import ModelTooDeepError, ParseError, recursion_as_too_deep
 from .expr import Domain, Expr, Value, VarRef, parse_var_name, ref_sort_key
 from .partition import Partition, SubScm
 from .scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm
@@ -828,5 +828,15 @@ def load_consolidated(path: str) -> ConsolidatedScm:
 
 
 def save(path: str, doc: dict):
+    """Write `to_json(doc)` to `path`.
+
+    Raises `ModelTooDeepError`, before the file is opened, when the text
+    nests too deeply for `load_json` to read it back: the C decoder stops at
+    the recursion limit, while `to_json` has no depth limit."""
+    text = to_json(doc)
+    try:
+        json.loads(text)
+    except RecursionError as exc:
+        raise ModelTooDeepError("document nests too deeply to be read back") from exc
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(to_json(doc))
+        fh.write(text)

@@ -660,13 +660,14 @@ def substitute(e: Expr, bindings: Mapping[VarRef, Expr]) -> Expr:
     """
     if not bindings:
         return e
+    return _substitute(e, bindings)
 
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, Ref):
-            return bindings.get(x.var, x)
-        return map_children(x, walk)
 
-    return walk(e)
+def _substitute(x: Expr, bindings: Mapping[VarRef, Expr]) -> Expr:
+    # a module-level walker: a closure that calls itself is a reference cycle
+    if isinstance(x, Ref):
+        return bindings.get(x.var, x)
+    return map_children(x, lambda ch: _substitute(ch, bindings))
 
 
 # ---------------------------------------------------------------------------

@@ -66,22 +66,27 @@ _OPEN_NODES = (
 def fold_constants(e: Expr, ctx: PassContext) -> Expr:
     """Evaluate closed subtrees (no refs, no intervention queries, no draws);
     a subtree that errors is left in place."""
-    opened = 0  # open nodes walked so far: a subtree is closed when it adds none
+    return _fold_closed(e, [0])
 
-    def walk(x: Expr) -> Expr:
-        nonlocal opened
-        before = opened
-        x = E.map_children(x, walk)
-        if isinstance(x, _OPEN_NODES):
-            opened += 1
-        elif opened == before and not isinstance(x, E.Const):
-            try:
-                return E.Const(E.eval_expr(x, {}, None))
-            except Exception:  # noqa: BLE001 - leave the erroring node alone
-                pass
-        return x
 
-    return walk(e)
+# The walkers below are module-level functions, not closures that call
+# themselves: such a closure is a reference cycle, which keeps its context
+# and the trees it saw alive until the cyclic collector runs.
+
+
+def _fold_closed(x: Expr, opened: list[int]) -> Expr:
+    """`opened[0]` counts the open nodes walked so far: a subtree is closed
+    when its walk adds none."""
+    before = opened[0]
+    x = E.map_children(x, lambda ch: _fold_closed(ch, opened))
+    if isinstance(x, _OPEN_NODES):
+        opened[0] += 1
+    elif opened[0] == before and not isinstance(x, E.Const):
+        try:
+            return E.Const(E.eval_expr(x, {}, None))
+        except Exception:  # noqa: BLE001 - leave the erroring node alone
+            pass
+    return x
 
 
 def _branch_contexts(x: E.IfThenElse, ictx: I.ImageContext) -> tuple[I.ImageContext, ...]:
@@ -95,18 +100,18 @@ def _branch_contexts(x: E.IfThenElse, ictx: I.ImageContext) -> tuple[I.ImageCont
 
 def fold_by_image(e: Expr, ctx: PassContext) -> Expr:
     """Replace any subtree whose image is a single value with that constant."""
+    return _fold_image(e, ctx.image_ctx())
 
-    def walk(x: Expr, ictx: I.ImageContext) -> Expr:
-        if not isinstance(x, E.Const):
-            sv = I.singleton_value(I.image_of(x, ictx))
-            if sv is not None:
-                return E.Const(sv)
-        if isinstance(x, E.IfThenElse):
-            contexts = iter(_branch_contexts(x, ictx))
-            return E.map_children(x, lambda ch: walk(ch, next(contexts)))
-        return E.map_children(x, lambda ch: walk(ch, ictx))
 
-    return walk(e, ctx.image_ctx())
+def _fold_image(x: Expr, ictx: I.ImageContext) -> Expr:
+    if not isinstance(x, E.Const):
+        sv = I.singleton_value(I.image_of(x, ictx))
+        if sv is not None:
+            return E.Const(sv)
+    if isinstance(x, E.IfThenElse):
+        contexts = iter(_branch_contexts(x, ictx))
+        return E.map_children(x, lambda ch: _fold_image(ch, next(contexts)))
+    return E.map_children(x, lambda ch: _fold_image(ch, ictx))
 
 
 def _const_bool(x: Expr) -> Optional[bool]:
@@ -141,113 +146,113 @@ def _num_const(x: Expr) -> Optional[float]:
 
 def simplify_algebra(e: Expr, ctx: PassContext) -> Expr:
     """Operator identities plus branch canonicalization."""
+    return _simplify(e, ctx)
 
-    def walk(x: Expr) -> Expr:
-        x = E.map_children(x, walk)
-        match x:
-            case E.Unary("not", E.Unary("not", inner)):
-                return inner
-            case E.Unary("neg", E.Unary("neg", inner)):
-                return inner
-            case E.Binary("and", l, r):
-                lb, rb = _const_bool(l), _const_bool(r)
-                if lb is True:
-                    return r
-                if rb is True:
-                    return l
-                if lb is False or rb is False:
-                    return E.bconst(False)
-            case E.Binary("or", l, r):
-                lb, rb = _const_bool(l), _const_bool(r)
-                if lb is False:
-                    return r
-                if rb is False:
-                    return l
-                if lb is True or rb is True:
-                    return E.bconst(True)
-            case E.Binary("add", l, r):
-                if _num_const(l) == 0.0 and _kind_of(r, ctx) == _kind_of(x, ctx):
-                    return r
-                if _num_const(r) == 0.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
-                    return l
-            case E.Binary("sub", l, r):
-                if _num_const(r) == 0.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
-                    return l
-            case E.Binary("mul", l, r):
-                if _num_const(l) == 1.0 and _kind_of(r, ctx) == _kind_of(x, ctx):
-                    return r
-                if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
-                    return l
-                for c, other in ((l, r), (r, l)):
-                    if _num_const(c) == 0.0:
-                        zero = _zero_like(_kind_of(x, ctx) or "")
-                        if zero is not None:
-                            return zero
-            case E.Binary("div", l, r):
-                if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
-                    return l
-            case E.Binary("pow", l, r):
-                if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
-                    return l
-            case E.Binary("eq", l, r):
-                lb, rb = _const_bool(l), _const_bool(r)
-                if rb is True:
-                    return l
-                if lb is True:
-                    return r
-                if rb is False:
-                    return E.Unary("not", l)
-                if lb is False:
-                    return E.Unary("not", r)
-            case E.IfThenElse(c, t, o):
-                cb = _const_bool(c)
-                if cb is True:
-                    return t
-                if cb is False:
-                    return o
-                tb, ob = _const_bool(t), _const_bool(o)
-                if tb is True and ob is False:
-                    return c
-                if tb is False and ob is True:
-                    return E.Unary("not", c)
-                if t == o:
-                    return t
-                if isinstance(c, E.Unary) and c.op == "not":
-                    return E.IfThenElse(c.operand, o, t)
-            case E.CaseList(cases, default):
-                out = []
-                new_default = default
-                truncated = False
-                for g, b in cases:
-                    gb = _const_bool(g)
-                    if gb is False:
-                        continue
-                    if gb is True:
-                        new_default = b
-                        truncated = True
-                        break
-                    out.append((g, b))
-                if truncated or len(out) != len(cases) or new_default != default:
-                    x = E.CaseList(tuple(out), new_default)
-                if isinstance(x, E.CaseList):
-                    if not x.cases:
-                        return x.default
-                    if len(x.cases) == 1:
-                        (g, b) = x.cases[0]
-                        return E.IfThenElse(g, b, x.default)
-        # push a comparison with a constant into constant-armed branches
-        match x:
-            case E.Binary(op, branch, E.Const() as k) if op in ("eq", "lt", "le"):
-                pushed = _push_into_branches(op, branch, k, right_const=True)
-                if pushed is not None:
-                    return walk(pushed)
-            case E.Binary(op, E.Const() as k, branch) if op in ("eq", "lt", "le"):
-                pushed = _push_into_branches(op, branch, k, right_const=False)
-                if pushed is not None:
-                    return walk(pushed)
-        return x
 
-    return walk(e)
+def _simplify(x: Expr, ctx: PassContext) -> Expr:
+    x = E.map_children(x, lambda ch: _simplify(ch, ctx))
+    match x:
+        case E.Unary("not", E.Unary("not", inner)):
+            return inner
+        case E.Unary("neg", E.Unary("neg", inner)):
+            return inner
+        case E.Binary("and", l, r):
+            lb, rb = _const_bool(l), _const_bool(r)
+            if lb is True:
+                return r
+            if rb is True:
+                return l
+            if lb is False or rb is False:
+                return E.bconst(False)
+        case E.Binary("or", l, r):
+            lb, rb = _const_bool(l), _const_bool(r)
+            if lb is False:
+                return r
+            if rb is False:
+                return l
+            if lb is True or rb is True:
+                return E.bconst(True)
+        case E.Binary("add", l, r):
+            if _num_const(l) == 0.0 and _kind_of(r, ctx) == _kind_of(x, ctx):
+                return r
+            if _num_const(r) == 0.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+                return l
+        case E.Binary("sub", l, r):
+            if _num_const(r) == 0.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+                return l
+        case E.Binary("mul", l, r):
+            if _num_const(l) == 1.0 and _kind_of(r, ctx) == _kind_of(x, ctx):
+                return r
+            if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+                return l
+            for c, other in ((l, r), (r, l)):
+                if _num_const(c) == 0.0:
+                    zero = _zero_like(_kind_of(x, ctx) or "")
+                    if zero is not None:
+                        return zero
+        case E.Binary("div", l, r):
+            if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+                return l
+        case E.Binary("pow", l, r):
+            if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+                return l
+        case E.Binary("eq", l, r):
+            lb, rb = _const_bool(l), _const_bool(r)
+            if rb is True:
+                return l
+            if lb is True:
+                return r
+            if rb is False:
+                return E.Unary("not", l)
+            if lb is False:
+                return E.Unary("not", r)
+        case E.IfThenElse(c, t, o):
+            cb = _const_bool(c)
+            if cb is True:
+                return t
+            if cb is False:
+                return o
+            tb, ob = _const_bool(t), _const_bool(o)
+            if tb is True and ob is False:
+                return c
+            if tb is False and ob is True:
+                return E.Unary("not", c)
+            if t == o:
+                return t
+            if isinstance(c, E.Unary) and c.op == "not":
+                return E.IfThenElse(c.operand, o, t)
+        case E.CaseList(cases, default):
+            out = []
+            new_default = default
+            truncated = False
+            for g, b in cases:
+                gb = _const_bool(g)
+                if gb is False:
+                    continue
+                if gb is True:
+                    new_default = b
+                    truncated = True
+                    break
+                out.append((g, b))
+            if truncated or len(out) != len(cases) or new_default != default:
+                x = E.CaseList(tuple(out), new_default)
+            if isinstance(x, E.CaseList):
+                if not x.cases:
+                    return x.default
+                if len(x.cases) == 1:
+                    (g, b) = x.cases[0]
+                    return E.IfThenElse(g, b, x.default)
+    # push a comparison with a constant into constant-armed branches
+    match x:
+        case E.Binary(op, branch, E.Const() as k) if op in ("eq", "lt", "le"):
+            pushed = _push_into_branches(op, branch, k, right_const=True)
+            if pushed is not None:
+                return _simplify(pushed, ctx)
+        case E.Binary(op, E.Const() as k, branch) if op in ("eq", "lt", "le"):
+            pushed = _push_into_branches(op, branch, k, right_const=False)
+            if pushed is not None:
+                return _simplify(pushed, ctx)
+    return x
 
 
 def _push_into_branches(op: str, branch: Expr, k: E.Const, right_const: bool) -> Optional[Expr]:
@@ -281,96 +286,97 @@ def prune_branches(e: Expr, ctx: PassContext) -> Expr:
     queries specialize (in particular an intervention value with a single
     allowed atom value becomes that constant).
     """
+    return _prune(e, ctx.image_ctx(), ctx)
 
-    def walk(x: Expr, ictx: I.ImageContext) -> Expr:
-        match x:
-            case E.IfThenElse(c, t, o):
-                gi = I.singleton_value(I.image_of(c, ictx))
-                guard_ctx, then_ctx, else_ctx = _branch_contexts(x, ictx)
-                if gi == E.VBool(True):
-                    ctx.stats.guards_dropped += 1
-                    return walk(t, then_ctx)
+
+def _prune(x: Expr, ictx: I.ImageContext, ctx: PassContext) -> Expr:
+    match x:
+        case E.IfThenElse(c, t, o):
+            gi = I.singleton_value(I.image_of(c, ictx))
+            guard_ctx, then_ctx, else_ctx = _branch_contexts(x, ictx)
+            if gi == E.VBool(True):
+                ctx.stats.guards_dropped += 1
+                return _prune(t, then_ctx, ctx)
+            if gi == E.VBool(False):
+                ctx.stats.guards_dropped += 1
+                return _prune(o, else_ctx, ctx)
+            contexts = iter((guard_ctx, then_ctx, else_ctx))
+            return E.map_children(x, lambda ch: _prune(ch, next(contexts), ctx))
+        case E.CaseList(cases, default):
+            kept = []
+            new_default = default
+            for g, b in cases:
+                gi = I.singleton_value(I.image_of(g, ictx))
                 if gi == E.VBool(False):
                     ctx.stats.guards_dropped += 1
-                    return walk(o, else_ctx)
-                contexts = iter((guard_ctx, then_ctx, else_ctx))
-                return E.map_children(x, lambda ch: walk(ch, next(contexts)))
-            case E.CaseList(cases, default):
-                kept = []
-                new_default = default
-                for g, b in cases:
-                    gi = I.singleton_value(I.image_of(g, ictx))
-                    if gi == E.VBool(False):
-                        ctx.stats.guards_dropped += 1
-                        continue
-                    if gi == E.VBool(True):
-                        ctx.stats.guards_dropped += 1
-                        new_default = b
-                        break
-                    kept.append((g, b))
-                if kept and len(kept) == len(cases):
-                    return E.map_children(x, lambda ch: walk(ch, ictx))
-                out = E.CaseList(tuple((walk(g, ictx), walk(b, ictx)) for g, b in kept), walk(new_default, ictx))
-                if not out.cases:
-                    return out.default
-                return out
-            case E.IsIntervened(v) if v in ictx.assume_intervened:
-                return E.bconst(ictx.assume_intervened[v])
-            case E.InterventionValue(v, fb):
-                state = ictx.assume_intervened.get(v)
-                if state is True:
-                    vals = ictx.space.atom_values(v)
-                    if len(vals) == 1:
-                        return E.Const(vals[0])
-                if state is False and fb is not None:
-                    return walk(fb, ictx)
-        return E.map_children(x, lambda ch: walk(ch, ictx))
-
-    return walk(e, ctx.image_ctx())
+                    continue
+                if gi == E.VBool(True):
+                    ctx.stats.guards_dropped += 1
+                    new_default = b
+                    break
+                kept.append((g, b))
+            if kept and len(kept) == len(cases):
+                return E.map_children(x, lambda ch: _prune(ch, ictx, ctx))
+            arms = tuple((_prune(g, ictx, ctx), _prune(b, ictx, ctx)) for g, b in kept)
+            out = E.CaseList(arms, _prune(new_default, ictx, ctx))
+            if not out.cases:
+                return out.default
+            return out
+        case E.IsIntervened(v) if v in ictx.assume_intervened:
+            return E.bconst(ictx.assume_intervened[v])
+        case E.InterventionValue(v, fb):
+            state = ictx.assume_intervened.get(v)
+            if state is True:
+                vals = ictx.space.atom_values(v)
+                if len(vals) == 1:
+                    return E.Const(vals[0])
+            if state is False and fb is not None:
+                return _prune(fb, ictx, ctx)
+    return E.map_children(x, lambda ch: _prune(ch, ictx, ctx))
 
 
 def prune_interventions(e: Expr, ctx: PassContext) -> Expr:
     """Specialize intervention queries against the local atom table."""
+    return _prune_queries(e, ctx.space)
 
-    def walk(x: Expr) -> Expr:
-        x = E.map_children(x, walk)
-        match x:
-            case E.IsIntervened(v):
-                if not ctx.space.atom_values(v):
-                    return E.bconst(False)
-            case E.InterventionValue(v, fb):
-                if not ctx.space.atom_values(v) and fb is not None:
-                    return fb
-            case E.ExistsIntervention(family, lo, hi, value):
-                for var, vals in ctx.space.family_atoms(family):
-                    if lo is not None and var.index < lo:
-                        continue
-                    if hi is not None and var.index > hi:
-                        continue
-                    if value is not None and value not in vals:
-                        continue
-                    return x
+
+def _prune_queries(x: Expr, space: InterventionSpace) -> Expr:
+    x = E.map_children(x, lambda ch: _prune_queries(ch, space))
+    match x:
+        case E.IsIntervened(v):
+            if not space.atom_values(v):
                 return E.bconst(False)
-            case E.MaxIntervenedIndex(family, _, default):
-                if not ctx.space.family_atoms(family):
-                    return default
-        return x
-
-    return walk(e)
+        case E.InterventionValue(v, fb):
+            if not space.atom_values(v) and fb is not None:
+                return fb
+        case E.ExistsIntervention(family, lo, hi, value):
+            for var, vals in space.family_atoms(family):
+                if lo is not None and var.index < lo:
+                    continue
+                if hi is not None and var.index > hi:
+                    continue
+                if value is not None and value not in vals:
+                    continue
+                return x
+            return E.bconst(False)
+        case E.MaxIntervenedIndex(family, _, default):
+            if not space.family_atoms(family):
+                return default
+    return x
 
 
 def cancel_inverses(e: Expr, ctx: PassContext) -> Expr:
     """Rewrite registered inverse compositions to their identity form."""
     if not ctx.inverse_rules:
         return e
+    return _cancel(e, ctx.inverse_rules)
 
-    def walk(x: Expr) -> Expr:
-        for pattern, replacement in ctx.inverse_rules:
-            if x == pattern:
-                return replacement
-        return E.map_children(x, walk)
 
-    return walk(e)
+def _cancel(x: Expr, rules: list[tuple[Expr, Expr]]) -> Expr:
+    for pattern, replacement in rules:
+        if x == pattern:
+            return replacement
+    return E.map_children(x, lambda ch: _cancel(ch, rules))
 
 
 def dedupe_targets(e: Expr, ctx: PassContext) -> Expr:
@@ -379,14 +385,14 @@ def dedupe_targets(e: Expr, ctx: PassContext) -> Expr:
     table = ctx._dedupe_table
     if not table:
         return e
+    return _dedupe(e, table)
 
-    def walk(x: Expr) -> Expr:
-        hit = table.get(x)
-        if hit is not None:
-            return E.Ref(hit)
-        return E.map_children(x, walk)
 
-    return walk(e)
+def _dedupe(x: Expr, table: Mapping[Expr, VarRef]) -> Expr:
+    hit = table.get(x)
+    if hit is not None:
+        return E.Ref(hit)
+    return E.map_children(x, lambda ch: _dedupe(ch, table))
 
 
 PURE_PASSES: dict[str, Callable[[Expr, PassContext], Expr]] = {
@@ -418,8 +424,6 @@ def absorb_candidates(e: Expr):
     yield from _absorb_walk(e, e, ())
 
 
-# module-level walkers, not closures: a recursive closure is a reference
-# cycle, and would keep the whole tree alive until the cyclic collector runs
 def _absorb_walk(root: Expr, x: Expr, path: tuple[int, ...]):
     if isinstance(x, E.Binary) and x.op in ("and", "or"):
         yield _replace_at(root, path, x.right)

@@ -147,6 +147,8 @@ def _fmt_value(v: Value) -> str:
 POWER_SET = "power_set"
 EXPLICIT = "explicit"
 SINGLETON = "singleton"
+#: the modes whose members are listed by position
+_LISTED = (EXPLICIT, SINGLETON)
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,12 @@ class InterventionSpace:
         canonical = len({v for v, _ in self.atoms}) == len(keys) and keys == sorted(keys)
         return rows, InterventionSet if canonical else InterventionSet.of
 
+    @property
+    def atoms_canonical(self) -> bool:
+        """Whether the atom rows are in `ref_sort_key` order, one per
+        variable, as `_norm_atoms` leaves them."""
+        return self._atom_pairs[1] is InterventionSet
+
     def atom_values(self, var: VarRef) -> tuple[Value, ...]:
         return self._atom_index.get(var, ())
 
@@ -259,14 +267,8 @@ class InterventionSpace:
             raise EnumerationTooLargeError(
                 f"intervention space has {total} sets, budget is {budget}"
             )
-        if self.mode == EXPLICIT:
-            return list(self.sets)
-        if self.mode == SINGLETON:
-            out = [InterventionSet.empty()]
-            for var, vals in self.atoms:
-                for val in vals:
-                    out.append(InterventionSet.of({var: val}))
-            return out
+        if self.mode in _LISTED:
+            return list(self._members)
         rows, make = self._atom_pairs
         return [
             make(tuple([p for p in combo if p is not None]))
@@ -275,29 +277,56 @@ class InterventionSpace:
 
     def sample(self, rng) -> InterventionSet:
         """One member drawn with the package RNG; uniform over the enumeration
-        for explicit/singleton modes, independent per-atom for power sets.
+        for explicit/singleton modes, independent per-atom for power sets."""
+        return self.member(self.pick(rng))
+
+    def pick(self, rng):
+        """What `sample` draws, before it is made a set: a position in the
+        enumeration for explicit/singleton modes; for a power set, one entry
+        per atom row, 0 for no atom or 1 + the position of the drawn value.
 
         A power set draws every atom with one `rng.integers` call on the list
         of bounds, which consumes the stream exactly like one scalar call per
         atom in atom order."""
-        if self.mode == EXPLICIT:
-            return self.sets[int(rng.integers(len(self.sets)))]
-        if self.mode == SINGLETON:
-            n = self.size()
-            k = int(rng.integers(n))
-            if k == 0:
-                return InterventionSet.empty()
-            k -= 1
-            for var, vals in self.atoms:
-                if k < len(vals):
-                    return InterventionSet.of({var: vals[k]})
-                k -= len(vals)
-            raise AssertionError("unreachable")
+        if self.mode in _LISTED:
+            return int(rng.integers(len(self._members)))
         if not self.atoms:
+            return []
+        return rng.integers([1 + len(vals) for _, vals in self.atoms]).tolist()
+
+    def picks(self, rng, count: int) -> list:
+        """`count` calls of `pick` as one `rng.integers` call on an array of
+        bounds (count × atoms for a power set), which consumes the stream
+        exactly like the calls made one after another."""
+        if count <= 0:
+            return []
+        if self.mode in _LISTED:
+            return rng.integers(len(self._members), size=count).tolist()
+        if not self.atoms:
+            return [[] for _ in range(count)]
+        bounds = [1 + len(vals) for _, vals in self.atoms]
+        return rng.integers(bounds, size=(count, len(bounds))).tolist()
+
+    def member(self, pick) -> InterventionSet:
+        """The set `sample` returns for a `pick`."""
+        if self.mode in _LISTED:
+            return self._members[pick]
+        if not any(pick):
             return InterventionSet.empty()
-        draws = rng.integers([1 + len(vals) for _, vals in self.atoms]).tolist()
         rows, make = self._atom_pairs
-        return make(tuple([row[k - 1] for row, k in zip(rows, draws) if k]))
+        return make(tuple([row[k - 1] for row, k in zip(rows, pick) if k]))
+
+    @cached_property
+    def _members(self) -> tuple[InterventionSet, ...]:
+        """An explicit or singleton space's members in canonical order, built
+        on first use; not a field."""
+        if self.mode == EXPLICIT:
+            return self.sets
+        out = [InterventionSet.empty()]
+        for var, vals in self.atoms:
+            for val in vals:
+                out.append(InterventionSet.of({var: val}))
+        return tuple(out)
 
     def restrict(self, cluster: Iterable[VarRef]) -> "InterventionSpace":
         """Image of the space under the projection onto `cluster`."""

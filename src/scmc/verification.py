@@ -18,7 +18,8 @@ from . import expr as E
 from . import scm as S
 from .consolidation import Ccv, ConsolidatedScm, PassConfig, eval_ccv, eval_consolidated
 from .errors import DomainError, EnumerationTooLargeError, recursion_as_too_deep
-from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng, sample_exogenous
+from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng
+from .evaluation import sample_exogenous  # noqa: F401 - bench/tracing.py looks it up here
 from .expr import Value, VarRef, ref_sort_key
 from .partition import SubScm
 from .scm import InterventionSet, Scm
@@ -144,35 +145,11 @@ def verify_equivalence(
                 "inconclusive", message=f"{t} is not computed by the consolidated model"
             )
 
-    if strategy.mode == EXHAUSTIVE:
-        try:
-            u_cases = _canonical_u_order(base, enumerate_exogenous(base, strategy.exogenous_budget))
-            i_cases = _intervention_cases(base.interventions, strategy)
-        except (DomainError, EnumerationTooLargeError) as exc:
-            return EquivalenceReport("inconclusive", message=str(exc))
-        budget = max(strategy.intervention_budget, strategy.exogenous_budget)
-        n = len(u_cases) * len(i_cases)
-        if n > budget:
-            return EquivalenceReport(
-                "inconclusive",
-                message=f"{len(u_cases)} inputs x {len(i_cases)} intervention sets "
-                f"= {n} cases, budget is {budget}",
-            )
-        probabilistic = False
-        per_u = len(i_cases)
-
-        def case(k: int) -> tuple[Assignment, InterventionSet]:
-            return u_cases[k // per_u], i_cases[k % per_u]
-
-    else:
-        rng = make_rng(strategy.seed)
-        u_cases = sample_exogenous(base, strategy.seed, strategy.sample_count, strict=False)
-        i_cases = [base.interventions.sample(rng) for _ in range(strategy.sample_count)]
-        probabilistic = True
-        n = len(u_cases)
-
-        def case(k: int) -> tuple[Assignment, InterventionSet]:
-            return u_cases[k], i_cases[k]
+    cases, message = verifier_cases(base, strategy)
+    if cases is None:
+        return EquivalenceReport("inconclusive", message=message)
+    n = len(cases)
+    probabilistic = strategy.mode != EXHAUSTIVE
 
     def values(k: int, u: Assignment, iv: InterventionSet) -> tuple[list[Value], list[Value]]:
         base_out = eval_scm(base, u, iv, check_membership=False)
@@ -184,11 +161,38 @@ def verify_equivalence(
     def blocks():
         for lo in range(0, n, _BLOCK_CASES):
             hi = min(lo + _BLOCK_CASES, n)
-            picked = [case(k) for k in range(lo, hi)]
-            cases = C.Cases([u for u, _ in picked], [iv for _, iv in picked])
-            yield lo, hi, C.scm_columns(base, cases, keep), C.consolidated_columns(cons, cases, keep)
+            block = cases.block(lo, hi)
+            yield lo, hi, C.scm_columns(base, block, keep), C.consolidated_columns(cons, block, keep)
 
-    return _check_cases(tlist, n, strategy.tolerance, probabilistic, case, values, blocks)
+    return _check_cases(tlist, n, strategy.tolerance, probabilistic, cases.case, values, blocks)
+
+
+def verifier_cases(base: Scm, strategy: EquivalenceStrategy) -> tuple[Optional[C.Cases | C.Tiling], str]:
+    """The verifier's case list, or None and why an exhaustive one cannot be made.
+
+    Exhaustive mode pairs every input assignment, in canonical order, with
+    every allowed set.  Sampled mode draws the inputs of each case in
+    declared order from one stream and the sets from a second stream with
+    the same seed.
+    """
+    if strategy.mode == EXHAUSTIVE:
+        try:
+            u_cases = _canonical_u_order(base, enumerate_exogenous(base, strategy.exogenous_budget))
+            i_cases = _intervention_cases(base.interventions, strategy)
+        except (DomainError, EnumerationTooLargeError) as exc:
+            return None, str(exc)
+        budget = max(strategy.intervention_budget, strategy.exogenous_budget)
+        n = len(u_cases) * len(i_cases)
+        if n > budget:
+            return None, (
+                f"{len(u_cases)} inputs x {len(i_cases)} intervention sets = {n} cases, budget is {budget}"
+            )
+        return C.Tiling([row.var for row in base.exogenous], u_cases, i_cases), ""
+    if strategy.sample_count < 0:
+        raise DomainError("count must be non-negative")
+    axes = [(row.var, row.dist, row.domain) for row in base.exogenous]
+    rng, set_rng = make_rng(strategy.seed), make_rng(strategy.seed)
+    return _sampled_cases(axes, strategy.sample_count, rng, base.interventions, set_rng), ""
 
 
 #: cases of a verifier column block; bounds the columns held at once
@@ -293,36 +297,58 @@ def local_case_count(sub: SubScm) -> Optional[int]:
     return total * sub.interventions.size()
 
 
-def enumerate_local_cases(sub: SubScm) -> list[tuple[Assignment, InterventionSet]]:
-    axes: list[tuple[VarRef, list[Value]]] = []
+def enumerate_local_cases(sub: SubScm) -> C.Cases:
+    """Every case of a cluster's local spaces: each combination of the local
+    inputs' values, the first input outermost, with every intervention set
+    in canonical order."""
+    envs: list[Assignment] = [{}]
     for v in sub.local_exogenous:
         vals = _local_exo_values(sub, v)
         if vals is None:
             raise DomainError(f"{v} has no finite local support")
-        axes.append((v, vals))
-    envs: list[Assignment] = [{}]
-    for var, vals in axes:
-        envs = [{**env, var: val} for env in envs for val in vals]
-    isets = sub.interventions.enumerate(budget=10**9)
-    return [(env, iv) for env in envs for iv in isets]
+        envs = [{**env, v: val} for env in envs for val in vals]
+    tiling = C.Tiling(sub.local_exogenous, envs, sub.interventions.enumerate(budget=10**9))
+    return tiling.block(0, len(tiling))
 
 
-def sample_local_cases(
-    sub: SubScm, count: int, seed: int
-) -> list[tuple[Assignment, InterventionSet]]:
+def sample_local_cases(sub: SubScm, count: int, seed: int) -> C.Cases:
     """`count` seeded cases: each draws the local inputs in order, then one
-    intervention set."""
-    rng = make_rng(seed)
+    intervention set, all from one stream."""
     axes = [(v, sub.local_dists.get(v), sub.domains[v]) for v in sub.local_exogenous]
-    space = sub.interventions
-    out = []
-    for _ in range(count):
-        env: Assignment = {
-            v: _draw(dist, rng) if dist is not None else _sample_domain(dom, rng)
-            for v, dist, dom in axes
-        }
-        out.append((env, space.sample(rng)))
-    return out
+    return _sampled_cases(axes, count, make_rng(seed), sub.interventions)
+
+
+def _sampled_cases(axes, count: int, rng, space, set_rng=None) -> C.Cases:
+    """`count` cases: each draws its inputs in order from `rng`, then its
+    intervention set from `set_rng`, or from `rng` when that is None.
+
+    `axes` holds `(var, distribution, domain)` per input, and an input
+    without a distribution draws from its domain.  A point mass draws
+    nothing and makes one constant column.  When the sets need not wait for
+    input draws, all of them come from one `InterventionSpace.picks` call,
+    which consumes the stream as one `sample` per case would.
+    """
+    fixed = {v: C.entries([dist.value]) for v, dist, _ in axes if type(dist) is S.PointMass}
+    drawing = [(v, dist, dom) for v, dist, dom in axes if v not in fixed]
+    drawn: dict[VarRef, list[Value]] = {v: [] for v, _, _ in drawing}
+    interleaved = bool(drawing) and set_rng is None
+    picks = []
+    if drawing:
+        for _ in range(count):
+            for v, dist, dom in drawing:
+                drawn[v].append(_draw(dist, rng) if dist is not None else _sample_domain(dom, rng))
+            if interleaved:
+                picks.append(space.pick(rng))
+    if not interleaved:
+        picks = space.picks(rng if set_rng is None else set_rng, count)
+    inputs = {}
+    for v, _, _ in axes:
+        if v in fixed:
+            col, exact = fixed[v]
+            inputs[v] = (col * count, exact)
+        else:
+            inputs[v] = C.entries(drawn[v])
+    return C.Cases.drawn(inputs, space, picks)
 
 
 def _sample_domain(dom: E.Domain, rng) -> Value:
@@ -344,9 +370,7 @@ def gate_strategy_for(sub: SubScm, config: PassConfig) -> EquivalenceStrategy:
     )
 
 
-def _gate_cases(
-    sub: SubScm, strategy: EquivalenceStrategy
-) -> tuple[Optional[list[tuple[Assignment, InterventionSet]]], bool, str]:
+def _gate_cases(sub: SubScm, strategy: EquivalenceStrategy) -> tuple[Optional[C.Cases], bool, str]:
     """The gate's case list and whether it was sampled, or None and why not."""
     if strategy.mode == EXHAUSTIVE:
         n = local_case_count(sub)
@@ -361,8 +385,7 @@ def _gate_cases(
 class GateMemo:
     """What the gate calls of one `run_passes` share.
 
-    The cluster's case list is built on the first call, and turned into
-    columns on the first call that evaluates columns.  The target columns of
+    The cluster's case list is built on the first call.  The target columns of
     `before` are kept for as long as the same `before` object comes back,
     that is, until a candidate is accepted.  They are computed once, except
     after an acceptance: the candidate that passed left its own columns
@@ -375,7 +398,6 @@ class GateMemo:
         self._sub: Optional[SubScm] = None
         self._strategy: Optional[EquivalenceStrategy] = None
         self._cases: tuple = (None, False, "")
-        self._columns: Optional[C.Cases] = None
         self._before: Optional[Ccv] = None
         #: `before`'s target columns; None until computed, or when they cannot be
         self._before_columns: Optional[dict] = None
@@ -391,7 +413,6 @@ class GateMemo:
         if self._sub is not sub or self._strategy is not strategy:
             self._sub, self._strategy = sub, strategy
             self._cases = _gate_cases(sub, strategy)
-            self._columns = None
             self._before = self.passed = None
         return self._cases
 
@@ -416,19 +437,17 @@ class GateMemo:
         return self._known[k]
 
     def columns(self) -> tuple[C.Cases, dict]:
-        """The case list as columns, and `before`'s target columns over it.
+        """The case list, and `before`'s target columns over it.
 
         Raises when they cannot be computed; `before` is walked at most once.
         """
-        if self._columns is None:
-            cases = self._cases[0]
-            self._columns = C.Cases([env for env, _ in cases], [iv for _, iv in cases])
+        cases = self._cases[0]
         if not self._walked:
             self._walked = True
-            self._before_columns = gate_columns(self._before, self._columns, self._sub)
+            self._before_columns = gate_columns(self._before, cases, self._sub)
         if self._before_columns is None:
             raise C.Unsupported("before has no columns")
-        return self._columns, self._before_columns
+        return cases, self._before_columns
 
 
 def gate_columns(ccv: Ccv, cases: C.Cases, sub: SubScm, before=None) -> dict:
@@ -497,7 +516,7 @@ def verify_pass(
         yield 0, len(cases), want, got
 
     report = _check_cases(
-        tlist, len(cases), strategy.tolerance, probabilistic, cases.__getitem__, values, blocks, _PROBE_CASES
+        tlist, len(cases), strategy.tolerance, probabilistic, cases.case, values, blocks, _PROBE_CASES
     )
     if report.verdict == "equal":
         if walked:

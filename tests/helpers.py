@@ -255,10 +255,37 @@ def oracle_sample_power_set(space: InterventionSpace, rng) -> InterventionSet:
     return InterventionSet.of(pairs)
 
 
+def oracle_sample(space: InterventionSpace, rng) -> InterventionSet:
+    """One `sample` of any space, with one scalar `rng.integers` call per
+    atom for a power set and per draw otherwise."""
+    if space.mode == "explicit":
+        return space.sets[int(rng.integers(len(space.sets)))]
+    if space.mode == "singleton":
+        k = int(rng.integers(1 + sum(len(vals) for _, vals in space.atoms)))
+        if k == 0:
+            return InterventionSet.empty()
+        k -= 1
+        for var, vals in space.atoms:
+            if k < len(vals):
+                return InterventionSet.of({var: vals[k]})
+            k -= len(vals)
+        raise AssertionError("unreachable")
+    return oracle_sample_power_set(space, rng)
+
+
+def oracle_sample_domain(dom: E.Domain, rng) -> E.Value:
+    """One draw from a domain, for a local input that has no distribution."""
+    if E.domain_is_finite(dom):
+        vals = E.domain_values(dom)
+        return vals[int(rng.integers(len(vals)))]
+    lo = dom.lo if dom.lo is not None else -1.0
+    hi = dom.hi if dom.hi is not None else 1.0
+    return E.VReal(float(lo + (hi - lo) * rng.random()))
+
+
 def oracle_sample_local_cases(sub, count: int, seed: int) -> list:
     """The gate's sampled case list, one variable and one atom at a time."""
     from scmc.evaluation import _draw, make_rng
-    from scmc.verification import _sample_domain
 
     rng = make_rng(seed)
     out = []
@@ -266,9 +293,85 @@ def oracle_sample_local_cases(sub, count: int, seed: int) -> list:
         env = {}
         for v in sub.local_exogenous:
             dist = sub.local_dists.get(v)
-            env[v] = _draw(dist, rng) if dist is not None else _sample_domain(sub.domains[v], rng)
-        out.append((env, oracle_sample_power_set(sub.interventions, rng)))
+            env[v] = _draw(dist, rng) if dist is not None else oracle_sample_domain(sub.domains[v], rng)
+        out.append((env, oracle_sample(sub.interventions, rng)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference case lists
+# ---------------------------------------------------------------------------
+#
+# The per-case (inputs, intervention set) lists the verifier and the rewrite
+# gate built before they built columns, one dict and one set per case.
+
+
+def oracle_enumerate_local_cases(sub) -> list:
+    """The gate's exhaustive case list."""
+    from scmc.verification import _local_exo_values
+
+    envs = [{}]
+    for v in sub.local_exogenous:
+        vals = _local_exo_values(sub, v)
+        if vals is None:
+            raise DomainError(f"{v} has no finite local support")
+        envs = [{**env, v: val} for env in envs for val in vals]
+    isets = sub.interventions.enumerate(budget=10**9)
+    return [(env, iv) for env in envs for iv in isets]
+
+
+def oracle_gate_sampled_cases(sub, count: int, seed: int) -> list:
+    """The gate's sampled case list, one `sample` per set."""
+    from scmc.evaluation import _draw, make_rng
+
+    rng = make_rng(seed)
+    out = []
+    for _ in range(count):
+        env = {}
+        for v in sub.local_exogenous:
+            dist = sub.local_dists.get(v)
+            env[v] = _draw(dist, rng) if dist is not None else oracle_sample_domain(sub.domains[v], rng)
+        out.append((env, sub.interventions.sample(rng)))
+    return out
+
+
+def oracle_verifier_cases(scm: Scm, strategy) -> list:
+    """The verifier's case list: every input assignment in canonical order
+    with every allowed set, or seeded samples from two streams."""
+    from scmc.evaluation import enumerate_exogenous, make_rng, sample_exogenous
+    from scmc.verification import EXHAUSTIVE, _canonical_u_order, _intervention_cases
+
+    if strategy.mode == EXHAUSTIVE:
+        us = _canonical_u_order(scm, enumerate_exogenous(scm, strategy.exogenous_budget))
+        ivs = _intervention_cases(scm.interventions, strategy)
+        return [(u, iv) for u in us for iv in ivs]
+    rng = make_rng(strategy.seed)
+    us = sample_exogenous(scm, strategy.seed, strategy.sample_count, strict=False)
+    return list(zip(us, [scm.interventions.sample(rng) for _ in range(strategy.sample_count)]))
+
+
+def oracle_forced(ivs) -> dict:
+    """Per variable, the raw value each set forces onto it or None; raises
+    `columns.Unsupported` where a set has no exact column form."""
+    from scmc import columns as C
+
+    forced = {}
+    for k, iv in enumerate(ivs):
+        for var, val in iv.assignments:
+            col = forced.setdefault(var, [None] * len(ivs))
+            if col[k] is not None:
+                raise C.Unsupported(f"two atoms on {var}")
+            col[k] = C.raw(val)
+    return forced
+
+
+def cases_of(rows):
+    """A column case list made by transposing (inputs, intervention set) rows."""
+    from scmc import columns as C
+
+    names = list(rows[0][0]) if rows else []
+    inputs = {v: C.entries([env[v] for env, _ in rows]) for v in names}
+    return C.Cases.listed(inputs, [iv for _, iv in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import oracle_eval, random_model, random_partition
+from helpers import cases_of, oracle_eval, random_model, random_partition
 from scmc import columns as C
 from scmc import expr as E
 from scmc import verification as Q
@@ -56,7 +56,7 @@ def column_values(col) -> list[str]:
 
 def make_cases(rows):
     """`Cases` from (env, intervention set) rows, with every input converted."""
-    cases = C.Cases([env for env, _ in rows], [iv for _, iv in rows])
+    cases = cases_of(rows)
     env = {v: cases.input(v) for v in (rows[0][0] if rows else {})}
     return cases, env
 
@@ -119,7 +119,7 @@ def case_rows(scm: Scm, seed: int, limit: int = 400):
 
 def assert_model_columns(scm: Scm, rows):
     keep = frozenset(scm.endo_vars())
-    cases = C.Cases([u for u, _ in rows], [iv for _, iv in rows])
+    cases = cases_of(rows)
     try:
         want = [eval_scm(scm, u, iv, check_membership=False) for u, iv in rows]
     except Exception:  # noqa: BLE001
@@ -133,7 +133,7 @@ def assert_model_columns(scm: Scm, rows):
 
 def assert_consolidated_columns(cons, rows):
     keep = cons.computed_vars()
-    cases = C.Cases([u for u, _ in rows], [iv for _, iv in rows])
+    cases = cases_of(rows)
     want = [eval_consolidated(cons, u, iv, check_membership=False) for u, iv in rows]
     got = C.consolidated_columns(cons, cases, keep)
     for v in keep:
@@ -167,7 +167,7 @@ def test_zoo_models_match(name):
     if name == "bernoulli_fork":
         # a draw has no column form: the columns give up, the loop decides
         with pytest.raises(C.Unsupported):
-            C.scm_columns(entry.scm, C.Cases([u for u, _ in rows], [iv for _, iv in rows]), frozenset())
+            C.scm_columns(entry.scm, cases_of(rows), frozenset())
         return
     assert_consolidated_columns(entry.consolidated(), rows)
     if entry.reference_ccvs:
@@ -381,7 +381,7 @@ def test_every_value_is_checked_against_its_domain():
             for u, iv in rows:
                 eval_scm(scm, u, iv, check_membership=False)
         with pytest.raises(C.Unsupported):
-            C.scm_columns(scm, C.Cases([u for u, _ in rows], [iv for _, iv in rows]), frozenset({Y}))
+            C.scm_columns(scm, cases_of(rows), frozenset({Y}))
     # values inside their domains pass, an int carrying a real included
     fine = model(RealDomain(0.0, 2.0), Ref(X))
     assert_model_columns(fine, every)
@@ -582,7 +582,7 @@ def test_gate_columns_match_eval_ccv():
         sub = extract_sub_scm(entry.scm, cluster)
         cases, _, _ = Q._gate_cases(sub, Q.gate_strategy_for(sub, PassConfig()))
         ccv, _ = build_rho(sub, sorted(cluster, key=E.ref_sort_key))
-        cols = Q.gate_columns(ccv, C.Cases([e for e, _ in cases], [iv for _, iv in cases]), sub)
+        cols = Q.gate_columns(ccv, cases, sub)
         want = [eval_ccv(ccv, env, iv) for env, iv in cases]
         for t in ccv.targets:
             assert column_values(cols[t]) == reprs(out[t] for out in want)

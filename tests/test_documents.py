@@ -16,11 +16,13 @@ from scmc.documents import (
     expr_from_json,
     expr_to_json,
     load_json,
+    load_model,
     model_from_doc,
     model_to_doc,
     parse_value_for_domain,
     partition_from_doc,
     partition_to_doc,
+    save,
     to_json,
 )
 from scmc.errors import ModelTooDeepError, ParseError
@@ -344,3 +346,32 @@ class TestTooDeep:
         cluster.ccv.rho[cluster.ccv.targets[0]] = _deep_not(5000)
         with pytest.raises(ModelTooDeepError):
             consolidated_to_doc(cons)
+
+    def _nested_model_doc(self, depth: int) -> dict:
+        entry = zoo.dominoes(2)
+        doc = model_to_doc(entry.scm)
+        doc["endogenous"][0]["eq"] = _deep_not_doc(depth)
+        return doc
+
+    def test_save_refuses_what_load_cannot_read_back(self, tmp_path):
+        doc = self._nested_model_doc(500)
+        # the model itself is fine: it parses and validates
+        assert validate(model_from_doc(doc)).ok
+        path = tmp_path / "deep.model.json"
+        with pytest.raises(ModelTooDeepError) as info:
+            save(str(path), doc)
+        assert isinstance(info.value.__cause__, RecursionError)
+        assert not path.exists()
+        # nor is an existing file truncated
+        path.write_text("kept", encoding="utf-8")
+        with pytest.raises(ModelTooDeepError):
+            save(str(path), doc)
+        assert path.read_text(encoding="utf-8") == "kept"
+
+    def test_save_writes_what_load_reads_back(self, tmp_path):
+        doc = self._nested_model_doc(400)
+        path = tmp_path / "nested.model.json"
+        save(str(path), doc)
+        assert path.read_text(encoding="utf-8") == to_json(doc)
+        assert load_json(str(path)) == doc
+        assert model_to_doc(load_model(str(path))) == doc

@@ -9,7 +9,11 @@ models and random models, and against reference copies of the passes in
 """
 
 import dataclasses
+import gc
 import random
+import types
+
+import pytest
 
 from helpers import (
     oracle_dedupe_targets,
@@ -266,3 +270,42 @@ def test_reparameterize_names_fresh_inputs_in_visit_order():
         ((lt(E.rconst(0.1), "R"), lt(E.rconst(0.2), "R2")),), lt(inner, "R3")
     )
     assert fixed.endogenous[1] is scm.endogenous[1]
+
+
+BENCH_MODELS = {
+    "platformer": zoo.platformer,
+    "firing_squad(8)": lambda: zoo.firing_squad(8),
+    "step_by_step": zoo.step_by_step,
+    "dominoes(128)": lambda: zoo.dominoes(128),
+    "tool_wear(36)": lambda: zoo.tool_wear(36),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_MODELS))
+def test_consolidate_and_verify_leave_no_walker_in_a_cycle(name):
+    """A walker that is a closure calling itself is a reference cycle, and
+    keeps its context and trees alive until the cyclic collector runs."""
+    from scmc.verification import EquivalenceStrategy, verify_equivalence
+
+    entry = BENCH_MODELS[name]()
+    if entry.scm.interventions.size() > 4096:
+        strategy = EquivalenceStrategy.sampled(count=256, seed=1)
+    else:
+        strategy = EquivalenceStrategy.exhaustive()
+    gc.collect()
+    gc.disable()
+    try:
+        cons = entry.consolidated(PassConfig(seed=1))
+        assert verify_equivalence(entry.scm, cons, entry.targets, strategy).equal
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    functions = [
+        o.__qualname__ for o in garbage if isinstance(o, types.FunctionType) and o.__module__.startswith("scmc")
+    ]
+    assert functions == []
+    assert not any(isinstance(o, PassContext) for o in garbage)

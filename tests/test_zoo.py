@@ -215,15 +215,19 @@ class TestPlatformer:
         assert cx.interventions.has(VarRef("target_coin"))
 
 
-def _compression_table():
+def _script(name: str):
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parent.parent / "scripts" / "compression_table.py"
-    spec = importlib.util.spec_from_file_location("compression_table", path)
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _compression_table():
+    return _script("compression_table")
 
 
 def test_compression_table_exit_status(monkeypatch, capsys):
@@ -242,3 +246,14 @@ def test_compression_table_exit_status(monkeypatch, capsys):
     monkeypatch.setattr(table, "verify_equivalence", platformer_fails)
     assert table.main() == 1
     assert "not equal: platformer" in capsys.readouterr().err
+
+
+def test_output_fingerprint_is_stable(capsys):
+    script = _script("output_fingerprint")
+    assert script.main() == 0
+    first = capsys.readouterr().out
+    assert script.main() == 0
+    assert capsys.readouterr().out == first
+    lines = first.splitlines()
+    # five bench models at three seeds, then the total
+    assert len(lines) == 16 and lines[-1].startswith("total ")

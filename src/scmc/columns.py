@@ -2,27 +2,43 @@
 
 The verifier and the rewrite gate evaluate the same trees on every case of a
 case list.  Here a tree is walked once per case list: each node yields a
-column, one raw Python value per case, where `bool`, `int`, `float` and `str`
-stand for `VBool`, `VInt`, `VReal` and `VSym`.  Interpreting a node is then
-paid once per list rather than once per case, as in the column-at-a-time
-execution of MonetDB/X100 (Boncz, Zukowski, Nes, CIDR 2005).
+column, a numpy array with one entry per case, and its children are
+evaluated only on the cases that reach them, named by a selection vector of
+case positions.  Interpreting a node is then paid once per list rather than
+once per case, as in the column-at-a-time execution of MonetDB/X100 (Boncz,
+Zukowski, Nes, CIDR 2005), and most nodes cost a few numpy calls (Harris et
+al., "Array programming with NumPy", Nature 2020).
+
+A column's dtype says what its entries stand for:
+
+- `bool`, `float64`: `VBool`, `VReal`;
+- `int64`: `VInt`, but only while every entry lies within +-2**53 (`INT_LIMIT`),
+  so that no sum, difference or quotient of two such columns overflows and
+  every entry converts to a float exactly, as Python compares and mixes ints
+  with floats; a product is checked before it is taken;
+- `object`: Python's own `bool`, `int`, `float` and `str` (`VSym`) entries,
+  for symbols, ints past that range and columns that mix kinds, such as the
+  ints and reals `min`/`max` return unchanged.  Their kernels apply Python's
+  operators entry by entry.
 
 Case lists are built in column form from the start: `Cases` holds a column
-per input and a table of the values each case's intervention set forces,
-and `Tiling` makes those columns per block for an exhaustive check by
-repeating each input row and tiling the sets.  A case as the per-case loop
-reads it, an assignment and an intervention set, is made only on demand.
+per input and a table of what each case's intervention set forces, and
+`Tiling` makes those columns per block for an exhaustive check by repeating
+each input row and tiling a per-set table.  A case as the per-case loop reads
+it, an assignment and an intervention set of Python values, is made only on
+demand.
 
 Every node keeps the per-case semantics of its `_eval`:
 
 - `and`/`or` short-circuit per case, and the branches of `IfThenElse` and
   `CaseList` and the fallbacks of `InterventionValue` and
   `MaxIntervenedIndex` are evaluated only on the cases that take them;
-- each element goes through the arithmetic of `expr._apply_binary`: `div`
-  of two ints floors, `min`/`max` return an operand unchanged, and a real
-  zero keeps its sign;
-- kinds are tested with `type(x) is ...`, never `isinstance`, since a Python
-  `bool` is an `int`;
+- each entry goes through the arithmetic of `expr._apply_binary`: `div`
+  of two ints floors, `mod` takes the sign of the divisor, `min`/`max`
+  return an operand unchanged, a real zero keeps its sign and `pow` is
+  computed entry by entry with Python's own operator, since a vectorized
+  power may differ in the last bit;
+- a `bool` is never a number, and comparing it with one raises;
 - every input and endogenous value is checked against its domain where
   `eval_scm` and `eval_sub_scm` check it;
 - a cluster of a consolidated model sees only its own atoms, minus the
@@ -31,20 +47,35 @@ Every node keeps the per-case semantics of its `_eval`:
 Columns only ever establish that two models agree.  Wherever a case would
 raise, or a value or node has no exact column form, evaluation raises, and
 the caller runs its per-case loop instead, which stays the one definition of
-counterexamples and errors.
+counterexamples and errors.  Kernels run with numpy's floating-point
+warnings off, as Python's float arithmetic gives infinities and NaNs
+silently.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+import functools
+import math
+import operator
 from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import expr as E
 from .consolidation import Ccv, CcvCluster, ConsolidatedScm
 from .expr import Value, VarRef
 from .scm import POWER_SET, InterventionSet, InterventionSpace, Scm
 
-Column = list
+Column = np.ndarray
+
+#: the largest magnitude of an `int64` column entry
+INT_LIMIT = 2**53
+_INT64_MAX = 2**63 - 1
+
+_BOOL = np.dtype(bool)
+_INT = np.dtype(np.int64)
+_REAL = np.dtype(np.float64)
+_OBJECT = np.dtype(object)
 
 
 class Unsupported(Exception):
@@ -81,43 +112,157 @@ def raw(v: Value):
 
 
 def value(x) -> Value:
-    """The value a column entry stands for."""
+    """The value a Python column entry stands for."""
     return _VALUE_OF[type(x)](x)
 
 
-def entries(values: Sequence[Value]) -> tuple[list, bool]:
-    """The column entries of `values` and False; or, when some value has no
-    column form, the values themselves and True."""
+def _kind(xs: list) -> np.dtype:
+    """The narrowest dtype that holds the Python entries `xs` exactly."""
+    kinds = set(map(type, xs))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float:
+            return _REAL
+        if kind is bool:
+            return _BOOL
+        if kind is int and -INT_LIMIT <= min(xs) and max(xs) <= INT_LIMIT:
+            return _INT
+    return _OBJECT
+
+
+def _array(xs: list, kind: np.dtype) -> Column:
+    if kind is not _OBJECT:
+        return np.array(xs, kind)
+    out = np.empty(len(xs), _OBJECT)
+    out[:] = xs
+    return out
+
+
+def column_of(xs: list) -> Column:
+    """The column of Python entries `xs`, with the narrowest exact dtype."""
+    return _array(xs, _kind(xs))
+
+
+def _repeat(x, n: int) -> Column:
+    """A column of `n` copies of the Python entry `x`."""
+    t = type(x)
+    if t is bool:
+        return np.ones(n, _BOOL) if x else np.zeros(n, _BOOL)
+    out = np.empty(n, _REAL if t is float else _INT if t is int and -INT_LIMIT <= x <= INT_LIMIT else _OBJECT)
+    out.fill(x)
+    return out
+
+
+def entries(values: Sequence[Value]) -> tuple[Column | list, bool]:
+    """The column of `values` and False; or, when some value has no column
+    form, the values themselves and True."""
     try:
-        return [raw(v) for v in values], False
+        return column_of([raw(v) for v in values]), False
     except Unsupported:
         return list(values), True
 
 
-def _forced_of(sets: Sequence[InterventionSet]) -> dict[VarRef, Column]:
+# ---------------------------------------------------------------------------
+# Case lists
+# ---------------------------------------------------------------------------
+#
+# A forced table gives, for each variable that some case's set intervenes
+# on, `(mask, values, codes, atoms)`: per case, whether the set forces the
+# variable, the raw value it forces (any entry where it does not), and the
+# position in `atoms` of the forced value, 0 for none.  `atoms` holds the
+# forced `Value` objects themselves, after a None at position 0, so a node
+# that compares them with a value compares what the per-case loop compares.
+
+
+class _Table:
+    """A forced table kept as 2-D arrays, one row per variable, so taking or
+    slicing its cases costs a few numpy calls whatever the number of
+    variables.  `values` holds, per dtype, the rows of the variables whose
+    forced values have that dtype and their values; `rows` maps each
+    variable to its entry, views of its rows.
+    """
+
+    __slots__ = ("atoms", "codes", "values", "rows")
+
+    def __init__(self, atoms: Mapping[VarRef, tuple], codes: np.ndarray, values: list):
+        self.atoms, self.codes, self.values = atoms, codes, values
+        mask = codes != 0
+        by_row = [None] * len(atoms)
+        for at, vals in values:
+            for r, row in zip(at.tolist(), vals):
+                by_row[r] = row
+        self.rows = {v: (mask[r], by_row[r], codes[r], a) for r, (v, a) in enumerate(atoms.items())}
+
+    @staticmethod
+    def of(atoms: Mapping[VarRef, tuple], codes: np.ndarray) -> "_Table":
+        """The table of `codes` (variables x cases) into `atoms`."""
+        groups: dict = {}
+        for r, vals in enumerate(atoms.values()):
+            raws = [raw(a) for a in vals[1:]]
+            at, flat, offsets = groups.setdefault(_kind(raws), ([], [], []))
+            at.append(r)
+            offsets.append(len(flat))
+            flat += raws[:1] + raws  # a filler entry, where nothing is forced
+        values = []
+        for kind, (at, flat, offsets) in groups.items():
+            at, flat, offsets = np.array(at), _array(flat, kind), np.array(offsets)[:, None]
+            values.append((at, np.take(flat, offsets + codes[at])))
+        return _Table(atoms, codes, values)
+
+    def taken(self, at) -> "_Table":
+        """The table whose k-th case is case `at[k]` of this one; `at` is an
+        index array or a slice."""
+        return _Table(self.atoms, self.codes[:, at], [(rows, vals[:, at]) for rows, vals in self.values])
+
+
+def _code_dtype(count: int):
+    return np.uint8 if count <= 0xFF else np.uint16 if count <= 0xFFFF else np.intp
+
+
+def _forced_of(sets: Sequence[InterventionSet]) -> _Table:
     """The forced table of one intervention set per case."""
-    n = len(sets)
-    forced: dict[VarRef, Column] = {}
+    rows: dict[VarRef, tuple[int, list, dict]] = {}
+    where: tuple[list, list, list] = ([], [], [])
+    last: dict[VarRef, int] = {}
     for k, iv in enumerate(sets):
         for var, val in iv.assignments:
-            col = forced.get(var)
-            if col is None:
-                col = forced[var] = [None] * n
-            elif col[k] is not None:
+            if last.get(var) == k:
                 raise Unsupported(f"two atoms on {var} in one set")
-            col[k] = raw(val)
-    return forced
+            last[var] = k
+            row = rows.get(var)
+            if row is None:
+                row = rows[var] = (len(rows), [None], {})
+            r, atoms, at = row
+            # by identity: atoms that compare equal may still differ, as a
+            # real zero's sign does
+            j = at.get(id(val))
+            if j is None:
+                j = at[id(val)] = len(atoms)
+                atoms.append(val)
+            where[0].append(r)
+            where[1].append(k)
+            where[2].append(j)
+    codes = np.zeros((len(rows), len(sets)), _code_dtype(max((len(a) for _, a, _ in rows.values()), default=1)))
+    codes[where[0], where[1]] = where[2]
+    return _Table.of({var: tuple(atoms) for var, (_, atoms, _) in rows.items()}, codes)
 
 
-def _forced_of_picks(atoms, picks: Sequence[list]) -> dict[VarRef, Column]:
-    """The forced table of power-set `picks` over atom rows that are sorted
-    and one per variable."""
-    forced: dict[VarRef, Column] = {}
-    for (var, vals), col in zip(atoms, zip(*picks)):
-        if any(col):
-            table = [None] + [raw(v) for v in vals]
-            forced[var] = [table[k] for k in col]
-    return forced
+def _forced_of_picks(atoms, picks: np.ndarray) -> _Table:
+    """The forced table of power-set `picks` (cases x atom rows) over atom
+    rows that are sorted and one per variable."""
+    used = np.flatnonzero(np.count_nonzero(picks, axis=0)).tolist()
+    width = max((len(atoms[j][1]) + 1 for j in used), default=1)
+    codes = picks[:, used].T.astype(_code_dtype(width))
+    return _Table.of({atoms[j][0]: (None,) + tuple(atoms[j][1]) for j in used}, codes)
+
+
+def _taken(sets: Sequence[InterventionSet], table, at: np.ndarray):
+    """The forced table, or the `Unsupported` it raised, of the cases whose
+    k-th set is `sets[at[k]]`, given the forced table of `sets` or the
+    `Unsupported` it raised: then a set no case takes does not count."""
+    if isinstance(table, Unsupported):
+        return _table(_forced_of, [sets[i] for i in at.tolist()])
+    return table.taken(at)
 
 
 def _table(build, *args):
@@ -142,9 +287,8 @@ class _Indexed:
 class Cases(_Indexed):
     """A case list in column form.
 
-    `input(var)` is an input's column, one raw entry per case.  `forced[var]`
-    holds, per case, the raw value the case's intervention set forces onto
-    `var`, or None; only variables intervened on in some case have an entry.
+    `input(var)` is an input's column.  `forced[var]` is the forced-table
+    entry of `var`; only variables intervened on in some case have one.
     `case(k)` is the k-th case as the per-case loop reads it, an assignment
     of the inputs and an intervention set, made when asked for; the values
     equal the ones drawn or enumerated, in value and in type.
@@ -160,37 +304,38 @@ class Cases(_Indexed):
 
     def __init__(
         self,
-        inputs: Mapping[VarRef, tuple[list, bool]],
+        inputs: Mapping[VarRef, tuple[Column | list, bool]],
         forced,
         set_at: Callable[[int], InterventionSet],
         n: int,
     ):
-        self.every = range(n)
+        #: the selection of every case
+        self.every = np.arange(n)
         self._inputs = {v: col for v, (col, _) in inputs.items()}
         self._exact = frozenset(v for v, (_, exact) in inputs.items() if exact)
         self._forced = forced
         self._set = set_at
 
     @staticmethod
-    def listed(inputs: Mapping[VarRef, tuple[list, bool]], sets: Sequence[InterventionSet]) -> "Cases":
+    def listed(inputs: Mapping[VarRef, tuple], sets: Sequence[InterventionSet]) -> "Cases":
         """Cases whose k-th intervention set is `sets[k]`."""
         return Cases(inputs, _table(_forced_of, sets), sets.__getitem__, len(sets))
 
     @staticmethod
-    def drawn(inputs: Mapping[VarRef, tuple[list, bool]], space: InterventionSpace, picks: list) -> "Cases":
+    def drawn(inputs: Mapping[VarRef, tuple], space: InterventionSpace, picks: np.ndarray) -> "Cases":
         """Cases whose k-th intervention set is `space.member(picks[k])`."""
         if space.mode == POWER_SET and space.atoms_canonical:
             forced = _table(_forced_of_picks, space.atoms, picks)
-            return Cases(inputs, forced, lambda k: space.member(picks[k]), len(picks))
+            return Cases(inputs, forced, lambda k: space.member(picks[k].tolist()), len(picks))
         # members of a listed space are shared; a power set whose atoms must be
         # sorted makes its sets now, and raises where `sample` would
-        return Cases.listed(inputs, [space.member(p) for p in picks])
+        return Cases.listed(inputs, [space.member(p) for p in picks.tolist()])
 
     @property
-    def forced(self) -> dict[VarRef, Column]:
+    def forced(self) -> dict[VarRef, tuple]:
         if isinstance(self._forced, Unsupported):
             raise self._forced
-        return self._forced
+        return self._forced.rows
 
     def input(self, var: VarRef) -> Column:
         if var in self._exact:
@@ -199,7 +344,7 @@ class Cases(_Indexed):
 
     def case(self, k: int) -> tuple[dict[VarRef, Value], InterventionSet]:
         exact = self._exact
-        env = {v: col[k] if v in exact else value(col[k]) for v, col in self._inputs.items()}
+        env = {v: col[k] if v in exact else value(col.item(k)) for v, col in self._inputs.items()}
         return env, self._set(k)
 
     def block(self, lo: int, hi: int) -> "Cases":
@@ -208,7 +353,7 @@ class Cases(_Indexed):
             return self
         forced = self._forced
         if not isinstance(forced, Unsupported):
-            forced = {v: col[lo:hi] for v, col in forced.items()}
+            forced = forced.taken(slice(lo, hi))
         inputs = {v: (col[lo:hi], v in self._exact) for v, col in self._inputs.items()}
         return Cases(inputs, forced, lambda k: self._set(lo + k), hi - lo)
 
@@ -222,10 +367,10 @@ class Tiling(_Indexed):
 
     `case(k)` hands out the row's own assignment and the set.  Columns are
     made per block of cases, by repeating each row's entries once per set
-    and tiling the sets once per row.
+    and tiling a forced table made once per set.
     """
 
-    __slots__ = ("_envs", "_sets", "_inputs")
+    __slots__ = ("_envs", "_sets", "_inputs", "_forced")
 
     def __init__(
         self, names: Sequence[VarRef], envs: Sequence[Mapping[VarRef, Value]], sets: Sequence[InterventionSet]
@@ -233,6 +378,7 @@ class Tiling(_Indexed):
         self._envs = envs
         self._sets = list(sets)
         self._inputs = {v: entries([env[v] for env in envs]) for v in names}
+        self._forced = _table(_forced_of, self._sets)
 
     def __len__(self) -> int:
         return len(self._envs) * len(self._sets)
@@ -243,22 +389,21 @@ class Tiling(_Indexed):
 
     def block(self, lo: int, hi: int) -> Cases:
         """Cases lo..hi-1 in column form."""
-        per = len(self._sets)
-        first = lo // per if per else 0
-        rows = -(-hi // per) - first if per else 0
-        skip, n = lo - first * per, hi - lo
+        sets, per = self._sets, max(len(self._sets), 1)
+        rows, at = np.divmod(np.arange(lo, hi), per)
         inputs = {}
         for v, (col, exact) in self._inputs.items():
-            repeated = list(chain.from_iterable(repeat(x, per) for x in col[first : first + rows]))
-            inputs[v] = (repeated[skip : skip + n], exact)
-        return Cases.listed(inputs, (self._sets * rows)[skip : skip + n])
+            inputs[v] = ([col[r] for r in rows.tolist()] if exact else col[rows], exact)
+        forced = _taken(sets, self._forced, at)
+        return Cases(inputs, forced, lambda k: sets[(lo + k) % per], hi - lo)
 
 
 class _Scope:
-    """What one model's trees read: the columns computed so far, and the
-    atoms visible to them (all of them when `visible` is None)."""
+    """What one model's trees read: the columns computed so far, the atoms
+    visible to them (all of them when `visible` is None), and the constant
+    columns made so far, by entry and length."""
 
-    __slots__ = ("every", "env", "forced")
+    __slots__ = ("every", "env", "forced", "consts")
 
     def __init__(self, cases: Cases, env: dict, visible: Optional[frozenset] = None):
         self.every = cases.every
@@ -266,7 +411,19 @@ class _Scope:
         if visible is None:
             self.forced = cases.forced
         else:
-            self.forced = {v: col for v, col in cases.forced.items() if v in visible}
+            self.forced = {v: f for v, f in cases.forced.items() if v in visible}
+        self.consts: dict[tuple, Column] = {}
+
+
+def _quiet(walk):
+    """`walk` with numpy's floating-point warnings off."""
+
+    @functools.wraps(walk)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return walk(*args, **kwargs)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -274,63 +431,61 @@ class _Scope:
 # ---------------------------------------------------------------------------
 #
 # Each handler takes the scope, the node and the selection: the full range
-# of cases (`scope.every`) or a list of case positions in increasing order.
-# It returns the node's column over the selection.  Children are evaluated
-# through `_COLUMN` inline, so a tree level costs one Python frame, as it
-# does for `_eval`.
+# of cases (`scope.every`) or an array of case positions in increasing order.
+# It returns the node's column over the selection, and never writes into a
+# column it was given or handed out.  Children are evaluated through
+# `_COLUMN` inline, so a tree level costs one Python frame, as it does for
+# `_eval`.
 
 
-def _split(sel, cond: Column):
-    """The cases of `sel` whose entry in `cond` is true, and the others."""
-    yes = [i for i, c in zip(sel, cond) if c is True]
-    if len(yes) == len(cond):
-        return sel, ()
-    no = [i for i, c in zip(sel, cond) if c is False]
-    if len(yes) + len(no) != len(cond):
-        raise Unsupported("expected a boolean")
-    if not yes:
-        return (), sel
-    return yes, no
+def _entries_of(col: Column, kinds: frozenset, what: str) -> list:
+    """The Python entries of `col`; raises unless each is of one of `kinds`."""
+    xs = col.tolist()
+    if not kinds.issuperset(map(type, xs)):
+        raise Unsupported(f"expected {what}")
+    return xs
 
 
-def _merge(cond, yes: Column, no: Column) -> Column:
-    """One entry per case of `cond` (any truthy sequence), taken in order
-    from `yes` where it is true and from `no` where it is not."""
-    take_yes, take_no = iter(yes).__next__, iter(no).__next__
-    return [take_yes() if c else take_no() for c in cond]
+def _bools(col: Column) -> Column:
+    """`col` as a boolean column; raises unless every entry is a boolean."""
+    if col.dtype is _BOOL:
+        return col
+    return np.array(_entries_of(col, _BOOLS, "a boolean"), _BOOL)
 
 
-def _fill(col: Column, holes: Column) -> Column:
-    """`col` with its None entries taken, in order, from `holes`."""
-    take = iter(holes).__next__
-    return [take() if x is None else x for x in col]
-
-
-def _numbers(a: Column, b: Column) -> None:
-    if not (_NUMBERS.issuperset(map(type, a)) and _NUMBERS.issuperset(map(type, b))):
-        raise Unsupported("expected a number")
+def _merge(mask: Column, yes: Column, unmask: Column, no: Column) -> Column:
+    """Entries from `yes`, in order, where `mask` is true, and from `no`
+    where `unmask`, its negation, is."""
+    out = np.empty(len(mask), yes.dtype if yes.dtype is no.dtype else _OBJECT)
+    out[mask] = yes
+    out[unmask] = no
+    return out
 
 
 def _const(s, e, sel):
-    return [raw(e.value)] * len(sel)
+    x = raw(e.value)
+    # a real zero's sign tells it from the other zero, which compares equal
+    key = (type(x), x, math.copysign(1.0, x) if type(x) is float else None, len(sel))
+    col = s.consts.get(key)
+    if col is None:
+        col = s.consts[key] = _repeat(x, len(sel))
+    return col
 
 
 def _ref(s, e, sel):
     col = s.env[e.var]
-    return col if sel is s.every else [col[i] for i in sel]
+    return col if sel is s.every else col[sel]
 
 
 def _unary(s, e, sel):
     x = e.operand
     col = _COLUMN[type(x)](s, x, sel)
     if e.op == "not":
-        if not _BOOLS.issuperset(map(type, col)):
-            raise Unsupported("expected a boolean")
-        return [not v for v in col]
+        return ~_bools(col)
     if e.op == "neg":
-        if not _NUMBERS.issuperset(map(type, col)):
-            raise Unsupported("expected a number")
-        return [-v for v in col]
+        if col.dtype is _INT or col.dtype is _REAL:
+            return -col
+        return column_of([-v for v in _entries_of(col, _NUMBERS, "a number")])
     raise Unsupported(f"unknown unary operator {e.op!r}")
 
 
@@ -338,125 +493,143 @@ def _binary(s, e, sel):
     op, left, right = e.op, e.left, e.right
     a = _COLUMN[type(left)](s, left, sel)
     if op == "and" or op == "or":
-        yes, no = _split(sel, a)
+        a = _bools(a)
         # the cases whose value the right operand decides
-        rest = yes if op == "and" else no
-        if not rest:
+        decide = a if op == "and" else ~a
+        count = np.count_nonzero(decide)
+        if not count:
             return a
-        b = _COLUMN[type(right)](s, right, rest)
-        if not _BOOLS.issuperset(map(type, b)):
-            raise Unsupported("expected a boolean")
-        if len(rest) == len(a):
-            return b
-        take = iter(b).__next__
-        if op == "and":
-            return [take() if c else False for c in a]
-        return [True if c else take() for c in a]
+        if count == len(sel):
+            return _bools(_COLUMN[type(right)](s, right, sel))
+        out = a.copy()
+        out[decide] = _bools(_COLUMN[type(right)](s, right, sel[decide]))
+        return out
     return _BINARY[op](a, _COLUMN[type(right)](s, right, sel))
 
 
 def _if(s, e, sel):
     cond, then, orelse = e.cond, e.then, e.orelse
-    c = _COLUMN[type(cond)](s, cond, sel)
-    yes, no = _split(sel, c)
-    if not no:
+    c = _bools(_COLUMN[type(cond)](s, cond, sel))
+    count = np.count_nonzero(c)
+    if count == len(sel):
         return _COLUMN[type(then)](s, then, sel)
-    if not yes:
+    if not count:
         return _COLUMN[type(orelse)](s, orelse, sel)
-    # a byte per case, not a list entry, is held while the branches run:
-    # the else branch of an intervention ladder nests one level per stone
-    mask = bytes(c)
-    del c
-    return _merge(mask, _COLUMN[type(then)](s, then, yes), _COLUMN[type(orelse)](s, orelse, no))
+    nc = ~c
+    return _merge(c, _COLUMN[type(then)](s, then, sel[c]), nc, _COLUMN[type(orelse)](s, orelse, sel[nc]))
 
 
 def _case_list(s, e, sel):
+    # `at` holds the positions in `sel` of the cases still open, None for all
     parts = []
-    rest = sel
+    rest, at = sel, None
     for guard, arm in e.cases:
-        if not rest:
+        if not len(rest):
             break
-        yes, rest = _split(rest, _COLUMN[type(guard)](s, guard, rest))
-        if yes:
-            parts.append((yes, _COLUMN[type(arm)](s, arm, yes)))
-    if rest:
+        g = _bools(_COLUMN[type(guard)](s, guard, rest))
+        count = np.count_nonzero(g)
+        if count == len(rest):
+            # every open case takes this arm: it reads `rest` itself
+            parts.append((at, _COLUMN[type(arm)](s, arm, rest)))
+            rest = rest[:0]
+            break
+        if count:
+            yes = rest[g]
+            parts.append((g if at is None else at[g], _COLUMN[type(arm)](s, arm, yes)))
+            open_ = ~g
+            rest = rest[open_]
+            at = np.flatnonzero(open_) if at is None else at[open_]
+    if len(rest):
         d = e.default
-        parts.append((rest, _COLUMN[type(d)](s, d, rest)))
+        parts.append((at, _COLUMN[type(d)](s, d, rest)))
     if len(parts) == 1:
         return parts[0][1]
-    out = [None] * len(sel)
-    position = dict(zip(sel, range(len(sel))))
-    for cases, col in parts:
-        for i, v in zip(cases, col):
-            out[position[i]] = v
+    kinds = {col.dtype for _, col in parts}
+    out = np.empty(len(sel), kinds.pop() if len(kinds) == 1 else _OBJECT)
+    for where, col in parts:
+        out[where] = col
+    return out
+
+
+def _fill(col: Column, holes: Column, fill: Column) -> Column:
+    """`col` with its entries where `holes` is true taken, in order, from `fill`."""
+    out = col.copy() if col.dtype is fill.dtype else col.astype(_OBJECT)
+    out[holes] = fill
     return out
 
 
 def _is_intervened(s, e, sel):
     f = s.forced.get(e.var)
     if f is None:
-        return [False] * len(sel)
-    if sel is s.every:
-        return [x is not None for x in f]
-    return [f[i] is not None for i in sel]
+        return np.zeros(len(sel), _BOOL)
+    return f[0] if sel is s.every else f[0][sel]
 
 
 def _intervention_value(s, e, sel):
     f = s.forced.get(e.var)
     if f is None:
-        got, missing = None, sel
+        mask, forced = None, 0
     else:
-        got = f if sel is s.every else [f[i] for i in sel]
-        missing = [i for i, x in zip(sel, got) if x is None]
-        if not missing:
+        mask, got = (f[0], f[1]) if sel is s.every else (f[0][sel], f[1][sel])
+        forced = np.count_nonzero(mask)
+        if forced == len(sel):
             return got
     fb = e.fallback
     if fb is None:
         raise Unsupported(f"{e.var} is not intervened on")
-    col = _COLUMN[type(fb)](s, fb, missing)
-    return col if got is None else _fill(got, col)
+    if not forced:
+        return _COLUMN[type(fb)](s, fb, sel)
+    holes = ~mask
+    return _fill(got, holes, _COLUMN[type(fb)](s, fb, sel[holes]))
 
 
-def _family(s, e, lo=None, hi=None) -> list[tuple[int, Column]]:
-    """(index, forced column) of the visible atoms on `e`'s family with an
-    index in lo..hi, largest index first."""
+def _family(s, e, lo=None, hi=None) -> list[tuple[int, tuple]]:
+    """(index, forced-table entry) of the visible atoms on `e`'s family with
+    an index in lo..hi, largest index first."""
     out = []
-    for var, col in s.forced.items():
+    for var, f in s.forced.items():
         i = var.index
         if var.name != e.family or i is None or (lo is not None and i < lo) or (hi is not None and i > hi):
             continue
-        out.append((i, col))
+        out.append((i, f))
     out.sort(key=lambda p: -p[0])
     return out
 
 
 def _exists(s, e, sel):
-    cols = [col for _, col in _family(s, e, e.lo, e.hi)]
     want = e.value
-    if want is None:
-        return [any(col[i] is not None for col in cols) for i in sel]
-    return [any(col[i] is not None and value(col[i]) == want for col in cols) for i in sel]
+    out = np.zeros(len(sel), _BOOL)
+    for _, (mask, _, codes, atoms) in _family(s, e, e.lo, e.hi):
+        if want is None:
+            hit = mask
+        else:
+            hit = np.array([a is not None and a == want for a in atoms], _BOOL)[codes]
+        out |= hit if sel is s.every else hit[sel]
+    return out
 
 
 def _max_index(s, e, sel):
     upper = e.upper
     bounds = _COLUMN[type(upper)](s, upper, sel)
-    if not _INTS.issuperset(map(type, bounds)):
-        raise Unsupported("max_intervened_index bound must be an integer")
+    if bounds.dtype is not _INT:
+        bounds = _entries_of(bounds, _INTS, "an integer bound for max_intervened_index")
     family = _family(s, e)
-    out = []
-    for i, bound in zip(sel, bounds):
-        best = None
-        for index, col in family:
-            if index <= bound and col[i] is not None:
-                best = index
-                break
-        out.append(best)
-    missing = [i for i, x in zip(sel, out) if x is None]
-    if not missing:
-        return out
+    small = all(-INT_LIMIT <= i <= INT_LIMIT for i, _ in family)
+    best = np.zeros(len(sel), _INT if small else _OBJECT)
+    found = np.zeros(len(sel), _BOOL)
+    for index, (mask, _, _, _) in family:
+        if type(bounds) is list:
+            within = np.array([index <= b for b in bounds], _BOOL)
+        else:
+            within = bounds >= index
+        hit = (mask if sel is s.every else mask[sel]) & within & ~found
+        best[hit] = index
+        found |= hit
+    missing = ~found
+    if not np.count_nonzero(missing):
+        return best
     d = e.default
-    return _fill(out, _COLUMN[type(d)](s, d, missing))
+    return _fill(best, missing, _COLUMN[type(d)](s, d, sel[missing]))
 
 
 def _draw(s, e, sel):
@@ -466,36 +639,73 @@ def _draw(s, e, sel):
 # ---------------------------------------------------------------------------
 # Operators: `expr._apply_binary` on each pair of entries
 # ---------------------------------------------------------------------------
+#
+# A kernel takes two columns of equal length.  Where both are int64 or
+# float64 it runs numpy on them; otherwise it takes their Python entries,
+# checks their kinds as `_apply_binary` does, and applies Python's operator
+# to each pair.
+
+
+def _typed(a: Column, b: Column) -> bool:
+    """Whether both columns are int64 or float64."""
+    return (a.dtype is _INT or a.dtype is _REAL) and (b.dtype is _INT or b.dtype is _REAL)
+
+
+def _pairs(a: Column, b: Column, kinds: frozenset = _NUMBERS, what: str = "a number") -> tuple[list, list]:
+    return _entries_of(a, kinds, what), _entries_of(b, kinds, what)
+
+
+def _largest(col: Column) -> int:
+    """The largest magnitude in an int64 column, 0 when it is empty."""
+    return int(np.abs(col).max(initial=0))
+
+
+def _in_range(col: Column) -> Column:
+    """An int64 result as it is, or as Python ints where it left +-INT_LIMIT."""
+    if col.dtype is _INT and _largest(col) > INT_LIMIT:
+        return col.astype(_OBJECT)
+    return col
 
 
 def _add(a, b):
-    _numbers(a, b)
-    return [x + y for x, y in zip(a, b)]
+    if _typed(a, b):
+        return _in_range(a + b)
+    return column_of(list(map(operator.add, *_pairs(a, b))))
 
 
 def _sub(a, b):
-    _numbers(a, b)
-    return [x - y for x, y in zip(a, b)]
+    if _typed(a, b):
+        return _in_range(a - b)
+    return column_of(list(map(operator.sub, *_pairs(a, b))))
 
 
 def _mul(a, b):
-    _numbers(a, b)
-    return [x * y for x, y in zip(a, b)]
+    # two int64 factors may overflow: their largest product is checked first
+    if _typed(a, b) and not (a.dtype is _INT and b.dtype is _INT and _largest(a) * _largest(b) > _INT64_MAX):
+        return _in_range(a * b)
+    return column_of(list(map(operator.mul, *_pairs(a, b))))
 
 
 def _div(a, b):
-    _numbers(a, b)
-    if 0 in b:
+    if _typed(a, b):
+        if np.count_nonzero(b == 0):
+            raise Unsupported("division by zero")
+        return a // b if a.dtype is _INT and b.dtype is _INT else a / b
+    xs, ys = _pairs(a, b)
+    if 0 in ys:
         raise Unsupported("division by zero")
-    return [x // y if type(x) is int and type(y) is int else x / y for x, y in zip(a, b)]
+    return column_of([x // y if type(x) is int and type(y) is int else x / y for x, y in zip(xs, ys)])
 
 
 def _mod(a, b):
-    if not (_INTS.issuperset(map(type, a)) and _INTS.issuperset(map(type, b))):
-        raise Unsupported("mod is defined on integers only")
-    if 0 in b:
+    if a.dtype is _INT and b.dtype is _INT:
+        if np.count_nonzero(b == 0):
+            raise Unsupported("modulo by zero")
+        return a % b
+    xs, ys = _pairs(a, b, _INTS, "integers: mod is defined on integers only")
+    if 0 in ys:
         raise Unsupported("modulo by zero")
-    return [x % y for x, y in zip(a, b)]
+    return column_of([x % y for x, y in zip(xs, ys)])
 
 
 def _power(x, y):
@@ -513,28 +723,31 @@ def _power(x, y):
 
 
 def _pow(a, b):
-    _numbers(a, b)
-    return [_power(x, y) for x, y in zip(a, b)]
+    return column_of(list(map(_power, *_pairs(a, b))))
 
 
 def _min(a, b):
-    _numbers(a, b)
-    return [x if x <= y else y for x, y in zip(a, b)]
+    if _typed(a, b) and a.dtype is b.dtype:
+        return np.where(a <= b, a, b)
+    return column_of([x if x <= y else y for x, y in zip(*_pairs(a, b))])
 
 
 def _max(a, b):
-    _numbers(a, b)
-    return [x if x >= y else y for x, y in zip(a, b)]
+    if _typed(a, b) and a.dtype is b.dtype:
+        return np.where(a >= b, a, b)
+    return column_of([x if x >= y else y for x, y in zip(*_pairs(a, b))])
 
 
 def _lt(a, b):
-    _numbers(a, b)
-    return [x < y for x, y in zip(a, b)]
+    if _typed(a, b):
+        return a < b
+    return np.array(list(map(operator.lt, *_pairs(a, b))), _BOOL)
 
 
 def _le(a, b):
-    _numbers(a, b)
-    return [x <= y for x, y in zip(a, b)]
+    if _typed(a, b):
+        return a <= b
+    return np.array(list(map(operator.le, *_pairs(a, b))), _BOOL)
 
 
 def _equal(x, y) -> bool:
@@ -546,10 +759,13 @@ def _equal(x, y) -> bool:
 
 
 def _eq(a, b):
-    ta, tb = set(map(type, a)), set(map(type, b))
+    if _typed(a, b) or (a.dtype is _BOOL and b.dtype is _BOOL):
+        return a == b
+    xs, ys = a.tolist(), b.tolist()
+    ta, tb = set(map(type, xs)), set(map(type, ys))
     if ta | tb <= _NUMBERS or (len(ta) == 1 and ta == tb):
-        return [x == y for x, y in zip(a, b)]
-    return [_equal(x, y) for x, y in zip(a, b)]
+        return np.array(list(map(operator.eq, xs, ys)), _BOOL)
+    return np.array(list(map(_equal, xs, ys)), _BOOL)
 
 
 _BINARY = {
@@ -581,6 +797,7 @@ _COLUMN = {
 }
 
 
+@_quiet
 def column(e: E.Expr, cases: Cases, env: dict, visible: Optional[frozenset] = None) -> Column:
     """One tree over every case; `env` maps each readable variable to its column."""
     return _COLUMN[type(e)](_Scope(cases, env, visible), e, cases.every)
@@ -594,26 +811,29 @@ def column(e: E.Expr, cases: Cases, env: dict, visible: Optional[frozenset] = No
 def _check_domain(dom: E.Domain, col: Column) -> None:
     """Raise unless every entry lies in the domain, as `Domain._contains` says."""
     t = type(dom)
+    kind = col.dtype
+    if not len(col):
+        return
     if t is E.RealDomain:
-        types = set(map(type, col))
-        if not types <= _NUMBERS:
-            raise Unsupported("outside a real domain")
-        if int in types:
-            col = [float(x) for x in col]  # as `_contains` converts an int carrier
-        if dom.lo is not None and any(r < dom.lo for r in col):
+        if kind is not _INT and kind is not _REAL:
+            # as `_contains` converts an int carrier
+            col = np.array([float(x) for x in _entries_of(col, _NUMBERS, "a real")], _REAL)
+        if dom.lo is not None and np.count_nonzero(col < dom.lo):
             raise Unsupported("below the domain")
-        if dom.hi is not None and any(r > dom.hi for r in col):
+        if dom.hi is not None and np.count_nonzero(col > dom.hi):
             raise Unsupported("above the domain")
     elif t is E.IntDomain:
-        if not _INTS.issuperset(map(type, col)):
-            raise Unsupported("outside an integer domain")
-        if col and (min(col) < dom.lo or max(col) > dom.hi):
+        if kind is _INT:
+            lo, hi = int(col.min()), int(col.max())
+        else:
+            xs = _entries_of(col, _INTS, "an integer")
+            lo, hi = min(xs), max(xs)
+        if lo < dom.lo or hi > dom.hi:
             raise Unsupported("outside the integer range")
     elif t is E.BoolDomain:
-        if not _BOOLS.issuperset(map(type, col)):
-            raise Unsupported("outside the boolean domain")
+        _bools(col)
     elif t is E.SymDomain:
-        if not (_STRS.issuperset(map(type, col)) and set(dom.symbols).issuperset(col)):
+        if not set(dom.symbols).issuperset(_entries_of(col, _STRS, "a symbol")):
             raise Unsupported("outside a symbolic domain")
     else:
         raise Unsupported(f"unknown domain {dom!r}")
@@ -647,11 +867,14 @@ def _equations(scope: _Scope, rows: Sequence[tuple], keep: Optional[frozenset] =
     out = {}
     for k, (var, dom, tree) in enumerate(rows):
         f = scope.forced.get(var)
-        if f is None:
+        forced = 0 if f is None else np.count_nonzero(f[0])
+        if not forced:
             col = _COLUMN[type(tree)](scope, tree, every)
+        elif forced == len(every):
+            col = f[1]
         else:
-            free = [i for i, x in enumerate(f) if x is None]
-            col = _fill(f, _COLUMN[type(tree)](scope, tree, free)) if free else f
+            free = ~f[0]
+            col = _fill(f[1], free, _COLUMN[type(tree)](scope, tree, every[free]))
         _check_domain(dom, col)
         if keep is None or var in keep:
             out[var] = col
@@ -662,6 +885,7 @@ def _equations(scope: _Scope, rows: Sequence[tuple], keep: Optional[frozenset] =
     return out
 
 
+@_quiet
 def scm_columns(scm: Scm, cases: Cases, keep: frozenset) -> dict[VarRef, Column]:
     """The columns `eval_scm` gives the variables in `keep`."""
     scope = _Scope(cases, _inputs(scm.exogenous, cases))
@@ -669,6 +893,7 @@ def scm_columns(scm: Scm, cases: Cases, keep: frozenset) -> dict[VarRef, Column]
     return _equations(scope, rows, keep)
 
 
+@_quiet
 def ccv_columns(
     ccv: Ccv,
     cases: Cases,
@@ -696,6 +921,7 @@ def ccv_columns(
     return out
 
 
+@_quiet
 def consolidated_columns(cons: ConsolidatedScm, cases: Cases, keep: Iterable[VarRef]) -> dict[VarRef, Column]:
     """The columns `eval_consolidated` gives the variables in `keep`."""
     acc = _inputs(cons.exogenous, cases)
@@ -728,9 +954,51 @@ def _disagree(x, y, tolerance: float) -> bool:
 
 def _identical(a: Column, b: Column) -> bool:
     """Equal entry by entry, in value and in type."""
-    return a == b and list(map(type, a)) == list(map(type, b))
+    if a.dtype is not b.dtype:
+        return False
+    if a.dtype is _OBJECT:
+        xs, ys = a.tolist(), b.tolist()
+        return xs == ys and list(map(type, xs)) == list(map(type, ys))
+    return np.count_nonzero(a != b) == 0
 
 
+def _first_disagreeing(a: Column, b: Column, tolerance: float) -> Optional[int]:
+    """The first position where `_disagree` flags the pair, or None."""
+    if _typed(a, b) and (a.dtype is _REAL or b.dtype is _REAL):
+        bad = np.abs(a - b) > tolerance
+    elif a.dtype is b.dtype and a.dtype is not _OBJECT:
+        bad = a != b
+    elif a.dtype is not _OBJECT and b.dtype is not _OBJECT:
+        # a boolean against a number
+        return 0 if len(a) else None
+    else:
+        for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            if _disagree(x, y, tolerance):
+                return k
+        return None
+    at = np.flatnonzero(bad)
+    return int(at[0]) if len(at) else None
+
+
+def _deviation(a: Column, b: Column) -> float:
+    """The largest real deviation between the pairs where one entry is a
+    real, NaN never counting; 0 when there is none."""
+    if _typed(a, b):
+        if a.dtype is _INT and b.dtype is _INT:
+            return 0.0
+        dev = np.abs(a - b)
+        dev = dev[dev > 0]
+        return float(dev.max()) if len(dev) else 0.0
+    worst = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        if type(x) is float or type(y) is float:
+            dev = abs(float(x) - float(y))
+            if dev > worst:
+                worst = dev
+    return worst
+
+
+@_quiet
 def first_disagreement(
     targets: Sequence[VarRef],
     want: Mapping[VarRef, Column],
@@ -749,18 +1017,16 @@ def first_disagreement(
     differ = []
     for t in targets:
         a, b = want[t], got[t]
-        if exact and (a is b or _identical(a[lo:hi], b[lo:hi])):
+        if exact and a is b:
+            continue
+        a, b = a[lo:hi], b[lo:hi]
+        if exact and _identical(a, b):
             continue
         differ.append((a, b))
-        for k in range(lo, stop):
-            if _disagree(a[k], b[k], tolerance):
-                stop = k
-                break
+        bad = _first_disagreeing(a[: stop - lo], b[: stop - lo], tolerance)
+        if bad is not None:
+            stop = lo + bad
     worst = 0.0
     for a, b in differ:
-        for x, y in zip(a[lo:stop], b[lo:stop]):
-            if type(x) is float or type(y) is float:
-                dev = abs(float(x) - float(y))
-                if dev > worst:
-                    worst = dev
+        worst = max(worst, _deviation(a[: stop - lo], b[: stop - lo]))
     return (stop if stop < hi else None), worst

@@ -606,47 +606,49 @@ def contains_draw(e: Expr) -> bool:
     return any(contains_draw(c) for c in children(e))
 
 
-def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """`e` with `f` applied to each expression child.
+def map_children(e: Expr, f: Callable[..., Expr], *args) -> Expr:
+    """`e` with `f(child, *args)` in place of each expression child.
 
     `f` sees the children in `children` order: a `CaseList` gives each
     guard, then its branch, then the default; an `InterventionValue` without
     a fallback has no child and `f` is not called.  When `f` hands back every
     child as the same object, `e` itself is returned, so a rewrite copies
-    only the path to what it changed and shares every other subtree.
+    only the path to what it changed and shares every other subtree.  A
+    walker passes its own state as `args` and recurses with `f` itself, so
+    it needs no closure per node.
     """
     match e:
         case Const() | Ref() | IsIntervened() | ExistsIntervention():
             return e
         case Unary(op, a):
-            a2 = f(a)
+            a2 = f(a, *args)
             return e if a2 is a else Unary(op, a2)
         case Binary(op, l, r):
-            l2 = f(l)
-            r2 = f(r)
+            l2 = f(l, *args)
+            r2 = f(r, *args)
             return e if l2 is l and r2 is r else Binary(op, l2, r2)
         case IfThenElse(c, t, o):
-            c2 = f(c)
-            t2 = f(t)
-            o2 = f(o)
+            c2 = f(c, *args)
+            t2 = f(t, *args)
+            o2 = f(o, *args)
             return e if c2 is c and t2 is t and o2 is o else IfThenElse(c2, t2, o2)
         case CaseList(cases, default):
-            cases2 = tuple((f(g), f(b)) for g, b in cases)
-            d2 = f(default)
+            cases2 = tuple((f(g, *args), f(b, *args)) for g, b in cases)
+            d2 = f(default, *args)
             if d2 is default and all(g2 is g and b2 is b for (g2, b2), (g, b) in zip(cases2, cases)):
                 return e
             return CaseList(cases2, d2)
         case InterventionValue(v, fb):
             if fb is None:
                 return e
-            fb2 = f(fb)
+            fb2 = f(fb, *args)
             return e if fb2 is fb else InterventionValue(v, fb2)
         case MaxIntervenedIndex(fam, u, d):
-            u2 = f(u)
-            d2 = f(d)
+            u2 = f(u, *args)
+            d2 = f(d, *args)
             return e if u2 is u and d2 is d else MaxIntervenedIndex(fam, u2, d2)
         case RandomBernoulli(p):
-            p2 = f(p)
+            p2 = f(p, *args)
             return e if p2 is p else RandomBernoulli(p2)
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -667,7 +669,7 @@ def _substitute(x: Expr, bindings: Mapping[VarRef, Expr]) -> Expr:
     # a module-level walker: a closure that calls itself is a reference cycle
     if isinstance(x, Ref):
         return bindings.get(x.var, x)
-    return map_children(x, lambda ch: _substitute(ch, bindings))
+    return map_children(x, _substitute, bindings)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _fold_closed(x: Expr, opened: list[int]) -> Expr:
     """`opened[0]` counts the open nodes walked so far: a subtree is closed
     when its walk adds none."""
     before = opened[0]
-    x = E.map_children(x, lambda ch: _fold_closed(ch, opened))
+    x = E.map_children(x, _fold_closed, opened)
     if isinstance(x, _OPEN_NODES):
         opened[0] += 1
     elif opened[0] == before and not isinstance(x, E.Const):
@@ -98,6 +98,16 @@ def _branch_contexts(x: E.IfThenElse, ictx: I.ImageContext) -> tuple[I.ImageCont
     return ictx, ictx, ictx
 
 
+def _map_branches(x: E.IfThenElse, walk, contexts: tuple, *args) -> Expr:
+    """`x` with `walk(child, context, *args)` in place of its guard and its
+    branches, each with its own one of the three `contexts`."""
+    guard_ctx, then_ctx, else_ctx = contexts
+    c = walk(x.cond, guard_ctx, *args)
+    t = walk(x.then, then_ctx, *args)
+    o = walk(x.orelse, else_ctx, *args)
+    return x if c is x.cond and t is x.then and o is x.orelse else E.IfThenElse(c, t, o)
+
+
 def fold_by_image(e: Expr, ctx: PassContext) -> Expr:
     """Replace any subtree whose image is a single value with that constant."""
     return _fold_image(e, ctx.image_ctx())
@@ -109,9 +119,8 @@ def _fold_image(x: Expr, ictx: I.ImageContext) -> Expr:
         if sv is not None:
             return E.Const(sv)
     if isinstance(x, E.IfThenElse):
-        contexts = iter(_branch_contexts(x, ictx))
-        return E.map_children(x, lambda ch: _fold_image(ch, next(contexts)))
-    return E.map_children(x, lambda ch: _fold_image(ch, ictx))
+        return _map_branches(x, _fold_image, _branch_contexts(x, ictx))
+    return E.map_children(x, _fold_image, ictx)
 
 
 def _const_bool(x: Expr) -> Optional[bool]:
@@ -150,7 +159,7 @@ def simplify_algebra(e: Expr, ctx: PassContext) -> Expr:
 
 
 def _simplify(x: Expr, ctx: PassContext) -> Expr:
-    x = E.map_children(x, lambda ch: _simplify(ch, ctx))
+    x = E.map_children(x, _simplify, ctx)
     match x:
         case E.Unary("not", E.Unary("not", inner)):
             return inner
@@ -300,8 +309,7 @@ def _prune(x: Expr, ictx: I.ImageContext, ctx: PassContext) -> Expr:
             if gi == E.VBool(False):
                 ctx.stats.guards_dropped += 1
                 return _prune(o, else_ctx, ctx)
-            contexts = iter((guard_ctx, then_ctx, else_ctx))
-            return E.map_children(x, lambda ch: _prune(ch, next(contexts), ctx))
+            return _map_branches(x, _prune, (guard_ctx, then_ctx, else_ctx), ctx)
         case E.CaseList(cases, default):
             kept = []
             new_default = default
@@ -316,7 +324,7 @@ def _prune(x: Expr, ictx: I.ImageContext, ctx: PassContext) -> Expr:
                     break
                 kept.append((g, b))
             if kept and len(kept) == len(cases):
-                return E.map_children(x, lambda ch: _prune(ch, ictx, ctx))
+                return E.map_children(x, _prune, ictx, ctx)
             arms = tuple((_prune(g, ictx, ctx), _prune(b, ictx, ctx)) for g, b in kept)
             out = E.CaseList(arms, _prune(new_default, ictx, ctx))
             if not out.cases:
@@ -332,7 +340,7 @@ def _prune(x: Expr, ictx: I.ImageContext, ctx: PassContext) -> Expr:
                     return E.Const(vals[0])
             if state is False and fb is not None:
                 return _prune(fb, ictx, ctx)
-    return E.map_children(x, lambda ch: _prune(ch, ictx, ctx))
+    return E.map_children(x, _prune, ictx, ctx)
 
 
 def prune_interventions(e: Expr, ctx: PassContext) -> Expr:
@@ -341,7 +349,7 @@ def prune_interventions(e: Expr, ctx: PassContext) -> Expr:
 
 
 def _prune_queries(x: Expr, space: InterventionSpace) -> Expr:
-    x = E.map_children(x, lambda ch: _prune_queries(ch, space))
+    x = E.map_children(x, _prune_queries, space)
     match x:
         case E.IsIntervened(v):
             if not space.atom_values(v):
@@ -376,7 +384,7 @@ def _cancel(x: Expr, rules: list[tuple[Expr, Expr]]) -> Expr:
     for pattern, replacement in rules:
         if x == pattern:
             return replacement
-    return E.map_children(x, lambda ch: _cancel(ch, rules))
+    return E.map_children(x, _cancel, rules)
 
 
 def dedupe_targets(e: Expr, ctx: PassContext) -> Expr:
@@ -392,7 +400,7 @@ def _dedupe(x: Expr, table: Mapping[Expr, VarRef]) -> Expr:
     hit = table.get(x)
     if hit is not None:
         return E.Ref(hit)
-    return E.map_children(x, lambda ch: _dedupe(ch, table))
+    return E.map_children(x, _dedupe, table)
 
 
 PURE_PASSES: dict[str, Callable[[Expr, PassContext], Expr]] = {

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
+import numpy as np
+
 from . import expr as E
 from .errors import (
     DomainError,
@@ -294,21 +296,24 @@ class InterventionSpace:
             return []
         return rng.integers([1 + len(vals) for _, vals in self.atoms]).tolist()
 
-    def picks(self, rng, count: int) -> list:
+    def picks(self, rng, count: int) -> np.ndarray:
         """`count` calls of `pick` as one `rng.integers` call on an array of
-        bounds (count × atoms for a power set), which consumes the stream
-        exactly like the calls made one after another."""
-        if count <= 0:
-            return []
+        bounds, which consumes the stream exactly like the calls made one
+        after another: an int64 array of count positions, or for a power set
+        of count × atoms entries."""
+        count = max(count, 0)
         if self.mode in _LISTED:
-            return rng.integers(len(self._members), size=count).tolist()
-        if not self.atoms:
-            return [[] for _ in range(count)]
+            if not count:
+                return np.zeros(0, np.int64)
+            return rng.integers(len(self._members), size=count, dtype=np.int64)
         bounds = [1 + len(vals) for _, vals in self.atoms]
-        return rng.integers(bounds, size=(count, len(bounds))).tolist()
+        if not count or not bounds:
+            return np.zeros((count, len(bounds)), np.int64)
+        return rng.integers(bounds, size=(count, len(bounds)), dtype=np.int64)
 
     def member(self, pick) -> InterventionSet:
-        """The set `sample` returns for a `pick`."""
+        """The set `sample` returns for a `pick`, a position or a list of
+        atom-row entries."""
         if self.mode in _LISTED:
             return self._members[pick]
         if not any(pick):

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import columns as C
 from . import expr as E
 from . import scm as S
@@ -339,13 +341,16 @@ def _sampled_cases(axes, count: int, rng, space, set_rng=None) -> C.Cases:
                 drawn[v].append(_draw(dist, rng) if dist is not None else _sample_domain(dom, rng))
             if interleaved:
                 picks.append(space.pick(rng))
-    if not interleaved:
+    if interleaved:
+        shape = (count, len(space.atoms)) if space.mode == S.POWER_SET else (count,)
+        picks = np.array(picks, np.int64).reshape(shape)
+    else:
         picks = space.picks(rng if set_rng is None else set_rng, count)
     inputs = {}
     for v, _, _ in axes:
         if v in fixed:
             col, exact = fixed[v]
-            inputs[v] = (col * count, exact)
+            inputs[v] = (col * count, True) if exact else (np.repeat(col, count), False)
         else:
             inputs[v] = C.entries(drawn[v])
     return C.Cases.drawn(inputs, space, picks)
@@ -430,7 +435,7 @@ class GateMemo:
         """`before`'s target values on case k; the loop asks for cases in order."""
         cols = self._before_columns
         if cols is not None:
-            return tuple([C.value(cols[t][k]) for t in tlist])
+            return tuple([C.value(cols[t].item(k)) for t in tlist])
         if k == len(self._known):
             out = eval_ccv(self._before, env, iv)
             self._known.append(tuple([out[t] for t in tlist]))

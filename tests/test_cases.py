@@ -102,7 +102,7 @@ def test_picks_draw_what_sample_draws(space):
         want = [oracle_sample(space, oracle) for _ in range(30)]
         assert got == want and [repr(x) for x in got] == [repr(x) for x in want]
         assert batched.random() == one_by_one.random() == oracle.random()
-    assert space.picks(make_rng(0), 0) == []
+    assert len(space.picks(make_rng(0), 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,18 @@ def forced_reprs(forced) -> dict:
     return {v: [repr(x) for x in col] for v, col in forced.items() if any(x is not None for x in col)}
 
 
+def forced_lists(forced) -> dict:
+    """A column forced table as per-case lists of raw values or None, after
+    checking that each case's atom is the value its entry holds."""
+    out = {}
+    for v, (mask, values, codes, atoms) in forced.items():
+        col = [x if m else None for m, x in zip(mask.tolist(), values.tolist())]
+        assert [c != 0 for c in codes.tolist()] == mask.tolist()
+        assert [repr(C.raw(atoms[c])) if c else "None" for c in codes.tolist()] == [repr(x) for x in col]
+        out[v] = col
+    return out
+
+
 def assert_same_cases(cases, rows, names) -> None:
     """The same cases in order, and the columns of their transposition."""
     assert len(cases) == len(rows)
@@ -181,14 +193,14 @@ def assert_same_cases(cases, rows, names) -> None:
                 with pytest.raises(C.Unsupported):
                     block.input(v)
             else:
-                assert [repr(x) for x in block.input(v)] == want, v
+                assert [repr(x) for x in block.input(v).tolist()] == want, v
         try:
             want_forced = oracle_forced([iv for _, iv in part])
         except C.Unsupported:
             with pytest.raises(C.Unsupported):
                 block.forced
         else:
-            assert forced_reprs(block.forced) == forced_reprs(want_forced)
+            assert forced_reprs(forced_lists(block.forced)) == forced_reprs(want_forced)
         for k in range(hi - lo):
             env, iv = block.case(k)
             assert reprs(env) == reprs(part[k][0]) and repr(iv) == repr(part[k][1])

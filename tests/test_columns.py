@@ -51,7 +51,7 @@ def reprs(values) -> list[str]:
 
 
 def column_values(col) -> list[str]:
-    return reprs(C.value(x) for x in col)
+    return reprs(C.value(x) for x in col.tolist())
 
 
 def make_cases(rows):
@@ -456,8 +456,8 @@ def test_first_disagreement_matches_the_per_case_comparison():
                 first = k
                 break
             worst = max(worst, dev)
-        want = {t: [C.raw(row[j]) for row in base] for j, t in enumerate(targets)}
-        got = {t: [C.raw(row[j]) for row in cons] for j, t in enumerate(targets)}
+        want = {t: C.column_of([C.raw(row[j]) for row in base]) for j, t in enumerate(targets)}
+        got = {t: C.column_of([C.raw(row[j]) for row in cons]) for j, t in enumerate(targets)}
         assert C.first_disagreement(targets, want, got, tolerance, 0, n) == (first, worst)
         if tolerance >= 0:  # a column compared with itself never disagrees
             assert C.first_disagreement(targets, want, want, tolerance, 0, n) == (None, 0.0)

@@ -329,6 +329,15 @@ class TestMapChildren:
                 assert new_kids[i] is marker
                 assert all(new_kids[j] is kids[j] for j in range(len(kids)) if j != i)
 
+    def test_extra_arguments_are_passed_to_f(self):
+        for seed in range(100):
+            e = random_expr(seed)
+            seen = []
+            got = E.map_children(e, lambda c, depth, tag: seen.append((c, depth, tag)) or c, 3, "x")
+            assert got is e
+            assert [(d, t) for _, d, t in seen] == [(3, "x")] * len(E.children(e))
+            assert all(c is k for (c, _, _), k in zip(seen, E.children(e)))
+
     def test_fallback_less_intervention_value_is_not_visited(self):
         node = InterventionValue(A)
         assert E.map_children(node, lambda c: pytest.fail("visited")) is node

@@ -723,6 +723,17 @@ def _power(x, y):
 
 
 def _pow(a, b):
+    if a.dtype is _REAL and (b.dtype is _INT or b.dtype is _REAL):
+        # `_power`'s guards on the whole column; a non-finite exponent is
+        # not an integer, as `float.is_integer` says
+        if np.count_nonzero((a == 0) & (b < 0)):
+            raise Unsupported("zero to a negative power")
+        if b.dtype is _REAL and np.count_nonzero((a < 0) & ~(np.isfinite(b) & (np.floor(b) == b))):
+            raise Unsupported("negative base with fractional exponent")
+        # Python's own float power, which `np.power` and `x * x` differ from
+        # in the last bit; a float raised to an int converts the int to a
+        # float first, exactly within +-2**53
+        return np.array(list(map(operator.pow, a.tolist(), b.tolist())), _REAL)
     return column_of(list(map(_power, *_pairs(a, b))))
 
 
@@ -849,16 +860,22 @@ def _inputs(rows: Iterable, cases: Cases) -> dict[VarRef, Column]:
     return out
 
 
-def _equations(scope: _Scope, rows: Sequence[tuple], keep: Optional[frozenset] = None) -> dict:
+def _equations(
+    scope: _Scope,
+    rows: Sequence[tuple],
+    keep: Optional[frozenset] = None,
+    reads: Sequence[Sequence[VarRef]] = (),
+) -> dict:
     """`(var, domain, equation)` rows in order, as `eval_scm` runs them: a
     forced value replaces the equation, and every value is checked against
     the domain.  With `keep`, only those columns are returned, and a column
-    leaves the scope after the last equation that reads it."""
+    leaves the scope after the last equation that reads it, where `reads[k]`
+    is what row k reads."""
     env, every = scope.env, scope.every
     last_reader: dict[VarRef, int] = {}
     if keep is not None:
-        for k, (_, _, tree) in enumerate(rows):
-            for v in E.free_refs(tree):
+        for k, vs in enumerate(reads):
+            for v in vs:
                 last_reader[v] = k
     done_after: dict[int, list] = {}
     for v, k in last_reader.items():
@@ -890,7 +907,7 @@ def scm_columns(scm: Scm, cases: Cases, keep: frozenset) -> dict[VarRef, Column]
     """The columns `eval_scm` gives the variables in `keep`."""
     scope = _Scope(cases, _inputs(scm.exogenous, cases))
     rows = [(row.var, row.domain, row.equation) for row in scm.endogenous]
-    return _equations(scope, rows, keep)
+    return _equations(scope, rows, keep, scm.reads)
 
 
 @_quiet

@@ -12,6 +12,7 @@ the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import expr as E
@@ -27,7 +28,7 @@ from .errors import (
     UnboundRefError,
     recursion_as_too_deep,
 )
-from .evaluation import Assignment, eval_sub_scm
+from .evaluation import Assignment, run_sub_scm
 from .expr import Expr, VarRef, node_count, ref_sort_key
 from .partition import (
     Partition,
@@ -35,7 +36,6 @@ from .partition import (
     check_partition,
     extract_sub_scm,
     order_clusters,
-    psi_restrict,
 )
 from .scm import InterventionSet, InterventionSpace, Scm
 
@@ -137,6 +137,21 @@ class ConsolidatedScm:
 
     def ccvs(self) -> list[Ccv]:
         return [c.ccv for c in self.clusters if isinstance(c, CcvCluster)]
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[tuple, ...], tuple[VarRef, ...]]:
+        """What `eval_consolidated` walks, worked out on first use; not a field.
+
+        Per cluster in evaluation order: its local inputs, the members whose
+        atoms it sees (none that was marginalized), and its Ccv, or None for
+        a passthrough cluster; then every computed variable in output order.
+        """
+        dropped = self.dropped_atom_vars
+        clusters = tuple(
+            (c.sub.local_exogenous, c.sub.cluster - dropped, c.ccv if isinstance(c, CcvCluster) else None, c.sub)
+            for c in self.clusters
+        )
+        return clusters, tuple(self.computed_vars())
 
 
 @dataclass
@@ -413,16 +428,18 @@ def run_passes(
 # ---------------------------------------------------------------------------
 
 
+def _eval_targets(ccv: Ccv, env: Assignment, forced: dict, rng) -> None:
+    """Evaluate the targets in order into `env`, where later ones see them."""
+    rho = ccv.rho
+    for t in ccv.targets:
+        env[t] = rho[t]._eval(env, forced, rng)
+
+
 def eval_ccv(ccv: Ccv, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
     """Evaluate the targets in order; earlier targets are visible to later ones."""
     env: Assignment = dict(local_u)
-    forced_values = dict(local_iv.assignments)
-    out: Assignment = {}
-    for t in ccv.targets:
-        val = ccv.rho[t]._eval(env, forced_values, rng)
-        env[t] = val
-        out[t] = val
-    return out
+    _eval_targets(ccv, env, dict(local_iv.assignments), rng)
+    return {t: env[t] for t in ccv.targets}
 
 
 def eval_consolidated(
@@ -434,15 +451,17 @@ def eval_consolidated(
 ) -> Assignment:
     """Evaluate a consolidated model.
 
-    Atoms on marginalized variables are projected away first (they cannot
-    influence any surviving target), then clusters run in order exactly like
-    partitioned evaluation, with compositional equations standing in for the
-    consolidated clusters.
+    Atoms on marginalized variables are projected away (they cannot
+    influence any surviving target): membership is checked without them, and
+    no cluster sees them.  Clusters then run in order exactly like
+    partitioned evaluation, each under its own atoms, with compositional
+    equations standing in for the consolidated clusters.
     """
     iv = interventions if interventions is not None else InterventionSet.empty()
-    iv = iv.drop(cons.dropped_atom_vars)
-    if check_membership and not cons.interventions.contains(iv):
-        raise InterventionNotAllowedError(f"{iv} is not in the allowed intervention space")
+    if check_membership:
+        kept = iv.drop(cons.dropped_atom_vars)
+        if not cons.interventions.contains(kept):
+            raise InterventionNotAllowedError(f"{kept} is not in the allowed intervention space")
     acc: Assignment = {}
     for row in cons.exogenous:
         if row.var not in u:
@@ -450,15 +469,17 @@ def eval_consolidated(
         if not row.domain._contains(u[row.var]):
             raise DomainError(f"input {row.var}={u[row.var]} is outside its domain")
         acc[row.var] = u[row.var]
-    for cluster in cons.clusters:
-        if isinstance(cluster, PassthroughCluster):
-            local_u = {v: acc[v] for v in cluster.sub.local_exogenous}
-            acc.update(eval_sub_scm(cluster.sub, local_u, psi_restrict(iv, cluster.sub.cluster), rng=rng))
+    clusters, outputs = cons._plan
+    pairs = iv.assignments
+    for inputs, members, ccv, sub in clusters:
+        env = {v: acc[v] for v in inputs}
+        forced = {v: val for v, val in pairs if v in members}
+        if ccv is not None:
+            _eval_targets(ccv, env, forced, rng)
         else:
-            local_u = {v: acc[v] for v in cluster.sub.local_exogenous}
-            local_iv = psi_restrict(iv, cluster.sub.cluster)
-            acc.update(eval_ccv(cluster.ccv, local_u, local_iv, rng=rng))
-    return {v: acc[v] for v in cons.computed_vars()}
+            run_sub_scm(sub, env, forced, rng)
+        acc.update(env)
+    return {v: acc[v] for v in outputs}
 
 
 # ---------------------------------------------------------------------------

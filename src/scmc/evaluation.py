@@ -107,19 +107,20 @@ def eval_partitioned(
 
 def eval_sub_scm(sub: SubScm, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
     env: Assignment = dict(local_u)
-    forced_values = dict(local_iv.assignments)
-    out: Assignment = {}
+    run_sub_scm(sub, env, dict(local_iv.assignments), rng)
+    return {v: env[v] for v in sub.order}
+
+
+def run_sub_scm(sub: SubScm, env: Assignment, forced: dict, rng=None) -> None:
+    """Evaluate a cluster's variables in order into `env`, which holds its
+    local inputs; `forced` maps each intervened member to its value."""
     for var in sub.order:
-        forced = forced_values.get(var)
-        if forced is not None:
-            val = forced
-        else:
-            val = sub.equations[var]._eval(env, forced_values, rng)
+        val = forced.get(var)
+        if val is None:
+            val = sub.equations[var]._eval(env, forced, rng)
         if not sub.domains[var]._contains(val):
             raise DomainError(f"{var} evaluated to {val}, outside its domain")
         env[var] = val
-        out[var] = val
-    return out
 
 
 def sample_exogenous(scm: Scm, seed: int, count: int, strict: bool = True) -> list[Assignment]:

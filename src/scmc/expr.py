@@ -14,12 +14,19 @@ intervention primitives (`IsIntervened`, `InterventionValue`,
 set an expression is evaluated under, which is what lets a consolidated
 equation stay correct when individual variables it no longer computes are
 forced to a value.
+
+Each node evaluates itself (`_eval`).  A `Binary` node looks its operator up
+in one table, `_BINARY`, which holds one function per operator and is also
+what `_apply_binary` and the finite images of `scmc.images` call.  Values are
+slotted frozen dataclasses; the operators build their results without the
+dataclass `__init__`, and comparisons and the boolean nodes hand out two
+shared booleans, which conditionals test by identity first.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
-from operator import attrgetter
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import DivisionByZeroError, DomainError, NonDeterministicModelError, UnboundRefError
@@ -29,22 +36,44 @@ from .errors import DivisionByZeroError, DomainError, NonDeterministicModelError
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _refuse_set(self, attr, value):
+    raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+
+def _refuse_delete(self, attr):
+    raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+
+def _value(cls):
+    """Make `cls` a slotted frozen dataclass.
+
+    Assigning or deleting any attribute raises FrozenInstanceError.  The
+    dataclass's own frozen guards name the class they were made for, which
+    `slots=True` replaces: on Python 3.11 assigning a name that is not a
+    field raises TypeError through them.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    return cls
+
+
+@_value
 class VBool:
     b: bool
 
 
-@dataclass(frozen=True)
+@_value
 class VInt:
     i: int
 
 
-@dataclass(frozen=True)
+@_value
 class VSym:
     name: str
 
 
-@dataclass(frozen=True)
+@_value
 class VReal:
     r: float
 
@@ -225,11 +254,8 @@ class VarRef:
             got = cls._interned.setdefault(key, fresh)
         return got
 
-    def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+    __setattr__ = _refuse_set
+    __delattr__ = _refuse_delete
 
     def __reduce__(self):
         return (VarRef, (self.name, self.index))
@@ -270,11 +296,8 @@ class _Node:
 
     __slots__ = ("_size", "_hash")
 
-    def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+    __setattr__ = _refuse_set
+    __delattr__ = _refuse_delete
 
 
 def _node(cls):
@@ -286,7 +309,7 @@ def _node(cls):
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     names = tuple(f.name for f in fields(cls))
-    field_tuple = attrgetter(*names)  # a bare value, not a tuple, for one name
+    field_tuple = operator.attrgetter(*names)  # a bare value, not a tuple, for one name
     single = len(names) == 1
 
     def __hash__(self):
@@ -299,11 +322,10 @@ def _node(cls):
             return h
 
     cls.__hash__ = __hash__
-    # the dataclass's own frozen guards name the class they were made for,
-    # which `slots=True` replaces: on Python 3.11 assigning a name that is
-    # not a field raises TypeError through them
-    cls.__setattr__ = _Node.__setattr__
-    cls.__delattr__ = _Node.__delattr__
+    # as for values (`_value`): the dataclass's own guards would raise
+    # TypeError for a name that is not a field
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
     return cls
 
 
@@ -320,9 +342,10 @@ class Ref(_Node):
     var: VarRef
 
     def _eval(self, env, iv, rng):
-        if self.var not in env:
-            raise UnboundRefError(self.var)
-        return env[self.var]
+        try:
+            return env[self.var]
+        except KeyError:
+            raise UnboundRefError(self.var) from None
 
 
 @_node
@@ -332,7 +355,12 @@ class Unary(_Node):
 
     def _eval(self, env, iv, rng):
         if self.op == "not":
-            return _FALSE if _as_bool(self.operand._eval(env, iv, rng)) else _TRUE
+            v = self.operand._eval(env, iv, rng)
+            if v is _TRUE:
+                return _FALSE
+            if v is _FALSE:
+                return _TRUE
+            return _FALSE if _as_bool(v) else _TRUE
         if self.op == "neg":
             return _wrap_number(-_numeric(self.operand._eval(env, iv, rng)))
         raise DomainError(f"unknown unary operator {self.op!r}")
@@ -346,13 +374,24 @@ class Binary(_Node):
 
     def _eval(self, env, iv, rng):
         op = self.op
+        # `and`/`or` evaluate their right operand only when the left one does
+        # not decide; an exact `VBool` is read without calling `_as_bool`
         if op == "and":
-            ok = _as_bool(self.left._eval(env, iv, rng)) and _as_bool(self.right._eval(env, iv, rng))
-            return _TRUE if ok else _FALSE
+            v = self.left._eval(env, iv, rng)
+            if not (v.b if type(v) is VBool else _as_bool(v)):
+                return _FALSE
+            v = self.right._eval(env, iv, rng)
+            return _TRUE if (v.b if type(v) is VBool else _as_bool(v)) else _FALSE
         if op == "or":
-            ok = _as_bool(self.left._eval(env, iv, rng)) or _as_bool(self.right._eval(env, iv, rng))
-            return _TRUE if ok else _FALSE
-        return _apply_binary(op, self.left._eval(env, iv, rng), self.right._eval(env, iv, rng))
+            v = self.left._eval(env, iv, rng)
+            if v.b if type(v) is VBool else _as_bool(v):
+                return _TRUE
+            v = self.right._eval(env, iv, rng)
+            return _TRUE if (v.b if type(v) is VBool else _as_bool(v)) else _FALSE
+        a = self.left._eval(env, iv, rng)
+        b = self.right._eval(env, iv, rng)
+        apply = _BINARY.get(op)
+        return apply(a, b) if apply is not None else _apply_binary(op, a, b)
 
 
 @_node
@@ -362,7 +401,8 @@ class IfThenElse(_Node):
     orelse: "Expr"
 
     def _eval(self, env, iv, rng):
-        if _as_bool(self.cond._eval(env, iv, rng)):
+        c = self.cond._eval(env, iv, rng)
+        if c is _TRUE or c is not _FALSE and _as_bool(c):
             return self.then._eval(env, iv, rng)
         return self.orelse._eval(env, iv, rng)
 
@@ -785,62 +825,182 @@ def _as_bool(v: Value) -> bool:
     raise DomainError(f"expected a boolean, got {v}")
 
 
+# Results are built without the dataclass `__init__`: a bare instance, then
+# its one slot set through the slot's descriptor.
+_new = object.__new__
+_set_int = VInt.i.__set__
+_set_real = VReal.r.__set__
+
+
+def _int(x) -> VInt:
+    v = _new(VInt)
+    _set_int(v, x)
+    return v
+
+
+def _real(x) -> VReal:
+    v = _new(VReal)
+    _set_real(v, x)
+    return v
+
+
 def _wrap_number(x) -> Value:
-    return VInt(x) if isinstance(x, int) else VReal(float(x))
+    t = type(x)
+    if t is float:
+        v = _new(VReal)
+        _set_real(v, x)
+        return v
+    if t is int:
+        v = _new(VInt)
+        _set_int(v, x)
+        return v
+    return _int(x) if isinstance(x, int) else _real(float(x))
 
 
-def _apply_binary(op: str, a: Value, b: Value) -> Value:
-    if op == "and":
-        return VBool(_as_bool(a) and _as_bool(b))
-    if op == "or":
-        return VBool(_as_bool(a) or _as_bool(b))
-    if op == "eq":
-        if isinstance(a, (VInt, VReal)) and isinstance(b, (VInt, VReal)):
-            return VBool(_numeric(a) == _numeric(b))
-        if value_kind(a) != value_kind(b):
-            raise DomainError(f"cannot compare {a} with {b}")
-        return VBool(a == b)
+# ---------------------------------------------------------------------------
+# The operator table: one function per binary operator, `_BINARY[op](a, b)`.
+#
+# Each reads the payload of an exact `VInt` or `VReal` operand directly and
+# hands any other operand to `_numeric`, which unwraps subclasses and raises
+# for a non-number, left operand first.  So odd payloads (a `VReal` holding
+# an int, a `VInt` holding a bool) compute with Python's operators as they
+# are, and the result's type decides its class, as `_wrap_number` says.
+# Comparisons return the shared `_TRUE`/`_FALSE` for a `bool` result.
+# ---------------------------------------------------------------------------
 
+
+def _arithmetic(fn: Callable) -> Callable[[Value, Value], Value]:
+    """The operator that applies `fn` to two numbers and wraps the result."""
+
+    def apply(a, b):
+        ta, tb = type(a), type(b)
+        x = a.r if ta is VReal else a.i if ta is VInt else _numeric(a)
+        y = b.r if tb is VReal else b.i if tb is VInt else _numeric(b)
+        r = fn(x, y)
+        if type(r) is float:
+            v = _new(VReal)
+            _set_real(v, r)
+            return v
+        return _wrap_number(r)
+
+    return apply
+
+
+def _comparison(fn: Callable) -> Callable[[Value, Value], VBool]:
+    """The operator that compares two numbers with `fn`."""
+
+    def apply(a, b):
+        ta, tb = type(a), type(b)
+        x = a.r if ta is VReal else a.i if ta is VInt else _numeric(a)
+        y = b.r if tb is VReal else b.i if tb is VInt else _numeric(b)
+        r = fn(x, y)
+        return _TRUE if r is True else _FALSE if r is False else VBool(r)
+
+    return apply
+
+
+def _div(a: Value, b: Value) -> Value:
+    ta, tb = type(a), type(b)
+    x = a.r if ta is VReal else a.i if ta is VInt else _numeric(a)
+    y = b.r if tb is VReal else b.i if tb is VInt else _numeric(b)
+    if y == 0:
+        raise DivisionByZeroError("division by zero")
+    if isinstance(x, int) and isinstance(y, int):
+        return _int(x // y)
+    return _real(x / y)
+
+
+def _mod(a: Value, b: Value) -> Value:
     x, y = _numeric(a), _numeric(b)
-    if op == "add":
-        return _wrap_number(x + y)
-    if op == "sub":
-        return _wrap_number(x - y)
-    if op == "mul":
-        return _wrap_number(x * y)
-    if op == "div":
-        if y == 0:
-            raise DivisionByZeroError("division by zero")
-        if isinstance(x, int) and isinstance(y, int):
-            return VInt(x // y)
-        return VReal(x / y)
-    if op == "mod":
-        if not (isinstance(x, int) and isinstance(y, int)):
-            raise DomainError("mod is defined on integers only")
-        if y == 0:
-            raise DivisionByZeroError("modulo by zero")
-        return VInt(x % y)
-    if op == "pow":
+    if not (isinstance(x, int) and isinstance(y, int)):
+        raise DomainError("mod is defined on integers only")
+    if y == 0:
+        raise DivisionByZeroError("modulo by zero")
+    return _int(x % y)
+
+
+def _pow(a: Value, b: Value) -> Value:
+    ta, tb = type(a), type(b)
+    x = a.r if ta is VReal else a.i if ta is VInt else _numeric(a)
+    y = b.r if tb is VReal else b.i if tb is VInt else _numeric(b)
+    try:
         if isinstance(x, int) and isinstance(y, int):
             if y < 0:
                 if x == 0:
                     raise DivisionByZeroError("zero to a negative power")
-                return VReal(float(x) ** y)
-            return VInt(x**y)
+                return _real(float(x) ** y)
+            return _int(x**y)
         if x == 0 and y < 0:
             raise DivisionByZeroError("zero to a negative power")
         if x < 0 and not float(y).is_integer():
             raise DomainError("negative base with fractional exponent")
-        return VReal(float(x) ** float(y))
-    if op == "min":
-        return a if _numeric(a) <= _numeric(b) else b
-    if op == "max":
-        return a if _numeric(a) >= _numeric(b) else b
-    if op == "lt":
-        return VBool(x < y)
-    if op == "le":
-        return VBool(x <= y)
-    raise DomainError(f"unknown binary operator {op!r}")
+        return _real(float(x) ** float(y))
+    except OverflowError:
+        # where `mul` gives an infinity, Python's float power raises
+        raise DomainError("pow result is out of the float range") from None
+
+
+def _min(a: Value, b: Value) -> Value:
+    ta, tb = type(a), type(b)
+    x = a.r if ta is VReal else a.i if ta is VInt else _numeric(a)
+    y = b.r if tb is VReal else b.i if tb is VInt else _numeric(b)
+    return a if x <= y else b
+
+
+def _max(a: Value, b: Value) -> Value:
+    ta, tb = type(a), type(b)
+    x = a.r if ta is VReal else a.i if ta is VInt else _numeric(a)
+    y = b.r if tb is VReal else b.i if tb is VInt else _numeric(b)
+    return a if x >= y else b
+
+
+def _eq(a: Value, b: Value) -> VBool:
+    ta, tb = type(a), type(b)
+    if (ta is VInt or ta is VReal) and (tb is VInt or tb is VReal):
+        r = (a.r if ta is VReal else a.i) == (b.r if tb is VReal else b.i)
+    elif isinstance(a, (VInt, VReal)) and isinstance(b, (VInt, VReal)):
+        r = _numeric(a) == _numeric(b)
+    elif value_kind(a) != value_kind(b):
+        raise DomainError(f"cannot compare {a} with {b}")
+    else:
+        r = a == b
+    return _TRUE if r is True else _FALSE if r is False else VBool(r)
+
+
+def _and(a: Value, b: Value) -> VBool:
+    return VBool(_as_bool(a) and _as_bool(b))
+
+
+def _or(a: Value, b: Value) -> VBool:
+    return VBool(_as_bool(a) or _as_bool(b))
+
+
+_BINARY: dict[str, Callable[[Value, Value], Value]] = {
+    "add": _arithmetic(operator.add),
+    "sub": _arithmetic(operator.sub),
+    "mul": _arithmetic(operator.mul),
+    "div": _div,
+    "mod": _mod,
+    "pow": _pow,
+    "min": _min,
+    "max": _max,
+    "lt": _comparison(operator.lt),
+    "le": _comparison(operator.le),
+    "eq": _eq,
+    "and": _and,
+    "or": _or,
+}
+
+
+def _apply_binary(op: str, a: Value, b: Value) -> Value:
+    """`op` on two values, both already evaluated."""
+    apply = _BINARY.get(op)
+    if apply is None:
+        # an unknown operator still checks its operands as a number would
+        _numeric(a)
+        _numeric(b)
+        raise DomainError(f"unknown binary operator {op!r}")
+    return apply(a, b)
 
 
 def eval_expr(

@@ -390,6 +390,13 @@ class Scm:
     interventions: InterventionSpace
     inverse_pairs: tuple[tuple[VarRef, VarRef], ...] = ()
 
+    @cached_property
+    def reads(self) -> tuple[tuple[VarRef, ...], ...]:
+        """Per endogenous row, the variables its equation reads (`free_refs`)
+        in `ref_sort_key` order, worked out on first use; not a field.  Kept
+        as tuples, a quarter of the memory of sets."""
+        return tuple(tuple(sorted(E.free_refs(row.equation), key=ref_sort_key)) for row in self.endogenous)
+
     def endo_vars(self) -> list[VarRef]:
         return [v.var for v in self.endogenous]
 

@@ -404,6 +404,8 @@ def oracle_wrap_number(x) -> E.Value:
 
 
 def oracle_apply_binary(op: str, a: E.Value, b: E.Value) -> E.Value:
+    """The library's former operator dispatch, a chain of string tests, kept
+    as the oracle of the operator table `expr._BINARY`."""
     if op == "and":
         return E.VBool(oracle_as_bool(a) and oracle_as_bool(b))
     if op == "or":
@@ -435,17 +437,20 @@ def oracle_apply_binary(op: str, a: E.Value, b: E.Value) -> E.Value:
             raise DivisionByZeroError("modulo by zero")
         return E.VInt(x % y)
     if op == "pow":
-        if isinstance(x, int) and isinstance(y, int):
-            if y < 0:
-                if x == 0:
-                    raise DivisionByZeroError("zero to a negative power")
-                return E.VReal(float(x) ** y)
-            return E.VInt(x**y)
-        if x == 0 and y < 0:
-            raise DivisionByZeroError("zero to a negative power")
-        if x < 0 and not float(y).is_integer():
-            raise DomainError("negative base with fractional exponent")
-        return E.VReal(float(x) ** float(y))
+        try:
+            if isinstance(x, int) and isinstance(y, int):
+                if y < 0:
+                    if x == 0:
+                        raise DivisionByZeroError("zero to a negative power")
+                    return E.VReal(float(x) ** y)
+                return E.VInt(x**y)
+            if x == 0 and y < 0:
+                raise DivisionByZeroError("zero to a negative power")
+            if x < 0 and not float(y).is_integer():
+                raise DomainError("negative base with fractional exponent")
+            return E.VReal(float(x) ** float(y))
+        except OverflowError:
+            raise DomainError("pow result is out of the float range") from None
     if op == "min":
         return a if oracle_numeric(a) <= oracle_numeric(b) else b
     if op == "max":

@@ -124,6 +124,29 @@ class TestEval:
         rows = dict(line.split(",")[1:] for line in capsys.readouterr().out.splitlines()[1:])
         assert rows["F"] == "true" and rows["C"] == "false" and rows["H"] == "true"
 
+    def test_pow_overflow_is_a_typed_error(self, tmp_path, capsys):
+        # Y = X ** 2 leaves the float range at X = 1e200, where mul gives inf
+        doc = {
+            "name": "square",
+            "exogenous": [{"name": "X", "domain": {"kind": "real"}, "dist": {"kind": "point", "value": 1.0}}],
+            "endogenous": [
+                {
+                    "name": "Y",
+                    "domain": {"kind": "real"},
+                    "eq": {"op": "pow", "args": [{"ref": "X"}, {"op": "const", "value": 2}]},
+                }
+            ],
+            "interventions": {"mode": "power_set", "atoms": []},
+        }
+        path = tmp_path / "square.model.json"
+        save(str(path), doc)
+        assert main(["eval", str(path), "--exo", "X=1e100"]) == 0
+        capsys.readouterr()
+        assert main(["--json", "eval", str(path), "--exo", "X=1e200"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == {"kind": "DomainError", "message": "pow result is out of the float range"}
+        assert "Traceback" not in err
+
 
 class TestDeepModels:
     def deep_model(self, tmp_path, depth=5000):

@@ -501,6 +501,21 @@ def test_reports_equal_the_per_case_loop(monkeypatch):
     assert [verify_equivalence(*check) for check in checks] == by_columns
 
 
+def test_equation_reads_are_worked_out_once_per_model(monkeypatch):
+    entry = zoo.dominoes(128)
+    cons = entry.consolidated()
+    scm = replace(entry.scm)  # a copy whose reads are not worked out yet
+    calls = []
+    real = E.free_refs
+    monkeypatch.setattr(E, "free_refs", lambda e: calls.append(e) or real(e))
+    first = verify_equivalence(scm, cons, entry.targets)
+    assert len(calls) == len(scm.endogenous)
+    calls.clear()
+    assert verify_equivalence(scm, cons, entry.targets) == first
+    assert calls == []
+    assert [set(r) for r in scm.reads] == [real(row.equation) for row in scm.endogenous]
+
+
 def partial_model(divisor: E.Expr) -> Scm:
     """`Y = 1 div divisor` with `X` in {0, 1}, and `Z = Y + 1`."""
     return Scm(

@@ -1,6 +1,7 @@
 """Required sets, inlining, childless pruning, the pass pipeline, and the
 end-to-end consolidation contract."""
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -22,10 +23,12 @@ from scmc.consolidation import (
     register_closed_form,
 )
 from scmc.errors import (
+    DomainError,
     EquivalenceFailedError,
     InterventionNotAllowedError,
     InvalidTargetError,
     ModelTooDeepError,
+    UnboundRefError,
 )
 from scmc.evaluation import enumerate_exogenous, eval_scm
 from scmc.expr import (
@@ -368,6 +371,33 @@ class TestConsolidate:
         cons = entry.consolidated()
         with pytest.raises(InterventionNotAllowedError):
             eval_consolidated(cons, {A: E.VInt(0)}, InterventionSet.of({VarRef("B"): E.VInt(1)}))
+
+    def test_query_checks_keep_their_messages(self):
+        entry = zoo.step_by_step()
+        cons = entry.consolidated()
+        foreign = InterventionSet.of({VarRef("B"): E.VInt(1), VarRef("D"): E.VBool(True)})
+        # the set is reported without the atoms on marginalized variables
+        with pytest.raises(InterventionNotAllowedError, match=r"^\{do\(B=1\)\} is not in the allowed"):
+            eval_consolidated(cons, {A: E.VInt(0)}, foreign)
+        with pytest.raises(UnboundRefError, match="unbound reference: A"):
+            eval_consolidated(cons, {}, InterventionSet.empty())
+        with pytest.raises(DomainError, match="input A=VBool"):
+            eval_consolidated(cons, {A: E.VBool(True)}, InterventionSet.empty())
+
+    def test_mixed_clusters_answer_as_the_base_under_every_set(self):
+        # one consolidated cluster, two passthrough ones, dropped atoms
+        entry = zoo.step_by_step()
+        cons = consolidate(entry.scm, entry.partition, entry.targets, clusters_to_consolidate={0})
+        assert cons.dropped_atom_vars
+        for u in enumerate_exogenous(entry.scm):
+            for iv in entry.scm.interventions.enumerate():
+                out = eval_consolidated(cons, u, iv)
+                base = eval_scm(entry.scm, u, iv)
+                assert list(out) == cons.computed_vars()
+                assert all(out[v] == base[v] for v in cons.targets)
+        # the per-model plan is not a field: equality, repr and copies ignore it
+        assert "_plan" in vars(cons) and "_plan" not in {f.name for f in dataclasses.fields(cons)}
+        assert replace(cons) == cons and repr(replace(cons)) == repr(cons)
 
 
 class TestRegisterClosedForm:

@@ -53,6 +53,7 @@ from scmc.expr import (
 from scmc.scm import InterventionSet
 
 from helpers import (
+    oracle_apply_binary,
     oracle_eval,
     oracle_hash,
     oracle_node_count,
@@ -501,7 +502,7 @@ def test_eval_matches_reference_evaluator(e, env, iv, seed):
     # dataclass equality also tells VInt(1) from VReal(1.0)
     assert got == want
     if got[0] == "raises":
-        assert got[1] in (DivisionByZeroError, DomainError, UnboundRefError, NonDeterministicModelError, OverflowError)
+        assert got[1] in (DivisionByZeroError, DomainError, UnboundRefError, NonDeterministicModelError)
     if seed is not None:
         assert rng_a.random() == rng_b.random()  # the same number of draws was taken
 
@@ -518,6 +519,87 @@ def test_operators_match_reference_evaluator_on_value_grid():
         for a in grid:
             e = Unary(op, Const(a))
             assert outcome(lambda: eval_expr(e, {})) == outcome(lambda: oracle_eval(e, {})), (op, a)
+
+
+#: every value kind, with the payloads a document never holds: a VReal
+#: holding an int or a bool, a VInt holding a bool or a float, ints past
+#: 2**64 and past the float range, a real zero's sign, NaN and infinities
+ODD_GRID = [
+    VBool(False),
+    VBool(True),
+    VInt(0),
+    VInt(3),
+    VInt(-2),
+    VInt(2**70),
+    VInt(True),
+    VInt(False),
+    VInt(2.5),
+    VReal(0.0),
+    VReal(-0.0),
+    VReal(1.5),
+    VReal(-2.5),
+    VReal(1e200),
+    VReal(float("nan")),
+    VReal(float("inf")),
+    VReal(float("-inf")),
+    VReal(2),
+    VReal(True),
+    VReal(10**400),
+    VSym("a"),
+    VSym("b"),
+]
+
+
+def exact_outcome(fn, a, b):
+    """The result's class, payload type and repr, and which operand it is;
+    or the error's type and message."""
+    try:
+        v = fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises", type(exc), str(exc)
+    payload = getattr(v, dataclasses.fields(v)[0].name)
+    return "value", type(v), type(payload), repr(v), "a" if v is a else "b" if v is b else None
+
+
+def test_operator_table_matches_the_string_chain_exactly():
+    """`_apply_binary` and `Binary` against the string chain they replaced,
+    kept as `oracle_apply_binary`: every operator, and an unknown one, on
+    every pair of value kinds, odd payloads included."""
+    assert set(E._BINARY) == E.BINARY_OPS
+    for op in sorted(E.BINARY_OPS) + ["xor"]:
+        for a, b in itertools.product(ODD_GRID, repeat=2):
+            y = getattr(b, dataclasses.fields(b)[0].name)
+            if op == "pow" and type(y) is int and abs(y) > 64:
+                continue  # an int power that large never finishes
+            want = exact_outcome(lambda: oracle_apply_binary(op, a, b), a, b)
+            assert exact_outcome(lambda: E._apply_binary(op, a, b), a, b) == want, (op, a, b)
+            node = Binary(op, Const(a), Const(b))
+            assert exact_outcome(lambda: eval_expr(node, {}), a, b) == want, (op, a, b)
+
+
+def test_pow_overflow_is_a_domain_error():
+    # where an overflowing mul gives inf, Python's float power raises
+    assert eval_expr(Binary("mul", rconst(1e200), rconst(1e200)), {}) == VReal(float("inf"))
+    for base, exponent in ((rconst(1e200), iconst(2)), (rconst(10.0), rconst(400.0)), (iconst(10), rconst(400.0))):
+        with pytest.raises(DomainError, match="out of the float range"):
+            eval_expr(Binary("pow", base, exponent), {})
+
+
+@pytest.mark.parametrize("value", [VBool(True), VInt(3), VSym("a"), VReal(-0.0)], ids=lambda v: type(v).__name__)
+def test_values_are_frozen_slotted_and_copy(value):
+    field = dataclasses.fields(value)[0].name
+    before = repr(value)
+    for attr in (field, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, attr)
+    assert repr(value) == before and not hasattr(value, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is type(value) and repr(copied) == before
+        assert copied == value and hash(copied) == hash(value)
+    # `_apply_binary` builds results without `__init__`: the same value as the class call
+    assert E._int(7) == VInt(7) and repr(E._real(-0.0)) == repr(VReal(-0.0))
 
 
 class ScriptedRng:

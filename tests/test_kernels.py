@@ -20,6 +20,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import cases_of, random_model, random_partition
 from test_columns import assert_column_matches, case_rows, per_case
@@ -143,7 +144,7 @@ def test_mixed_int_and_real_branches():
         assert_column_matches(tree, rows)
 
 
-def test_pow_stays_per_entry_and_raises_where_the_loop_does():
+def test_pow_matches_the_loop_and_raises_where_it_does():
     bases = [0, 2, -2, 10, 2.0, -8.0, 1e308, 0.5, math.inf, math.nan]
     exponents = [0, 1, 2, -1, 3, 0.5, 2.0, -0.5, 1000]
     for x, y in product(bases, exponents):
@@ -154,6 +155,61 @@ def test_pow_stays_per_entry_and_raises_where_the_loop_does():
     assert per_case(Binary("pow", Ref(X), Ref(Y)), rows) is None
     assert_column_matches(Binary("pow", Ref(X), Ref(Y)), rows, oracle=False)
     assert_column_matches(Binary("pow", Ref(X), Ref(Y)), grid([2.0, 3.0, 0.5], [2.0, 700.0]), oracle=False)
+
+
+#: bases and exponents at every edge of `_power`'s guards and of the float range
+POW_BASES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 10.0, 1e200, -1e200, 1e308, 5e-324, math.nan, math.inf, -math.inf]
+POW_EXPONENTS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 0.5, -0.5, 2.5, 1023.5, 1e300, -1e300, math.nan, math.inf, -math.inf]
+
+
+def per_entry_pow(xs, ys):
+    """The per-entry kernel's results as float64 bytes, or None where it raises."""
+    try:
+        return np.array([C._power(x, y) for x, y in zip(xs, ys)], np.float64).tobytes()
+    except Exception:  # noqa: BLE001 - any error: the column kernel must raise too
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(POW_BASES), st.floats()),
+            st.one_of(st.sampled_from(POW_EXPONENTS), st.floats(), st.integers(-1100, 1100)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.booleans(),
+)
+def test_float_pow_kernel_is_the_per_entry_kernel(pairs, int_exponents):
+    """A float64 base column with an int64 or float64 exponent column gives
+    the per-entry kernel's bytes, and raises wherever it raises."""
+    xs = [x for x, _ in pairs]
+    if int_exponents:
+        ys = [int(y) if isinstance(y, int) or math.isfinite(y) and abs(y) < 2**53 else 3 for _, y in pairs]
+        b = np.array(ys, np.int64)
+    else:
+        ys = [float(y) for _, y in pairs]
+        b = np.array(ys, np.float64)
+    want = per_entry_pow(xs, ys)
+    with np.errstate(all="ignore"):
+        if want is None:
+            with pytest.raises((C.Unsupported, OverflowError)):
+                C._pow(np.array(xs, np.float64), b)
+        else:
+            got = C._pow(np.array(xs, np.float64), b)
+            assert got.dtype == np.float64 and got.tobytes() == want
+
+
+def test_float_pow_kernel_is_exact_on_random_bases():
+    # `np.power` and `x * x` differ from Python's power in the last bit on
+    # some of these bases; the kernel must not
+    rng = np.random.Generator(np.random.Philox(0))
+    xs = rng.uniform(-10.0, 10.0, 4000)
+    for b in (np.full(4000, 2, np.int64), np.full(4000, 3.0), rng.integers(-4, 5, 4000)):
+        want = per_entry_pow(xs.tolist(), b.tolist())
+        assert C._pow(xs, b).tobytes() == want
 
 
 def test_symbols_and_booleans_compare_only_with_their_kind():

@@ -39,10 +39,11 @@ Every node keeps the per-case semantics of its `_eval`:
   computed entry by entry with Python's own operator, since a vectorized
   power may differ in the last bit;
 - a `bool` is never a number, and comparing it with one raises;
-- every input and endogenous value is checked against its domain where
-  `eval_scm` and `eval_sub_scm` check it;
-- a cluster of a consolidated model sees only its own atoms, minus the
-  atoms on marginalized variables.
+- a model is run from its `scm.Plan`, as the per-case evaluators run it:
+  every input and every row with a domain is checked against that domain,
+  and each cluster sees only the atoms its plan gives it, so a cluster of a
+  consolidated model sees its own atoms, minus those on marginalized
+  variables.
 
 Columns only ever establish that two models agree.  Wherever a case would
 raise, or a value or node has no exact column form, evaluation raises, and
@@ -57,14 +58,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import expr as E
-from .consolidation import Ccv, CcvCluster, ConsolidatedScm
+from .consolidation import Ccv
 from .expr import Value, VarRef
-from .scm import POWER_SET, InterventionSet, InterventionSpace, Scm
+from .partition import SubScm
+from .scm import POWER_SET, InterventionSet, InterventionSpace, Plan
 
 Column = np.ndarray
 
@@ -850,109 +852,69 @@ def _check_domain(dom: E.Domain, col: Column) -> None:
         raise Unsupported(f"unknown domain {dom!r}")
 
 
-def _inputs(rows: Iterable, cases: Cases) -> dict[VarRef, Column]:
-    """The input columns, each checked against its row's domain."""
-    out = {}
-    for row in rows:
-        col = cases.input(row.var)
-        _check_domain(row.domain, col)
-        out[row.var] = col
-    return out
-
-
-def _equations(
-    scope: _Scope,
-    rows: Sequence[tuple],
-    keep: Optional[frozenset] = None,
-    reads: Sequence[Sequence[VarRef]] = (),
-) -> dict:
-    """`(var, domain, equation)` rows in order, as `eval_scm` runs them: a
-    forced value replaces the equation, and every value is checked against
-    the domain.  With `keep`, only those columns are returned, and a column
-    leaves the scope after the last equation that reads it, where `reads[k]`
-    is what row k reads."""
-    env, every = scope.env, scope.every
-    last_reader: dict[VarRef, int] = {}
-    if keep is not None:
-        for k, vs in enumerate(reads):
-            for v in vs:
-                last_reader[v] = k
-    done_after: dict[int, list] = {}
-    for v, k in last_reader.items():
-        if v not in keep:
-            done_after.setdefault(k, []).append(v)
-    out = {}
-    for k, (var, dom, tree) in enumerate(rows):
-        f = scope.forced.get(var)
-        forced = 0 if f is None else np.count_nonzero(f[0])
-        if not forced:
-            col = _COLUMN[type(tree)](scope, tree, every)
-        elif forced == len(every):
-            col = f[1]
-        else:
-            free = ~f[0]
-            col = _fill(f[1], free, _COLUMN[type(tree)](scope, tree, every[free]))
-        _check_domain(dom, col)
-        if keep is None or var in keep:
-            out[var] = col
-        if keep is None or var in last_reader:
-            env[var] = col
-        for v in done_after.get(k, ()):
-            env.pop(v, None)
-    return out
-
-
 @_quiet
-def scm_columns(scm: Scm, cases: Cases, keep: frozenset) -> dict[VarRef, Column]:
-    """The columns `eval_scm` gives the variables in `keep`."""
-    scope = _Scope(cases, _inputs(scm.exogenous, cases))
-    rows = [(row.var, row.domain, row.equation) for row in scm.endogenous]
-    return _equations(scope, rows, keep, scm.reads)
-
-
-@_quiet
-def ccv_columns(
-    ccv: Ccv,
+def plan_columns(
+    plan: Plan,
     cases: Cases,
-    inputs: Mapping[VarRef, Column],
-    visible: Optional[frozenset] = None,
-    before: Optional[tuple[Ccv, Mapping[VarRef, Column]]] = None,
+    keep: Optional[frozenset] = None,
+    before: Optional[tuple[Sequence[tuple], Mapping[VarRef, Column]]] = None,
 ) -> dict[VarRef, Column]:
-    """The columns `eval_ccv` gives every target, in target order.
+    """The columns `evaluation.run_plan` gives the outputs, or the variables
+    in `keep`.  With `keep`, only the columns still to be read are held: a
+    column leaves its cluster after the last row that reads it.
 
-    With `before` = (another Ccv over the same cases, its columns), a leading
-    run of targets whose trees are `before`'s own objects, at the same
-    positions, takes `before`'s columns unevaluated.
+    With `before` = (the rows of another plan over the same cases, their
+    columns), a leading run of rows that are `before`'s own trees, at the
+    same positions, takes `before`'s columns unevaluated.
     """
-    env = dict(inputs)
-    scope = _Scope(cases, env, visible)
-    out = {}
-    reusing = before is not None
-    for pos, t in enumerate(ccv.targets):
-        tree = ccv.rho[t]
-        if reusing:
-            prior, prior_cols = before
-            reusing = pos < len(prior.targets) and prior.targets[pos] == t and prior.rho[t] is tree
-        col = prior_cols[t] if reusing else _COLUMN[type(tree)](scope, tree, scope.every)
-        env[t] = out[t] = col
-    return out
+    acc = {}
+    for var, dom in plan.inputs:
+        acc[var] = col = cases.input(var)
+        if dom is not None:
+            _check_domain(dom, col)
+    every = cases.every
+    prior, prior_cols = before if before is not None else ((), None)
+    pos, reuse = 0, len(prior)
+    for (inputs, visible, rows), steps in zip(plan.clusters, plan.schedule(keep)):
+        scope = _Scope(cases, {v: acc[v] for v in inputs}, visible)
+        env = scope.env
+        for (var, dom, tree), (read, kept, done) in zip(rows, steps):
+            if pos < reuse and prior[pos][2] is tree and prior[pos][0] == var and prior[pos][1] == dom:
+                col = prior_cols[var]
+            elif dom is None:
+                reuse = 0
+                col = _COLUMN[type(tree)](scope, tree, every)
+            else:
+                reuse = 0
+                f = scope.forced.get(var)
+                forced = 0 if f is None else np.count_nonzero(f[0])
+                if not forced:
+                    col = _COLUMN[type(tree)](scope, tree, every)
+                elif forced == len(every):
+                    col = f[1]
+                else:
+                    free = ~f[0]
+                    col = _fill(f[1], free, _COLUMN[type(tree)](scope, tree, every[free]))
+                _check_domain(dom, col)
+            pos += 1
+            if read:
+                env[var] = col
+            if kept:
+                acc[var] = col
+            for v in done:
+                env.pop(v, None)
+    return {v: acc[v] for v in (plan.outputs if keep is None else keep)}
 
 
-@_quiet
-def consolidated_columns(cons: ConsolidatedScm, cases: Cases, keep: Iterable[VarRef]) -> dict[VarRef, Column]:
-    """The columns `eval_consolidated` gives the variables in `keep`."""
-    acc = _inputs(cons.exogenous, cases)
-    dropped = cons.dropped_atom_vars
-    for cluster in cons.clusters:
-        sub = cluster.sub
-        inputs = {v: acc[v] for v in sub.local_exogenous}
-        visible = sub.cluster - dropped
-        if isinstance(cluster, CcvCluster):
-            acc.update(ccv_columns(cluster.ccv, cases, inputs, visible))
-        else:
-            rows = [(v, sub.domains[v], sub.equations[v]) for v in sub.order]
-            acc.update(_equations(_Scope(cases, inputs, visible), rows))
-    return {v: acc[v] for v in keep}
+def ccv_columns(
+    ccv: Ccv, cases: Cases, sub: SubScm, before: Optional[tuple[Ccv, Mapping[VarRef, Column]]] = None
+) -> dict[VarRef, Column]:
+    """The columns `eval_ccv` gives every target, over cases of the cluster
+    `sub`'s local inputs, which it takes as they stand; `before` = (another
+    Ccv of the cluster, its columns) is passed on to `plan_columns`."""
+    inputs = tuple((v, None) for v in sub.local_exogenous)
+    plan = Plan(inputs, ((sub.local_exogenous, None, ccv.rows),), ccv.targets)
+    return plan_columns(plan, cases, before=None if before is None else (before[0].rows, before[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,13 @@ from . import images as I
 from . import passes as P
 from . import scm as S
 from .errors import (
-    DomainError,
     InterventionNotAllowedError,
     InvalidPartitionError,
     InvalidTargetError,
     PassBudgetExceededError,
-    UnboundRefError,
     recursion_as_too_deep,
 )
-from .evaluation import Assignment, run_sub_scm
+from .evaluation import Assignment, run_plan, run_rows
 from .expr import Expr, VarRef, node_count, ref_sort_key
 from .partition import (
     Partition,
@@ -61,6 +59,12 @@ class Ccv:
 
     def total_nodes(self) -> int:
         return sum(node_count(self.rho[t]) for t in self.targets)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[VarRef, None, Expr], ...]:
+        """The targets as a plan's rows, without domains: each is evaluated
+        as it stands.  Worked out on first use; not a field."""
+        return tuple((t, None, self.rho[t]) for t in self.targets)
 
 
 @dataclass
@@ -139,19 +143,16 @@ class ConsolidatedScm:
         return [c.ccv for c in self.clusters if isinstance(c, CcvCluster)]
 
     @cached_property
-    def _plan(self) -> tuple[tuple[tuple, ...], tuple[VarRef, ...]]:
-        """What `eval_consolidated` walks, worked out on first use; not a field.
-
-        Per cluster in evaluation order: its local inputs, the members whose
-        atoms it sees (none that was marginalized), and its Ccv, or None for
-        a passthrough cluster; then every computed variable in output order.
-        """
+    def plan(self) -> S.Plan:
+        """What every evaluator of this model runs, worked out on first use;
+        not a field.  Each cluster sees the atoms on its own members but the
+        marginalized ones; a consolidated cluster's rows are its Ccv's."""
         dropped = self.dropped_atom_vars
         clusters = tuple(
-            (c.sub.local_exogenous, c.sub.cluster - dropped, c.ccv if isinstance(c, CcvCluster) else None, c.sub)
+            (c.sub.local_exogenous, c.sub.cluster - dropped, c.ccv.rows if isinstance(c, CcvCluster) else c.sub.rows)
             for c in self.clusters
         )
-        return clusters, tuple(self.computed_vars())
+        return S.Plan(tuple((row.var, row.domain) for row in self.exogenous), clusters, tuple(self.computed_vars()))
 
 
 @dataclass
@@ -428,17 +429,10 @@ def run_passes(
 # ---------------------------------------------------------------------------
 
 
-def _eval_targets(ccv: Ccv, env: Assignment, forced: dict, rng) -> None:
-    """Evaluate the targets in order into `env`, where later ones see them."""
-    rho = ccv.rho
-    for t in ccv.targets:
-        env[t] = rho[t]._eval(env, forced, rng)
-
-
 def eval_ccv(ccv: Ccv, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
     """Evaluate the targets in order; earlier targets are visible to later ones."""
     env: Assignment = dict(local_u)
-    _eval_targets(ccv, env, dict(local_iv.assignments), rng)
+    run_rows(ccv.rows, env, dict(local_iv.assignments), rng)
     return {t: env[t] for t in ccv.targets}
 
 
@@ -462,24 +456,7 @@ def eval_consolidated(
         kept = iv.drop(cons.dropped_atom_vars)
         if not cons.interventions.contains(kept):
             raise InterventionNotAllowedError(f"{kept} is not in the allowed intervention space")
-    acc: Assignment = {}
-    for row in cons.exogenous:
-        if row.var not in u:
-            raise UnboundRefError(row.var)
-        if not row.domain._contains(u[row.var]):
-            raise DomainError(f"input {row.var}={u[row.var]} is outside its domain")
-        acc[row.var] = u[row.var]
-    clusters, outputs = cons._plan
-    pairs = iv.assignments
-    for inputs, members, ccv, sub in clusters:
-        env = {v: acc[v] for v in inputs}
-        forced = {v: val for v, val in pairs if v in members}
-        if ccv is not None:
-            _eval_targets(ccv, env, forced, rng)
-        else:
-            run_sub_scm(sub, env, forced, rng)
-        acc.update(env)
-    return {v: acc[v] for v in outputs}
+    return run_plan(cons.plan, u, iv, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ user seed, so sample streams are reproducible across platforms and runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import expr as E
@@ -22,7 +24,7 @@ from .errors import (
     UnboundRefError,
 )
 from .expr import Value, VarRef
-from .partition import Partition, SubScm, extract_sub_scm, order_clusters, psi_restrict
+from .partition import Partition, extract_sub_scm, order_clusters
 from .scm import InterventionSet, Scm
 
 Assignment = dict[VarRef, Value]
@@ -43,31 +45,12 @@ def eval_scm(
     """Evaluate every endogenous variable in declared (topological) order.
 
     Intervened variables take their forced value and their equation is
-    skipped.  The result is checked against each variable's domain.
+    skipped.  Every input and value is checked against its domain.
     """
     iv = interventions if interventions is not None else InterventionSet.empty()
     if check_membership and not scm.interventions.contains(iv):
         raise InterventionNotAllowedError(f"{iv} is not in the allowed intervention space")
-    env: Assignment = {}
-    for row in scm.exogenous:
-        if row.var not in u:
-            raise UnboundRefError(row.var)
-        if not row.domain._contains(u[row.var]):
-            raise DomainError(f"input {row.var}={u[row.var]} is outside its domain")
-        env[row.var] = u[row.var]
-    forced_values = dict(iv.assignments)
-    out: Assignment = {}
-    for row in scm.endogenous:
-        forced = forced_values.get(row.var)
-        if forced is not None:
-            val = forced
-        else:
-            val = row.equation._eval(env, forced_values, rng)
-        if not row.domain._contains(val):
-            raise DomainError(f"{row.var} evaluated to {val}, outside its domain")
-        env[row.var] = val
-        out[row.var] = val
-    return out
+    return run_plan(scm.plan, u, iv, rng)
 
 
 def eval_partitioned(
@@ -87,40 +70,45 @@ def eval_partitioned(
     iv = interventions if interventions is not None else InterventionSet.empty()
     if not scm.interventions.contains(iv):
         raise InterventionNotAllowedError(f"{iv} is not in the allowed intervention space")
-    order = order_clusters(scm, partition)  # raises InvalidPartitionError
-    subs = [extract_sub_scm(scm, partition.clusters[i]) for i in order]
+    subs = [extract_sub_scm(scm, partition.clusters[i]) for i in order_clusters(scm, partition)]
+    clusters = tuple((sub.local_exogenous, sub.cluster, sub.rows) for sub in subs)
+    return run_plan(replace(scm.plan, clusters=clusters), u, iv, rng)
 
+
+def run_plan(plan: S.Plan, u: Assignment, iv: InterventionSet, rng=None) -> Assignment:
+    """A plan's outputs on one case: every input is checked against its
+    domain, then each cluster runs its rows on its local inputs, under the
+    atoms of `iv` that it sees."""
     acc: Assignment = {}
-    for row in scm.exogenous:
-        if row.var not in u:
-            raise UnboundRefError(row.var)
-        acc[row.var] = u[row.var]
-
-    for sub in subs:
-        local_u = {v: acc[v] for v in sub.local_exogenous}
-        local_iv = psi_restrict(iv, sub.cluster)
-        values = eval_sub_scm(sub, local_u, local_iv, rng=rng)
-        acc.update(values)
-
-    return {v: acc[v] for v in scm.endo_vars()}
-
-
-def eval_sub_scm(sub: SubScm, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
-    env: Assignment = dict(local_u)
-    run_sub_scm(sub, env, dict(local_iv.assignments), rng)
-    return {v: env[v] for v in sub.order}
+    for var, dom in plan.inputs:
+        if var not in u:
+            raise UnboundRefError(var)
+        x = acc[var] = u[var]
+        if dom is not None and not dom._contains(x):
+            raise DomainError(f"input {var}={x} is outside its domain")
+    pairs = iv.assignments
+    for inputs, visible, rows in plan.clusters:
+        env = {v: acc[v] for v in inputs}
+        run_rows(rows, env, dict(pairs) if visible is None else {v: x for v, x in pairs if v in visible}, rng)
+        acc.update(env)
+    return {v: acc[v] for v in plan.outputs}
 
 
-def run_sub_scm(sub: SubScm, env: Assignment, forced: dict, rng=None) -> None:
-    """Evaluate a cluster's variables in order into `env`, which holds its
-    local inputs; `forced` maps each intervened member to its value."""
-    for var in sub.order:
-        val = forced.get(var)
-        if val is None:
-            val = sub.equations[var]._eval(env, forced, rng)
-        if not sub.domains[var]._contains(val):
-            raise DomainError(f"{var} evaluated to {val}, outside its domain")
-        env[var] = val
+def run_rows(rows, env: Assignment, forced: dict, rng=None) -> None:
+    """Evaluate a plan's `(var, domain, tree)` rows in order into `env`,
+    which holds their inputs; `forced` maps each intervened variable to its
+    value.  A row with a domain takes its forced value and is checked
+    against the domain; a row without one is evaluated as it stands."""
+    for var, dom, tree in rows:
+        if dom is None:
+            env[var] = tree._eval(env, forced, rng)
+            continue
+        x = forced.get(var)
+        if x is None:
+            x = tree._eval(env, forced, rng)
+        if not dom._contains(x):
+            raise DomainError(f"{var} evaluated to {x}, outside its domain")
+        env[var] = x
 
 
 def sample_exogenous(scm: Scm, seed: int, count: int, strict: bool = True) -> list[Assignment]:

@@ -97,7 +97,7 @@ def check_partition(scm: Scm, partition: Partition) -> PartitionReport:
         return report
 
     edges = _quotient_edges(scm, partition)
-    cycle = _find_cluster_cycle(edges)
+    cycle = S.find_cycle({i: sorted(dsts) for i, dsts in edges.items()})
     if cycle is not None:
         report.cycle_witness = cycle
         pretty = " -> ".join(_cluster_label(partition.clusters[i]) for i in cycle)
@@ -107,42 +107,6 @@ def check_partition(scm: Scm, partition: Partition) -> PartitionReport:
 
 def _cluster_label(cluster: frozenset[VarRef]) -> str:
     return "{" + ",".join(str(v) for v in sorted(cluster, key=ref_sort_key)) + "}"
-
-
-def _find_cluster_cycle(edges: dict[int, set[int]]) -> Optional[list[int]]:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in edges}
-    parent: dict[int, int] = {}
-    for start in edges:
-        if color[start] != WHITE:
-            continue
-        stack = [start]
-        color[start] = GREY
-        iters = {start: iter(sorted(edges[start]))}
-        while stack:
-            node = stack[-1]
-            advanced = False
-            for nxt in iters[node]:
-                if color[nxt] == GREY:
-                    path = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        path.append(cur)
-                        cur = parent[cur]
-                    path.append(nxt)
-                    path.reverse()
-                    return path
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    iters[nxt] = iter(sorted(edges[nxt]))
-                    stack.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
 
 
 def order_clusters(scm: Scm, partition: Partition) -> list[int]:
@@ -200,6 +164,11 @@ class SubScm:
 
     def var_kinds(self) -> dict[VarRef, str]:
         return {v: E.domain_kind(d) for v, d in self.domains.items()}
+
+    @property
+    def rows(self) -> tuple[tuple[VarRef, Domain, Expr], ...]:
+        """The cluster's `(var, domain, equation)` rows in order, as a plan holds them."""
+        return tuple((v, self.domains[v], self.equations[v]) for v in self.order)
 
 
 def extract_sub_scm(scm: Scm, cluster: Iterable[VarRef]) -> SubScm:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -383,6 +383,51 @@ class ExoVar:
 
 
 @dataclass(frozen=True)
+class Plan:
+    """How a model is evaluated, per case (`evaluation.run_plan`) or by
+    columns (`columns.plan_columns`).
+
+    `inputs` holds `(var, domain)` per input, and `clusters` holds, per
+    cluster in evaluation order, its local inputs, the variables whose atoms
+    it sees (None for all) and its rows `(var, domain, tree)`.  An input is
+    checked against its domain.  A row takes the forced value where its
+    variable is intervened on, and is checked against its domain.  Where the
+    domain is None, as for the local inputs and targets of a Ccv, the value
+    is taken as it stands.  `outputs` are the variables returned, in order.
+    """
+
+    inputs: tuple[tuple[VarRef, Optional[Domain]], ...]
+    clusters: tuple[tuple[tuple[VarRef, ...], Optional[frozenset], tuple[tuple]], ...]
+    outputs: tuple[VarRef, ...]
+
+    @cached_property
+    def _schedules(self) -> dict:
+        return {}
+
+    def schedule(self, keep: Optional[frozenset]) -> tuple:
+        """Per cluster, per row: whether a later row of the cluster reads its
+        value, whether it is returned (it is in `keep`, or a later cluster
+        reads it), and the variables that no later row of the cluster reads.
+        Without `keep`, every value is kept; with it, the schedule is worked
+        out once per `keep`."""
+        if keep is None:
+            return tuple(((True, True, ()),) * len(rows) for _, _, rows in self.clusters)
+        steps = self._schedules.get(keep)
+        if steps is None:
+            steps, later = [], set(keep)
+            for inputs, _, rows in reversed(self.clusters):
+                seen, out = set(), []
+                for var, _, tree in reversed(rows):
+                    reads = E.free_refs(tree)
+                    out.append((var in seen, var in later, tuple(reads - seen)))
+                    seen |= reads
+                steps.append(tuple(reversed(out)))
+                later.update(inputs)
+            steps = self._schedules[keep] = tuple(reversed(steps))
+        return steps
+
+
+@dataclass(frozen=True)
 class Scm:
     name: str
     endogenous: tuple[EndoVar, ...]
@@ -391,11 +436,12 @@ class Scm:
     inverse_pairs: tuple[tuple[VarRef, VarRef], ...] = ()
 
     @cached_property
-    def reads(self) -> tuple[tuple[VarRef, ...], ...]:
-        """Per endogenous row, the variables its equation reads (`free_refs`)
-        in `ref_sort_key` order, worked out on first use; not a field.  Kept
-        as tuples, a quarter of the memory of sets."""
-        return tuple(tuple(sorted(E.free_refs(row.equation), key=ref_sort_key)) for row in self.endogenous)
+    def plan(self) -> "Plan":
+        """What every evaluator of this model runs, worked out on first use;
+        not a field: one cluster that reads every input and sees every atom."""
+        inputs = tuple((row.var, row.domain) for row in self.exogenous)
+        rows = tuple((row.var, row.domain, row.equation) for row in self.endogenous)
+        return Plan(inputs, ((tuple(self.exo_vars()), None, rows),), tuple(self.endo_vars()))
 
     def endo_vars(self) -> list[VarRef]:
         return [v.var for v in self.endogenous]
@@ -520,7 +566,7 @@ def validate(scm: Scm) -> ValidationReport:
         _check_dist(row, report)
 
     graph = derive_graph_unchecked(scm)
-    cycle = _find_cycle(graph.children, endo)
+    cycle = find_cycle({v: sorted(graph.children.get(v, ()), key=ref_sort_key) for v in endo})
     if cycle and not any(f.kind == "Cycle" for f in report.findings):
         path = " -> ".join(str(v) for v in cycle)
         report.add("Cycle", f"cycle: {path}", tuple(cycle))
@@ -601,44 +647,39 @@ def _check_space(scm: Scm, report: ValidationReport):
         report.add("SpaceMode", f"unknown intervention-space mode {space.mode!r}", ())
 
 
-def _find_cycle(children: dict[VarRef, set[VarRef]], nodes: list[VarRef]) -> list[VarRef]:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in nodes}
-    parent: dict[VarRef, VarRef] = {}
+def find_cycle(successors: Mapping) -> Optional[list]:
+    """A cycle of the digraph as a closed path `[v, ..., v]`, or None.
 
-    def visit(start: VarRef):
-        stack = [(start, iter(sorted(children.get(start, ()), key=ref_sort_key)))]
+    The nodes are the keys of `successors`, each mapped to its successors;
+    a depth-first search visits both in the order given and skips
+    successors that are not nodes.  The path closes at the first node found
+    on the search's own stack.
+    """
+    GREY, BLACK = 1, 2
+    color: dict = {}
+    parent: dict = {}
+    for start in successors:
+        if start in color:
+            continue
         color[start] = GREY
+        stack = [(start, iter(successors[start]))]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in color:
+                if nxt not in successors or color.get(nxt) == BLACK:
                     continue
-                if color[nxt] == GREY:
+                if nxt in color:
                     path = [nxt, node]
-                    cur = node
-                    while cur != nxt and cur in parent:
-                        cur = parent[cur]
-                        path.append(cur)
+                    while path[-1] != nxt:
+                        path.append(parent[path[-1]])
                     path.reverse()
                     return path
-                if color[nxt] == WHITE:
-                    parent[nxt] = node
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(sorted(children.get(nxt, ()), key=ref_sort_key))))
-                    advanced = True
-                    break
-            if not advanced:
+                color[nxt], parent[nxt] = GREY, node
+                stack.append((nxt, iter(successors[nxt])))
+                break
+            else:
                 color[node] = BLACK
                 stack.pop()
-        return None
-
-    for v in nodes:
-        if color[v] == WHITE:
-            found = visit(v)
-            if found:
-                return found
     return None
 
 

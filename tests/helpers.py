@@ -278,8 +278,12 @@ def oracle_sample_domain(dom: E.Domain, rng) -> E.Value:
     if E.domain_is_finite(dom):
         vals = E.domain_values(dom)
         return vals[int(rng.integers(len(vals)))]
-    lo = dom.lo if dom.lo is not None else -1.0
-    hi = dom.hi if dom.hi is not None else 1.0
+    # a missing bound lies 2 past the other one; with neither, draw from [-1, 1)
+    lo, hi = dom.lo, dom.hi
+    if lo is None:
+        lo = -1.0 if hi is None else hi - 2.0
+    if hi is None:
+        hi = lo + 2.0
     return E.VReal(float(lo + (hi - lo) * rng.random()))
 
 

@@ -124,9 +124,9 @@ def assert_model_columns(scm: Scm, rows):
         want = [eval_scm(scm, u, iv, check_membership=False) for u, iv in rows]
     except Exception:  # noqa: BLE001
         with pytest.raises(Exception):
-            C.scm_columns(scm, cases, keep)
+            C.plan_columns(scm.plan, cases, keep)
         return
-    got = C.scm_columns(scm, cases, keep)
+    got = C.plan_columns(scm.plan, cases, keep)
     for v in keep:
         assert column_values(got[v]) == reprs(out[v] for out in want), (scm.name, v)
 
@@ -135,7 +135,7 @@ def assert_consolidated_columns(cons, rows):
     keep = cons.computed_vars()
     cases = cases_of(rows)
     want = [eval_consolidated(cons, u, iv, check_membership=False) for u, iv in rows]
-    got = C.consolidated_columns(cons, cases, keep)
+    got = C.plan_columns(cons.plan, cases, frozenset(keep))
     for v in keep:
         assert column_values(got[v]) == reprs(out[v] for out in want), (cons.name, v)
 
@@ -167,7 +167,7 @@ def test_zoo_models_match(name):
     if name == "bernoulli_fork":
         # a draw has no column form: the columns give up, the loop decides
         with pytest.raises(C.Unsupported):
-            C.scm_columns(entry.scm, cases_of(rows), frozenset())
+            C.plan_columns(entry.scm.plan, cases_of(rows), frozenset())
         return
     assert_consolidated_columns(entry.consolidated(), rows)
     if entry.reference_ccvs:
@@ -381,7 +381,7 @@ def test_every_value_is_checked_against_its_domain():
             for u, iv in rows:
                 eval_scm(scm, u, iv, check_membership=False)
         with pytest.raises(C.Unsupported):
-            C.scm_columns(scm, cases_of(rows), frozenset({Y}))
+            C.plan_columns(scm.plan, cases_of(rows), frozenset({Y}))
     # values inside their domains pass, an int carrying a real included
     fine = model(RealDomain(0.0, 2.0), Ref(X))
     assert_model_columns(fine, every)
@@ -469,8 +469,7 @@ def loop_only(monkeypatch):
     def unsupported(*args, **kwargs):
         raise C.Unsupported("disabled")
 
-    monkeypatch.setattr(Q.C, "scm_columns", unsupported)
-    monkeypatch.setattr(Q, "gate_columns", unsupported)
+    monkeypatch.setattr(Q.C, "plan_columns", unsupported)
 
 
 def test_reports_equal_the_per_case_loop(monkeypatch):
@@ -513,7 +512,11 @@ def test_equation_reads_are_worked_out_once_per_model(monkeypatch):
     calls.clear()
     assert verify_equivalence(scm, cons, entry.targets) == first
     assert calls == []
-    assert [set(r) for r in scm.reads] == [real(row.equation) for row in scm.endogenous]
+    # every variable read leaves the scope once, after its last reader
+    (steps,) = scm.plan.schedule(frozenset(entry.targets))
+    dropped = [v for _, _, done in steps for v in done]
+    read = set().union(*(real(row.equation) for row in scm.endogenous))
+    assert len(dropped) == len(read) and set(dropped) == read
 
 
 def partial_model(divisor: E.Expr) -> Scm:
@@ -597,7 +600,7 @@ def test_gate_columns_match_eval_ccv():
         sub = extract_sub_scm(entry.scm, cluster)
         cases, _, _ = Q._gate_cases(sub, Q.gate_strategy_for(sub, PassConfig()))
         ccv, _ = build_rho(sub, sorted(cluster, key=E.ref_sort_key))
-        cols = Q.gate_columns(ccv, cases, sub)
+        cols = C.ccv_columns(ccv, cases, sub)
         want = [eval_ccv(ccv, env, iv) for env, iv in cases]
         for t in ccv.targets:
             assert column_values(cols[t]) == reprs(out[t] for out in want)

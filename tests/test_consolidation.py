@@ -396,7 +396,7 @@ class TestConsolidate:
                 assert list(out) == cons.computed_vars()
                 assert all(out[v] == base[v] for v in cons.targets)
         # the per-model plan is not a field: equality, repr and copies ignore it
-        assert "_plan" in vars(cons) and "_plan" not in {f.name for f in dataclasses.fields(cons)}
+        assert "plan" in vars(cons) and "plan" not in {f.name for f in dataclasses.fields(cons)}
         assert replace(cons) == cons and repr(replace(cons)) == repr(cons)
 
 

@@ -5,7 +5,7 @@ import pytest
 from helpers import random_intervention, random_model, random_partition, random_u, three_layer_example
 from scmc import expr as E
 from scmc import zoo
-from scmc.errors import InterventionNotAllowedError, UnboundRefError
+from scmc.errors import DomainError, InterventionNotAllowedError, UnboundRefError
 from scmc.evaluation import (
     enumerate_exogenous,
     eval_partitioned,
@@ -95,6 +95,15 @@ class TestEvalPartitioned:
             assert eval_partitioned(scm, partition, u, iv) == eval_scm(scm, u, iv)
             agreed += 1
         assert agreed >= 150
+
+    def test_out_of_domain_input_rejected_as_eval_scm_rejects_it(self):
+        entry = zoo.step_by_step()
+        u = {VarRef("A"): E.VInt(25)}
+        with pytest.raises(DomainError, match=r"input A=VInt\(i=25\) is outside its domain") as by_scm:
+            eval_scm(entry.scm, u)
+        with pytest.raises(DomainError) as by_clusters:
+            eval_partitioned(entry.scm, entry.partition, u)
+        assert str(by_clusters.value) == str(by_scm.value)
 
     def test_cluster_only_sees_its_own_interventions(self):
         # the projection drops the atom on G for the {D, H} cluster, so H

@@ -267,15 +267,15 @@ def test_columns_compute_wherever_every_case_does():
         if not all(column_form(out.values()) for out in outs):
             continue
         keep = frozenset(scm.endo_vars())
-        C.scm_columns(scm, cases_of(rows), keep)
+        C.plan_columns(scm.plan, cases_of(rows), keep)
         cons = consolidate(scm, random_partition(scm, seed + 5), scm.endo_vars()[-3:])
-        C.consolidated_columns(cons, cases_of(rows), cons.computed_vars())
+        C.plan_columns(cons.plan, cases_of(rows), frozenset(cons.computed_vars()))
         for cluster in cons.clusters:
             if isinstance(cluster, CcvCluster):
                 strategy = Q.gate_strategy_for(cluster.sub, PassConfig(seed=seed))
                 cases, _, _ = Q._gate_cases(cluster.sub, strategy)
                 if cases is not None:
-                    Q.gate_columns(cluster.ccv, cases, cluster.sub)
+                    C.ccv_columns(cluster.ccv, cases, cluster.sub)
         computed += 1
     assert computed >= 190  # all 200 seeds, at the time of writing
 

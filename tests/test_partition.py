@@ -32,8 +32,8 @@ class TestCheckPartition:
         assert not report.valid
         witness = report.cycle_witness
         assert witness is not None
-        assert witness[0] == witness[-1]
-        assert set(witness) == {0, 1}
+        assert witness == [0, 1, 0]
+        assert report.findings == ["cluster quotient has a cycle: {A,C} -> {B} -> {A,C}"]
 
     def test_singleton_partition_always_valid(self):
         for build in (zoo.dominoes, zoo.step_by_step, zoo.firing_squad):

@@ -1,9 +1,11 @@
 """Model validation, graph derivation, kin queries, reparameterization."""
 
+import graphlib
 import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import oracle_sample_power_set, random_model
 from scmc import expr as E
@@ -20,6 +22,7 @@ from scmc.scm import (
     UniformFinite,
     UniformReal,
     derive_graph,
+    find_cycle,
     relatives,
     reparameterize,
     validate,
@@ -46,6 +49,16 @@ class TestValidate:
         )
         report = validate(scm)
         assert "Cycle" in report.kinds()
+
+    def test_a_longer_cycle_is_reported_as_a_closed_path(self):
+        scm = Scm(
+            "three",
+            endogenous=tuple(EndoVar(v, BoolDomain(), Ref(r)) for v, r in ((A, C), (B, A), (C, B))),
+            exogenous=(),
+            interventions=InterventionSpace.power_set([]),
+        )
+        cycles = [f for f in validate(scm).findings if f.kind == "Cycle"]
+        assert [(str(f), f.subject) for f in cycles] == [("[Cycle] cycle: A -> B -> C -> A", (A, B, C, A))]
 
     def test_explicit_space_closure_violation(self):
         pair = InterventionSet.of({D: E.VBool(True), VarRef("G"): E.VBool(False)})
@@ -344,3 +357,19 @@ class TestInterventionSpace:
         a = [space.sample(make_rng(7)) for _ in range(5)]
         b = [space.sample(make_rng(7)) for _ in range(5)]
         assert a == b
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    )
+)
+def test_find_cycle_gives_a_closed_path_exactly_when_no_topological_order_exists(graph):
+    n, edges = graph
+    path = find_cycle({i: sorted(b for a, b in edges if a == i) for i in range(n)})
+    try:
+        list(graphlib.TopologicalSorter({i: [a for a, b in edges if b == i] for i in range(n)}).static_order())
+        assert path is None
+    except graphlib.CycleError:
+        assert path is not None and len(path) >= 2 and path[0] == path[-1]
+        assert all(step in edges for step in zip(path, path[1:]))

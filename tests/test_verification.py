@@ -33,8 +33,8 @@ from scmc.expr import (
     iconst,
     rconst,
 )
-from scmc.partition import extract_sub_scm
-from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite
+from scmc.partition import Partition, extract_sub_scm
+from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite, UniformReal
 from scmc.verification import (
     EquivalenceStrategy,
     GateMemo,
@@ -162,7 +162,7 @@ def count_evals(monkeypatch) -> tuple[list, list]:
     """Every Ccv the gate evaluates from now on: one entry per case evaluated
     on its own, and one per column walk over the whole case list."""
     cases, walks = [], []
-    real_eval, real_walk = Q.eval_ccv, Q.gate_columns
+    real_eval, real_walk = Q.eval_ccv, Q.C.ccv_columns
 
     def counting(ccv, *args, **kwargs):
         cases.append(ccv)
@@ -173,7 +173,7 @@ def count_evals(monkeypatch) -> tuple[list, list]:
         return real_walk(ccv, *args, **kwargs)
 
     monkeypatch.setattr(Q, "eval_ccv", counting)
-    monkeypatch.setattr(Q, "gate_columns", walking)
+    monkeypatch.setattr(Q.C, "ccv_columns", walking)
     return cases, walks
 
 
@@ -183,6 +183,34 @@ def test_sample_local_cases_matches_per_atom_stream():
         sub = extract_sub_scm(entry.scm, cluster)
         for seed in (0, 3, 11):
             assert sample_local_cases(sub, 50, seed)[:] == oracle_sample_local_cases(sub, 50, seed)
+
+
+def test_half_bounded_real_inputs_are_drawn_inside_their_domain():
+    rng = Q.make_rng(4)
+    bounds = ((RealDomain(5.0, None), 5.0, 7.0), (RealDomain(None, 5.0), 3.0, 5.0), (RealDomain(), -1.0, 1.0))
+    for dom, lo, hi in bounds:
+        for _ in range(200):
+            x = Q._sample_domain(dom, rng).r
+            assert lo <= x < hi and E.value_in_domain(E.VReal(x), dom)
+
+
+def test_the_sampled_gate_folds_a_branch_a_half_bounded_input_never_takes():
+    # X = U + 5 lies in [5, inf), so Y's branch on X < 5 is dead; the sampled
+    # gate drew X from (1, 5] once and rejected every fold of it
+    U, X, Y = VarRef("U"), VarRef("X"), VarRef("Y")
+    scm = Scm(
+        "half_bounded",
+        endogenous=(
+            EndoVar(X, RealDomain(5.0, None), Binary("add", Ref(U), rconst(5.0))),
+            EndoVar(Y, RealDomain(), IfThenElse(Binary("lt", Ref(X), rconst(5.0)), rconst(1.0), rconst(2.0))),
+        ),
+        exogenous=(ExoVar(U, RealDomain(0.0, 1.0), UniformReal(0.0, 1.0)),),
+        interventions=InterventionSpace.power_set([]),
+    )
+    cons = consolidate(scm, Partition.of([[X], [Y]]), [Y])
+    assert cons.report.cluster_report(1).nodes_after == 1
+    assert not cons.report.rejected
+    assert verify_equivalence(scm, cons, [Y], EquivalenceStrategy.sampled(count=200, seed=3)).equal
 
 
 class TestVerifyPass:

@@ -11,6 +11,7 @@ the same machinery.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional
@@ -182,7 +183,7 @@ def compute_required_set(cluster: Iterable[VarRef], targets: Iterable[VarRef], s
     """Targets inside the cluster plus cluster variables read by outsiders."""
     cset = set(cluster)
     tset = set(targets)
-    graph = S.derive_graph_unchecked(scm)
+    graph = scm.graph
     outside = [v for v in scm.endo_vars() if v not in cset]
     needed_outside = S.relatives(graph, outside, "parents") & cset
     return (cset & tset) | needed_outside
@@ -200,7 +201,7 @@ def prune_childless(scm: Scm, targets: Iterable[VarRef]) -> tuple[Scm, list[VarR
     for t in tset:
         if not any(r.var == t for r in scm.endogenous):
             raise InvalidTargetError(f"{t} is not an endogenous variable")
-    graph = S.derive_graph_unchecked(scm)
+    graph = scm.graph
     position = {v: k for k, v in enumerate(scm.endo_vars())}
     consumers = {v: len(graph.children[v]) for v in position}
     alive = set(position)
@@ -239,7 +240,9 @@ def wrap_intervention(var: VarRef, body: Expr) -> Expr:
     return E.IfThenElse(E.IsIntervened(var), E.InterventionValue(var), body)
 
 
-def build_rho(sub: SubScm, targets: Iterable[VarRef]) -> tuple[Ccv, dict[VarRef, int]]:
+def build_rho(
+    sub: SubScm, targets: Iterable[VarRef], images: Optional[I.ImageContext] = None
+) -> tuple[Ccv, dict[VarRef, int]]:
     """Inline a cluster's equations into its targets.
 
     Walks the cluster in topological order.  Non-target variables are
@@ -249,15 +252,16 @@ def build_rho(sub: SubScm, targets: Iterable[VarRef]) -> tuple[Ccv, dict[VarRef,
     space gets the conditional branch attached before it is consumed.
 
     Also returns the effective image size of every inlined variable, when
-    finite: the raw material for the composition-bound bookkeeping.
+    finite: the raw material for the composition-bound bookkeeping.  The
+    images are worked out in `images`, when given, so that `run_passes` can
+    go on from them (see `_cluster_images`).
     """
     tset = set(targets)
     for t in tset:
         if t not in sub.cluster:
             raise InvalidTargetError(f"{t} is not in the cluster")
 
-    env_images = _local_env_images(sub)
-    ictx = I.ImageContext(env_images, sub.interventions, {})
+    ictx = images if images is not None else _cluster_images(sub)
 
     defs: dict[VarRef, Expr] = {}
     rho: dict[VarRef, Expr] = {}
@@ -279,6 +283,12 @@ def build_rho(sub: SubScm, targets: Iterable[VarRef]) -> tuple[Ccv, dict[VarRef,
                 inlined_images[var] = size
     ccv = Ccv(tuple(order), rho, sub.interventions, provenance=-1)
     return ccv, inlined_images
+
+
+def _cluster_images(sub: SubScm) -> I.ImageContext:
+    """An empty image context for the cluster: its local inputs' images and
+    its intervention space."""
+    return I.ImageContext(_local_env_images(sub), sub.interventions, {})
 
 
 def _local_env_images(sub: SubScm) -> dict[VarRef, I.Image]:
@@ -327,12 +337,23 @@ def run_passes(
     config: PassConfig = None,
     log: list[PassLogEntry] = None,
     rejected: list[PassLogEntry] = None,
+    images: Optional[I.ImageContext] = None,
 ) -> Ccv:
     """Iterate the enabled passes to a fixpoint, gating every acceptance.
 
     A candidate is accepted only when it does not grow the tree and the
     equivalence gate answers Equal over the cluster's local spaces.  Raises
     when the round cap is hit while rewrites are still firing.
+
+    The image passes share one image context: `images` when given, the one
+    `build_rho` worked in, else a new one.  It forgets what it holds before
+    every acceptance check and before `absorb`.
+
+    A pure pass is deterministic, so it is not run again on a tree it left
+    unchanged.  Per (pass, target), a memo holds the tree object the pass
+    last left as it was; a sweep that meets that same object keeps it
+    without running the pass.  `dedupe_targets` also reads the trees its
+    sweep gave the earlier targets, so its memo holds those objects too.
     """
     from .verification import GateMemo, gate_strategy_for, verify_pass
 
@@ -343,18 +364,23 @@ def run_passes(
     if nondet:
         return ccv  # draws make the gate meaningless; leave the tree alone
 
-    env_images = _local_env_images(sub)
+    if images is None:
+        images = I.ImageContext(_local_env_images(sub), ccv.interventions, {})
     var_kinds = sub.var_kinds()
     inverse_rules = _inverse_rules(sub)
     strategy = gate_strategy_for(sub, config) if config.gate else None
     memo = GateMemo()
     exhaustive_gate = strategy is not None and strategy.mode == "exhaustive"
+    #: (pass, target) -> the trees the pass last read and left unchanged
+    idle: dict[tuple[str, VarRef], tuple[Expr, ...]] = {}
 
     current = ccv
     enabled = [p for p in config.passes if p in P.PURE_PASSES or p == P.ABSORB]
 
     def gated(trial: Ccv, pass_name: str, target, removed: int, guards: int, key) -> bool:
         nonlocal current
+        # the memo would hold the old trees through the gate's allocations
+        images.forget()
         verdict = "ungated"
         if strategy is not None:
             report = verify_pass(current, trial, sub, strategy, memo, key)
@@ -374,6 +400,7 @@ def run_passes(
             if pass_name == P.ABSORB:
                 if not exhaustive_gate:
                     continue  # speculative rewrites need a complete gate
+                images.forget()
                 for target in current.targets:
                     accepted = True
                     while accepted:
@@ -394,24 +421,32 @@ def run_passes(
             # one application sweeps every target, then the gate runs once
             fn = P.PURE_PASSES[pass_name]
             ctx = P.PassContext(
-                env_images=env_images,
+                env_images=images.env,
                 space=current.interventions,
                 var_kinds=var_kinds,
                 inverse_rules=inverse_rules,
+                images=images,
             )
+            reads_earlier = pass_name == "dedupe_targets"
             new_rho: dict[VarRef, Expr] = {}
             removed_total = 0
             guards_total = 0
             for target in current.targets:
-                ctx.stats = P.PassStats()
                 before_tree = current.rho[target]
-                candidate = fn(before_tree, ctx)
-                removed = node_count(before_tree) - node_count(candidate)
-                if candidate == before_tree or removed < 0:
+                read = (before_tree, *new_rho.values()) if reads_earlier else (before_tree,)
+                left = idle.get((pass_name, target))
+                if left is not None and len(left) == len(read) and all(map(operator.is_, left, read)):
                     candidate = before_tree
                 else:
-                    removed_total += removed
-                    guards_total += ctx.stats.guards_dropped
+                    ctx.stats = P.PassStats()
+                    candidate = fn(before_tree, ctx)
+                    removed = node_count(before_tree) - node_count(candidate)
+                    if candidate == before_tree or removed < 0:
+                        candidate = before_tree
+                        idle[(pass_name, target)] = read
+                    else:
+                        removed_total += removed
+                        guards_total += ctx.stats.guards_dropped
                 new_rho[target] = candidate
                 ctx.add_earlier_target(target, candidate)
             if all(new_rho[t] is current.rho[t] for t in current.targets):
@@ -504,24 +539,34 @@ def consolidate(
         variables_marginalized=removed,
         atoms_dropped=atom_vars,
     )
-    built: list[CcvCluster | PassthroughCluster] = []
+    # every sub-model and required set first: the pruned model, and the graph
+    # cached on it, are then let go before the passes run
+    work = []
     for pos in order:
-        original_index = index_map[pos]
         cluster = survivor_partition.clusters[pos]
-        sub = extract_sub_scm(pruned, cluster)
+        required = compute_required_set(cluster, tlist, pruned) if index_map[pos] in selected else None
+        work.append((index_map[pos], cluster, extract_sub_scm(pruned, cluster), required))
+    domains = {}
+    for row in pruned.endogenous:
+        domains.setdefault(row.var, row.domain)  # the first row, as `domain_of` reads it
+    exogenous, interventions = pruned.exogenous, pruned.interventions
+    del pruned
+
+    built: list[CcvCluster | PassthroughCluster] = []
+    for original_index, cluster, sub, required in work:
         creport = ClusterReport(
             cluster=original_index,
             members=tuple(sorted(cluster, key=ref_sort_key)),
-            consolidated=original_index in selected,
+            consolidated=required is not None,
             source_equation_nodes=sum(node_count(sub.equations[v]) for v in sub.order),
         )
-        if original_index in selected:
-            required = compute_required_set(cluster, tlist, pruned)
-            ccv, inlined = build_rho(sub, required)
+        if required is not None:
+            images = _cluster_images(sub)
+            ccv, inlined = build_rho(sub, required, images)
             ccv = replace(ccv, provenance=original_index)
             creport.nodes_before = ccv.total_nodes()
             creport.inlined_images = inlined
-            ccv = run_passes(ccv, sub, config, log=report.passes, rejected=report.rejected)
+            ccv = run_passes(ccv, sub, config, log=report.passes, rejected=report.rejected, images=images)
             creport.nodes_after = ccv.total_nodes()
             built.append(CcvCluster(original_index, sub, ccv))
         else:
@@ -530,14 +575,13 @@ def consolidate(
             built.append(PassthroughCluster(original_index, sub))
         report.clusters.append(creport)
 
-    domains = {v: pruned.domain_of(v) for v in pruned.endo_vars()}
     cons = ConsolidatedScm(
         name=f"{scm.name}.consolidated",
         base_name=scm.name,
-        exogenous=pruned.exogenous,
+        exogenous=exogenous,
         clusters=tuple(built),
         targets=tuple(tlist),
-        interventions=pruned.interventions,
+        interventions=interventions,
         dropped_atom_vars=frozenset(removed),
         domains=domains,
         report=report,

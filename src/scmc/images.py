@@ -25,7 +25,7 @@ FINITE_CAP = 128
 _PAIR_CAP = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteImage:
     values: frozenset
 
@@ -33,7 +33,7 @@ class FiniteImage:
         object.__setattr__(self, "values", frozenset(self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalImage:
     """Closed numeric interval; None on a side means unbounded."""
 
@@ -42,7 +42,7 @@ class IntervalImage:
     is_int: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopImage:
     pass
 
@@ -50,6 +50,11 @@ class TopImage:
 Image = Union[FiniteImage, IntervalImage, TopImage]
 TOP = TopImage()
 BOOL_BOTH = FiniteImage(frozenset({E.VBool(False), E.VBool(True)}))
+BOOL_FALSE = FiniteImage(frozenset({E.VBool(False)}))
+BOOL_TRUE = FiniteImage(frozenset({E.VBool(True)}))
+#: every context's finite images start from the three boolean ones, so a
+#: boolean image is one of three objects
+_BOOL_IMAGES = {img.values: img for img in (BOOL_FALSE, BOOL_TRUE, BOOL_BOTH)}
 
 
 def finite_size(img: Image) -> Optional[int]:
@@ -194,21 +199,21 @@ def _interval_binary(op: str, a: Image, b: Image) -> Image:
         return IntervalImage(lo, hi, aint and bint)
     if op == "lt":
         if ahi is not None and blo is not None and ahi < blo:
-            return FiniteImage(frozenset({E.VBool(True)}))
+            return BOOL_TRUE
         if alo is not None and bhi is not None and alo >= bhi:
-            return FiniteImage(frozenset({E.VBool(False)}))
+            return BOOL_FALSE
         return BOOL_BOTH
     if op == "le":
         if ahi is not None and blo is not None and ahi <= blo:
-            return FiniteImage(frozenset({E.VBool(True)}))
+            return BOOL_TRUE
         if alo is not None and bhi is not None and alo > bhi:
-            return FiniteImage(frozenset({E.VBool(False)}))
+            return BOOL_FALSE
         return BOOL_BOTH
     if op == "eq":
         if (ahi is not None and blo is not None and ahi < blo) or (
             bhi is not None and alo is not None and bhi < alo
         ):
-            return FiniteImage(frozenset({E.VBool(False)}))
+            return BOOL_FALSE
         return BOOL_BOTH
     return TOP
 
@@ -225,6 +230,13 @@ class ImageContext:
     shared by several consumers is analysed once per context.  Contexts are
     canonical: `child` only makes a new one when the subtree can observe the
     added assumption, and makes it once per (variable, state).
+
+    Lifetime: one context serves one cluster while its trees stand.
+    `consolidate` makes it for `build_rho`, and the image passes of
+    `run_passes` go on using it for every target and every round.
+    `run_passes` calls `forget` before each acceptance check and before
+    `absorb`, so the memo never holds trees through a gate's own
+    allocations, and the next image pass starts from an empty one.
     """
 
     env: Mapping[VarRef, Image]
@@ -237,36 +249,52 @@ class ImageContext:
     _children: dict[tuple[VarRef, bool], "ImageContext"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: id(node) -> (node, variables it queries); shared by a family of contexts
-    _queried: dict[int, tuple[Expr, frozenset[VarRef]]] = field(
+    #: id(node) -> (node, bit set of the variables it queries), and the bit
+    #: of each variable met so far; both shared by a family of contexts
+    _queried: dict[int, tuple[Expr, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    _bits: dict[VarRef, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: one object per distinct finite image, by `_finite_key`; shared by the family
+    _finite: dict[frozenset, FiniteImage] = field(
+        default_factory=lambda: dict(_BOOL_IMAGES), init=False, repr=False, compare=False
     )
 
     def child(self, var: VarRef, state: bool, subtree: Expr) -> "ImageContext":
         """The context for `subtree` once `var`'s intervention state is known."""
-        if var not in self._queried_vars(subtree):
+        # the subtree's mask first: a variable first met inside it gets its bit there
+        queried = self._queried_mask(subtree)
+        if not queried & self._bits.get(var, 0):
             return self
         kid = self._children.get((var, state))
         if kid is None:
             assume = dict(self.assume_intervened)
             assume[var] = state
             kid = ImageContext(self.env, self.space, assume)
-            kid._queried = self._queried
+            kid._queried, kid._bits, kid._finite = self._queried, self._bits, self._finite
             self._children[(var, state)] = kid
         return kid
 
-    def _queried_vars(self, e: Expr) -> frozenset[VarRef]:
-        """Variables whose assumed state `e` reads: the only nodes that look
-        at `assume_intervened` are `IsIntervened` and `InterventionValue`."""
+    def forget(self) -> None:
+        """Drop every remembered image, child context and query set."""
+        self._images, self._children, self._queried, self._bits = {}, {}, {}, {}
+        self._finite = dict(_BOOL_IMAGES)
+
+    def _queried_mask(self, e: Expr) -> int:
+        """The variables whose assumed state `e` reads, as a bit set: the only
+        nodes that look at `assume_intervened` are `IsIntervened` and
+        `InterventionValue`."""
         hit = self._queried.get(id(e))
         if hit is not None:
             return hit[1]
-        out: frozenset[VarRef] = frozenset()
+        out = 0
         for c in E.children(e):
-            below = self._queried_vars(c)
-            out = below if not out else out | below
-        if isinstance(e, (E.IsIntervened, E.InterventionValue)) and e.var not in out:
-            out = out | {e.var}
+            out |= self._queried_mask(c)
+        if isinstance(e, (E.IsIntervened, E.InterventionValue)):
+            bit = self._bits.get(e.var)
+            if bit is None:
+                bit = self._bits[e.var] = 1 << len(self._bits)
+            out |= bit
         self._queried[id(e)] = (e, out)
         return out
 
@@ -277,8 +305,16 @@ def image_of(e: Expr, ctx: ImageContext) -> Image:
     if hit is not None:
         return hit[1]
     img = _image_of(e, ctx)
+    if type(img) is FiniteImage:
+        img = ctx._finite.setdefault(_finite_key(img.values), img)
     ctx._images[id(e)] = (e, img)
     return img
+
+
+def _finite_key(values: frozenset) -> frozenset:
+    """`values` with each real as its repr: `VReal(0.0) == VReal(-0.0)`, so
+    images interned by plain equality could hand back the other zero."""
+    return frozenset([repr(v.r) if type(v) is E.VReal else v for v in values])
 
 
 def _image_of(e: Expr, ctx: ImageContext) -> Image:
@@ -306,16 +342,11 @@ def _image_of(e: Expr, ctx: ImageContext) -> Image:
             if isinstance(il, FiniteImage) and isinstance(ir, FiniteImage):
                 return _apply_finite_binary(op, il, ir)
             if op in ("and", "or"):
-                tv, fv = E.VBool(True), E.VBool(False)
-                short = fv if op == "and" else tv
-                for side in (il, ir):
-                    sv = singleton_value(side)
-                    if sv == short:
-                        return FiniteImage(frozenset({short}))
-                svl, svr = singleton_value(il), singleton_value(ir)
-                other = tv if op == "and" else fv
-                if svl == other and svr == other:
-                    return FiniteImage(frozenset({other}))
+                short, other = (BOOL_FALSE, BOOL_TRUE) if op == "and" else (BOOL_TRUE, BOOL_FALSE)
+                if short in (il, ir):
+                    return short
+                if il == other and ir == other:
+                    return other
                 return BOOL_BOTH
             return _interval_binary(op, il, ir)
         case E.IfThenElse(c, t, o):
@@ -344,9 +375,9 @@ def _image_of(e: Expr, ctx: ImageContext) -> Image:
             return di if acc is None else union(acc, di)
         case E.IsIntervened(v):
             if v in ctx.assume_intervened:
-                return FiniteImage(frozenset({E.VBool(ctx.assume_intervened[v])}))
+                return BOOL_TRUE if ctx.assume_intervened[v] else BOOL_FALSE
             if not ctx.space.atom_values(v):
-                return FiniteImage(frozenset({E.VBool(False)}))
+                return BOOL_FALSE
             return BOOL_BOTH
         case E.InterventionValue(v, fb):
             atom_img = _cap(FiniteImage(frozenset(ctx.space.atom_values(v))))
@@ -371,7 +402,7 @@ def _image_of(e: Expr, ctx: ImageContext) -> Image:
                 hits = True
                 break
             if not hits:
-                return FiniteImage(frozenset({E.VBool(False)}))
+                return BOOL_FALSE
             return BOOL_BOTH
         case E.MaxIntervenedIndex(family, upper, default):
             up = _numeric_bounds(image_of(upper, ctx))

@@ -52,7 +52,7 @@ class PartitionReport:
 
 
 def _quotient_edges(scm: Scm, partition: Partition) -> dict[int, set[int]]:
-    graph = S.derive_graph_unchecked(scm)
+    graph = scm.graph
     owner: dict[VarRef, int] = {}
     for i, cluster in enumerate(partition.clusters):
         for v in cluster:
@@ -76,6 +76,12 @@ def check_partition(scm: Scm, partition: Partition) -> PartitionReport:
     clusters being a strict partial order, and it produces a witness cycle
     when violated.
     """
+    return _checked_quotient(scm, partition)[0]
+
+
+def _checked_quotient(scm: Scm, partition: Partition) -> tuple[PartitionReport, Optional[dict[int, set[int]]]]:
+    """`check_partition`'s report, and the quotient edges it worked out: None
+    when the clusters do not cover the model exactly once."""
     report = PartitionReport()
     endo = set(scm.endo_vars())
 
@@ -94,7 +100,7 @@ def check_partition(scm: Scm, partition: Partition) -> PartitionReport:
         names = ", ".join(str(v) for v in sorted(missing, key=ref_sort_key))
         report.findings.append(f"not exhaustive, missing: {names}")
     if report.findings:
-        return report
+        return report, None
 
     edges = _quotient_edges(scm, partition)
     cycle = S.find_cycle({i: sorted(dsts) for i, dsts in edges.items()})
@@ -102,7 +108,7 @@ def check_partition(scm: Scm, partition: Partition) -> PartitionReport:
         report.cycle_witness = cycle
         pretty = " -> ".join(_cluster_label(partition.clusters[i]) for i in cycle)
         report.findings.append(f"cluster quotient has a cycle: {pretty}")
-    return report
+    return report, edges
 
 
 def _cluster_label(cluster: frozenset[VarRef]) -> str:
@@ -115,10 +121,9 @@ def order_clusters(scm: Scm, partition: Partition) -> list[int]:
     Deterministic: among ready clusters the one with the smallest original
     index goes first.
     """
-    report = check_partition(scm, partition)
+    report, edges = _checked_quotient(scm, partition)
     if not report.valid:
         raise InvalidPartitionError(str(report))
-    edges = _quotient_edges(scm, partition)
     indeg = {i: 0 for i in edges}
     for src, dsts in edges.items():
         for d in dsts:
@@ -133,8 +138,6 @@ def order_clusters(scm: Scm, partition: Partition) -> list[int]:
             if indeg[d] == 0:
                 ready.append(d)
         ready.sort()
-    if len(out) != len(partition.clusters):
-        raise InvalidPartitionError("cluster quotient has a cycle")
     return out
 
 
@@ -178,13 +181,13 @@ def extract_sub_scm(scm: Scm, cluster: Iterable[VarRef]) -> SubScm:
     for v in cset:
         if v not in endo:
             raise UnknownVariableError(v)
-    graph = S.derive_graph_unchecked(scm)
+    graph = scm.graph
     local_exo = sorted(S.relatives(graph, cset, "parents") - cset, key=ref_sort_key)
     order = tuple(v for v in scm.endo_vars() if v in cset)
-    equations = {v: scm.equation_of(v) for v in order}
-    domains = {v: scm.domain_of(v) for v in order}
-    for v in local_exo:
-        domains[v] = scm.domain_of(v)
+    # each variable's first row, endogenous before exogenous, as `domain_of` reads it
+    rows = {row.var: row for row in reversed(scm.endogenous + scm.exogenous)}
+    equations = {v: rows[v].equation for v in order}
+    domains = {v: rows[v].domain for v in (*order, *local_exo)}
     exo_set = set(scm.exo_vars())
     local_dists = {v: scm.dist_of(v) for v in local_exo if v in exo_set}
     pairs = tuple(p for p in scm.inverse_pairs if p[0] in cset and p[1] in cset)

@@ -31,6 +31,8 @@ class PassContext:
     inverse_rules: list[tuple[Expr, Expr]] = field(default_factory=list)
     earlier_targets: dict[VarRef, Expr] = field(default_factory=dict)
     stats: PassStats = field(default_factory=PassStats)
+    #: the image context the image passes share; made on first use
+    images: Optional[I.ImageContext] = None
     #: earlier targets' trees of two or more nodes -> the target; of two
     #: equal trees the later target wins.  Kept in step with `earlier_targets`.
     _dedupe_table: dict[Expr, VarRef] = field(default_factory=dict, init=False, repr=False)
@@ -49,7 +51,9 @@ class PassContext:
             self._dedupe_table[tree] = var
 
     def image_ctx(self) -> I.ImageContext:
-        return I.ImageContext(self.env_images, self.space, {})
+        if self.images is None:
+            self.images = I.ImageContext(self.env_images, self.space, {})
+        return self.images
 
 
 #: Nodes that read the environment, the intervention set or a random source.

@@ -443,6 +443,12 @@ class Scm:
         rows = tuple((row.var, row.domain, row.equation) for row in self.endogenous)
         return Plan(inputs, ((tuple(self.exo_vars()), None, rows),), tuple(self.endo_vars()))
 
+    @cached_property
+    def graph(self) -> "Graph":
+        """The syntactic parent graph, derived on first use; not a field.
+        Every caller shares it, so it is read-only."""
+        return derive_graph_unchecked(self)
+
     def endo_vars(self) -> list[VarRef]:
         return [v.var for v in self.endogenous]
 
@@ -565,7 +571,7 @@ def validate(scm: Scm) -> ValidationReport:
     for row in scm.exogenous:
         _check_dist(row, report)
 
-    graph = derive_graph_unchecked(scm)
+    graph = scm.graph
     cycle = find_cycle({v: sorted(graph.children.get(v, ()), key=ref_sort_key) for v in endo})
     if cycle and not any(f.kind == "Cycle" for f in report.findings):
         path = " -> ".join(str(v) for v in cycle)
@@ -692,21 +698,25 @@ def find_cycle(successors: Mapping) -> Optional[list]:
 class Graph:
     vertices: tuple[VarRef, ...]
     parents: dict[VarRef, frozenset[VarRef]]
-    children: dict[VarRef, set[VarRef]]
+    children: dict[VarRef, frozenset[VarRef]]
 
     def has(self, var: VarRef) -> bool:
         return var in self.parents
 
 
+#: every vertex without parents or without children shares this one set
+_NO_VARS: frozenset = frozenset()
+
+
 def _graph_from_parent_map(vertices: list[VarRef], pmap: dict[VarRef, set[VarRef]]) -> Graph:
-    children: dict[VarRef, set[VarRef]] = {v: set() for v in vertices}
+    children: dict[VarRef, set[VarRef]] = {}
     for child, parents in pmap.items():
         for p in parents:
             children.setdefault(p, set()).add(child)
     return Graph(
         tuple(vertices),
-        {v: frozenset(pmap.get(v, set())) for v in vertices},
-        children,
+        {v: frozenset(pmap[v]) if pmap.get(v) else _NO_VARS for v in vertices},
+        {v: frozenset(children[v]) if v in children else _NO_VARS for v in vertices},
     )
 
 
@@ -729,9 +739,10 @@ def derive_graph(scm: Scm, mode: str = "syntactic") -> Graph:
     Syntactic mode records an edge wherever an equation textually references
     a variable; semantic mode keeps only edges along which the equation can
     actually change value, established by enumerating the parents' finite
-    domains.  Semantic edges are always a subset of syntactic ones.
+    domains.  Semantic edges are always a subset of syntactic ones.  The
+    syntactic graph is the model's shared `Scm.graph`: read-only.
     """
-    g = derive_graph_unchecked(scm)
+    g = scm.graph
     if mode == "syntactic":
         return g
     if mode != "semantic":

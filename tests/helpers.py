@@ -717,6 +717,31 @@ def oracle_eval(e: E.Expr, env, interventions: InterventionSet = None, rng=None)
 
 
 # ---------------------------------------------------------------------------
+# Reference queried-variable sets
+# ---------------------------------------------------------------------------
+
+
+def oracle_queried_vars(e: E.Expr, memo: dict) -> frozenset:
+    """The variables whose assumed intervention state `e` reads, as one
+    `frozenset` per node: what `ImageContext` keeps as a bit set.
+
+    `memo` maps id(node) to (node, set); holding the node keeps its id from
+    reuse.  Only `IsIntervened` and `InterventionValue` read the state.
+    """
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    out: frozenset = frozenset()
+    for c in E.children(e):
+        below = oracle_queried_vars(c, memo)
+        out = below if not out else out | below
+    if isinstance(e, (IsIntervened, InterventionValue)) and e.var not in out:
+        out = out | {e.var}
+    memo[id(e)] = (e, out)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Reference image analysis
 # ---------------------------------------------------------------------------
 

@@ -510,6 +510,101 @@ class TestRandomModelSoundness:
         assert verified >= 40
 
 
+class TestAnalysedOnce:
+    """Work that `consolidate` does once per model, node or tree."""
+
+    def test_each_model_graph_is_derived_once(self, monkeypatch):
+        from scmc import scm as S
+
+        derived = []  # the models themselves, so their ids stay distinct
+        inner = S.derive_graph_unchecked
+
+        def counting(scm):
+            derived.append(scm)
+            return inner(scm)
+
+        monkeypatch.setattr(S, "derive_graph_unchecked", counting)
+        for name in sorted(zoo.ZOO_BUILDERS):
+            entry = zoo.ZOO_BUILDERS[name]()
+            entry.consolidated()
+            # the model and its pruned copy, once each
+            assert len(derived) == 2 and derived[0] is entry.scm and derived[1] is not entry.scm, name
+            derived.clear()
+            entry.consolidated()
+            assert len(derived) == 1 and derived[0] is not entry.scm, name  # a new pruned copy
+            derived.clear()
+
+    def test_each_node_is_imaged_once_per_context_on_a_chain(self, monkeypatch):
+        from scmc import images as I
+
+        seen = []  # the nodes and contexts themselves, so their ids stay distinct
+        inner = I._image_of
+
+        def counting(e, ctx):
+            seen.append((e, ctx))
+            return inner(e, ctx)
+
+        monkeypatch.setattr(I, "_image_of", counting)
+        zoo.dominoes(128).consolidated()
+        assert len({(id(e), id(ctx)) for e, ctx in seen}) == len(seen) == 382
+
+    def test_no_pure_pass_runs_again_on_a_tree_it_left_unchanged(self, monkeypatch):
+        """On `tool_wear(36)`, two rounds of 36 targets.  Only the passes
+        before the last rewrite of the first round see new trees in the
+        second.  `dedupe_targets` also reads the earlier targets' trees."""
+        import operator
+        from collections import Counter
+
+        from scmc import passes as P
+
+        calls = Counter()
+        left: dict[str, list] = {}
+
+        def counted(name, fn):
+            def run(e, ctx):
+                calls[name] += 1
+                read = (e, *ctx.earlier_targets.values()) if name == "dedupe_targets" else (e,)
+                for old in left.get(name, ()):
+                    assert not (len(old) == len(read) and all(map(operator.is_, old, read))), name
+                out = fn(e, ctx)
+                if out == e:
+                    left.setdefault(name, []).append(read)
+                return out
+
+            return run
+
+        for name, fn in list(P.PURE_PASSES.items()):
+            monkeypatch.setitem(P.PURE_PASSES, name, counted(name, fn))
+        zoo.tool_wear(36).consolidated()
+        assert dict(calls) == {
+            "cancel_inverses": 72,
+            "fold_constants": 72,
+            "prune_branches": 72,
+            "fold_by_image": 72,
+            "simplify_algebra": 36,
+            "prune_interventions": 36,
+            "dedupe_targets": 36,
+        }
+
+    def test_memory_grows_linearly_along_a_chain(self):
+        """The tracemalloc peak of `consolidate` from 128 to 256 stones grows
+        at most 2.3x.  A set of queried variables per node, each naming every
+        guard below it, grew it 2.85x."""
+        import tracemalloc
+
+        zoo.dominoes(8).consolidated()  # modules and their caches are warm
+        peaks = []
+        for n in (128, 256):
+            entry = zoo.dominoes(n)
+            tracemalloc.start()
+            try:
+                entry.consolidated()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.3 * peaks[0], peaks
+
+
 class TestForkDeterminism:
     def test_reparameterized_fork_children_always_agree(self):
         from scmc.evaluation import sample_exogenous

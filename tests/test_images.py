@@ -1,8 +1,9 @@
 """The image analysis must over-approximate every reachable value, and the
 pure rewrite passes must preserve semantics; both checked on generated
 expressions against brute-force enumeration.  The memoized analysis must
-also agree with the un-memoized reference in `helpers`, node for node, and
-its work must grow linearly along a chain."""
+also agree with the un-memoized reference in `helpers`, node for node, its
+queried-variable bit sets with the reference's sets, and its work must grow
+linearly along a chain."""
 
 import itertools
 import random
@@ -10,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import OracleImageContext, oracle_image_of
+from helpers import OracleImageContext, oracle_image_of, oracle_queried_vars
 from scmc import documents as D
 from scmc import expr as E
 from scmc import images as I
@@ -354,3 +355,117 @@ def test_image_work_grows_linearly_along_a_chain(monkeypatch):
         zoo.dominoes(n).consolidated()
         counts.append(len(calls))
     assert counts[1] <= 5 * counts[0], counts
+
+
+# ---------------------------------------------------------------------------
+# Queried-variable bit sets against the frozenset reference
+# ---------------------------------------------------------------------------
+
+#: a variable no tree queries
+ABSENT = VarRef("Absent")
+
+
+def inlined_trees():
+    """Each inlined target tree, with its cluster's intervention space, of
+    the zoo models and of 40 random models: the trees `child` is asked about."""
+    from helpers import random_model, random_partition
+    from scmc.consolidation import PassConfig, consolidate
+
+    entries = [zoo.dominoes(8), zoo.tool_wear(6), zoo.firing_squad(4), zoo.step_by_step(), zoo.platformer()]
+    models = [(e.scm, e.partition, e.targets, e.consolidate_clusters) for e in entries]
+    for seed in range(40):
+        scm = random_model(seed, max_endo=8)
+        models.append((scm, random_partition(scm, seed + 999), scm.endo_vars()[-2:], None))
+    for scm, partition, targets, clusters in models:
+        cons = consolidate(scm, partition, targets, clusters, PassConfig(passes=(), gate=False))
+        for ccv in cons.ccvs():
+            for t in ccv.targets:
+                yield ccv.rho[t], ccv.interventions
+
+
+def distinct_nodes(e):
+    """Every node of `e` once, shared or not, parents before children."""
+    seen, out, stack = set(), [], [e]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            out.append(x)
+            stack.extend(E.children(x))
+    return out
+
+
+def test_query_bit_sets_name_the_reference_variables():
+    checked = 0
+    for root, space in inlined_trees():
+        ctx, memo = I.ImageContext({}, space, {}), {}
+        # children first, so most variables get their bits deep in the tree
+        for node in reversed(distinct_nodes(root)):
+            mask = ctx._queried_mask(node)
+            names = frozenset(v for v, bit in ctx._bits.items() if mask & bit)
+            assert names == oracle_queried_vars(node, memo), node
+            checked += 1
+    assert checked > 2000
+
+
+def test_child_is_the_context_the_reference_sets_give():
+    """`child` adds the assumption exactly where the subtree queries the
+    variable, once per (variable, state).  Each question is asked of a
+    context shared by the whole tree and of a fresh one, in which the
+    variable is met for the first time inside the subtree given to `child`."""
+    asked = 0
+    for root, space in inlined_trees():
+        memo = {}
+        shared = I.ImageContext({}, space, {})
+        names = sorted(oracle_queried_vars(root, memo), key=E.ref_sort_key) + [ABSENT]
+        for node in distinct_nodes(root):
+            sees = oracle_queried_vars(node, memo)
+            for var in names:
+                for state in (True, False):
+                    for ctx in (shared, I.ImageContext({}, space, {})):
+                        kid = ctx.child(var, state, node)
+                        if var in sees:
+                            assert kid is not ctx and kid.assume_intervened == {var: state}
+                            assert ctx.child(var, state, node) is kid
+                            assert kid._queried is ctx._queried and kid._bits is ctx._bits
+                        else:
+                            assert kid is ctx, (node, var)
+                        asked += 1
+    assert asked > 10000
+
+
+def test_a_variable_first_met_inside_the_subtree_is_seen():
+    space = InterventionSpace.power_set(SHARED_ATOMS)
+    ctx = I.ImageContext(ENV_IMAGES, space, {})
+    assert ctx.child(G, True, IsIntervened(G)) is not ctx
+    assert H not in ctx._bits  # G has a bit, H none yet
+    seeing = Binary("add", Ref(X), InterventionValue(H, iconst(0)))
+    kid = ctx.child(H, True, seeing)
+    assert kid is not ctx and kid.assume_intervened == {H: True}
+    want = oracle_image_of(seeing, OracleImageContext(ENV_IMAGES, space, {H: True}))
+    assert I.image_of(seeing, kid) == want != I.image_of(seeing, ctx)
+
+
+def test_forget_empties_the_context_and_leaves_images_unchanged():
+    for seed in range(50):
+        root, space = shared_case(seed)
+        ctx = I.ImageContext(ENV_IMAGES, space, {})
+        first = I.image_of(root, ctx)
+        ctx.forget()
+        assert not (ctx._images or ctx._children or ctx._queried or ctx._bits)
+        assert set(map(id, ctx._finite.values())) == {id(I.BOOL_FALSE), id(I.BOOL_TRUE), id(I.BOOL_BOTH)}
+        assert I.image_of(root, ctx) == first
+
+
+def test_equal_images_are_one_object_but_signed_zeros_are_two():
+    ctx = I.ImageContext({}, InterventionSpace.power_set([]), {})
+    assert I.image_of(bconst(True), ctx) is I.BOOL_TRUE
+    assert I.image_of(IsIntervened(G), ctx) is I.BOOL_FALSE  # G has no atom here
+    assert I.image_of(Binary("lt", Ref(X), iconst(1)), ctx) is I.BOOL_BOTH  # X is unknown
+    one_a, one_b = E.Binary("add", E.rconst(0.5), E.rconst(0.5)), E.rconst(1.0)
+    assert I.image_of(one_a, ctx) is I.image_of(one_b, ctx)
+    zero, minus_zero = E.rconst(0.0), E.Unary("neg", E.rconst(0.0))
+    assert I.image_of(zero, ctx) == I.image_of(minus_zero, ctx)
+    assert I.image_of(zero, ctx) is not I.image_of(minus_zero, ctx)
+    (v,) = I.image_of(minus_zero, ctx).values
+    assert str(v.r) == "-0.0"

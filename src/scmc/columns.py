@@ -63,9 +63,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import expr as E
-from .consolidation import Ccv
 from .expr import Value, VarRef
-from .partition import SubScm
 from .scm import POWER_SET, InterventionSet, InterventionSpace, Plan
 
 Column = np.ndarray
@@ -904,17 +902,6 @@ def plan_columns(
             for v in done:
                 env.pop(v, None)
     return {v: acc[v] for v in (plan.outputs if keep is None else keep)}
-
-
-def ccv_columns(
-    ccv: Ccv, cases: Cases, sub: SubScm, before: Optional[tuple[Ccv, Mapping[VarRef, Column]]] = None
-) -> dict[VarRef, Column]:
-    """The columns `eval_ccv` gives every target, over cases of the cluster
-    `sub`'s local inputs, which it takes as they stand; `before` = (another
-    Ccv of the cluster, its columns) is passed on to `plan_columns`."""
-    inputs = tuple((v, None) for v in sub.local_exogenous)
-    plan = Plan(inputs, ((sub.local_exogenous, None, ccv.rows),), ccv.targets)
-    return plan_columns(plan, cases, before=None if before is None else (before[0].rows, before[1]))
 
 
 # ---------------------------------------------------------------------------

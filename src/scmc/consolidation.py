@@ -27,7 +27,7 @@ from .errors import (
     PassBudgetExceededError,
     recursion_as_too_deep,
 )
-from .evaluation import Assignment, run_plan, run_rows
+from .evaluation import Assignment, run_plan
 from .expr import Expr, VarRef, node_count, ref_sort_key
 from .partition import (
     Partition,
@@ -464,11 +464,16 @@ def run_passes(
 # ---------------------------------------------------------------------------
 
 
+def ccv_plan(ccv: Ccv, inputs: tuple[VarRef, ...]) -> S.Plan:
+    """A Ccv as a one-cluster plan over the local inputs `inputs`, which it
+    takes as they stand, under every atom of a case's set: what the rewrite
+    gate runs, per case and by columns."""
+    return S.Plan(tuple((v, None) for v in inputs), ((inputs, None, ccv.rows),), ccv.targets)
+
+
 def eval_ccv(ccv: Ccv, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
     """Evaluate the targets in order; earlier targets are visible to later ones."""
-    env: Assignment = dict(local_u)
-    run_rows(ccv.rows, env, dict(local_iv.assignments), rng)
-    return {t: env[t] for t in ccv.targets}
+    return run_plan(ccv_plan(ccv, tuple(local_u)), local_u, local_iv, rng)
 
 
 def eval_consolidated(

@@ -204,17 +204,19 @@ def extract_sub_scm(scm: Scm, cluster: Iterable[VarRef]) -> SubScm:
 
 
 def sub_scm_as_scm(sub: SubScm, name: str = "sub") -> Scm:
-    """View a sub-model as a standalone model so it can be validated.
+    """View a sub-model as a standalone model, to validate it or check it as
+    the verifier checks a model.
 
-    Local exogenous variables without an induced distribution are given a
-    placeholder point mass; evaluation always supplies their values anyway.
+    A local input without an induced distribution is uniform over its
+    domain: over its values when they are finite, else over a real interval
+    whose missing bound lies 2 past the other one, or [-1, 1) with neither.
     """
     exo_rows = []
     for v in sub.local_exogenous:
         dom = sub.domains[v]
         dist = sub.local_dists.get(v)
         if dist is None:
-            dist = S.PointMass(_placeholder_value(dom))
+            dist = _uniform_over(dom)
         exo_rows.append(S.ExoVar(v, dom, dist))
     endo_rows = [S.EndoVar(v, sub.domains[v], sub.equations[v]) for v in sub.order]
     return Scm(
@@ -226,14 +228,12 @@ def sub_scm_as_scm(sub: SubScm, name: str = "sub") -> Scm:
     )
 
 
-def _placeholder_value(dom: Domain):
-    match dom:
-        case E.BoolDomain():
-            return E.VBool(False)
-        case E.IntDomain(lo, _):
-            return E.VInt(lo)
-        case E.SymDomain(symbols):
-            return E.VSym(symbols[0])
-        case E.RealDomain(lo, _):
-            return E.VReal(lo if lo is not None else 0.0)
-    raise TypeError(f"not a Domain: {dom!r}")
+def _uniform_over(dom: Domain) -> S.ExoDistribution:
+    if E.domain_is_finite(dom):
+        return S.UniformFinite(tuple(E.domain_values(dom)))
+    lo, hi = dom.lo, dom.hi
+    if lo is None:
+        lo = -1.0 if hi is None else hi - 2.0
+    if hi is None:
+        hi = lo + 2.0
+    return S.UniformReal(lo, hi)

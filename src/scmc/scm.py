@@ -280,27 +280,16 @@ class InterventionSpace:
     def sample(self, rng) -> InterventionSet:
         """One member drawn with the package RNG; uniform over the enumeration
         for explicit/singleton modes, independent per-atom for power sets."""
-        return self.member(self.pick(rng))
-
-    def pick(self, rng):
-        """What `sample` draws, before it is made a set: a position in the
-        enumeration for explicit/singleton modes; for a power set, one entry
-        per atom row, 0 for no atom or 1 + the position of the drawn value.
-
-        A power set draws every atom with one `rng.integers` call on the list
-        of bounds, which consumes the stream exactly like one scalar call per
-        atom in atom order."""
-        if self.mode in _LISTED:
-            return int(rng.integers(len(self._members)))
-        if not self.atoms:
-            return []
-        return rng.integers([1 + len(vals) for _, vals in self.atoms]).tolist()
+        return self.member(self.picks(rng, 1)[0].tolist())
 
     def picks(self, rng, count: int) -> np.ndarray:
-        """`count` calls of `pick` as one `rng.integers` call on an array of
-        bounds, which consumes the stream exactly like the calls made one
-        after another: an int64 array of count positions, or for a power set
-        of count × atoms entries."""
+        """What `count` draws pick, before they are made sets: for
+        explicit/singleton modes, count positions in the enumeration; for a
+        power set, count rows of one entry per atom row, 0 for no atom or 1 +
+        the position of the drawn value.
+
+        One `rng.integers` call on an array of bounds consumes the stream
+        exactly like one scalar call per position or per atom, in order."""
         count = max(count, 0)
         if self.mode in _LISTED:
             if not count:
@@ -312,8 +301,8 @@ class InterventionSpace:
         return rng.integers(bounds, size=(count, len(bounds)), dtype=np.int64)
 
     def member(self, pick) -> InterventionSet:
-        """The set `sample` returns for a `pick`, a position or a list of
-        atom-row entries."""
+        """The set of one draw of `picks`, a position or a list of atom-row
+        entries."""
         if self.mode in _LISTED:
             return self._members[pick]
         if not any(pick):

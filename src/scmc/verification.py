@@ -18,12 +18,12 @@ import numpy as np
 from . import columns as C
 from . import expr as E
 from . import scm as S
-from .consolidation import Ccv, ConsolidatedScm, PassConfig, eval_ccv, eval_consolidated
-from .errors import DomainError, EnumerationTooLargeError, recursion_as_too_deep
-from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng
+from .consolidation import Ccv, ConsolidatedScm, PassConfig, ccv_plan, eval_consolidated
+from .errors import DomainError, recursion_as_too_deep
+from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng, run_plan
 from .evaluation import sample_exogenous  # noqa: F401 - bench/tracing.py looks it up here
 from .expr import Value, VarRef, ref_sort_key
-from .partition import SubScm
+from .partition import SubScm, sub_scm_as_scm
 from .scm import InterventionSet, Scm
 
 EXHAUSTIVE = "exhaustive"
@@ -177,28 +177,70 @@ def verifier_cases(base: Scm, strategy: EquivalenceStrategy) -> tuple[Optional[C
     """The verifier's case list, or None and why an exhaustive one cannot be made.
 
     Exhaustive mode pairs every input assignment, in canonical order, with
-    every allowed set.  Sampled mode draws the inputs of each case in
-    declared order from one stream and the sets from a second stream with
-    the same seed.
+    every allowed set, within the strategy's budgets.  Sampled mode draws the
+    inputs of each case in declared order from one stream, and the sets from
+    a second stream with the same seed; a point mass draws nothing and makes
+    one constant column.
     """
     if strategy.mode == EXHAUSTIVE:
-        try:
-            u_cases = _canonical_u_order(base, enumerate_exogenous(base, strategy.exogenous_budget))
-            i_cases = _intervention_cases(base.interventions, strategy)
-        except (DomainError, EnumerationTooLargeError) as exc:
-            return None, str(exc)
-        budget = max(strategy.intervention_budget, strategy.exogenous_budget)
-        n = len(u_cases) * len(i_cases)
-        if n > budget:
-            return None, (
-                f"{len(u_cases)} inputs x {len(i_cases)} intervention sets = {n} cases, budget is {budget}"
-            )
+        message = _over_budget(base, strategy)
+        if message:
+            return None, message
+        u_cases = _canonical_u_order(base, enumerate_exogenous(base, strategy.exogenous_budget))
+        i_cases = _intervention_cases(base.interventions, strategy)
         return C.Tiling([row.var for row in base.exogenous], u_cases, i_cases), ""
-    if strategy.sample_count < 0:
+    count = strategy.sample_count
+    if count < 0:
         raise DomainError("count must be non-negative")
-    axes = [(row.var, row.dist, row.domain) for row in base.exogenous]
-    rng, set_rng = make_rng(strategy.seed), make_rng(strategy.seed)
-    return _sampled_cases(axes, strategy.sample_count, rng, base.interventions, set_rng), ""
+    rng = make_rng(strategy.seed)
+    drawing = [row for row in base.exogenous if type(row.dist) is not S.PointMass]
+    drawn: dict[VarRef, list[Value]] = {row.var: [] for row in drawing}
+    for _ in range(count):
+        for row in drawing:
+            drawn[row.var].append(_draw(row.dist, rng))
+    inputs = {}
+    for row in base.exogenous:
+        if row.var in drawn:
+            inputs[row.var] = C.entries(drawn[row.var])
+        else:
+            col, exact = C.entries([row.dist.value])
+            inputs[row.var] = (col * count, True) if exact else (np.repeat(col, count), False)
+    space = base.interventions
+    return C.Cases.drawn(inputs, space, space.picks(make_rng(strategy.seed), count)), ""
+
+
+def _input_count(base: Scm) -> int:
+    """How many input assignments an exhaustive check of `base` visits;
+    raises `DomainError` for an input without finite support."""
+    total = 1
+    for row in base.exogenous:
+        support = S.dist_support(row.dist)
+        if support is None:
+            raise DomainError(f"{row.var} has continuous support")
+        total *= len(support)
+    return total
+
+
+def _over_budget(base: Scm, strategy: EquivalenceStrategy) -> str:
+    """Why an exhaustive check of `base` does not fit the strategy, or "".
+
+    It does not when an input has no finite support, or the inputs outnumber
+    `exogenous_budget`, or the enumerated sets `intervention_budget`, or the
+    cases the larger of the two budgets.
+    """
+    try:
+        inputs = _input_count(base)
+    except DomainError as exc:
+        return str(exc)
+    given = strategy.intervention_sets
+    sets = base.interventions.size() if given is None else len(given)
+    n, budget = inputs * sets, max(strategy.intervention_budget, strategy.exogenous_budget)
+    if n > budget or inputs > strategy.exogenous_budget or (given is None and sets > strategy.intervention_budget):
+        return (
+            f"{inputs} inputs x {sets} intervention sets = {n} cases, budget is "
+            f"{strategy.exogenous_budget} inputs, {strategy.intervention_budget} sets, {budget} cases"
+        )
+    return ""
 
 
 #: cases of a verifier column block; bounds the columns held at once
@@ -246,7 +288,10 @@ def _check_cases(tlist, n, tolerance, probabilistic, case, values, blocks, probe
     disagree; from there, or from wherever a block raised, the loop takes
     over again.  Columns compute every value the loop would and raise
     wherever it would, so the report, or the error raised, is the loop's own.
+    No case checked shows nothing, so an empty list is inconclusive.
     """
+    if not n:
+        return EquivalenceReport("inconclusive", probabilistic=probabilistic, message="no case to check")
     report, worst = _case_loop(tlist, tolerance, probabilistic, case, values, 0, min(probe, n), 0.0)
     if report is not None:
         return report
@@ -282,117 +327,42 @@ def replay_counterexample(
 # ---------------------------------------------------------------------------
 
 
-def _local_exo_values(sub: SubScm, var: VarRef) -> Optional[list[Value]]:
-    dist = sub.local_dists.get(var)
-    if dist is not None:
-        return S.dist_support(dist)
-    dom = sub.domains[var]
-    if E.domain_is_finite(dom):
-        return E.domain_values(dom)
-    return None
-
-
 def local_case_count(sub: SubScm) -> Optional[int]:
     """Exhaustive case count for a cluster, or None when not enumerable."""
-    total = 1
-    for v in sub.local_exogenous:
-        vals = _local_exo_values(sub, v)
-        if vals is None:
-            return None
-        total *= len(vals)
-    return total * sub.interventions.size()
+    try:
+        return _input_count(sub_scm_as_scm(sub)) * sub.interventions.size()
+    except DomainError:
+        return None
 
 
-def enumerate_local_cases(sub: SubScm) -> C.Cases:
-    """Every case of a cluster's local spaces: each combination of the local
-    inputs' values, the first input outermost, with every intervention set
-    in canonical order."""
-    envs: list[Assignment] = [{}]
-    for v in sub.local_exogenous:
-        vals = _local_exo_values(sub, v)
-        if vals is None:
-            raise DomainError(f"{v} has no finite local support")
-        envs = [{**env, v: val} for env in envs for val in vals]
-    tiling = C.Tiling(sub.local_exogenous, envs, sub.interventions.enumerate(budget=10**9))
-    return tiling.block(0, len(tiling))
+#: an exhaustive strategy that every enumerable cluster fits
+_EVERY_CASE = EquivalenceStrategy.exhaustive(intervention_budget=10**9, exogenous_budget=10**9)
+
+
+def enumerate_local_cases(sub: SubScm) -> Optional[C.Tiling]:
+    """Every case of a cluster, or None when it is not enumerable: the
+    verifier's exhaustive case list of the cluster viewed as a model."""
+    return verifier_cases(sub_scm_as_scm(sub), _EVERY_CASE)[0]
 
 
 def sample_local_cases(sub: SubScm, count: int, seed: int) -> C.Cases:
-    """`count` seeded cases: each draws the local inputs in order, then one
-    intervention set, all from one stream."""
-    axes = [(v, sub.local_dists.get(v), sub.domains[v]) for v in sub.local_exogenous]
-    return _sampled_cases(axes, count, make_rng(seed), sub.interventions)
-
-
-def _sampled_cases(axes, count: int, rng, space, set_rng=None) -> C.Cases:
-    """`count` cases: each draws its inputs in order from `rng`, then its
-    intervention set from `set_rng`, or from `rng` when that is None.
-
-    `axes` holds `(var, distribution, domain)` per input, and an input
-    without a distribution draws from its domain.  A point mass draws
-    nothing and makes one constant column.  When the sets need not wait for
-    input draws, all of them come from one `InterventionSpace.picks` call,
-    which consumes the stream as one `sample` per case would.
-    """
-    fixed = {v: C.entries([dist.value]) for v, dist, _ in axes if type(dist) is S.PointMass}
-    drawing = [(v, dist, dom) for v, dist, dom in axes if v not in fixed]
-    drawn: dict[VarRef, list[Value]] = {v: [] for v, _, _ in drawing}
-    interleaved = bool(drawing) and set_rng is None
-    picks = []
-    if drawing:
-        for _ in range(count):
-            for v, dist, dom in drawing:
-                drawn[v].append(_draw(dist, rng) if dist is not None else _sample_domain(dom, rng))
-            if interleaved:
-                picks.append(space.pick(rng))
-    if interleaved:
-        shape = (count, len(space.atoms)) if space.mode == S.POWER_SET else (count,)
-        picks = np.array(picks, np.int64).reshape(shape)
-    else:
-        picks = space.picks(rng if set_rng is None else set_rng, count)
-    inputs = {}
-    for v, _, _ in axes:
-        if v in fixed:
-            col, exact = fixed[v]
-            inputs[v] = (col * count, True) if exact else (np.repeat(col, count), False)
-        else:
-            inputs[v] = C.entries(drawn[v])
-    return C.Cases.drawn(inputs, space, picks)
-
-
-def _sample_domain(dom: E.Domain, rng) -> Value:
-    if E.domain_is_finite(dom):
-        vals = E.domain_values(dom)
-        return vals[int(rng.integers(len(vals)))]
-    # a missing bound lies 2 past the other one; with neither, draw from [-1, 1)
-    lo, hi = dom.lo, dom.hi
-    if lo is None:
-        lo = -1.0 if hi is None else hi - 2.0
-    if hi is None:
-        hi = lo + 2.0
-    return E.VReal(float(lo + (hi - lo) * rng.random()))
+    """`count` seeded cases of a cluster: the verifier's sampled case list of
+    the cluster viewed as a model."""
+    return verifier_cases(sub_scm_as_scm(sub), EquivalenceStrategy.sampled(count, seed))[0]
 
 
 def gate_strategy_for(sub: SubScm, config: PassConfig) -> EquivalenceStrategy:
-    """Exhaustive when the cluster's local space fits the budget, else sampled."""
+    """Exhaustive, with `gate_case_budget` as both budgets, when the
+    cluster's local space fits that budget; else sampled."""
     n = local_case_count(sub)
-    if n is not None and n <= config.gate_case_budget:
-        return EquivalenceStrategy.exhaustive(tolerance=config.tolerance)
+    budget = config.gate_case_budget
+    if n is not None and n <= budget:
+        return EquivalenceStrategy.exhaustive(
+            tolerance=config.tolerance, intervention_budget=budget, exogenous_budget=budget
+        )
     return EquivalenceStrategy.sampled(
         count=config.gate_sample_count, seed=config.seed, tolerance=config.tolerance
     )
-
-
-def _gate_cases(sub: SubScm, strategy: EquivalenceStrategy) -> tuple[Optional[C.Cases], bool, str]:
-    """The gate's case list and whether it was sampled, or None and why not."""
-    if strategy.mode == EXHAUSTIVE:
-        n = local_case_count(sub)
-        if n is None:
-            return None, False, "local space is not enumerable"
-        if n > max(strategy.intervention_budget, strategy.exogenous_budget):
-            return None, False, f"local space has {n} cases"
-        return enumerate_local_cases(sub), False, ""
-    return sample_local_cases(sub, strategy.sample_count, strategy.seed), True, ""
 
 
 class GateMemo:
@@ -410,8 +380,9 @@ class GateMemo:
     def __init__(self):
         self._sub: Optional[SubScm] = None
         self._strategy: Optional[EquivalenceStrategy] = None
-        self._cases: tuple = (None, False, "")
+        self._cases: tuple[Optional[C.Cases], str] = (None, "")
         self._before: Optional[Ccv] = None
+        self._before_plan: Optional[S.Plan] = None
         #: `before`'s target columns; None until computed, or when they cannot be
         self._before_columns: Optional[dict] = None
         self._walked = False
@@ -422,11 +393,19 @@ class GateMemo:
         #: reports of the candidates rejected against `_before`, by key
         self.rejected: dict[Hashable, EquivalenceReport] = {}
 
-    def cases(self, sub: SubScm, strategy: EquivalenceStrategy) -> tuple:
+    def cases(self, sub: SubScm, strategy: EquivalenceStrategy) -> tuple[Optional[C.Cases], str]:
+        """The verifier's case list of the cluster viewed as a model, or None
+        and why an exhaustive one cannot be made."""
         if self._sub is not sub or self._strategy is not strategy:
             self._sub, self._strategy = sub, strategy
-            self._cases = _gate_cases(sub, strategy)
             self._before = self.passed = None
+            message = ""
+            if strategy.mode != EXHAUSTIVE:
+                cases = sample_local_cases(sub, strategy.sample_count, strategy.seed)
+            else:
+                message = _over_budget(sub_scm_as_scm(sub), strategy)
+                cases = None if message else enumerate_local_cases(sub)
+            self._cases = (None if cases is None else cases.block(0, len(cases)), message)
         return self._cases
 
     def track(self, before: Ccv) -> None:
@@ -434,6 +413,7 @@ class GateMemo:
         if self._before is not before:
             passed, self.passed = self.passed, None
             self._before, self._known = before, []
+            self._before_plan = ccv_plan(before, self._sub.local_exogenous)
             self._before_columns, self._walked = None, False
             if passed is not None and passed[0] is before:
                 self._before_columns, self._walked = passed[1], True
@@ -445,7 +425,7 @@ class GateMemo:
         if cols is not None:
             return tuple([C.value(cols[t].item(k)) for t in tlist])
         if k == len(self._known):
-            out = eval_ccv(self._before, env, iv)
+            out = run_plan(self._before_plan, env, iv)
             self._known.append(tuple([out[t] for t in tlist]))
         return self._known[k]
 
@@ -457,7 +437,7 @@ class GateMemo:
         cases = self._cases[0]
         if not self._walked:
             self._walked = True
-            self._before_columns = C.ccv_columns(self._before, cases, self._sub)
+            self._before_columns = C.plan_columns(self._before_plan, cases)
         if self._before_columns is None:
             raise C.Unsupported("before has no columns")
         return cases, self._before_columns
@@ -478,11 +458,14 @@ def verify_pass(
     compared, so a rewrite that corrupts a value any later target consumes is
     caught even when the edited tree itself still agrees.
 
-    The first case is checked on its own, since a rejected rewrite usually
-    disagrees there; then `after` is walked once over all cases by columns
-    (`columns.ccv_columns`), and the per-case loop resumes only where the
-    columns disagree or cannot be evaluated.  A leading run of targets whose
-    trees are `before`'s own objects takes `before`'s columns unevaluated.
+    The cases are the verifier's, on the cluster viewed as a model
+    (`partition.sub_scm_as_scm`), and each Ccv runs as a one-cluster plan
+    (`consolidation.ccv_plan`), per case and by columns.  The first case is
+    checked on its own, since a rejected rewrite usually disagrees there;
+    then `after` is walked once over all cases by columns, and the per-case
+    loop resumes only where the columns disagree or cannot be evaluated.  A
+    leading run of targets whose trees are `before`'s own objects takes
+    `before`'s columns unevaluated.
 
     `memo` carries the case list, `before`'s columns and the rejections from
     one call to the next.  When `after` passes, its columns stay in the memo,
@@ -500,24 +483,26 @@ def verify_pass(
     if set(before.targets) != set(after.targets):
         return EquivalenceReport("inconclusive", message="target sets differ")
     memo = memo if memo is not None else GateMemo()
-    cases, probabilistic, message = memo.cases(sub, strategy)
+    cases, message = memo.cases(sub, strategy)
     if cases is None:
         return EquivalenceReport("inconclusive", message=message)
+    probabilistic = strategy.mode != EXHAUSTIVE
 
     memo.track(before)
     if key is not None and key in memo.rejected:
         return memo.rejected[key]
     tlist = list(before.targets)
+    plan = ccv_plan(after, sub.local_exogenous)
     walked: list[dict] = []
 
     def values(k: int, env: Assignment, iv: InterventionSet) -> tuple[tuple[Value, ...], tuple[Value, ...]]:
         want = memo.before_values(k, env, iv, tlist)
-        out = eval_ccv(after, env, iv)
+        out = run_plan(plan, env, iv)
         return want, tuple([out[t] for t in tlist])
 
     def blocks():
         columns, want = memo.columns()
-        got = C.ccv_columns(after, columns, sub, before=(before, want))
+        got = C.plan_columns(plan, columns, before=(before.rows, want))
         walked.append(got)
         yield 0, len(cases), want, got
 

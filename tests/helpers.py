@@ -273,35 +273,6 @@ def oracle_sample(space: InterventionSpace, rng) -> InterventionSet:
     return oracle_sample_power_set(space, rng)
 
 
-def oracle_sample_domain(dom: E.Domain, rng) -> E.Value:
-    """One draw from a domain, for a local input that has no distribution."""
-    if E.domain_is_finite(dom):
-        vals = E.domain_values(dom)
-        return vals[int(rng.integers(len(vals)))]
-    # a missing bound lies 2 past the other one; with neither, draw from [-1, 1)
-    lo, hi = dom.lo, dom.hi
-    if lo is None:
-        lo = -1.0 if hi is None else hi - 2.0
-    if hi is None:
-        hi = lo + 2.0
-    return E.VReal(float(lo + (hi - lo) * rng.random()))
-
-
-def oracle_sample_local_cases(sub, count: int, seed: int) -> list:
-    """The gate's sampled case list, one variable and one atom at a time."""
-    from scmc.evaluation import _draw, make_rng
-
-    rng = make_rng(seed)
-    out = []
-    for _ in range(count):
-        env = {}
-        for v in sub.local_exogenous:
-            dist = sub.local_dists.get(v)
-            env[v] = _draw(dist, rng) if dist is not None else oracle_sample_domain(sub.domains[v], rng)
-        out.append((env, oracle_sample(sub.interventions, rng)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reference case lists
 # ---------------------------------------------------------------------------
@@ -310,38 +281,10 @@ def oracle_sample_local_cases(sub, count: int, seed: int) -> list:
 # gate built before they built columns, one dict and one set per case.
 
 
-def oracle_enumerate_local_cases(sub) -> list:
-    """The gate's exhaustive case list."""
-    from scmc.verification import _local_exo_values
-
-    envs = [{}]
-    for v in sub.local_exogenous:
-        vals = _local_exo_values(sub, v)
-        if vals is None:
-            raise DomainError(f"{v} has no finite local support")
-        envs = [{**env, v: val} for env in envs for val in vals]
-    isets = sub.interventions.enumerate(budget=10**9)
-    return [(env, iv) for env in envs for iv in isets]
-
-
-def oracle_gate_sampled_cases(sub, count: int, seed: int) -> list:
-    """The gate's sampled case list, one `sample` per set."""
-    from scmc.evaluation import _draw, make_rng
-
-    rng = make_rng(seed)
-    out = []
-    for _ in range(count):
-        env = {}
-        for v in sub.local_exogenous:
-            dist = sub.local_dists.get(v)
-            env[v] = _draw(dist, rng) if dist is not None else oracle_sample_domain(sub.domains[v], rng)
-        out.append((env, sub.interventions.sample(rng)))
-    return out
-
-
 def oracle_verifier_cases(scm: Scm, strategy) -> list:
     """The verifier's case list: every input assignment in canonical order
-    with every allowed set, or seeded samples from two streams."""
+    with every allowed set, or seeded samples from two streams, the sets
+    drawn one scalar call per atom."""
     from scmc.evaluation import enumerate_exogenous, make_rng, sample_exogenous
     from scmc.verification import EXHAUSTIVE, _canonical_u_order, _intervention_cases
 
@@ -351,7 +294,7 @@ def oracle_verifier_cases(scm: Scm, strategy) -> list:
         return [(u, iv) for u in us for iv in ivs]
     rng = make_rng(strategy.seed)
     us = sample_exogenous(scm, strategy.seed, strategy.sample_count, strict=False)
-    return list(zip(us, [scm.interventions.sample(rng) for _ in range(strategy.sample_count)]))
+    return list(zip(us, [oracle_sample(scm.interventions, rng) for _ in range(strategy.sample_count)]))
 
 
 def oracle_forced(ivs) -> dict:

@@ -12,11 +12,8 @@ import pytest
 
 from helpers import (
     cases_of,
-    oracle_enumerate_local_cases,
     oracle_forced,
-    oracle_gate_sampled_cases,
     oracle_sample,
-    oracle_sample_local_cases,
     oracle_verifier_cases,
     random_model,
     random_partition,
@@ -29,7 +26,7 @@ from scmc.consolidation import Ccv, CcvCluster, PassConfig, attach_ccvs, build_r
 from scmc.errors import DomainError
 from scmc.evaluation import make_rng
 from scmc.expr import Binary, BoolDomain, IfThenElse, IntDomain, RealDomain, Ref, VarRef, iconst, rconst
-from scmc.partition import Partition, extract_sub_scm
+from scmc.partition import Partition, extract_sub_scm, sub_scm_as_scm
 from scmc.scm import (
     POWER_SET,
     BernoulliDist,
@@ -223,13 +220,16 @@ def assert_verifier_cases(scm: Scm, seed: int) -> None:
 def assert_gate_cases(scm: Scm, partition: Partition, seed: int) -> None:
     for cluster in partition.clusters:
         sub = extract_sub_scm(scm, cluster)
+        view = sub_scm_as_scm(sub)
         names = list(sub.local_exogenous)
         n = local_case_count(sub)
         if n is not None and n <= 4096:
-            assert_same_cases(Q.enumerate_local_cases(sub), oracle_enumerate_local_cases(sub), names)
+            want = oracle_verifier_cases(view, EquivalenceStrategy.exhaustive())
+            assert_same_cases(Q.enumerate_local_cases(sub), want, names)
         sampled = Q.sample_local_cases(sub, 24, seed)
-        assert_same_cases(sampled, oracle_gate_sampled_cases(sub, 24, seed), names)
-        assert sampled[:] == oracle_sample_local_cases(sub, 24, seed)
+        want = oracle_verifier_cases(view, EquivalenceStrategy.sampled(count=24, seed=seed))
+        assert_same_cases(sampled, want, names)
+        assert sampled[:] == want
 
 
 @pytest.mark.parametrize("name", sorted(zoo.ZOO_BUILDERS))
@@ -274,7 +274,7 @@ def test_a_set_with_two_atoms_on_one_variable_raises_as_sample_does():
     assert str(got.value) == str(want.value)
     sub = extract_sub_scm(scm, MIXED_CLUSTERS[0])
     with pytest.raises(DomainError) as want:
-        oracle_gate_sampled_cases(sub, 24, 0)
+        oracle_verifier_cases(sub_scm_as_scm(sub), strategy)
     with pytest.raises(DomainError) as got:
         Q.sample_local_cases(sub, 24, 0)
     assert str(got.value) == str(want.value)
@@ -304,7 +304,6 @@ def outcome(call):
 
 
 REAL_VERIFIER_CASES = Q.verifier_cases
-REAL_GATE_CASES = Q._gate_cases
 
 
 def listed_verifier_cases(scm, strategy):
@@ -315,18 +314,6 @@ def listed_verifier_cases(scm, strategy):
         if cases is None:
             return None, message
     return cases_of(oracle_verifier_cases(scm, strategy)), ""
-
-
-def listed_gate_cases(sub, strategy):
-    """The gate's case list made the old way."""
-    cases, probabilistic, message = REAL_GATE_CASES(sub, strategy)
-    if cases is None:
-        return cases, probabilistic, message
-    if strategy.mode == Q.EXHAUSTIVE:
-        rows = oracle_enumerate_local_cases(sub)
-    else:
-        rows = oracle_gate_sampled_cases(sub, strategy.sample_count, strategy.seed)
-    return cases_of(rows), probabilistic, message
 
 
 def broken_ccvs(ccv: Ccv) -> list[Ccv]:
@@ -403,7 +390,8 @@ def test_gate_reports_equal_the_list_builders(monkeypatch):
             candidates = [run_passes(built, sub, PassConfig()), built] + broken_ccvs(built)
             for strategy in strategies(2):
                 got = [outcome(lambda c=c: verify_pass(built, c, sub, strategy)) for c in candidates]
-                monkeypatch.setattr(Q, "_gate_cases", listed_gate_cases)
+                # the gate's case lists are the verifier's on the cluster viewed as a model
+                monkeypatch.setattr(Q, "verifier_cases", listed_verifier_cases)
                 want = [outcome(lambda c=c: verify_pass(built, c, sub, strategy)) for c in candidates]
                 monkeypatch.undo()
                 assert [g[0] for g in got] == [w[0] for w in want], (scm.name, cluster)

@@ -279,6 +279,12 @@ class TestConsolidateVerify:
         out = capsys.readouterr().out
         assert "counterexample" in out
 
+    def test_zero_samples_is_inconclusive(self, demo_dir, capsys):
+        model = demo_dir / "dominoes.model.json"
+        ref = demo_dir / "dominoes.reference.json"
+        assert main(["verify", str(model), str(ref), "--samples", "0"]) == 2
+        assert "inconclusive" in capsys.readouterr().out
+
     def test_json_report(self, demo_dir, capsys):
         model = demo_dir / "dominoes.model.json"
         ref = demo_dir / "dominoes.reference.json"

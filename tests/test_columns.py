@@ -17,7 +17,7 @@ from scmc import columns as C
 from scmc import expr as E
 from scmc import verification as Q
 from scmc import zoo
-from scmc.consolidation import PassConfig, consolidate, eval_ccv, eval_consolidated
+from scmc.consolidation import PassConfig, ccv_plan, consolidate, eval_ccv, eval_consolidated
 from scmc.errors import DivisionByZeroError, DomainError
 from scmc.evaluation import enumerate_exogenous, eval_scm, make_rng, sample_exogenous
 from scmc.expr import (
@@ -598,9 +598,9 @@ def test_gate_columns_match_eval_ccv():
     entry = zoo.platformer()
     for cluster in entry.partition.clusters:
         sub = extract_sub_scm(entry.scm, cluster)
-        cases, _, _ = Q._gate_cases(sub, Q.gate_strategy_for(sub, PassConfig()))
+        cases, _ = Q.GateMemo().cases(sub, Q.gate_strategy_for(sub, PassConfig()))
         ccv, _ = build_rho(sub, sorted(cluster, key=E.ref_sort_key))
-        cols = C.ccv_columns(ccv, cases, sub)
+        cols = C.plan_columns(ccv_plan(ccv, sub.local_exogenous), cases)
         want = [eval_ccv(ccv, env, iv) for env, iv in cases]
         for t in ccv.targets:
             assert column_values(cols[t]) == reprs(out[t] for out in want)

@@ -29,7 +29,7 @@ from scmc import documents as D
 from scmc import expr as E
 from scmc import verification as Q
 from scmc import zoo
-from scmc.consolidation import Ccv, CcvCluster, PassConfig, attach_ccvs, consolidate, eval_ccv, eval_consolidated
+from scmc.consolidation import Ccv, CcvCluster, PassConfig, attach_ccvs, ccv_plan, consolidate, eval_ccv, eval_consolidated
 from scmc.evaluation import eval_scm
 from scmc.expr import Binary, IfThenElse, Ref, Unary, VarRef, bconst, iconst, rconst, sconst
 from scmc.scm import InterventionSet
@@ -273,9 +273,9 @@ def test_columns_compute_wherever_every_case_does():
         for cluster in cons.clusters:
             if isinstance(cluster, CcvCluster):
                 strategy = Q.gate_strategy_for(cluster.sub, PassConfig(seed=seed))
-                cases, _, _ = Q._gate_cases(cluster.sub, strategy)
+                cases, _ = Q.GateMemo().cases(cluster.sub, strategy)
                 if cases is not None:
-                    C.ccv_columns(cluster.ccv, cases, cluster.sub)
+                    C.plan_columns(ccv_plan(cluster.ccv, cluster.sub.local_exogenous), cases)
         computed += 1
     assert computed >= 190  # all 200 seeds, at the time of writing
 
@@ -400,7 +400,7 @@ def test_no_numpy_scalar_reaches_reports_views_or_documents():
         sub, ccv = cluster.sub, cluster.ccv
         gate = Q.gate_strategy_for(sub, PassConfig())
         memo = Q.GateMemo()
-        cases, _, _ = memo.cases(sub, gate)
+        cases, _ = memo.cases(sub, gate)
         views = cases[:40]
         assert_plain(views)
         assert_plain(Q.verify_pass(ccv, ccv, sub, gate, memo))
@@ -429,7 +429,7 @@ def broken(cons):
     on the cluster's first gate case."""
     for cluster in cons.clusters:
         if isinstance(cluster, CcvCluster):
-            cases, _, _ = Q._gate_cases(cluster.sub, Q.gate_strategy_for(cluster.sub, PassConfig()))
+            cases, _ = Q.GateMemo().cases(cluster.sub, Q.gate_strategy_for(cluster.sub, PassConfig()))
             return attach_ccvs(cons, {cluster.index: flipped(cluster.ccv, cases[0])})
     raise AssertionError("no consolidated cluster")
 

@@ -18,7 +18,7 @@ from scmc.partition import (
     psi_restrict,
     sub_scm_as_scm,
 )
-from scmc.scm import InterventionSet, validate
+from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite, UniformReal, validate
 
 
 class TestCheckPartition:
@@ -145,6 +145,35 @@ class TestExtractSubScm:
         for cluster in entry.partition.clusters:
             sub = extract_sub_scm(entry.scm, cluster)
             assert validate(sub_scm_as_scm(sub)).ok
+
+    def test_local_inputs_without_a_distribution_are_uniform_over_their_domain(self):
+        # Y's local inputs are upstream variables with finite, bounded-real,
+        # half-bounded and unbounded real domains
+        U, Y = VarRef("U"), VarRef("Y")
+        domains = {
+            VarRef("A"): (E.BoolDomain(), UniformFinite((E.VBool(False), E.VBool(True)))),
+            VarRef("B"): (E.RealDomain(0.0, 1.0), UniformReal(0.0, 1.0)),
+            VarRef("C"): (E.RealDomain(0.0, None), UniformReal(0.0, 2.0)),
+            VarRef("D"): (E.RealDomain(None, 1.0), UniformReal(-1.0, 1.0)),
+            VarRef("F"): (E.RealDomain(), UniformReal(-1.0, 1.0)),
+        }
+        upstream = tuple(
+            EndoVar(v, dom, E.Binary("lt", E.Ref(U), E.rconst(0.5)) if v.name == "A" else E.Ref(U))
+            for v, (dom, _) in domains.items()
+        )
+        reads = E.Binary("add", E.Ref(VarRef("B")), E.Ref(VarRef("C")))
+        for v in (VarRef("D"), VarRef("F")):
+            reads = E.Binary("add", reads, E.Ref(v))
+        scm = Scm(
+            "local_domains",
+            endogenous=upstream + (EndoVar(Y, E.RealDomain(), E.IfThenElse(E.Ref(VarRef("A")), reads, E.rconst(0.0))),),
+            exogenous=(ExoVar(U, E.RealDomain(0.0, 1.0), UniformReal(0.0, 1.0)),),
+            interventions=InterventionSpace.power_set([]),
+        )
+        assert validate(scm).ok
+        view = sub_scm_as_scm(extract_sub_scm(scm, [Y]))
+        assert validate(view).ok
+        assert {row.var: row.dist for row in view.exogenous} == {v: dist for v, (_, dist) in domains.items()}
 
     def test_unknown_cluster_member(self):
         entry = zoo.step_by_step()

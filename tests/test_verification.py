@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import oracle_sample_local_cases
+from helpers import oracle_verifier_cases
 from scmc import documents as D
 from scmc import expr as E
 from scmc import verification as Q
@@ -18,7 +18,7 @@ from scmc.consolidation import (
     consolidate,
     run_passes,
 )
-from scmc.errors import DivisionByZeroError, ModelTooDeepError
+from scmc.errors import DivisionByZeroError, DomainError, ModelTooDeepError
 from scmc.expr import (
     Binary,
     Const,
@@ -33,7 +33,7 @@ from scmc.expr import (
     iconst,
     rconst,
 )
-from scmc.partition import Partition, extract_sub_scm
+from scmc.partition import Partition, extract_sub_scm, sub_scm_as_scm
 from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite, UniformReal
 from scmc.verification import (
     EquivalenceStrategy,
@@ -162,18 +162,26 @@ def count_evals(monkeypatch) -> tuple[list, list]:
     """Every Ccv the gate evaluates from now on: one entry per case evaluated
     on its own, and one per column walk over the whole case list."""
     cases, walks = [], []
-    real_eval, real_walk = Q.eval_ccv, Q.C.ccv_columns
+    real_plan, real_eval, real_walk = Q.ccv_plan, Q.run_plan, Q.C.plan_columns
+    #: the Ccv of each plan the gate made, by the plan's id
+    ccvs = {}
 
-    def counting(ccv, *args, **kwargs):
-        cases.append(ccv)
-        return real_eval(ccv, *args, **kwargs)
+    def planning(ccv, inputs):
+        plan = real_plan(ccv, inputs)
+        ccvs[id(plan)] = ccv
+        return plan
 
-    def walking(ccv, *args, **kwargs):
-        walks.append(ccv)
-        return real_walk(ccv, *args, **kwargs)
+    def counting(plan, *args, **kwargs):
+        cases.append(ccvs.get(id(plan), plan))
+        return real_eval(plan, *args, **kwargs)
 
-    monkeypatch.setattr(Q, "eval_ccv", counting)
-    monkeypatch.setattr(Q.C, "ccv_columns", walking)
+    def walking(plan, *args, **kwargs):
+        walks.append(ccvs.get(id(plan), plan))
+        return real_walk(plan, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "ccv_plan", planning)
+    monkeypatch.setattr(Q, "run_plan", counting)
+    monkeypatch.setattr(Q.C, "plan_columns", walking)
     return cases, walks
 
 
@@ -182,15 +190,24 @@ def test_sample_local_cases_matches_per_atom_stream():
     for cluster in entry.partition.clusters:
         sub = extract_sub_scm(entry.scm, cluster)
         for seed in (0, 3, 11):
-            assert sample_local_cases(sub, 50, seed)[:] == oracle_sample_local_cases(sub, 50, seed)
+            strategy = EquivalenceStrategy.sampled(count=50, seed=seed)
+            assert sample_local_cases(sub, 50, seed)[:] == oracle_verifier_cases(sub_scm_as_scm(sub), strategy)
 
 
 def test_half_bounded_real_inputs_are_drawn_inside_their_domain():
-    rng = Q.make_rng(4)
+    X, Y = VarRef("X"), VarRef("Y")
     bounds = ((RealDomain(5.0, None), 5.0, 7.0), (RealDomain(None, 5.0), 3.0, 5.0), (RealDomain(), -1.0, 1.0))
     for dom, lo, hi in bounds:
-        for _ in range(200):
-            x = Q._sample_domain(dom, rng).r
+        # X is a local input of Y's cluster without a distribution
+        scm = Scm(
+            "half_bounded",
+            endogenous=(EndoVar(X, dom, rconst(lo)), EndoVar(Y, RealDomain(), Ref(X))),
+            exogenous=(),
+            interventions=InterventionSpace.power_set([]),
+        )
+        sub = extract_sub_scm(scm, [Y])
+        for env, _ in sample_local_cases(sub, 200, 4):
+            x = env[X].r
             assert lo <= x < hi and E.value_in_domain(E.VReal(x), dom)
 
 
@@ -278,6 +295,72 @@ class TestVerifyPass:
         other = Ccv((VarRef("B"),), {VarRef("B"): iconst(0)}, self.built.interventions, 1)
         report = verify_pass(self.built, other, self.sub, EquivalenceStrategy.exhaustive())
         assert report.verdict == "inconclusive"
+
+
+def test_a_negative_gate_sample_count_is_a_typed_error():
+    entry = zoo.tool_wear(13)
+    with pytest.raises(DomainError, match="count must be non-negative"):
+        entry.consolidated(PassConfig(gate_sample_count=-5))
+
+
+def test_a_check_of_no_case_is_never_equal():
+    entry = zoo.tool_wear(6, "sampled")
+    cons = entry.consolidated()
+    report = verify_equivalence(entry.scm, cons, entry.targets, EquivalenceStrategy.sampled(count=0))
+    assert report.verdict == "inconclusive" and report.cases_checked == 0 and report.message
+    cluster = entry.partition.clusters[0]
+    sub = extract_sub_scm(entry.scm, cluster)
+    built, _ = build_rho(sub, sorted(cluster, key=E.ref_sort_key))
+    report = verify_pass(built, built, sub, EquivalenceStrategy.sampled(count=0))
+    assert report.verdict == "inconclusive" and report.cases_checked == 0 and report.message
+    # a gate that checks no case accepts no rewrite
+    config = PassConfig(gate_sample_count=0)
+    assert gate_strategy_for(sub, config).mode == "sampled"
+    report = entry.consolidated(config).report
+    assert not report.passes and report.rejected
+    assert all(entry.verdict == "inconclusive" for entry in report.rejected)
+
+
+def test_the_gate_is_exhaustive_up_to_its_case_budget():
+    entry = zoo.step_by_step()
+    sub = extract_sub_scm(entry.scm, [VarRef("E"), VarRef("F"), VarRef("G")])
+    built, _ = build_rho(sub, [VarRef("F"), VarRef("G")])
+    n = local_case_count(sub)
+    exhaustive = gate_strategy_for(sub, PassConfig(gate_case_budget=n))
+    assert exhaustive.mode == "exhaustive"
+    assert verify_pass(built, built, sub, exhaustive).cases_checked == n
+    sampled = gate_strategy_for(sub, PassConfig(gate_case_budget=n - 1, gate_sample_count=7))
+    assert sampled.mode == "sampled"
+    report = verify_pass(built, built, sub, sampled)
+    assert report.probabilistic and report.cases_checked == 7
+
+
+def test_an_exhaustive_gate_past_the_default_set_budget_checks_every_case():
+    # 2 inputs x 4,501 intervention sets = 9,002 cases: more sets than the
+    # default intervention budget of 4,096, fewer cases than the gate's budget
+    U, X, Y = VarRef("U"), VarRef("X"), VarRef("Y")
+    scm = Scm(
+        "many_sets",
+        endogenous=(
+            EndoVar(X, IntDomain(0, 4499), IfThenElse(Ref(U), iconst(1), iconst(0))),
+            EndoVar(Y, IntDomain(0, 4500), Binary("add", Ref(X), Binary("mul", iconst(0), Ref(X)))),
+        ),
+        exogenous=(ExoVar(U, E.BoolDomain(), UniformFinite((E.VBool(False), E.VBool(True)))),),
+        interventions=InterventionSpace.singletons([(X, [E.VInt(i) for i in range(4500)])]),
+    )
+    sub = extract_sub_scm(scm, [X, Y])
+    assert sub.interventions.size() == 4501 and local_case_count(sub) == 9002
+    config = PassConfig(gate_case_budget=10_000)
+    strategy = gate_strategy_for(sub, config)
+    assert strategy.mode == "exhaustive"
+    built, _ = build_rho(sub, [Y])
+    report = verify_pass(built, built, sub, strategy)
+    assert report.equal and report.cases_checked == 9002 and not report.probabilistic
+    default_sets = EquivalenceStrategy.exhaustive(exogenous_budget=10_000)
+    assert verify_pass(built, built, sub, default_sets).verdict == "inconclusive"
+    cons = consolidate(scm, Partition.of([[X, Y]]), [Y], config=config)
+    assert cons.report.passes and not cons.report.rejected
+    assert all(entry.verdict == "equal" for entry in cons.report.passes)
 
 
 BROKEN_REWRITES = [

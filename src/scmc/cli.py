@@ -253,7 +253,10 @@ def cmd_consolidate(args) -> int:
     elif args.clusters == "none":
         selected = set()
     else:
-        selected = {int(c) for c in args.clusters.split(",") if c.strip()}
+        try:
+            selected = {int(c) for c in args.clusters.split(",") if c.strip()}
+        except ValueError:
+            raise ParseError(f"--clusters takes all, none or comma-separated indices, not {args.clusters!r}") from None
     if args.passes == "all":
         passes = tuple(PassConfig().passes)
     elif args.passes == "none":

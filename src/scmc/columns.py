@@ -9,17 +9,19 @@ once per case, as in the column-at-a-time execution of MonetDB/X100 (Boncz,
 Zukowski, Nes, CIDR 2005), and most nodes cost a few numpy calls (Harris et
 al., "Array programming with NumPy", Nature 2020).
 
-A column's dtype says what its entries stand for:
+A column is one of four things, each standing for one kind of value:
 
 - `bool`, `float64`: `VBool`, `VReal`;
-- `int64`: `VInt`, but only while every entry lies within +-2**53 (`INT_LIMIT`),
-  so that no sum, difference or quotient of two such columns overflows and
-  every entry converts to a float exactly, as Python compares and mixes ints
-  with floats; a product is checked before it is taken;
-- `object`: Python's own `bool`, `int`, `float` and `str` (`VSym`) entries,
-  for symbols, ints past that range and columns that mix kinds, such as the
-  ints and reals `min`/`max` return unchanged.  Their kernels apply Python's
-  operators entry by entry.
+- `int64`: `VInt`, with every entry within +-2**53 (`INT_LIMIT`), so that no
+  sum, difference or quotient of two such columns overflows and every entry
+  converts to a float exactly, as Python compares and mixes ints with
+  floats; a product is checked before it is taken;
+- `object` with `str` entries: `VSym`.  Only `eq`, the branch merges and the
+  `SymDomain` check read these, with numpy's elementwise comparisons.
+
+Nothing else has a column: an int past +-2**53, a column that mixes kinds,
+such as the int and real branches of a conditional, a numeric operator on
+symbols and `pow` with an int base all raise `Unsupported`.
 
 Case lists are built in column form from the start: `Cases` holds a column
 per input and a table of what each case's intervention set forces, and
@@ -35,9 +37,9 @@ Every node keeps the per-case semantics of its `_eval`:
   `MaxIntervenedIndex` are evaluated only on the cases that take them;
 - each entry goes through the arithmetic of `expr._apply_binary`: `div`
   of two ints floors, `mod` takes the sign of the divisor, `min`/`max`
-  return an operand unchanged, a real zero keeps its sign and `pow` is
-  computed entry by entry with Python's own operator, since a vectorized
-  power may differ in the last bit;
+  return an operand unchanged, a real zero keeps its sign and a real `pow`
+  is computed entry by entry with Python's own operator, since a
+  vectorized power may differ in the last bit;
 - a `bool` is never a number, and comparing it with one raises;
 - a model is run from its `scm.Plan`, as the per-case evaluators run it:
   every input and every row with a domain is checked against that domain,
@@ -82,11 +84,8 @@ class Unsupported(Exception):
     """A column cannot follow the per-case evaluation exactly here."""
 
 
-_NUMBERS = frozenset((int, float))
-_INTS = frozenset((int,))
-_BOOLS = frozenset((bool,))
-_STRS = frozenset((str,))
 _VALUE_OF = {bool: E.VBool, int: E.VInt, float: E.VReal, str: E.VSym}
+_DTYPE_OF = {bool: _BOOL, int: _INT, float: _REAL, str: _OBJECT}
 
 
 def raw(v: Value):
@@ -117,38 +116,25 @@ def value(x) -> Value:
 
 
 def _kind(xs: list) -> np.dtype:
-    """The narrowest dtype that holds the Python entries `xs` exactly."""
+    """The dtype of the column of the Python entries `xs`; raises when they
+    mix kinds or hold an int past +-INT_LIMIT.  No entry: an `object` column."""
     kinds = set(map(type, xs))
-    if len(kinds) == 1:
-        kind = kinds.pop()
-        if kind is float:
-            return _REAL
-        if kind is bool:
-            return _BOOL
-        if kind is int and -INT_LIMIT <= min(xs) and max(xs) <= INT_LIMIT:
-            return _INT
-    return _OBJECT
-
-
-def _array(xs: list, kind: np.dtype) -> Column:
-    if kind is not _OBJECT:
-        return np.array(xs, kind)
-    out = np.empty(len(xs), _OBJECT)
-    out[:] = xs
-    return out
+    if not kinds:
+        return _OBJECT
+    kind = _DTYPE_OF.get(kinds.pop()) if len(kinds) == 1 else None
+    if kind is None or kind is _INT and not (-INT_LIMIT <= min(xs) and max(xs) <= INT_LIMIT):
+        raise Unsupported("no column holds entries of two kinds or ints past +-2**53")
+    return kind
 
 
 def column_of(xs: list) -> Column:
-    """The column of Python entries `xs`, with the narrowest exact dtype."""
-    return _array(xs, _kind(xs))
+    """The column of the Python entries `xs`."""
+    return np.array(xs, _kind(xs))
 
 
 def _repeat(x, n: int) -> Column:
     """A column of `n` copies of the Python entry `x`."""
-    t = type(x)
-    if t is bool:
-        return np.ones(n, _BOOL) if x else np.zeros(n, _BOOL)
-    out = np.empty(n, _REAL if t is float else _INT if t is int and -INT_LIMIT <= x <= INT_LIMIT else _OBJECT)
+    out = np.empty(n, _kind([x]))
     out.fill(x)
     return out
 
@@ -205,7 +191,7 @@ class _Table:
             flat += raws[:1] + raws  # a filler entry, where nothing is forced
         values = []
         for kind, (at, flat, offsets) in groups.items():
-            at, flat, offsets = np.array(at), _array(flat, kind), np.array(offsets)[:, None]
+            at, flat, offsets = np.array(at), np.array(flat, kind), np.array(offsets)[:, None]
             values.append((at, np.take(flat, offsets + codes[at])))
         return _Table(atoms, codes, values)
 
@@ -438,25 +424,25 @@ def _quiet(walk):
 # `_eval`.
 
 
-def _entries_of(col: Column, kinds: frozenset, what: str) -> list:
-    """The Python entries of `col`; raises unless each is of one of `kinds`."""
-    xs = col.tolist()
-    if not kinds.issuperset(map(type, xs)):
-        raise Unsupported(f"expected {what}")
-    return xs
-
-
 def _bools(col: Column) -> Column:
-    """`col` as a boolean column; raises unless every entry is a boolean."""
-    if col.dtype is _BOOL:
-        return col
-    return np.array(_entries_of(col, _BOOLS, "a boolean"), _BOOL)
+    """`col`; raises unless it is a boolean column."""
+    if col.dtype is not _BOOL:
+        raise Unsupported("expected a boolean")
+    return col
+
+
+def _same_kind(a: Column, b: Column) -> np.dtype:
+    """The dtype of both columns; raises when they differ, since no column
+    holds entries of two kinds."""
+    if a.dtype is not b.dtype:
+        raise Unsupported("no column holds entries of two kinds")
+    return a.dtype
 
 
 def _merge(mask: Column, yes: Column, unmask: Column, no: Column) -> Column:
     """Entries from `yes`, in order, where `mask` is true, and from `no`
     where `unmask`, its negation, is."""
-    out = np.empty(len(mask), yes.dtype if yes.dtype is no.dtype else _OBJECT)
+    out = np.empty(len(mask), _same_kind(yes, no))
     out[mask] = yes
     out[unmask] = no
     return out
@@ -482,11 +468,9 @@ def _unary(s, e, sel):
     col = _COLUMN[type(x)](s, x, sel)
     if e.op == "not":
         return ~_bools(col)
-    if e.op == "neg":
-        if col.dtype is _INT or col.dtype is _REAL:
-            return -col
-        return column_of([-v for v in _entries_of(col, _NUMBERS, "a number")])
-    raise Unsupported(f"unknown unary operator {e.op!r}")
+    if e.op == "neg" and (col.dtype is _INT or col.dtype is _REAL):
+        return -col
+    raise Unsupported(f"no column for {e.op!r} of a {col.dtype} column")
 
 
 def _binary(s, e, sel):
@@ -544,16 +528,17 @@ def _case_list(s, e, sel):
         parts.append((at, _COLUMN[type(d)](s, d, rest)))
     if len(parts) == 1:
         return parts[0][1]
-    kinds = {col.dtype for _, col in parts}
-    out = np.empty(len(sel), kinds.pop() if len(kinds) == 1 else _OBJECT)
+    out = np.empty(len(sel), parts[0][1].dtype)
     for where, col in parts:
+        _same_kind(out, col)
         out[where] = col
     return out
 
 
 def _fill(col: Column, holes: Column, fill: Column) -> Column:
     """`col` with its entries where `holes` is true taken, in order, from `fill`."""
-    out = col.copy() if col.dtype is fill.dtype else col.astype(_OBJECT)
+    _same_kind(col, fill)
+    out = col.copy()
     out[holes] = fill
     return out
 
@@ -612,23 +597,23 @@ def _max_index(s, e, sel):
     upper = e.upper
     bounds = _COLUMN[type(upper)](s, upper, sel)
     if bounds.dtype is not _INT:
-        bounds = _entries_of(bounds, _INTS, "an integer bound for max_intervened_index")
+        raise Unsupported("expected an integer bound for max_intervened_index")
     family = _family(s, e)
-    small = all(-INT_LIMIT <= i <= INT_LIMIT for i, _ in family)
-    best = np.zeros(len(sel), _INT if small else _OBJECT)
+    if any(abs(i) > INT_LIMIT for i, _ in family):
+        raise Unsupported("an index past +-2**53")
+    best = np.zeros(len(sel), _INT)
     found = np.zeros(len(sel), _BOOL)
     for index, (mask, _, _, _) in family:
-        if type(bounds) is list:
-            within = np.array([index <= b for b in bounds], _BOOL)
-        else:
-            within = bounds >= index
-        hit = (mask if sel is s.every else mask[sel]) & within & ~found
+        hit = (mask if sel is s.every else mask[sel]) & (bounds >= index) & ~found
         best[hit] = index
         found |= hit
     missing = ~found
-    if not np.count_nonzero(missing):
+    count = np.count_nonzero(missing)
+    if not count:
         return best
     d = e.default
+    if count == len(sel):
+        return _COLUMN[type(d)](s, d, sel)
     return _fill(best, missing, _COLUMN[type(d)](s, d, sel[missing]))
 
 
@@ -640,10 +625,8 @@ def _draw(s, e, sel):
 # Operators: `expr._apply_binary` on each pair of entries
 # ---------------------------------------------------------------------------
 #
-# A kernel takes two columns of equal length.  Where both are int64 or
-# float64 it runs numpy on them; otherwise it takes their Python entries,
-# checks their kinds as `_apply_binary` does, and applies Python's operator
-# to each pair.
+# A kernel takes two columns of equal length and runs numpy on them where
+# their dtypes give every entry its per-case result; otherwise it raises.
 
 
 def _typed(a: Column, b: Column) -> bool:
@@ -651,8 +634,10 @@ def _typed(a: Column, b: Column) -> bool:
     return (a.dtype is _INT or a.dtype is _REAL) and (b.dtype is _INT or b.dtype is _REAL)
 
 
-def _pairs(a: Column, b: Column, kinds: frozenset = _NUMBERS, what: str = "a number") -> tuple[list, list]:
-    return _entries_of(a, kinds, what), _entries_of(b, kinds, what)
+def _numbers(a: Column, b: Column) -> None:
+    """Raise unless both columns are int64 or float64."""
+    if not _typed(a, b):
+        raise Unsupported("expected numbers")
 
 
 def _largest(col: Column) -> int:
@@ -661,122 +646,89 @@ def _largest(col: Column) -> int:
 
 
 def _in_range(col: Column) -> Column:
-    """An int64 result as it is, or as Python ints where it left +-INT_LIMIT."""
+    """`col`; raises when it is an int64 result that left +-INT_LIMIT."""
     if col.dtype is _INT and _largest(col) > INT_LIMIT:
-        return col.astype(_OBJECT)
+        raise Unsupported("an int past +-2**53")
     return col
 
 
 def _add(a, b):
-    if _typed(a, b):
-        return _in_range(a + b)
-    return column_of(list(map(operator.add, *_pairs(a, b))))
+    _numbers(a, b)
+    return _in_range(a + b)
 
 
 def _sub(a, b):
-    if _typed(a, b):
-        return _in_range(a - b)
-    return column_of(list(map(operator.sub, *_pairs(a, b))))
+    _numbers(a, b)
+    return _in_range(a - b)
 
 
 def _mul(a, b):
+    _numbers(a, b)
     # two int64 factors may overflow: their largest product is checked first
-    if _typed(a, b) and not (a.dtype is _INT and b.dtype is _INT and _largest(a) * _largest(b) > _INT64_MAX):
-        return _in_range(a * b)
-    return column_of(list(map(operator.mul, *_pairs(a, b))))
+    if a.dtype is _INT and b.dtype is _INT and _largest(a) * _largest(b) > _INT64_MAX:
+        raise Unsupported("an int past +-2**53")
+    return _in_range(a * b)
 
 
 def _div(a, b):
-    if _typed(a, b):
-        if np.count_nonzero(b == 0):
-            raise Unsupported("division by zero")
-        return a // b if a.dtype is _INT and b.dtype is _INT else a / b
-    xs, ys = _pairs(a, b)
-    if 0 in ys:
+    _numbers(a, b)
+    if np.count_nonzero(b == 0):
         raise Unsupported("division by zero")
-    return column_of([x // y if type(x) is int and type(y) is int else x / y for x, y in zip(xs, ys)])
+    return a // b if a.dtype is _INT and b.dtype is _INT else a / b
 
 
 def _mod(a, b):
-    if a.dtype is _INT and b.dtype is _INT:
-        if np.count_nonzero(b == 0):
-            raise Unsupported("modulo by zero")
-        return a % b
-    xs, ys = _pairs(a, b, _INTS, "integers: mod is defined on integers only")
-    if 0 in ys:
+    if a.dtype is not _INT or b.dtype is not _INT:
+        raise Unsupported("mod is defined on integers only")
+    if np.count_nonzero(b == 0):
         raise Unsupported("modulo by zero")
-    return column_of([x % y for x, y in zip(xs, ys)])
-
-
-def _power(x, y):
-    if type(x) is int and type(y) is int:
-        if y < 0:
-            if x == 0:
-                raise Unsupported("zero to a negative power")
-            return float(x) ** y
-        return x**y
-    if x == 0 and y < 0:
-        raise Unsupported("zero to a negative power")
-    if x < 0 and not float(y).is_integer():
-        raise Unsupported("negative base with fractional exponent")
-    return float(x) ** float(y)
+    return a % b
 
 
 def _pow(a, b):
-    if a.dtype is _REAL and (b.dtype is _INT or b.dtype is _REAL):
-        # `_power`'s guards on the whole column; a non-finite exponent is
-        # not an integer, as `float.is_integer` says
-        if np.count_nonzero((a == 0) & (b < 0)):
-            raise Unsupported("zero to a negative power")
-        if b.dtype is _REAL and np.count_nonzero((a < 0) & ~(np.isfinite(b) & (np.floor(b) == b))):
-            raise Unsupported("negative base with fractional exponent")
-        # Python's own float power, which `np.power` and `x * x` differ from
-        # in the last bit; a float raised to an int converts the int to a
-        # float first, exactly within +-2**53
-        return np.array(list(map(operator.pow, a.tolist(), b.tolist())), _REAL)
-    return column_of(list(map(_power, *_pairs(a, b))))
+    if a.dtype is not _REAL or (b.dtype is not _INT and b.dtype is not _REAL):
+        raise Unsupported("pow needs a real base and a number exponent")
+    # `expr._pow`'s guards on the whole column; a non-finite exponent is not
+    # an integer, as `float.is_integer` says
+    if np.count_nonzero((a == 0) & (b < 0)):
+        raise Unsupported("zero to a negative power")
+    if b.dtype is _REAL and np.count_nonzero((a < 0) & ~(np.isfinite(b) & (np.floor(b) == b))):
+        raise Unsupported("negative base with fractional exponent")
+    # Python's own float power, which `np.power` and `x * x` differ from in
+    # the last bit; a float raised to an int converts the int to a float
+    # first, exactly within +-2**53
+    return np.array(list(map(operator.pow, a.tolist(), b.tolist())), _REAL)
 
 
 def _min(a, b):
-    if _typed(a, b) and a.dtype is b.dtype:
-        return np.where(a <= b, a, b)
-    return column_of([x if x <= y else y for x, y in zip(*_pairs(a, b))])
+    # an operand unchanged, so both of one kind; `x if x <= y else y`,
+    # which np.minimum is not where there is a NaN
+    _same_kind(a, b)
+    _numbers(a, b)
+    return np.where(a <= b, a, b)
 
 
 def _max(a, b):
-    if _typed(a, b) and a.dtype is b.dtype:
-        return np.where(a >= b, a, b)
-    return column_of([x if x >= y else y for x, y in zip(*_pairs(a, b))])
+    _same_kind(a, b)
+    _numbers(a, b)
+    return np.where(a >= b, a, b)
 
 
 def _lt(a, b):
-    if _typed(a, b):
-        return a < b
-    return np.array(list(map(operator.lt, *_pairs(a, b))), _BOOL)
+    _numbers(a, b)
+    return a < b
 
 
 def _le(a, b):
-    if _typed(a, b):
-        return a <= b
-    return np.array(list(map(operator.le, *_pairs(a, b))), _BOOL)
-
-
-def _equal(x, y) -> bool:
-    if type(x) in _NUMBERS and type(y) in _NUMBERS:
-        return x == y
-    if type(x) is not type(y):
-        raise Unsupported(f"cannot compare {x!r} with {y!r}")
-    return x == y
+    _numbers(a, b)
+    return a <= b
 
 
 def _eq(a, b):
-    if _typed(a, b) or (a.dtype is _BOOL and b.dtype is _BOOL):
+    # numbers compare with numbers, booleans and symbols within their kind
+    if _typed(a, b) or a.dtype is b.dtype:
         return a == b
-    xs, ys = a.tolist(), b.tolist()
-    ta, tb = set(map(type, xs)), set(map(type, ys))
-    if ta | tb <= _NUMBERS or (len(ta) == 1 and ta == tb):
-        return np.array(list(map(operator.eq, xs, ys)), _BOOL)
-    return np.array(list(map(_equal, xs, ys)), _BOOL)
+    raise Unsupported("cannot compare entries of two kinds")
 
 
 _BINARY = {
@@ -826,25 +778,22 @@ def _check_domain(dom: E.Domain, col: Column) -> None:
     if not len(col):
         return
     if t is E.RealDomain:
+        # an int carrier compares as a float, as `_contains` converts it
         if kind is not _INT and kind is not _REAL:
-            # as `_contains` converts an int carrier
-            col = np.array([float(x) for x in _entries_of(col, _NUMBERS, "a real")], _REAL)
+            raise Unsupported("expected a number")
         if dom.lo is not None and np.count_nonzero(col < dom.lo):
             raise Unsupported("below the domain")
         if dom.hi is not None and np.count_nonzero(col > dom.hi):
             raise Unsupported("above the domain")
     elif t is E.IntDomain:
-        if kind is _INT:
-            lo, hi = int(col.min()), int(col.max())
-        else:
-            xs = _entries_of(col, _INTS, "an integer")
-            lo, hi = min(xs), max(xs)
-        if lo < dom.lo or hi > dom.hi:
+        if kind is not _INT:
+            raise Unsupported("expected an integer")
+        if int(col.min()) < dom.lo or int(col.max()) > dom.hi:
             raise Unsupported("outside the integer range")
     elif t is E.BoolDomain:
         _bools(col)
     elif t is E.SymDomain:
-        if not set(dom.symbols).issuperset(_entries_of(col, _STRS, "a symbol")):
+        if kind is not _OBJECT or not set(dom.symbols).issuperset(col.tolist()):
             raise Unsupported("outside a symbolic domain")
     else:
         raise Unsupported(f"unknown domain {dom!r}")
@@ -909,59 +858,34 @@ def plan_columns(
 # ---------------------------------------------------------------------------
 
 
-def _disagree(x, y, tolerance: float) -> bool:
-    """Whether `verification._first_mismatch` would flag this pair."""
-    if type(x) is float or type(y) is float:
-        if type(x) not in _NUMBERS or type(y) not in _NUMBERS:
-            return True
-        return abs(float(x) - float(y)) > tolerance
-    return type(x) is not type(y) or x != y
-
-
 def _identical(a: Column, b: Column) -> bool:
-    """Equal entry by entry, in value and in type."""
-    if a.dtype is not b.dtype:
-        return False
-    if a.dtype is _OBJECT:
-        xs, ys = a.tolist(), b.tolist()
-        return xs == ys and list(map(type, xs)) == list(map(type, ys))
-    return np.count_nonzero(a != b) == 0
+    """Equal entry by entry, in value and in kind."""
+    return a.dtype is b.dtype and np.count_nonzero(a != b) == 0
 
 
 def _first_disagreeing(a: Column, b: Column, tolerance: float) -> Optional[int]:
-    """The first position where `_disagree` flags the pair, or None."""
+    """The first position where `verification._first_mismatch` would flag
+    the pair, or None."""
     if _typed(a, b) and (a.dtype is _REAL or b.dtype is _REAL):
         bad = np.abs(a - b) > tolerance
-    elif a.dtype is b.dtype and a.dtype is not _OBJECT:
+    elif a.dtype is b.dtype:
         bad = a != b
-    elif a.dtype is not _OBJECT and b.dtype is not _OBJECT:
-        # a boolean against a number
-        return 0 if len(a) else None
     else:
-        for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-            if _disagree(x, y, tolerance):
-                return k
-        return None
+        # a boolean or a symbol against another kind
+        return 0 if len(a) else None
     at = np.flatnonzero(bad)
     return int(at[0]) if len(at) else None
 
 
 def _deviation(a: Column, b: Column) -> float:
     """The largest real deviation between the pairs where one entry is a
-    real, NaN never counting; 0 when there is none."""
-    if _typed(a, b):
-        if a.dtype is _INT and b.dtype is _INT:
-            return 0.0
-        dev = np.abs(a - b)
-        dev = dev[dev > 0]
-        return float(dev.max()) if len(dev) else 0.0
-    worst = 0.0
-    for x, y in zip(a.tolist(), b.tolist()):
-        if type(x) is float or type(y) is float:
-            dev = abs(float(x) - float(y))
-            if dev > worst:
-                worst = dev
-    return worst
+    real, NaN never counting; 0 when there is none.  A real against a
+    boolean or a symbol disagrees at once, so it is never measured."""
+    if not _typed(a, b) or (a.dtype is _INT and b.dtype is _INT):
+        return 0.0
+    dev = np.abs(a - b)
+    dev = dev[dev > 0]
+    return float(dev.max()) if len(dev) else 0.0
 
 
 @_quiet

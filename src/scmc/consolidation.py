@@ -22,6 +22,7 @@ from . import passes as P
 from . import scm as S
 from .errors import (
     InterventionNotAllowedError,
+    InvalidParameterError,
     InvalidPartitionError,
     InvalidTargetError,
     PassBudgetExceededError,
@@ -517,10 +518,15 @@ def consolidate(
     `clusters_to_consolidate` selects cluster indices of the *original*
     partition; everything else is kept as an ordinary sub-model.  Passing an
     empty set yields the partitioned model unchanged (no compositional
-    equations at all).  A model nested too deeply for the recursive tree
-    walkers raises `ModelTooDeepError`.
+    equations at all).  An index outside the partition raises
+    `InvalidPartitionError`, a pass name outside `passes.ALL_PASSES`
+    `InvalidParameterError`.  A model nested too deeply for the recursive
+    tree walkers raises `ModelTooDeepError`.
     """
     config = config or PassConfig()
+    unknown = [p for p in config.passes if p not in P.ALL_PASSES]
+    if unknown:
+        raise InvalidParameterError(f"unknown pass {unknown[0]!r}; the passes are {', '.join(P.ALL_PASSES)}")
     tlist = sorted(set(targets), key=ref_sort_key)
     endo = set(scm.endo_vars())
     for t in tlist:
@@ -539,6 +545,9 @@ def consolidate(
         selected = set(range(len(partition.clusters)))
     else:
         selected = set(clusters_to_consolidate)
+        missing = selected - set(range(len(partition.clusters)))
+        if missing:
+            raise InvalidPartitionError(f"no cluster with index {sorted(missing)}")
 
     report = CompressionReport(
         variables_marginalized=removed,
@@ -653,7 +662,7 @@ def register_closed_form(
     for cluster in candidate.clusters:
         if cluster.index != cluster_index:
             continue
-        pruned_view = _as_scm_view(cons, scm)
+        pruned_view = _restrict(scm, cons.computed_vars())
         required = compute_required_set(cluster.sub.cluster, cons.targets, pruned_view)
         if set(required) - set(ccv.targets):
             missing = ", ".join(
@@ -665,8 +674,3 @@ def register_closed_form(
     if report.verdict != "equal":
         raise EquivalenceFailedError(report)
     return VerifiedCcv(ccv, ccv.total_nodes(), candidate, report)
-
-
-def _as_scm_view(cons: ConsolidatedScm, base: Scm) -> Scm:
-    keep = set(cons.computed_vars())
-    return replace(base, endogenous=tuple(r for r in base.endogenous if r.var in keep))

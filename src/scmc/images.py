@@ -391,19 +391,7 @@ def _image_of(e: Expr, ctx: ImageContext) -> Image:
                 return atom_img
             return union(atom_img, fb_img)
         case E.ExistsIntervention(family, lo, hi, value):
-            hits = False
-            for var, vals in ctx.space.family_atoms(family):
-                if lo is not None and var.index < lo:
-                    continue
-                if hi is not None and var.index > hi:
-                    continue
-                if value is not None and value not in vals:
-                    continue
-                hits = True
-                break
-            if not hits:
-                return BOOL_FALSE
-            return BOOL_BOTH
+            return BOOL_BOTH if ctx.space.has_family_atom(family, lo, hi, value) else BOOL_FALSE
         case E.MaxIntervenedIndex(family, upper, default):
             up = _numeric_bounds(image_of(upper, ctx))
             idxs = []

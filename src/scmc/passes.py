@@ -362,15 +362,8 @@ def _prune_queries(x: Expr, space: InterventionSpace) -> Expr:
             if not space.atom_values(v) and fb is not None:
                 return fb
         case E.ExistsIntervention(family, lo, hi, value):
-            for var, vals in space.family_atoms(family):
-                if lo is not None and var.index < lo:
-                    continue
-                if hi is not None and var.index > hi:
-                    continue
-                if value is not None and value not in vals:
-                    continue
-                return x
-            return E.bconst(False)
+            if not space.has_family_atom(family, lo, hi, value):
+                return E.bconst(False)
         case E.MaxIntervenedIndex(family, _, default):
             if not space.family_atoms(family):
                 return default

@@ -240,6 +240,22 @@ class InterventionSpace:
             if v.name == family and v.index is not None
         ]
 
+    def has_family_atom(
+        self, family: str, lo: Optional[int] = None, hi: Optional[int] = None, value: Optional[Value] = None
+    ) -> bool:
+        """Whether some atom on a member of `family` with an index in lo..hi
+        forces `value`, or any value when it is None: whether an
+        `ExistsIntervention` with these fields can hold in this space."""
+        for var, vals in self.family_atoms(family):
+            if lo is not None and var.index < lo:
+                continue
+            if hi is not None and var.index > hi:
+                continue
+            if value is not None and value not in vals:
+                continue
+            return True
+        return False
+
     def contains(self, iset: InterventionSet) -> bool:
         if self.mode == EXPLICIT:
             return iset in self.sets
@@ -619,6 +635,9 @@ def _check_space(scm: Scm, report: ValidationReport):
                     (var, v),
                 )
     if space.mode == EXPLICIT:
+        if not space.sets:
+            # no set at all, not even the empty one: no check has a case
+            report.add("EmptySpace", "the explicit intervention space lists no set, not even the empty one", ())
         listed = set(space.sets)
         for s in space.sets:
             n = len(s)
@@ -853,8 +872,3 @@ def reparameterize(scm: Scm) -> Scm:
         endogenous=tuple(new_endo),
         exogenous=scm.exogenous + tuple(fresh_rows),
     )
-
-
-def topological_order(scm: Scm) -> list[VarRef]:
-    """Declared endogenous order; validation guarantees it is topological."""
-    return scm.endo_vars()

@@ -55,6 +55,23 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "ClosureViolation" in capsys.readouterr().out
 
+    def test_explicit_space_with_no_set_exits_one(self, tmp_path, capsys):
+        doc = {
+            "name": "no-set",
+            "exogenous": [
+                {"name": "U", "domain": {"kind": "bool"}, "dist": {"kind": "uniform_finite", "values": [False, True]}}
+            ],
+            "endogenous": [{"name": "D", "domain": {"kind": "bool"}, "eq": {"ref": "U"}}],
+            "interventions": {"mode": "explicit", "sets": []},
+        }
+        path = tmp_path / "no-set.json"
+        save(str(path), doc)
+        assert main(["validate", str(path)]) == 1
+        assert "EmptySpace" in capsys.readouterr().out
+        assert main(["--json", "validate", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["ok"] and [f["kind"] for f in payload["findings"]] == ["EmptySpace"]
+
     def test_parse_error_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"name\": oops\n}\n")
@@ -239,6 +256,26 @@ class TestConsolidateVerify:
         assert all(c["kind"] == "passthrough" for c in doc["ccvs"])
         capsys.readouterr()
         assert main(["verify", str(model), str(out), "--exhaustive"]) == 0
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--clusters", "1,x", "--clusters takes all, none or comma-separated indices, not '1,x'"),
+            ("--clusters", "7", "no cluster with index [7]"),
+            ("--passes", "fold_by_imge", "unknown pass 'fold_by_imge'"),
+        ],
+        ids=["clusters-not-a-number", "clusters-out-of-range", "unknown-pass"],
+    )
+    def test_bad_clusters_and_passes_are_errors(self, demo_dir, tmp_path, capsys, option, value, message):
+        model = demo_dir / "step-by-step.model.json"
+        part = demo_dir / "step-by-step.partition.json"
+        out = tmp_path / "never.json"
+        args = ["consolidate", str(model), str(part), "--targets", "C,F,H", option, value, "-o", str(out)]
+        assert main(args) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert main(["--json"] + args) == 1
+        assert message in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not out.exists()
 
     def test_sharpness_trajectory_rows(self, tmp_path, capsys):
         assert main(["demo", "tool_wear", "T=6", "--out-dir", str(tmp_path)]) == 0

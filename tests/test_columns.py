@@ -5,11 +5,15 @@ the same trees per case, with the node classes' own `_eval`, with the
 library's model evaluators and with `helpers.oracle_eval`, and requires the
 columns to hold the same values (compared by `repr`, so a real zero keeps
 its sign and an int stays an int) or, wherever some case raises, to raise.
+Where a value has no column (an int past 2**53, a column of two kinds), the
+columns decline with `C.Unsupported`; the tests pin which trees compute and
+which decline, and check the declining ones end to end against the loop.
 """
 
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import cases_of, oracle_eval, random_model, random_partition
@@ -61,6 +65,11 @@ def make_cases(rows):
     return cases, env
 
 
+def column_over(tree, rows, visible=None):
+    """The tree's column over the rows; raises where the columns cannot be made."""
+    return C.column(tree, *make_cases(rows), visible)
+
+
 def per_case(tree, rows, visible=None):
     """The tree's value on every row through `_eval`, or None when a row raises."""
     out = []
@@ -74,19 +83,47 @@ def per_case(tree, rows, visible=None):
     return out
 
 
-def assert_column_matches(tree, rows, visible=None, oracle=True):
-    """Columns equal `_eval` (and the oracle) on every row, or raise where a row raises."""
+def assert_column_agrees(tree, rows, visible=None, oracle=True) -> bool:
+    """Columns raise where a row raises through `_eval`; where every row
+    computes, they equal `_eval` (and the oracle) exactly, or decline with
+    `C.Unsupported`, and never raise anything else.  Returns whether the
+    columns computed."""
     want = per_case(tree, rows, visible)
-    cases, env = make_cases(rows)
     if want is None:
         with pytest.raises(Exception):
-            C.column(tree, cases, env, visible)
-        return
-    got = C.column(tree, cases, env, visible)
-    assert column_values(got) == reprs(want), tree
+            column_over(tree, rows, visible)
+        return False
     if oracle:
         restricted = [(e, iv.restrict(visible) if visible is not None else iv) for e, iv in rows]
         assert reprs(oracle_eval(tree, e, iv) for e, iv in restricted) == reprs(want)
+    try:
+        got = column_over(tree, rows, visible)
+    except C.Unsupported:
+        return False
+    assert column_values(got) == reprs(want), tree
+    assert_column_kind(got)
+    return True
+
+
+def assert_column_matches(tree, rows, visible=None, oracle=True):
+    """Columns equal `_eval` (and the oracle) on every row, or raise where a row raises."""
+    assert assert_column_agrees(tree, rows, visible, oracle) or per_case(tree, rows, visible) is None, tree
+
+
+def assert_column_kind(col) -> None:
+    """`col` is a boolean or float64 column, an int64 one within +-2**53 or
+    an object one of symbols."""
+    assert col.dtype in (bool, np.float64, np.int64, object), col.dtype
+    xs = col.tolist()
+    if col.dtype == np.int64:
+        assert all(abs(x) <= C.INT_LIMIT for x in xs)
+    if col.dtype == object:
+        assert all(type(x) is str for x in xs)
+
+
+def kinds(tree, rows) -> set:
+    """The value classes the tree gives on the rows, per case."""
+    return {type(tree._eval(env, dict(iv.assignments), None)) for env, iv in rows}
 
 
 def rows_over(var: VarRef, values, ivs=(InterventionSet.empty(),)):
@@ -242,28 +279,52 @@ def test_guards_and_conditions_must_be_booleans():
 
 
 def test_int_division_floors_and_mixed_division_is_real():
-    rows = rows_over(X, [E.VInt(i) for i in (-7, -1, 1, 2, 7)] + REALS[:1] + REALS[3:])
+    ints = rows_over(X, [E.VInt(i) for i in (-7, -1, 1, 2, 7)])
+    reals = rows_over(X, REALS[:1] + REALS[3:])
+    rows = ints + reals
     for tree in (
         Binary("div", Ref(X), iconst(2)),
         Binary("div", iconst(-7), Ref(X)),
         Binary("div", Ref(X), rconst(2.0)),
         Binary("mod", Ref(X), iconst(3)),
     ):
-        assert_column_matches(tree, rows)
-    floor = C.column(Binary("div", iconst(-7), iconst(2)), *make_cases(rows[:1]))
+        assert_column_agrees(tree, rows)
+        # ints floor and a real on either side divides; mod of a real raises
+        assert assert_column_agrees(tree, ints)
+        assert assert_column_agrees(tree, reals) == (tree.op == "div")
+        # an input of ints and reals has no column
+        with pytest.raises(C.Unsupported):
+            column_over(tree, rows)
+    floor = column_over(Binary("div", iconst(-7), iconst(2)), rows[:1])
     assert column_values(floor) == ["VInt(i=-4)"]
     # division by a zero of either carrier raises
-    assert_column_matches(Binary("div", iconst(1), Ref(X)), rows_over(X, [E.VInt(1), E.VReal(-0.0)]))
+    for zeros in ([E.VInt(1), E.VReal(-0.0)], [E.VInt(1), E.VInt(0)], [E.VReal(1.0), E.VReal(-0.0)]):
+        assert not assert_column_agrees(Binary("div", iconst(1), Ref(X)), rows_over(X, zeros))
 
 
 def test_min_max_keep_the_operand_and_its_carrier():
-    rows = rows_over(X, INTS + REALS + [E.VReal(1.0), E.VReal(math.nan)])
+    ints, reals = rows_over(X, INTS), rows_over(X, REALS + [E.VReal(1.0), E.VReal(math.nan)])
+    rows = ints + reals
     for op in ("min", "max"):
         for left, right in ((Ref(X), iconst(1)), (rconst(1.0), Ref(X)), (Ref(X), rconst(-0.0))):
-            assert_column_matches(Binary(op, left, right), rows)
-    one = make_cases(rows[:1])
-    assert column_values(C.column(Binary("min", iconst(1), rconst(1.0)), *one)) == ["VInt(i=1)"]
-    assert column_values(C.column(Binary("max", rconst(1.0), iconst(1)), *one)) == ["VReal(r=1.0)"]
+            tree = Binary(op, left, right)
+            assert_column_agrees(tree, rows)
+            with pytest.raises(C.Unsupported):
+                column_over(tree, rows)
+            # operands of one kind compute; an int and a real, whose result
+            # may be either, decline
+            int_constant = right == iconst(1)
+            assert assert_column_agrees(tree, ints) == int_constant
+            assert assert_column_agrees(tree, reals) == (not int_constant)
+    # the per-case result is the operand of its own kind, which no column holds
+    for tree, want in (
+        (Binary("min", iconst(1), rconst(1.0)), "VInt(i=1)"),
+        (Binary("max", rconst(1.0), iconst(1)), "VReal(r=1.0)"),
+    ):
+        assert reprs(per_case(tree, rows[:1])) == [want]
+        assert not assert_column_agrees(tree, rows[:1])
+        with pytest.raises(C.Unsupported):
+            column_over(tree, rows[:1])
 
 
 def test_real_zero_keeps_its_sign():
@@ -282,7 +343,9 @@ def test_real_zero_keeps_its_sign():
 
 def test_nan_follows_the_per_case_comparisons():
     nan = E.VReal(math.nan)
-    rows = rows_over(X, [nan, E.VReal(1.0), E.VInt(2)])
+    reals, ints = rows_over(X, [nan, E.VReal(1.0)]), rows_over(X, [E.VInt(2)])
+    rows = reals + ints
+    mixed = ("min", "max")  # an int and a real operand
     for tree in (
         Binary("eq", Ref(X), Ref(X)),
         Binary("lt", Ref(X), rconst(1.5)),
@@ -292,7 +355,13 @@ def test_nan_follows_the_per_case_comparisons():
         Binary("pow", Ref(X), rconst(0.0)),
         IfThenElse(Binary("lt", Ref(X), rconst(5.0)), iconst(1), iconst(0)),
     ):
-        assert_column_matches(tree, rows)
+        assert_column_agrees(tree, rows)
+        with pytest.raises(C.Unsupported):
+            column_over(tree, rows)
+        # NaN compares on float64 columns as it does per case
+        assert assert_column_agrees(tree, reals) == (getattr(tree, "op", None) not in mixed)
+        # an int base has no power column
+        assert assert_column_agrees(tree, ints) == (getattr(tree, "op", None) != "pow")
 
 
 def test_integers_beyond_64_bits_stay_exact():
@@ -307,20 +376,36 @@ def test_integers_beyond_64_bits_stay_exact():
         Binary("lt", Ref(X), rconst(1e30)),
         Binary("pow", Ref(X), iconst(2)),
     ):
-        assert_column_matches(tree, rows)
+        # every row computes per case; an int past 2**53 has no column
+        assert per_case(tree, rows) is not None
+        assert not assert_column_agrees(tree, rows)
+        with pytest.raises(C.Unsupported):
+            column_over(tree, rows)
+        # as one past 2**53 in a constant does
+        with pytest.raises(C.Unsupported):
+            column_over(E.substitute(tree, {X: E.Const(big[2])}), rows_over(Y, INTS))
     # past the float range the mixed operations raise, per case and by columns
-    assert_column_matches(Binary("add", Ref(X), rconst(1.0)), rows_over(X, [E.VInt(10**400)]))
+    assert_column_agrees(Binary("add", Ref(X), rconst(1.0)), rows_over(X, [E.VInt(10**400)]))
 
 
 def test_pow_with_negative_and_fractional_exponents():
-    bases = [E.VInt(i) for i in (-8, -2, 0, 2, 4)] + [E.VReal(r) for r in (-8.0, 0.0, 2.25)]
-    rows = rows_over(X, bases)
+    ints = rows_over(X, [E.VInt(i) for i in (-8, -2, 0, 2, 4)])
+    reals = rows_over(X, [E.VReal(r) for r in (-8.0, 0.0, 2.25)])
+    rows = ints + reals
     for exponent in (iconst(2), iconst(-1), iconst(0), rconst(0.5), rconst(-0.5), rconst(2.0), rconst(-1.0)):
         for tree in (Binary("pow", Ref(X), exponent), Binary("pow", exponent, Ref(X))):
-            assert_column_matches(tree, rows)
+            assert_column_agrees(tree, rows)
+            for part in (ints, reals):
+                # a real base computes wherever every case does; an int base declines
+                computes = per_case(tree, part) is not None and kinds(tree.left, part) == {E.VReal}
+                assert assert_column_agrees(tree, part) == computes, (tree, part)
+                if per_case(tree, part) is not None and not computes:
+                    with pytest.raises(C.Unsupported):
+                        column_over(tree, part)
     # each erroring base alone: zero to a negative power, negative to a fraction
     for base, exponent in ((iconst(0), iconst(-1)), (rconst(0.0), rconst(-1.0)), (iconst(-8), rconst(0.5))):
-        assert_column_matches(Binary("pow", base, exponent), rows[:1])
+        assert per_case(Binary("pow", base, exponent), rows[:1]) is None
+        assert not assert_column_agrees(Binary("pow", base, exponent), rows[:1])
 
 
 def test_eq_needs_comparable_kinds():
@@ -434,6 +519,37 @@ def test_clusters_see_their_own_atoms_minus_the_dropped_ones():
 # ---------------------------------------------------------------------------
 
 
+def has_column(values) -> bool:
+    """Whether values have a column: all of one kind, ints within +-2**53."""
+    return len({type(v) for v in values}) == 1 and all(abs(v.i) <= C.INT_LIMIT for v in values if type(v) is E.VInt)
+
+
+def assert_first_disagreement(targets, base, cons, tolerance) -> bool:
+    """`C.first_disagreement` on the target columns of two sides, rows of
+    values per case, is the per-case comparison's first mismatch and
+    largest deviation before it; or, where some target's values have no
+    column, the columns decline.  Returns whether they computed."""
+    worst, first = 0.0, None
+    for k in range(len(base)):
+        bad, dev = Q._first_mismatch(base[k], cons[k], tolerance)
+        if bad is not None:
+            first = k
+            break
+        worst = max(worst, dev)
+    sides = [[[row[j] for row in side] for j in range(len(targets))] for side in (base, cons)]
+    if not all(has_column(values) for side in sides for values in side):
+        with pytest.raises(C.Unsupported):
+            for side in sides:
+                for values in side:
+                    C.column_of([C.raw(v) for v in values])
+        return False
+    want, got = ({t: C.column_of([C.raw(v) for v in values]) for t, values in zip(targets, side)} for side in sides)
+    assert C.first_disagreement(targets, want, got, tolerance, 0, len(base)) == (first, worst)
+    if tolerance >= 0:  # a column compared with itself never disagrees
+        assert C.first_disagreement(targets, want, want, tolerance, 0, len(base)) == (None, 0.0)
+    return True
+
+
 def test_first_disagreement_matches_the_per_case_comparison():
     import random
 
@@ -449,18 +565,74 @@ def test_first_disagreement_matches_the_per_case_comparison():
         base = [[rng.choice(pool) for _ in targets] for _ in range(n)]
         cons = [[v if rng.random() < 0.7 else rng.choice(pool) for v in row] for row in base]
         tolerance = rng.choice([0.0, 1e-9, 0.7, -1.0])
-        worst, first = 0.0, None
-        for k in range(n):
-            bad, dev = Q._first_mismatch(base[k], cons[k], tolerance)
-            if bad is not None:
-                first = k
-                break
-            worst = max(worst, dev)
-        want = {t: C.column_of([C.raw(row[j]) for row in base]) for j, t in enumerate(targets)}
-        got = {t: C.column_of([C.raw(row[j]) for row in cons]) for j, t in enumerate(targets)}
-        assert C.first_disagreement(targets, want, got, tolerance, 0, n) == (first, worst)
-        if tolerance >= 0:  # a column compared with itself never disagrees
-            assert C.first_disagreement(targets, want, want, tolerance, 0, n) == (None, 0.0)
+        assert_first_disagreement(targets, base, cons, tolerance)
+    # the same pool, one kind per target column and side: every draw computes
+    kinds = [[v for v in pool if type(v) is kind and has_column([v])] for kind in (E.VInt, E.VReal, E.VBool, E.VSym)]
+    rng = random.Random(6)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        base_columns, cons_columns = [], []
+        for _ in targets:
+            mine = rng.choice(kinds)
+            theirs = mine if rng.random() < 0.7 else rng.choice(kinds)
+            column = [rng.choice(mine) for _ in range(n)]
+            base_columns.append(column)
+            cons_columns.append([v if theirs is mine and rng.random() < 0.7 else rng.choice(theirs) for v in column])
+        tolerance = rng.choice([0.0, 1e-9, 0.7, -1.0])
+        base, cons = [list(row) for row in zip(*base_columns)], [list(row) for row in zip(*cons_columns)]
+        assert assert_first_disagreement(targets, base, cons, tolerance)
+
+
+W, P, R = VarRef("W"), VarRef("P"), VarRef("R")
+
+
+def declining_model() -> Scm:
+    """A model none of whose equations has a column: `Y` has an int and a
+    real branch, `Z` is the `max` of an int and a real, `P` an int power and
+    `R` an int past 2**53."""
+    big = IntDomain(-(2**80), 2**80)
+    return Scm(
+        name="declining",
+        endogenous=(
+            EndoVar(Y, RealDomain(), IfThenElse(Ref(B), Ref(X), rconst(0.5))),
+            EndoVar(Z, RealDomain(), Binary("max", Ref(Y), rconst(-1.0))),
+            EndoVar(P, IntDomain(0, 9), Binary("pow", Ref(X), iconst(2))),
+            EndoVar(R, big, Binary("add", Ref(W), Ref(P))),
+        ),
+        exogenous=(
+            ExoVar(X, IntDomain(-3, 3), UniformFinite((E.VInt(-3), E.VInt(0), E.VInt(2)))),
+            ExoVar(B, BoolDomain(), UniformFinite((E.VBool(False), E.VBool(True)))),
+            ExoVar(W, big, UniformFinite((E.VInt(2**64 + 1), E.VInt(-(2**70)), E.VInt(5)))),
+        ),
+        interventions=InterventionSpace.power_set([(Y, [E.VReal(1.5)]), (P, [E.VInt(4)])]),
+    )
+
+
+DECLINING_PARTITION = [[Y, Z], [P, R]]
+
+
+def declining_checks() -> list:
+    """(base, consolidated, targets, strategy) verifier checks of the
+    declining model, a wrong closed form among them; asserts first that no
+    equation has a column."""
+    from scmc.consolidation import Ccv, attach_ccvs
+    from scmc.partition import Partition
+
+    scm = declining_model()
+    rows = case_rows(scm, 1)
+    outs = [eval_scm(scm, u, iv, check_membership=False) for u, iv in rows]
+    for row in scm.endogenous:
+        reads = E.free_refs(row.equation)
+        env_rows = [({v: x for v, x in {**u, **out}.items() if v in reads}, iv) for (u, iv), out in zip(rows, outs)]
+        assert not assert_column_agrees(row.equation, env_rows)
+        with pytest.raises(C.Unsupported):
+            column_over(row.equation, env_rows)
+    targets = [Z, R]
+    cons = consolidate(scm, Partition.of(DECLINING_PARTITION), targets)
+    space = cons.clusters[1].sub.interventions
+    wrong = attach_ccvs(cons, {1: Ccv((R,), {R: Binary("add", Ref(W), iconst(4))}, space, 1)})
+    exhaustive, sampled = EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=64, seed=4)
+    return [(scm, c, targets, s) for c in (cons, wrong) for s in (exhaustive, sampled)]
 
 
 def loop_only(monkeypatch):
@@ -484,6 +656,7 @@ def test_reports_equal_the_per_case_loop(monkeypatch):
         sampled = EquivalenceStrategy.sampled(count=64, seed=2)
         checks.append((entry.scm, entry.consolidated(), entry.targets, sampled))
         checks.append((entry.scm, entry.reference_consolidated(), entry.targets, sampled))
+    checks += declining_checks()
     # the broken rewrites of the verifier's mutation suite, in whole models
     from test_verification import BROKEN_REWRITES
 
@@ -495,7 +668,7 @@ def test_reports_equal_the_per_case_loop(monkeypatch):
         cons = replace(good, clusters=(broken, *rest))
         checks.append((entry.scm, cons, entry.targets, EquivalenceStrategy.exhaustive()))
     by_columns = [verify_equivalence(*check) for check in checks]
-    assert sum(r.verdict == "counterexample" for r in by_columns) >= len(BROKEN_REWRITES)
+    assert sum(r.verdict == "counterexample" for r in by_columns) >= len(BROKEN_REWRITES) + 2
     loop_only(monkeypatch)
     assert [verify_equivalence(*check) for check in checks] == by_columns
 
@@ -585,11 +758,23 @@ def test_gate_reports_equal_the_per_case_loop(monkeypatch):
     built, _ = build_rho(sub, [VarRef("F"), VarRef("G")])
     good = run_passes(built, sub, PassConfig())
     broken = [Ccv(good.targets, m(dict(good.rho)), good.interventions, 0) for _, m in BROKEN_REWRITES]
-    candidates = [good, built] + broken
+    gates = [(sub, good, [good, built] + broken)]
+    # the declining model's clusters, each with a wrong candidate
+    scm = declining_model()
+    for cluster, wrong in zip(DECLINING_PARTITION, ({Z: rconst(-1.0)}, {R: Binary("add", Ref(W), iconst(4))})):
+        sub = extract_sub_scm(scm, cluster)
+        built, _ = build_rho(sub, cluster[1:])
+        good = run_passes(built, sub, PassConfig())
+        gates.append((sub, good, [good, built, Ccv(good.targets, wrong, good.interventions, 0)]))
     strategies = [EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)]
-    by_columns = [verify_pass(good, c, sub, s) for s in strategies for c in candidates]
+
+    def reports():
+        return [verify_pass(good, c, sub, s) for sub, good, candidates in gates for s in strategies for c in candidates]
+
+    by_columns = reports()
+    assert sum(r.verdict == "counterexample" for r in by_columns) >= 2 * (len(BROKEN_REWRITES) + 2)
     loop_only(monkeypatch)
-    assert [verify_pass(good, c, sub, s) for s in strategies for c in candidates] == by_columns
+    assert reports() == by_columns
 
 
 def test_gate_columns_match_eval_ccv():

@@ -26,6 +26,8 @@ from scmc.errors import (
     DomainError,
     EquivalenceFailedError,
     InterventionNotAllowedError,
+    InvalidParameterError,
+    InvalidPartitionError,
     InvalidTargetError,
     ModelTooDeepError,
     UnboundRefError,
@@ -356,6 +358,14 @@ class TestConsolidate:
         entry = zoo.step_by_step()
         with pytest.raises(InvalidTargetError):
             consolidate(entry.scm, entry.partition, [VarRef("A")])
+
+    def test_unknown_passes_and_cluster_indices_raise(self):
+        entry = zoo.step_by_step()
+        assert len(entry.partition.clusters) < 7
+        with pytest.raises(InvalidParameterError, match="unknown pass 'fold_by_imge'"):
+            consolidate(entry.scm, entry.partition, entry.targets, config=PassConfig(passes=("fold_by_imge",)))
+        with pytest.raises(InvalidPartitionError, match=r"^no cluster with index \[7\]$"):
+            consolidate(entry.scm, entry.partition, entry.targets, {1, 7})
 
     def test_dropped_atoms_are_projected_not_rejected(self):
         entry = zoo.step_by_step()

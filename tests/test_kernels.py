@@ -1,11 +1,16 @@
 """The numpy kernels of `scmc.columns` against the per-case evaluation.
 
 Columns are numpy arrays, so each kernel must reproduce Python's own
-arithmetic on the entries it stands for: ints past 64 bits, ints compared
-with floats, a real zero's sign, NaN and infinities, floor division and
-modulo of negative ints, `min`/`max` returning an operand of another kind,
-and errors where the per-case loop raises.  Values are compared by `repr`
-of the Python values, so an int stays an int and -0.0 stays -0.0.
+arithmetic on the entries it stands for: ints compared with floats, a real
+zero's sign, NaN and infinities, floor division and modulo of negative
+ints, a float power to the last bit, and errors where the per-case loop
+raises.  Where a value has no column (an int past 2**53, a column of ints
+and reals, `min`/`max` of an int and a real, `pow` of an int base), the
+kernel declines with `C.Unsupported`; each test pins which operators
+compute and which decline.  Values are compared by `repr` of the Python
+values, so an int stays an int and -0.0 stays -0.0.  A property test draws
+random trees over case lists of every kind and requires each column to
+equal the loop, decline, or raise where the loop raises.
 
 The tests also hold the columns to computing wherever every case does, on
 random models and on the bench models, and check that no numpy scalar
@@ -23,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import cases_of, random_model, random_partition
-from test_columns import assert_column_matches, case_rows, per_case
+from test_columns import assert_column_agrees, assert_column_matches, case_rows, column_over, per_case
 from scmc import columns as C
 from scmc import documents as D
 from scmc import expr as E
@@ -31,7 +36,20 @@ from scmc import verification as Q
 from scmc import zoo
 from scmc.consolidation import Ccv, CcvCluster, PassConfig, attach_ccvs, ccv_plan, consolidate, eval_ccv, eval_consolidated
 from scmc.evaluation import eval_scm
-from scmc.expr import Binary, IfThenElse, Ref, Unary, VarRef, bconst, iconst, rconst, sconst
+from scmc.expr import (
+    Binary,
+    CaseList,
+    IfThenElse,
+    InterventionValue,
+    IsIntervened,
+    Ref,
+    Unary,
+    VarRef,
+    bconst,
+    iconst,
+    rconst,
+    sconst,
+)
 from scmc.scm import InterventionSet
 
 X, Y, B, S = VarRef("X"), VarRef("Y"), VarRef("B"), VarRef("S")
@@ -52,39 +70,44 @@ def grid(xs, ys) -> list:
     return [({X: value(x), Y: value(y)}, InterventionSet.empty()) for x, y in product(xs, ys)]
 
 
-def assert_in_range(col) -> None:
-    """An int64 column holds only ints within +-2**53."""
-    if col.dtype == np.int64 and len(col):
-        assert int(np.abs(col).max()) <= C.INT_LIMIT
-
-
-def assert_binary_ops(rows, ops=ARITHMETIC) -> None:
-    """Every operator on (X, Y) and on (Y, X) matches the per-case loop; a
-    zero divisor raises there, so each division also runs without it."""
+def assert_binary_ops(rows, ops=ARITHMETIC, computes=ARITHMETIC) -> None:
+    """Every operator on (X, Y) and on (Y, X) agrees with the per-case loop;
+    a zero divisor raises there, so each division also runs without it.
+    Where every case computes, the operators in `computes` compute and the
+    others decline."""
     for op in ops:
         for left, right in ((Ref(X), Ref(Y)), (Ref(Y), Ref(X))):
             tree = Binary(op, left, right)
-            assert_column_matches(tree, rows, oracle=False)
+            parts = [rows]
             if op in ("div", "mod"):
-                nonzero = [r for r in rows if r[0][right.var] != E.VInt(0) and r[0][right.var] != E.VReal(0.0)]
-                assert_column_matches(tree, nonzero, oracle=False)
+                parts.append([r for r in rows if r[0][right.var] != E.VInt(0) and r[0][right.var] != E.VReal(0.0)])
+            for part in parts:
+                computed = assert_column_agrees(tree, part, oracle=False)
+                if per_case(tree, part) is not None:
+                    assert computed == (op in computes), (tree, computed)
+
+
+#: every operator but `mod`, which raises per case on a real
+REAL_OPS = tuple(op for op in ARITHMETIC if op != "mod")
 
 
 @pytest.mark.parametrize(
-    "xs, ys",
+    "xs, ys, computes",
     [
-        (SMALL_INTS, SMALL_INTS),  # int64 columns
-        (SMALL_INTS + [2**53, -(2**53)], [2**53, -(2**53), 1, -1]),  # results past 2**53
-        (BIG_INTS, SMALL_INTS),  # past 64 bits: Python ints
-        (REALS, REALS),  # float64 columns
-        (SMALL_INTS + [2**53, 2**53 - 1], REALS),  # ints against floats
-        (BIG_INTS, REALS),
-        (SMALL_INTS + REALS, SMALL_INTS + REALS),  # a column of both kinds
+        (SMALL_INTS, SMALL_INTS, ARITHMETIC),  # int64 columns
+        # results past 2**53 decline; quotients, remainders and comparisons stay within
+        (SMALL_INTS + [2**53, -(2**53)], [2**53, -(2**53), 1, -1], ("div", "mod", "min", "max", "lt", "le", "eq")),
+        (BIG_INTS, SMALL_INTS, ()),  # past 2**53: no column
+        (REALS, REALS, REAL_OPS),  # float64 columns
+        # ints against floats: `min`/`max` would keep an operand of either kind
+        (SMALL_INTS + [2**53, 2**53 - 1], REALS, ("add", "sub", "mul", "div", "lt", "le", "eq")),
+        (BIG_INTS, REALS, ()),
+        (SMALL_INTS + REALS, SMALL_INTS + REALS, ()),  # a column of both kinds
     ],
     ids=["ints", "int-range", "big-ints", "reals", "ints-reals", "big-ints-reals", "mixed"],
 )
-def test_binary_kernels_match_the_per_case_loop(xs, ys):
-    assert_binary_ops(grid(xs, ys))
+def test_binary_kernels_match_the_per_case_loop(xs, ys, computes):
+    assert_binary_ops(grid(xs, ys), computes=computes)
 
 
 def test_results_past_2_53_stay_exact():
@@ -100,11 +123,27 @@ def test_results_past_2_53_stay_exact():
         Unary("neg", Binary("mul", Ref(X), Ref(X))),
     ]
     for tree in trees:
-        assert_column_matches(tree, rows, oracle=False)
-    cases = cases_of(rows)
-    env = {v: cases.input(v) for v in (X, Y)}
-    for tree in (Binary("add", Ref(X), Ref(Y)), Binary("mul", Ref(X), Ref(Y)), Binary("sub", Ref(X), iconst(1))):
-        assert_in_range(C.column(tree, cases, env))
+        # every case computes, but each tree has a result past 2**53
+        assert per_case(tree, rows) is not None
+        assert not assert_column_agrees(tree, rows, oracle=False)
+        with pytest.raises(C.Unsupported):
+            column_over(tree, rows)
+    # +-2**53 itself is the last int a column holds: (tree, (x, y) reaching
+    # it, (x, y) one past it)
+    add, mul, sub = Binary("add", Ref(X), Ref(Y)), Binary("mul", Ref(X), Ref(Y)), Binary("sub", Ref(X), iconst(1))
+    for tree, within, past in (
+        (add, (2**53 - 1, 1), (2**53, 1)),
+        (add, (1 - 2**53, -1), (-(2**53), -1)),
+        (mul, (2**52, 2), (2**52 + 1, 2)),
+        (mul, (2**52, -2), (2**52 + 1, -2)),
+        (sub, (1 - 2**53, 0), (-(2**53), 0)),
+    ):
+        edge = grid([within[0]], [within[1]])
+        assert assert_column_agrees(tree, edge, oracle=False)
+        assert abs(column_over(tree, edge)[0]) == C.INT_LIMIT
+        assert per_case(tree, grid([past[0]], [past[1]])) is not None
+        with pytest.raises(C.Unsupported):
+            column_over(tree, grid([past[0]], [past[1]]))
 
 
 def test_negative_division_floors_and_modulo_takes_the_divisor_sign():
@@ -120,7 +159,13 @@ def test_negative_division_floors_and_modulo_takes_the_divisor_sign():
 
 def test_min_and_max_keep_nan_and_the_operand_kind():
     rows = grid([math.nan, 1, 1.0, -0.0, 0, 2**63], [math.nan, 1.0, 1, 0.0, 0, -0.0])
-    assert_binary_ops(rows, ("min", "max"))
+    # columns of ints and reals, and an int past 2**53, decline
+    assert_binary_ops(rows, ("min", "max"), computes=())
+    # one kind on both sides computes, NaN and the sign of zero included
+    assert_binary_ops(grid([math.nan, 1.0, -0.0], [math.nan, 1.0, 0.0, -0.0]), ("min", "max"))
+    assert_binary_ops(grid([1, 0], [1, 0]), ("min", "max"))
+    # an int against a real keeps an operand of either kind, which no column holds
+    assert_binary_ops(grid([1, 0], [math.nan, 1.0, 0.0, -0.0]), ("min", "max"), computes=())
     # NaN on either side: `x if x <= y else y`, which np.minimum is not
     cases = cases_of(grid([math.nan, 1.0], [1.0, math.nan]))
     env = {v: cases.input(v) for v in (X, Y)}
@@ -141,7 +186,16 @@ def test_mixed_int_and_real_branches():
         Binary("or", Ref(B), Binary("le", Binary("max", Ref(X), Ref(Y)), iconst(0))),
     ]
     for tree in trees:
-        assert_column_matches(tree, rows)
+        computed = assert_column_agrees(tree, rows)
+        # only the comparison of an int and a real has a column: every
+        # other tree has an int and a real result, or operands that keep one
+        assert computed == (tree is trees[6]), tree
+        if not computed:
+            with pytest.raises(C.Unsupported):
+                column_over(tree, rows)
+    # a branch that no case takes does not count
+    for b, tree in ((True, trees[0]), (False, trees[1])):
+        assert assert_column_agrees(tree, [r for r in rows if r[0][B] == E.VBool(b)])
 
 
 def test_pow_matches_the_loop_and_raises_where_it_does():
@@ -149,7 +203,12 @@ def test_pow_matches_the_loop_and_raises_where_it_does():
     exponents = [0, 1, 2, -1, 3, 0.5, 2.0, -0.5, 1000]
     for x, y in product(bases, exponents):
         rows = grid([x], [y])
-        assert_column_matches(Binary("pow", Ref(X), Ref(Y)), rows, oracle=False)
+        # a real base computes wherever the case does; an int base declines
+        computed = assert_column_agrees(Binary("pow", Ref(X), Ref(Y)), rows, oracle=False)
+        assert computed == (type(x) is float and per_case(Binary("pow", Ref(X), Ref(Y)), rows) is not None)
+        if type(x) is int and per_case(Binary("pow", Ref(X), Ref(Y)), rows) is not None:
+            with pytest.raises(C.Unsupported):
+                column_over(Binary("pow", Ref(X), Ref(Y)), rows)
     # a column: the overflowing base raises for all, the others compute
     rows = grid([2.0, 3.0, 0.5], [2.0, 1023.5])
     assert per_case(Binary("pow", Ref(X), Ref(Y)), rows) is None
@@ -157,15 +216,15 @@ def test_pow_matches_the_loop_and_raises_where_it_does():
     assert_column_matches(Binary("pow", Ref(X), Ref(Y)), grid([2.0, 3.0, 0.5], [2.0, 700.0]), oracle=False)
 
 
-#: bases and exponents at every edge of `_power`'s guards and of the float range
+#: bases and exponents at every edge of `expr._pow`'s guards and of the float range
 POW_BASES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 10.0, 1e200, -1e200, 1e308, 5e-324, math.nan, math.inf, -math.inf]
 POW_EXPONENTS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 0.5, -0.5, 2.5, 1023.5, 1e300, -1e300, math.nan, math.inf, -math.inf]
 
 
 def per_entry_pow(xs, ys):
-    """The per-entry kernel's results as float64 bytes, or None where it raises."""
+    """The per-case operator's results as float64 bytes, or None where it raises."""
     try:
-        return np.array([C._power(x, y) for x, y in zip(xs, ys)], np.float64).tobytes()
+        return np.array([E._apply_binary("pow", value(x), value(y)).r for x, y in zip(xs, ys)], np.float64).tobytes()
     except Exception:  # noqa: BLE001 - any error: the column kernel must raise too
         return None
 
@@ -184,7 +243,7 @@ def per_entry_pow(xs, ys):
 )
 def test_float_pow_kernel_is_the_per_entry_kernel(pairs, int_exponents):
     """A float64 base column with an int64 or float64 exponent column gives
-    the per-entry kernel's bytes, and raises wherever it raises."""
+    the per-case operator's bytes, and raises wherever it raises."""
     xs = [x for x, _ in pairs]
     if int_exponents:
         ys = [int(y) if isinstance(y, int) or math.isfinite(y) and abs(y) < 2**53 else 3 for _, y in pairs]
@@ -239,6 +298,66 @@ def test_infinities_and_nan_in_comparisons_and_domains():
         IfThenElse(Binary("le", Ref(X), Ref(Y)), Ref(X), Ref(Y)),
     ):
         assert_column_matches(tree, rows, oracle=False)
+
+
+# ---------------------------------------------------------------------------
+# Random trees over case lists of every kind
+# ---------------------------------------------------------------------------
+
+V = VarRef("V")
+
+#: entries by kind: a column of one kind has a column, any mix has none
+KIND_POOLS = [
+    [E.VBool(True), E.VBool(False)],
+    [E.VInt(i) for i in (0, 1, -1, 2, -7, 2**53, -(2**53))],
+    [E.VInt(i) for i in (2**53 + 1, -(2**63), 2**70)],
+    [E.VReal(r) for r in (0.0, -0.0, 1.5, -2.5, math.nan, math.inf, -math.inf, 2.0**53)],
+    [E.VSym(name) for name in ("a", "b")],
+]
+EVERY_KIND = [v for pool in KIND_POOLS for v in pool]
+OPERATORS = ARITHMETIC + ("pow", "and", "or")
+
+
+def trees():
+    leaves = st.one_of(
+        st.sampled_from([Ref(X), Ref(Y), Ref(S), IsIntervened(V)]),
+        st.sampled_from(EVERY_KIND).map(E.Const),
+    )
+
+    def nodes(children):
+        return st.one_of(
+            st.builds(Binary, st.sampled_from(OPERATORS), children, children),
+            st.builds(Unary, st.sampled_from(("neg", "not")), children),
+            st.builds(IfThenElse, children, children, children),
+            st.builds(lambda g, a, d: CaseList(((g, a),), d), children, children, children),
+            st.builds(InterventionValue, st.just(V), children),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+@st.composite
+def mixed_rows(draw):
+    """Rows over X, Y and S, each an input column of one kind or of every
+    kind, with an atom on V, also of one kind or of every kind, in some sets."""
+    n = draw(st.integers(1, 8))
+    pools = {v: draw(st.sampled_from(KIND_POOLS + [EVERY_KIND])) for v in (X, Y, S, V)}
+    rows = []
+    for _ in range(n):
+        env = {v: draw(st.sampled_from(pools[v])) for v in (X, Y, S)}
+        forced = draw(st.booleans())
+        iv = InterventionSet.of({V: draw(st.sampled_from(pools[V]))}) if forced else InterventionSet.empty()
+        rows.append((env, iv))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees(), mixed_rows())
+def test_every_column_equals_the_loop_or_declines(tree, rows):
+    """A column equals `_eval` on every case, or declines with
+    `C.Unsupported`, or raises where some case raises; an object column
+    holds only symbols (`assert_column_agrees`)."""
+    assert_column_agrees(tree, rows, oracle=False)
 
 
 # ---------------------------------------------------------------------------

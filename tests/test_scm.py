@@ -1,5 +1,6 @@
 """Model validation, graph derivation, kin queries, reparameterization."""
 
+import dataclasses
 import graphlib
 import itertools
 import json
@@ -76,6 +77,16 @@ class TestValidate:
         # subset-enumeration oracle: every proper subset of the pair is missing
         missing = {str(f.subject[1]) for f in violations}
         assert missing == {"{}", "{do(D=true)}", "{do(G=false)}"}
+
+    def test_explicit_space_with_no_set(self):
+        # not even the empty set: every check of the model would have no case
+        scm = dataclasses.replace(zoo.step_by_step().scm, interventions=InterventionSpace.explicit([]))
+        report = validate(scm)
+        assert not report.ok
+        assert [f.kind for f in report.findings] == ["EmptySpace"]
+        # listing the empty set alone is fine
+        scm = dataclasses.replace(scm, interventions=InterventionSpace.explicit([InterventionSet.empty()]))
+        assert validate(scm).ok
 
     def test_atom_on_exogenous(self):
         scm = Scm(

@@ -7,7 +7,10 @@ its default consolidation, first under the empty intervention set and then
 under one sampled set per input.  Prints µs per query (best of 5 timed
 passes) and the ratio consolidated / base, so a ratio above 1 means the
 consolidated model is slower to query.  Exits with status 1 when any
-consolidated answer differs from the base answer on the model's targets.
+consolidated answer differs from the base answer on the model's targets, or
+when either model's answer, which its generated code computes
+(`Plan.compiled`), differs in any value or class from the tree walker's
+(`run_plan` on the same plan).
 
 Usage: python scripts/query_table.py
 """
@@ -17,7 +20,7 @@ import time
 
 from scmc import zoo
 from scmc.consolidation import eval_consolidated
-from scmc.evaluation import eval_scm, make_rng, sample_exogenous
+from scmc.evaluation import eval_scm, make_rng, run_plan, sample_exogenous
 from scmc.expr import values_close
 from scmc.scm import InterventionSet
 
@@ -47,7 +50,7 @@ def us_per_query(evaluate, model, cases) -> float:
 
 def main() -> int:
     print(f"{'model':<16} {'empty set: base / cons (ratio)':>32}  {'sampled sets: base / cons (ratio)':>34}")
-    differ = []
+    differ, generated = [], []
     for label, build in MODELS:
         entry = build()
         cons = entry.consolidated()
@@ -60,15 +63,17 @@ def main() -> int:
                 want, got = eval_scm(entry.scm, u, iv), eval_consolidated(cons, u, iv)
                 if not all(values_close(got[t], want[t]) for t in entry.targets):
                     differ.append(label)
-                    break
+                if repr(want) != repr(run_plan(entry.scm.plan, u, iv)) or repr(got) != repr(run_plan(cons.plan, u, iv)):
+                    generated.append(label)
             base = us_per_query(eval_scm, entry.scm, cases)
             consolidated = us_per_query(eval_consolidated, cons, cases)
             columns.append(f"{base:.1f} / {consolidated:.1f} ({consolidated / base:.2f})")
         print(f"{label:<16} {columns[0]:>32}  {columns[1]:>34}", flush=True)
     if differ:
         print(f"consolidated answers differ: {', '.join(sorted(set(differ)))}", file=sys.stderr)
-        return 1
-    return 0
+    if generated:
+        print(f"generated code differs from run_plan: {', '.join(sorted(set(generated)))}", file=sys.stderr)
+    return 1 if differ or generated else 0
 
 
 if __name__ == "__main__":

@@ -1,0 +1,429 @@
+"""A plan's per-case evaluation as generated Python code.
+
+`compile_plan` turns a `scm.Plan` into the source of one Python function,
+`(u, interventions, rng=None) -> outputs`, and builds it with `compile()`.
+The function computes what `evaluation.run_plan` computes, raises what it
+raises, with the same messages, in the same order, and draws from `rng` in
+the same order; it only leaves out the one method call per node that
+`run_plan`'s tree walk pays:
+
+- each input is checked for presence, then against its domain, in order;
+- each row with a domain takes its forced value where its cluster sees an
+  atom on its variable, else evaluates its tree, and is checked against the
+  domain; a row without a domain is evaluated as it stands;
+- which variables a cluster has bound, and which atoms it sees, are known
+  when the code is built, so a `Ref` to a variable the cluster has not bound
+  becomes a `raise UnboundRefError` at the point where `_eval` would raise,
+  and an atom the cluster does not see is never looked up;
+- every node is one statement that stores its value in a local.  Operators
+  call the functions of `expr._BINARY` directly, and conditions test the
+  shared `_TRUE`/`_FALSE` by identity first.  `and`, `or`, `IfThenElse`,
+  `CaseList` and an `InterventionValue`'s fallback evaluate their operands
+  only where `_eval` does;
+- a node kind without a template here (`ExistsIntervention`,
+  `MaxIntervenedIndex`) calls its own `_eval` on a dict of the values bound
+  at that point and the atoms its cluster sees.
+
+The trees are walked with an explicit stack, so a tree of any depth builds.
+Lazy operands nest their statements in `if` blocks, and an `IfThenElse`
+whose `orelse` is another `IfThenElse` on an `IsIntervened` (or on another
+condition that needs no statement) continues as an `elif`.  Python's parser
+refuses code nested past 100 levels, and its compiler recurses once per
+level, so an operand that would nest past `_MAX_NESTING` levels, `elif`s
+counted, moves into a helper function that takes the values it reads as
+arguments and returns the operand's value.
+
+Building costs about 10 µs per node, so `Plan.compiled` builds the code on
+first use, for the plans that run on many cases (`eval_scm`,
+`eval_consolidated`).  One-shot plans keep `run_plan`.
+"""
+
+from __future__ import annotations
+
+import textwrap
+from typing import Callable
+
+from . import expr as E
+from .errors import DomainError, NonDeterministicModelError, UnboundRefError
+
+#: deepest `if` nesting, `elif`s counted, before an operand moves into a
+#: helper; the parser's own limit is 100 levels of indentation, and the
+#: functions sit two levels in
+_MAX_NESTING = 90
+
+_DRAW_MESSAGE = "model draws at evaluation time; reparameterize it or pass an rng"
+
+
+class _Function:
+    """One generated function: its lines, and the locals of the functions
+    around it that it reads, which become its parameters."""
+
+    __slots__ = ("name", "lines", "params")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.lines: list[str] = []
+        self.params: dict[str, None] = {}
+
+
+class _Builder:
+    """Writes the source of one plan's function."""
+
+    def __init__(self):
+        self.namespace = {
+            "_TRUE": E._TRUE,
+            "_FALSE": E._FALSE,
+            "_VBool": E.VBool,
+            "_VInt": E.VInt,
+            "_VReal": E.VReal,
+            "_as_bool": E._as_bool,
+            "_numeric": E._numeric,
+            "_wrap_number": E._wrap_number,
+            "_apply_binary": E._apply_binary,
+            "_DomainError": DomainError,
+            "_UnboundRefError": UnboundRefError,
+            "_NonDeterministicModelError": NonDeterministicModelError,
+        }
+        self.constants: dict[int, str] = {}
+        self.locals: set[str] = set()
+        self.count = 0
+        self.fn = _Function("plan")
+        self.helpers: list[_Function] = []
+        #: the cluster being built: variable -> the local holding its value,
+        #: and the variables whose atoms it sees (None for all)
+        self.scope: dict = {}
+        self.visible = None
+
+    # -- names ------------------------------------------------------------
+
+    def const(self, obj) -> str:
+        """The global name under which the code reads `obj` itself."""
+        name = self.constants.get(id(obj))
+        if name is None:
+            name = self.constants[id(obj)] = f"k{len(self.constants)}"
+            self.namespace[name] = obj
+        return name
+
+    def local(self) -> str:
+        self.count += 1
+        name = f"t{self.count}"
+        self.locals.add(name)
+        return name
+
+    def use(self, name: str) -> str:
+        """`name` as read by the function being written: a local of an outer
+        function becomes a parameter of a helper."""
+        if name in self.locals and self.fn.name != "plan":
+            self.fn.params[name] = None
+        return name
+
+    def line(self, depth: int, text: str) -> None:
+        self.fn.lines.append("    " * depth + text)
+
+    def sees(self, var) -> bool:
+        return self.visible is None or var in self.visible
+
+    def bound(self, var):
+        """The local holding `var`'s value in this cluster, or None."""
+        name = self.scope.get(var)
+        return None if name is None else self.use(name)
+
+    # -- conditions -------------------------------------------------------
+
+    @staticmethod
+    def truth(x: str) -> str:
+        """The test `_eval` applies to a condition's value `x`."""
+        return f"{x} is _TRUE or {x} is not _FALSE and _as_bool({x})"
+
+    def pure_test(self, c):
+        """The test of condition `c` when it needs no statement, else None."""
+        t = type(c)
+        if t is E.IsIntervened:
+            return f"{self.const(c.var)} in iv" if self.sees(c.var) else "False"
+        if t is E.Const:
+            return self.truth(self.const(c.value))
+        if t is E.Ref:
+            x = self.bound(c.var)
+            return None if x is None else self.truth(x)
+        return None
+
+    def test(self, c, depth: int, level: int):
+        """Sub-generator: emits `c`'s statements, returns its test."""
+        pure = self.pure_test(c)
+        if pure is not None:
+            return pure
+        x = yield c, depth, level, None
+        return self.truth(x)
+
+    # -- the walk ---------------------------------------------------------
+
+    def leaf(self, e, depth: int):
+        """The operand of a node that needs no statement of its own, else None."""
+        t = type(e)
+        if t is E.Const:
+            return self.const(e.value)
+        if t is E.Ref:
+            x = self.bound(e.var)
+            if x is None:
+                self.line(depth, f"raise _UnboundRefError({self.const(e.var)})")
+                return "None"
+            return x
+        return None
+
+    def value(self, e, depth: int, level: int, target=None) -> str:
+        """Emits the statements of `e` at `depth` and returns the operand
+        holding its value: `target` when given, else a leaf's own operand
+        or a new local.
+
+        Each node is a generator that yields `(child, depth, level, target)`
+        for each operand it needs and gets the operand back; the stack below
+        replaces recursion.  A child asked for at `_MAX_NESTING` levels or
+        deeper is built in a helper function."""
+        stack = []
+        sent, request = None, (e, depth, level, target)
+        while True:
+            if request is not None:
+                child, d, lvl, t = request
+                x = self.leaf(child, d)
+                if x is None:
+                    spilled = None
+                    if lvl >= _MAX_NESTING:
+                        spilled = (self.fn, d, t)
+                        self.fn = _Function(f"h{len(self.helpers) + 1}")
+                        self.helpers.append(self.fn)
+                        d, lvl, t = 1, 1, None
+                    t = t or self.local()
+                    stack.append((self.node(child, d, lvl, t), t, spilled))
+                    sent = None
+                else:
+                    if t is not None:
+                        self.line(d, f"{t} = {x}")
+                    if not stack:
+                        return t or x
+                    sent = t or x
+            gen, t, spilled = stack[-1]
+            try:
+                request = gen.send(sent)
+            except StopIteration:
+                stack.pop()
+                request, sent = None, t if spilled is None else self.close_helper(spilled, t)
+                if not stack:
+                    return sent
+
+    def close_helper(self, spilled, result: str) -> str:
+        """Ends the helper being written, which returns `result`, and calls
+        it from the function it was split from, storing into the target it
+        was asked for there."""
+        helper = self.fn
+        self.line(1, f"return {result}")
+        self.fn, depth, t = spilled
+        t = t or self.local()
+        args = ", ".join(["iv", "rng"] + [self.use(p) for p in helper.params])
+        self.line(depth, f"{t} = {helper.name}({args})")
+        return t
+
+    def node(self, e, d: int, lvl: int, t: str):
+        return _TEMPLATES.get(type(e), _Builder.fallback)(self, e, d, lvl, t)
+
+    # -- one template per node kind: a generator that stores into `t` -----
+
+    def unary(self, e, d, lvl, t):
+        if e.op == "not":
+            x = yield e.operand, d, lvl, None
+            self.line(d, f"{t} = _FALSE if {x} is _TRUE else _TRUE if {x} is _FALSE else _FALSE if _as_bool({x}) else _TRUE")
+        elif e.op == "neg":
+            x = yield e.operand, d, lvl, None
+            self.line(d, f"{t} = _wrap_number(-_numeric({x}))")
+        else:
+            self.line(d, f"raise _DomainError({self.const(f'unknown unary operator {e.op!r}')})")
+
+    def binary(self, e, d, lvl, t):
+        op = e.op
+        if op == "and" or op == "or":
+            test = yield from self.test(e.left, d, lvl)
+            self.line(d, f"if {test}:")
+            if op == "or":
+                self.line(d + 1, f"{t} = _TRUE")
+                self.line(d, "else:")
+            right = yield from self.test(e.right, d + 1, lvl + 1)
+            self.line(d + 1, f"{t} = _TRUE if {right} else _FALSE")
+            if op == "and":
+                self.line(d, "else:")
+                self.line(d + 1, f"{t} = _FALSE")
+            return
+        x = yield e.left, d, lvl, None
+        y = yield e.right, d, lvl, None
+        apply = E._BINARY.get(op)
+        if apply is None:
+            self.line(d, f"{t} = _apply_binary({self.const(op)}, {x}, {y})")
+        else:
+            self.line(d, f"{t} = {self.const(apply)}({x}, {y})")
+
+    def if_then_else(self, e, d, lvl, t):
+        test = yield from self.test(e.cond, d, lvl)
+        self.line(d, f"if {test}:")
+        yield e.then, d + 1, lvl + 1, t
+        e, lvl = e.orelse, lvl + 1
+        while type(e) is E.IfThenElse and lvl + 1 < _MAX_NESTING:
+            test = self.pure_test(e.cond)
+            if test is None:
+                break
+            self.line(d, f"elif {test}:")
+            yield e.then, d + 1, lvl + 1, t
+            e, lvl = e.orelse, lvl + 1
+        self.line(d, "else:")
+        # at the limit, the rest of a chain moves into one helper, not each
+        # branch of its next `if` into one of its own
+        yield e, d + 1, lvl if lvl + 1 < _MAX_NESTING else _MAX_NESTING, t
+
+    def case_list(self, e, d, lvl, t):
+        for i, (g, b) in enumerate(e.cases):
+            if i and lvl + 1 >= _MAX_NESTING:
+                # the cases left would nest too deep here: a helper takes them
+                self.line(d, "else:")
+                yield E.CaseList(e.cases[i:], e.default), d + 1, lvl, t
+                return
+            test = self.pure_test(g) if i else None
+            if test is not None:
+                self.line(d, f"elif {test}:")
+            else:
+                if i:
+                    self.line(d, "else:")
+                    d += 1
+                test = yield from self.test(g, d, lvl)
+                self.line(d, f"if {test}:")
+            yield b, d + 1, lvl + 1, t
+            lvl += 1
+        if e.cases:
+            self.line(d, "else:")
+            d += 1
+        yield e.default, d, lvl, t
+
+    def is_intervened(self, e, d, lvl, t):
+        self.line(d, f"{t} = _TRUE if {self.pure_test(e)} else _FALSE")
+        return
+        yield  # a generator, like every template
+
+    def intervention_value(self, e, d, lvl, t):
+        if self.sees(e.var):
+            self.line(d, f"{t} = iv.get({self.const(e.var)})")
+            self.line(d, f"if {t} is None:")
+            d, lvl = d + 1, lvl + 1
+        if e.fallback is None:
+            self.line(d, f"raise _UnboundRefError({self.const(e.var)})")
+        else:
+            yield e.fallback, d, lvl, t
+
+    def draw(self, e, d, lvl, t):
+        self.line(d, "if rng is None:")
+        self.line(d + 1, f"raise _NonDeterministicModelError({self.const(_DRAW_MESSAGE)})")
+        x = yield e.p, d, lvl, None
+        self.line(d, f"{t} = _VBool(_numeric({x}) < rng.random())")
+
+    def fallback(self, e, d, lvl, t):
+        env = ", ".join(f"{self.const(var)}: {self.use(name)}" for var, name in self.scope.items())
+        if self.visible is None:
+            forced = "iv"
+        else:
+            forced = f"{{v: x for v, x in iv.items() if v in {self.const(self.visible)}}}"
+        self.line(d, f"{t} = {self.const(e)}._eval({{{env}}}, {forced}, rng)")
+        return
+        yield  # a generator, like every template
+
+    # -- the plan ---------------------------------------------------------
+
+    def check(self, x: str, domain, message: str) -> None:
+        """Raises `DomainError(message)`, an f-string over `x`, unless `x`
+        is in `domain`.  The domain's `_contains` decides, after a test that
+        accepts the usual members without a call."""
+        test = f"{self.const(domain._contains)}({x})"
+        t = type(domain)
+        if t is E.BoolDomain:
+            test = f"type({x}) is _VBool or {test}"
+        elif t is E.IntDomain:
+            test = f"type({x}) is _VInt and {self.const(domain.lo)} <= {x}.i <= {self.const(domain.hi)} or {test}"
+        elif t is E.RealDomain and domain.lo is None and domain.hi is None:
+            test = f"type({x}) is _VReal or {test}"
+        self.line(1, f"if not ({test}):")
+        self.line(2, f"raise _DomainError(f{message!r})")
+
+    def row(self, var, domain, tree) -> None:
+        k = self.const(var)
+        if domain is None:
+            self.scope[var] = self.value(tree, 1, 1)
+            return
+        if self.sees(var):
+            x = self.local()
+            self.line(1, f"{x} = iv.get({k})")
+            self.line(1, f"if {x} is None:")
+            self.value(tree, 2, 2, x)
+        else:
+            x = self.value(tree, 1, 1)
+        self.check(x, domain, f"{{{k}}} evaluated to {{{x}}}, outside its domain")
+        self.scope[var] = x
+
+    def plan(self, plan) -> None:
+        self.line(1, "iv = dict(interventions.assignments)")
+        acc = {}
+        for var, domain in plan.inputs:
+            k, x = self.const(var), self.local()
+            self.line(1, f"if {k} not in u:")
+            self.line(2, f"raise _UnboundRefError({k})")
+            self.line(1, f"{x} = u[{k}]")
+            if domain is not None:
+                self.check(x, domain, f"input {{{k}}}={{{x}}} is outside its domain")
+            acc[var] = x
+        for inputs, visible, rows in plan.clusters:
+            missing = next((v for v in inputs if v not in acc), None)
+            if missing is not None:
+                self.line(1, f"raise KeyError({self.const(missing)})")
+                return
+            self.scope, self.visible = {v: acc[v] for v in inputs}, visible
+            for var, domain, tree in rows:
+                self.row(var, domain, tree)
+            acc.update(self.scope)
+        missing = next((v for v in plan.outputs if v not in acc), None)
+        if missing is not None:
+            self.line(1, f"raise KeyError({self.const(missing)})")
+            return
+        self.line(1, "return {" + ", ".join(f"{self.const(v)}: {acc[v]}" for v in plan.outputs) + "}")
+
+    def source(self) -> str:
+        """`make()`, which defines the helpers and `plan` and returns
+        `plan`.  The helpers are locals of `make`, so no function is held
+        by the globals it runs in, and the code is freed with the plan
+        without the cyclic collector."""
+        parts = []
+        for fn in self.helpers:
+            params = ", ".join(["iv", "rng", *fn.params])
+            parts.append(f"def {fn.name}({params}):\n" + "\n".join(fn.lines))
+        parts.append("def plan(u, interventions, rng=None):\n" + "\n".join(self.fn.lines))
+        body = "\n\n".join(parts) + "\n\nreturn plan"
+        return "def make():\n" + textwrap.indent(body, "    ") + "\n"
+
+
+_TEMPLATES = {
+    E.Unary: _Builder.unary,
+    E.Binary: _Builder.binary,
+    E.IfThenElse: _Builder.if_then_else,
+    E.CaseList: _Builder.case_list,
+    E.IsIntervened: _Builder.is_intervened,
+    E.InterventionValue: _Builder.intervention_value,
+    E.RandomBernoulli: _Builder.draw,
+}
+
+
+def plan_source(plan) -> tuple[str, dict]:
+    """The source of `plan`'s function and the globals it runs in."""
+    builder = _Builder()
+    builder.plan(plan)
+    return builder.source(), builder.namespace
+
+
+def compile_plan(plan) -> Callable:
+    """`plan` as one Python function `(u, interventions, rng=None) ->
+    outputs` that agrees with `evaluation.run_plan(plan, u, interventions,
+    rng)`."""
+    source, namespace = plan_source(plan)
+    exec(compile(source, "<scmc plan>", "exec"), namespace)
+    return namespace.pop("make")()

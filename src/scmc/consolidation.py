@@ -21,6 +21,7 @@ from . import images as I
 from . import passes as P
 from . import scm as S
 from .errors import (
+    EmptySpaceError,
     InterventionNotAllowedError,
     InvalidParameterError,
     InvalidPartitionError,
@@ -472,8 +473,11 @@ def ccv_plan(ccv: Ccv, inputs: tuple[VarRef, ...]) -> S.Plan:
     return S.Plan(tuple((v, None) for v in inputs), ((inputs, None, ccv.rows),), ccv.targets)
 
 
+@recursion_as_too_deep
 def eval_ccv(ccv: Ccv, local_u: Assignment, local_iv: InterventionSet, rng=None) -> Assignment:
-    """Evaluate the targets in order; earlier targets are visible to later ones."""
+    """Evaluate the targets in order; earlier targets are visible to later
+    ones.  The plan runs once, so it walks the trees (`run_plan`): a Ccv
+    nested too deeply for that raises `ModelTooDeepError`."""
     return run_plan(ccv_plan(ccv, tuple(local_u)), local_u, local_iv, rng)
 
 
@@ -490,14 +494,18 @@ def eval_consolidated(
     influence any surviving target): membership is checked without them, and
     no cluster sees them.  Clusters then run in order exactly like
     partitioned evaluation, each under its own atoms, with compositional
-    equations standing in for the consolidated clusters.
+    equations standing in for the consolidated clusters.  Runs the model's
+    plan as generated code (`Plan.compiled`), built on the first call; it
+    does not recurse per tree level, so a model nested deeper than the
+    recursion limit evaluates.
     """
     iv = interventions if interventions is not None else InterventionSet.empty()
     if check_membership:
-        kept = iv.drop(cons.dropped_atom_vars)
+        dropped = cons.dropped_atom_vars
+        kept = iv.drop(dropped) if dropped and not dropped.isdisjoint(iv.vars()) else iv
         if not cons.interventions.contains(kept):
             raise InterventionNotAllowedError(f"{kept} is not in the allowed intervention space")
-    return run_plan(cons.plan, u, iv, rng)
+    return cons.plan.compiled(u, iv, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +528,8 @@ def consolidate(
     empty set yields the partitioned model unchanged (no compositional
     equations at all).  An index outside the partition raises
     `InvalidPartitionError`, a pass name outside `passes.ALL_PASSES`
-    `InvalidParameterError`.  A model nested too deeply for the recursive
+    `InvalidParameterError`, and an explicit intervention space that lists
+    no set `EmptySpaceError`.  A model nested too deeply for the recursive
     tree walkers raises `ModelTooDeepError`.
     """
     config = config or PassConfig()
@@ -535,6 +544,8 @@ def consolidate(
     pre_report = check_partition(scm, partition)
     if not pre_report.valid:
         raise InvalidPartitionError(str(pre_report))
+    if scm.interventions.mode == S.EXPLICIT and not scm.interventions.sets:
+        raise EmptySpaceError()
 
     pruned, removed, atom_vars = prune_childless(scm, tlist)
     survivor_partition = partition.restrict_to(pruned.endo_vars())

@@ -35,6 +35,14 @@ class InterventionNotAllowedError(ScmcError):
     pass
 
 
+class EmptySpaceError(ScmcError):
+    """The explicit intervention space lists no set, not even the empty one
+    (`validate`'s `EmptySpace` finding), so no check has a case."""
+
+    def __init__(self, message="the explicit intervention space lists no set, not even the empty one"):
+        super().__init__(message)
+
+
 class InvalidPartitionError(ScmcError):
     pass
 

@@ -22,6 +22,7 @@ from .errors import (
     InterventionNotAllowedError,
     NonDeterministicModelError,
     UnboundRefError,
+    recursion_as_too_deep,
 )
 from .expr import Value, VarRef
 from .partition import Partition, extract_sub_scm, order_clusters
@@ -45,14 +46,18 @@ def eval_scm(
     """Evaluate every endogenous variable in declared (topological) order.
 
     Intervened variables take their forced value and their equation is
-    skipped.  Every input and value is checked against its domain.
+    skipped.  Every input and value is checked against its domain.  Runs
+    the model's plan as generated code (`Plan.compiled`), built on the
+    first call; it does not recurse per tree level, so a model nested
+    deeper than the recursion limit evaluates.
     """
     iv = interventions if interventions is not None else InterventionSet.empty()
     if check_membership and not scm.interventions.contains(iv):
         raise InterventionNotAllowedError(f"{iv} is not in the allowed intervention space")
-    return run_plan(scm.plan, u, iv, rng)
+    return scm.plan.compiled(u, iv, rng)
 
 
+@recursion_as_too_deep
 def eval_partitioned(
     scm: Scm,
     partition: Partition,
@@ -65,7 +70,9 @@ def eval_partitioned(
     Clusters run in a linear extension of the quotient order.  Each cluster
     selects its local inputs from the values accumulated so far, applies the
     projection of the intervention set onto its own variables, evaluates its
-    equations, and merges the values back.
+    equations, and merges the values back.  It walks the trees
+    (`run_plan`), so a model nested too deeply for that raises
+    `ModelTooDeepError`.
     """
     iv = interventions if interventions is not None else InterventionSet.empty()
     if not scm.interventions.contains(iv):
@@ -78,7 +85,8 @@ def eval_partitioned(
 def run_plan(plan: S.Plan, u: Assignment, iv: InterventionSet, rng=None) -> Assignment:
     """A plan's outputs on one case: every input is checked against its
     domain, then each cluster runs its rows on its local inputs, under the
-    atoms of `iv` that it sees."""
+    atoms of `iv` that it sees.  The tree-walking runner, for plans that run
+    once; `plan.compiled(u, iv, rng)` returns and raises the same."""
     acc: Assignment = {}
     for var, dom in plan.inputs:
         if var not in u:

@@ -135,8 +135,9 @@ def verify_equivalence(
     Exhaustive mode visits every (input, intervention) pair exactly once, in
     canonical order, so the reported counterexample is the smallest failing
     case.  Budget overruns surface as an inconclusive verdict, never as a
-    silently truncated pass.  A model nested too deeply for the recursive
-    tree walkers raises `ModelTooDeepError`.
+    silently truncated pass.  Where the columns run out of frames on a
+    deeply nested model, the per-case loop, which runs each model's
+    generated code (`Plan.compiled`), takes over.
     """
     strategy = strategy or EquivalenceStrategy.exhaustive()
     tlist = sorted(set(targets) if targets is not None else set(cons.targets), key=ref_sort_key)

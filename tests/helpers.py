@@ -659,6 +659,34 @@ def oracle_eval(e: E.Expr, env, interventions: InterventionSet = None, rng=None)
     return ev(e)
 
 
+def oracle_run_plan(plan, u, interventions: InterventionSet, rng=None) -> dict:
+    """A plan's outputs on one case, the rows of each cluster evaluated with
+    `oracle_eval` under the atoms the cluster sees, taken from the set with
+    `InterventionSet.get`; domains are checked with
+    `oracle_value_in_domain`.  Raises what `evaluation.run_plan` raises."""
+    acc = {}
+    for var, dom in plan.inputs:
+        if var not in u:
+            raise UnboundRefError(var)
+        x = acc[var] = u[var]
+        if dom is not None and not oracle_value_in_domain(x, dom):
+            raise DomainError(f"input {var}={x} is outside its domain")
+    for inputs, visible, rows in plan.clusters:
+        env = {v: acc[v] for v in inputs}
+        seen = interventions
+        if visible is not None:
+            seen = InterventionSet(tuple(p for p in interventions.assignments if p[0] in visible))
+        for var, dom, tree in rows:
+            x = seen.get(var) if dom is not None else None
+            if x is None:
+                x = oracle_eval(tree, env, seen, rng)
+            if dom is not None and not oracle_value_in_domain(x, dom):
+                raise DomainError(f"{var} evaluated to {x}, outside its domain")
+            env[var] = x
+        acc.update(env)
+    return {v: acc[v] for v in plan.outputs}
+
+
 # ---------------------------------------------------------------------------
 # Reference queried-variable sets
 # ---------------------------------------------------------------------------

@@ -277,6 +277,29 @@ class TestConsolidateVerify:
         assert message in json.loads(capsys.readouterr().out)["error"]["message"]
         assert not out.exists()
 
+    def test_explicit_space_with_no_set_is_refused(self, tmp_path, capsys):
+        doc = {
+            "name": "no-set",
+            "exogenous": [
+                {"name": "U", "domain": {"kind": "bool"}, "dist": {"kind": "uniform_finite", "values": [False, True]}}
+            ],
+            "endogenous": [
+                {"name": "D", "domain": {"kind": "bool"}, "eq": {"ref": "U"}},
+                {"name": "F", "domain": {"kind": "bool"}, "eq": {"op": "not", "args": [{"ref": "D"}]}},
+            ],
+            "interventions": {"mode": "explicit", "sets": []},
+        }
+        model, part, out = tmp_path / "no-set.json", tmp_path / "no-set.partition.json", tmp_path / "never.json"
+        save(str(model), doc)
+        save(str(part), {"clusters": [["D", "F"]]})
+        args = ["consolidate", str(model), str(part), "--targets", "F", "-o", str(out)]
+        message = "the explicit intervention space lists no set, not even the empty one"
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["--json"] + args) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": {"kind": "EmptySpaceError", "message": message}}
+        assert not out.exists()
+
     def test_sharpness_trajectory_rows(self, tmp_path, capsys):
         assert main(["demo", "tool_wear", "T=6", "--out-dir", str(tmp_path)]) == 0
         model = tmp_path / "tool-wear.model.json"

@@ -1,0 +1,499 @@
+"""The generated per-case code of a plan (`Plan.compiled`), checked against
+the tree walker `run_plan` and the reference runner `oracle_run_plan`:
+values with their classes, errors with their messages, and the draws taken
+from the random source.  Covers random plans over every node kind and value
+kind, the random models, every zoo model, and models nested deeper than
+the recursion limit."""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import random
+import sys
+import weakref
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import oracle_run_plan, random_intervention, random_model, random_partition, random_u
+from scmc import documents as D
+from scmc import expr as E
+from scmc import zoo
+from scmc.codegen import _MAX_NESTING, plan_source
+from scmc.consolidation import Ccv, CcvCluster, PassConfig, attach_ccvs, consolidate, eval_ccv, eval_consolidated
+from scmc.errors import DomainError, ModelTooDeepError, NonDeterministicModelError, UnboundRefError
+from scmc.evaluation import eval_partitioned, eval_scm, make_rng, run_plan, sample_exogenous
+from scmc.expr import (
+    Binary,
+    BoolDomain,
+    CaseList,
+    Const,
+    ExistsIntervention,
+    IfThenElse,
+    IntDomain,
+    InterventionValue,
+    IsIntervened,
+    MaxIntervenedIndex,
+    RandomBernoulli,
+    RealDomain,
+    Ref,
+    SymDomain,
+    Unary,
+    VarRef,
+    VBool,
+    VInt,
+    VReal,
+    VSym,
+)
+from scmc.partition import Partition
+from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Plan, Scm, UniformFinite
+from scmc.verification import EquivalenceStrategy, verify_equivalence
+
+A, B = VarRef("A"), VarRef("B")
+S1, S2, S3 = VarRef("S", 1), VarRef("S", 2), VarRef("S", 3)
+Z = VarRef("Z")  # never an input, never a row
+INPUT_VARS = [A, B]
+ROW_VARS = [S1, S2, S3, A]
+POOL = [A, B, S1, S2, S3]
+
+VALUES = [
+    VBool(False),
+    VBool(True),
+    E._TRUE,
+    VInt(-2),
+    VInt(0),
+    VInt(1),
+    VInt(2),
+    VInt(10**400),  # a real domain cannot hold it: `float` overflows
+    VReal(-1.5),
+    VReal(-0.0),
+    VReal(0.0),
+    VReal(1.0),
+    VReal(2.5),
+    VReal(float("nan")),
+    VSym("a"),
+    VSym("c"),
+]
+DOMAINS = [
+    None,
+    BoolDomain(),
+    IntDomain(0, 2),
+    RealDomain(),
+    RealDomain(0.0, 1.0),
+    SymDomain(("a", "b")),
+]
+values = st.sampled_from(VALUES)
+
+
+def outcome(fn):
+    """What a call returns, by `repr` and value classes, or what it raises."""
+    try:
+        out = fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises", type(exc), str(exc)
+    return "value", repr(out), [type(v) for v in out.values()]
+
+
+def agree(plan: Plan, u, iv: InterventionSet, seed=None):
+    """The compiled plan's outcome, after checking that `run_plan` and
+    `oracle_run_plan` give the same one and take the same draws."""
+    rngs = [None if seed is None else random.Random(seed) for _ in range(3)]
+    got = outcome(lambda: plan.compiled(u, iv, rngs[0]))
+    want = outcome(lambda: run_plan(plan, u, iv, rngs[1]))
+    oracle = outcome(lambda: oracle_run_plan(plan, u, iv, rngs[2]))
+    assert got == want, (plan, u, iv)
+    assert got == oracle, (plan, u, iv)
+    if seed is not None:
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Random plans over every node kind and value kind
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def leaves(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return Const(draw(values))
+    if kind == 1:
+        return Ref(draw(st.sampled_from(POOL + [Z])))
+    if kind == 2:
+        return IsIntervened(draw(st.sampled_from(POOL)))
+    return ExistsIntervention(
+        draw(st.sampled_from(["S", "A"])),
+        draw(st.one_of(st.none(), st.integers(0, 3))),
+        draw(st.one_of(st.none(), st.integers(0, 3))),
+        draw(st.one_of(st.none(), values)),
+    )
+
+
+@st.composite
+def trees(draw, depth=3):
+    if depth == 0:
+        return draw(leaves())
+    sub = trees(depth=depth - 1)
+    kind = draw(st.integers(0, 8))
+    if kind == 1:
+        return Unary(draw(st.sampled_from(["neg", "not", "abs"])), draw(sub))
+    if kind == 2:
+        return Binary(draw(st.sampled_from(sorted(E.BINARY_OPS) + ["xor"])), draw(sub), draw(sub))
+    if kind == 3:
+        return IfThenElse(draw(sub), draw(sub), draw(sub))
+    if kind == 4:
+        return CaseList(tuple(draw(st.lists(st.tuples(sub, sub), max_size=3))), draw(sub))
+    if kind == 5:
+        return InterventionValue(draw(st.sampled_from(POOL + [Z])), draw(st.one_of(st.none(), sub)))
+    if kind == 6:
+        return MaxIntervenedIndex(draw(st.sampled_from(["S", "A"])), draw(sub), draw(sub))
+    if kind == 7:
+        return RandomBernoulli(draw(sub))
+    return draw(leaves())
+
+
+def members(domain) -> list:
+    """The values of VALUES that `domain` holds, or all of them for None."""
+    if domain is None:
+        return VALUES
+    out = []
+    for v in VALUES:
+        try:
+            if domain._contains(v):
+                out.append(v)
+        except OverflowError:
+            pass
+    return out
+
+
+@st.composite
+def cases(draw):
+    """A plan, and one case of it: inputs, an intervention set and an rng
+    seed (or None for no random source)."""
+    inputs = tuple(draw(st.lists(st.tuples(st.sampled_from(INPUT_VARS), st.sampled_from(DOMAINS)), max_size=3)))
+    bound = [v for v, _ in inputs]
+    clusters = []
+    for _ in range(draw(st.integers(1, 3))):
+        # mostly variables bound so far; now and then one that is not
+        local = draw(st.lists(st.sampled_from(bound + [Z] if bound else [Z]), max_size=3))
+        if bound and draw(st.integers(0, 4)):
+            local = [v for v in local if v is not Z]
+        visible = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(POOL))))
+        rows = tuple(
+            draw(st.lists(st.tuples(st.sampled_from(ROW_VARS), st.sampled_from(DOMAINS), trees()), min_size=1, max_size=3))
+        )
+        clusters.append((tuple(local), visible, rows))
+        bound += [v for v, _, _ in rows]
+    pool = bound + [Z] if not bound or not draw(st.integers(0, 9)) else bound
+    outputs = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
+    u = {}
+    for var, dom in inputs:
+        if draw(st.integers(0, 19)):
+            u[var] = draw(st.one_of(st.sampled_from(members(dom) or VALUES), values))
+    iv = InterventionSet.of(draw(st.dictionaries(st.sampled_from(POOL), values, max_size=3)))
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    return Plan(inputs, tuple(clusters), outputs), u, iv, seed
+
+
+@settings(max_examples=500)
+@given(cases())
+def test_compiled_plans_match_the_tree_walker_and_the_oracle(case):
+    plan, u, iv, seed = case
+    agree(plan, u, iv, seed)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_random_models_match(seed, case_seed):
+    scm = random_model(seed)
+    u, iv = random_u(scm, case_seed), random_intervention(scm, case_seed)
+    got = agree(scm.plan, u, iv)
+    assert got == outcome(lambda: eval_scm(scm, u, iv, check_membership=False))
+
+
+def test_consolidated_random_models_match():
+    for seed in range(40):
+        scm = random_model(seed)
+        cons = consolidate(scm, random_partition(scm, seed), scm.endo_vars()[-2:], config=PassConfig(seed=seed))
+        for k in range(8):
+            u, iv = random_u(scm, 100 * seed + k), random_intervention(scm, 100 * seed + k)
+            got = agree(cons.plan, u, iv)
+            assert got == outcome(lambda: eval_consolidated(cons, u, iv, check_membership=False))
+
+
+# ---------------------------------------------------------------------------
+# The zoo, under every set of each space that fits the budget, else 64
+# sampled sets
+# ---------------------------------------------------------------------------
+
+#: every zoo builder with its defaults; dominoes(128) and firing_squad(8) at
+#: the bench's sizes; tool_wear(3), whose space, unlike tool_wear(36)'s, fits
+#: the budget
+ZOO = [build() for build in zoo.ZOO_BUILDERS.values()] + [zoo.dominoes(128), zoo.firing_squad(8), zoo.tool_wear(3)]
+
+
+@pytest.mark.parametrize("entry", ZOO, ids=[f"{e.name}-{e.scm.name}-{i}" for i, e in enumerate(ZOO)])
+def test_zoo_models_match_under_every_set(entry):
+    space = entry.scm.interventions
+    if space.size() <= 4096:
+        sets = space.enumerate()
+    else:
+        rng = make_rng(0)
+        sets = [space.sample(rng) for _ in range(64)]
+    draws = sample_exogenous(entry.scm, 0, 3, strict=False)
+    cons = entry.consolidated()
+    for plan in (entry.scm.plan, cons.plan):
+        for k, iv in enumerate(sets):
+            for j, u in enumerate(draws):
+                assert agree(plan, u, iv, seed=k * 3 + j)[0] == "value"
+
+
+# ---------------------------------------------------------------------------
+# Where the generated code raises, and where it must not
+# ---------------------------------------------------------------------------
+
+
+def one_row_plan(tree, domain=None, visible=None, inputs=((A, BoolDomain()),)):
+    return Plan(inputs, ((tuple(v for v, _ in inputs), visible, ((S1, domain, tree),)),), (S1,))
+
+
+def test_unbound_ref_raises_only_on_the_path_taken():
+    for tree in (
+        IfThenElse(Ref(A), Ref(Z), Const(VInt(1))),
+        CaseList(((Ref(A), Ref(Z)),), Const(VInt(1))),
+        IfThenElse(Binary("and", Ref(A), Ref(Z)), Const(VInt(2)), Const(VInt(1))),
+        IfThenElse(Binary("or", Unary("not", Ref(A)), Ref(Z)), Const(VInt(2)), Const(VInt(1))),
+        IfThenElse(Ref(A), InterventionValue(S2), Const(VInt(1))),
+    ):
+        plan = one_row_plan(tree)
+        assert agree(plan, {A: VBool(False)}, InterventionSet.empty())[0] != "raises"
+        got = agree(plan, {A: VBool(True)}, InterventionSet.empty())
+        assert got[:2] == ("raises", UnboundRefError)
+    # a Ccv reads only what its cluster has bound, not what an earlier cluster computed
+    plan = Plan(((A, None),), (((A,), None, ((S1, None, Ref(A)),)), ((), None, ((S2, None, Ref(S1)),))), (S2,))
+    assert agree(plan, {A: VInt(1)}, InterventionSet.empty()) == ("raises", UnboundRefError, f"unbound reference: {S1}")
+
+
+def test_forced_values_are_checked_and_skip_the_tree():
+    plan = one_row_plan(Ref(Z), IntDomain(0, 2))
+    iv = InterventionSet.of({S1: VInt(5)})
+    assert agree(plan, {A: VBool(True)}, iv) == ("raises", DomainError, "S_1 evaluated to VInt(i=5), outside its domain")
+    assert agree(plan, {A: VBool(True)}, InterventionSet.of({S1: VInt(2)}))[1] == repr({S1: VInt(2)})
+    # a cluster that does not see the atom evaluates the tree
+    plan = one_row_plan(Const(VInt(1)), IntDomain(0, 2), visible=frozenset())
+    assert agree(plan, {A: VBool(True)}, iv)[1] == repr({S1: VInt(1)})
+
+
+def test_inputs_are_checked_in_order():
+    plan = one_row_plan(Const(VInt(1)), inputs=((A, BoolDomain()), (B, IntDomain(0, 1))))
+    assert agree(plan, {B: VInt(0)}, InterventionSet.empty()) == ("raises", UnboundRefError, "unbound reference: A")
+    assert agree(plan, {A: VInt(3)}, InterventionSet.empty()) == (
+        "raises",
+        DomainError,
+        "input A=VInt(i=3) is outside its domain",
+    )
+    assert agree(plan, {A: VBool(True), B: VInt(7)}, InterventionSet.empty())[2] == "input B=VInt(i=7) is outside its domain"
+
+
+def test_draws_follow_the_evaluation_order():
+    tree = Binary("eq", RandomBernoulli(Const(VReal(0.25))), RandomBernoulli(IfThenElse(Ref(A), Const(VReal(0.1)), Const(VReal(0.9)))))
+    plan = one_row_plan(tree)
+    for seed in range(20):
+        assert agree(plan, {A: VBool(seed % 2 == 0)}, InterventionSet.empty(), seed)[0] == "value"
+    assert agree(plan, {A: VBool(True)}, InterventionSet.empty()) == (
+        "raises",
+        NonDeterministicModelError,
+        "model draws at evaluation time; reparameterize it or pass an rng",
+    )
+
+
+def test_the_plan_still_compares_hashes_prints_and_pickles_as_before():
+    entry = zoo.step_by_step()
+    plan = entry.scm.plan
+    before = (repr(plan), hash(plan))
+    eval_scm(entry.scm, sample_exogenous(entry.scm, 0, 1)[0])
+    assert "compiled" in plan.__dict__
+    assert (repr(plan), hash(plan)) == before
+    copy = pickle.loads(pickle.dumps(entry.scm))
+    assert copy == entry.scm and copy.plan == plan
+    assert "compiled" not in copy.plan.__dict__
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["flat", "with-helpers"])
+def test_the_generated_function_is_freed_with_its_plan(deep):
+    chain = Ref(A)
+    for _ in range(3 * _MAX_NESTING if deep else 1):
+        chain = Binary("and", Ref(A), chain)
+    plan = one_row_plan(chain)
+    assert ("def h1(" in plan_source(plan)[0]) == deep
+    gc.collect()
+    gc.disable()
+    try:
+        function = weakref.ref(plan.compiled)
+        del plan
+        assert function() is None  # no reference cycle keeps it alive
+    finally:
+        gc.enable()
+
+
+def test_consolidation_verification_and_documents_build_no_code():
+    """The bench's models under its strategies: the columns cover every
+    case, so only queries build code."""
+    for entry in (zoo.platformer(), zoo.firing_squad(8), zoo.step_by_step(), zoo.dominoes(128), zoo.tool_wear(36)):
+        cons = entry.consolidated()
+        if entry.scm.interventions.size() > 4096:
+            strategy = EquivalenceStrategy.sampled(count=256, seed=1)
+        else:
+            strategy = EquivalenceStrategy.exhaustive()
+        assert verify_equivalence(entry.scm, cons, entry.targets, strategy).equal
+        back = D.consolidated_from_doc(D.consolidated_to_doc(cons))
+        for plan in (entry.scm.plan, cons.plan, back.plan):
+            assert "compiled" not in plan.__dict__
+
+
+# ---------------------------------------------------------------------------
+# Depth
+# ---------------------------------------------------------------------------
+
+DEEP = 5000
+
+
+def not_chain(x, n=DEEP):
+    for _ in range(n):
+        x = Unary("not", x)
+    return x
+
+
+def add_chain(x, n=DEEP):
+    for _ in range(n):
+        x = Binary("add", x, Const(VInt(1)))
+    return x
+
+
+def ladder(stones, last):
+    """if do(S_n) then its value elif do(S_n-1) ... else `last`."""
+    tree = last
+    for s in stones:
+        tree = IfThenElse(IsIntervened(s), InterventionValue(s), tree)
+    return tree
+
+
+def nesting(plan) -> int:
+    return max((len(line) - len(line.lstrip(" "))) // 4 for line in plan_source(plan)[0].splitlines())
+
+
+U, N, X, Y, W = VarRef("U"), VarRef("N"), VarRef("X"), VarRef("Y"), VarRef("W")
+
+
+def deep_scm() -> Scm:
+    """dominoes(DEEP) with three more variables: a `not` chain, an `add`
+    chain and a ladder over every stone, each DEEP levels deep."""
+    base = zoo.dominoes(DEEP).scm
+    stones = base.endo_vars()
+    return Scm(
+        name="deep",
+        endogenous=base.endogenous
+        + (
+            EndoVar(X, BoolDomain(), not_chain(Ref(U))),
+            EndoVar(Y, IntDomain(0, 2 * DEEP), add_chain(Ref(N))),
+            EndoVar(W, BoolDomain(), ladder(stones[1:], Ref(stones[0]))),
+        ),
+        exogenous=base.exogenous
+        + (
+            ExoVar(U, BoolDomain(), UniformFinite((VBool(False), VBool(True)))),
+            ExoVar(N, IntDomain(0, 3), UniformFinite((VInt(0), VInt(3)))),
+        ),
+        interventions=base.interventions,
+    )
+
+
+def test_models_deeper_than_the_recursion_limit_evaluate():
+    assert sys.getrecursionlimit() < DEEP
+    scm = deep_scm()
+    push = VarRef("push")
+    u = {push: VBool(True), U: VBool(False), N: VInt(3)}
+    out = eval_scm(scm, u)
+    assert (out[X], out[Y], out[W]) == (VBool(False), VInt(DEEP + 3), VBool(True))
+    held = InterventionSet.of({VarRef("S", DEEP // 2): VBool(False)})
+    out = eval_scm(scm, u, held)
+    assert out[W] == VBool(False) and out[VarRef("S", DEEP)] == VBool(False)
+    assert nesting(scm.plan) <= _MAX_NESTING + 2
+    with pytest.raises(ModelTooDeepError):
+        eval_partitioned(scm, Partition.of([[v] for v in scm.endo_vars()]), u)
+
+
+def test_consolidated_models_deeper_than_the_recursion_limit_evaluate():
+    entry = zoo.dominoes(DEEP)
+    stones = entry.scm.endo_vars()
+    cons = consolidate(entry.scm, entry.partition, entry.targets, set(), PassConfig(gate=False))
+    rho = {stones[-1]: ladder(stones[1:], Ref(stones[0]))}
+    cons = attach_ccvs(cons, {1: Ccv((stones[-1],), rho, entry.scm.interventions.restrict(stones[1:]), 1)})
+    push = VarRef("push")
+    assert eval_consolidated(cons, {push: VBool(True)})[stones[-1]] == VBool(True)
+    for k in (2, DEEP // 2, DEEP):
+        held = InterventionSet.of({VarRef("S", k): VBool(False)})
+        want = eval_scm(entry.scm, {push: VBool(True)}, held)[stones[-1]]
+        assert eval_consolidated(cons, {push: VBool(True)}, held)[stones[-1]] == want == VBool(k == 1)
+    assert nesting(cons.plan) <= _MAX_NESTING + 2
+    ccv = next(c.ccv for c in cons.clusters if isinstance(c, CcvCluster))
+    with pytest.raises(ModelTooDeepError):
+        eval_ccv(ccv, {stones[0]: VBool(True)}, InterventionSet.empty())
+
+
+def test_deep_strict_chains_in_a_consolidated_model():
+    base = Scm(
+        name="two",
+        endogenous=(EndoVar(X, BoolDomain(), Ref(U)), EndoVar(Y, IntDomain(0, 2 * DEEP), Ref(N))),
+        exogenous=(
+            ExoVar(U, BoolDomain(), UniformFinite((VBool(False), VBool(True)))),
+            ExoVar(N, IntDomain(0, 3), UniformFinite((VInt(0), VInt(3)))),
+        ),
+        interventions=InterventionSpace.power_set([(X, [VBool(True)])]),
+    )
+    cons = consolidate(base, Partition.of([[X], [Y]]), [X, Y], set(), PassConfig(gate=False))
+    space = base.interventions
+    cons = attach_ccvs(
+        cons,
+        {
+            0: Ccv((X,), {X: not_chain(Ref(U), DEEP + 1)}, space, 0),
+            1: Ccv((Y,), {Y: add_chain(Ref(N))}, space, 1),
+        },
+    )
+    assert eval_consolidated(cons, {U: VBool(True), N: VInt(2)}) == {X: VBool(False), Y: VInt(DEEP + 2)}
+    with pytest.raises(ModelTooDeepError):
+        eval_ccv(cons.ccvs()[0], {U: VBool(True)}, InterventionSet.empty())
+
+
+@pytest.mark.parametrize("width", [_MAX_NESTING - 1, _MAX_NESTING, 3 * _MAX_NESTING + 7])
+def test_lazy_nesting_moves_into_helpers(width):
+    """Right-nested `and`s, `if`s on computed conditions, case lists with
+    computed guards and fallback chains, each past the nesting limit."""
+    bits = [VarRef("b", k) for k in range(width)]
+    inputs = tuple((b, BoolDomain()) for b in bits)
+
+    def right(op):
+        tree = Ref(bits[-1])
+        for b in reversed(bits[:-1]):
+            tree = Binary(op, Unary("not", Ref(b)), tree)
+        return tree
+
+    ite = Const(VInt(-1))
+    for k, b in enumerate(bits):
+        ite = IfThenElse(Unary("not", Ref(b)), ite, Const(VInt(k)))
+    cases_ = CaseList(tuple((Unary("not", Ref(b)), Const(VInt(k))) for k, b in enumerate(bits)), Const(VInt(-1)))
+    fallback = Const(VInt(-1))
+    for k, b in enumerate(bits):
+        fallback = InterventionValue(b, Binary("add", fallback, Const(VInt(k))))
+    rows = tuple((VarRef("r", k), None, tree) for k, tree in enumerate([right("and"), right("or"), ite, cases_, fallback]))
+    plan = Plan(inputs, ((bits, None, rows),), tuple(v for v, _, _ in rows))
+    assert nesting(plan) <= _MAX_NESTING + 2
+    rng = random.Random(width)
+    for _ in range(12):
+        u = {b: VBool(rng.random() < 0.9) for b in bits}
+        iv = InterventionSet.of({b: VInt(7) for b in bits if rng.random() < 0.05})
+        got = agree(plan, u, iv)
+        assert got[0] == "value", got

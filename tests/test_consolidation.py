@@ -22,14 +22,17 @@ from scmc.consolidation import (
     prune_childless,
     register_closed_form,
 )
+from scmc import consolidation as C
 from scmc.errors import (
     DomainError,
+    EmptySpaceError,
     EquivalenceFailedError,
     InterventionNotAllowedError,
     InvalidParameterError,
     InvalidPartitionError,
     InvalidTargetError,
     ModelTooDeepError,
+    ScmcError,
     UnboundRefError,
 )
 from scmc.evaluation import enumerate_exogenous, eval_scm
@@ -393,6 +396,47 @@ class TestConsolidate:
             eval_consolidated(cons, {}, InterventionSet.empty())
         with pytest.raises(DomainError, match="input A=VBool"):
             eval_consolidated(cons, {A: E.VBool(True)}, InterventionSet.empty())
+
+    def test_membership_drops_marginalized_atoms_only_when_there_are_some(self, monkeypatch):
+        entry = zoo.step_by_step()
+        cons = consolidate(entry.scm, entry.partition, entry.targets, clusters_to_consolidate={0})
+        D_, B_ = VarRef("D"), VarRef("B")
+        assert cons.dropped_atom_vars == {D_}
+        drops = []
+        real = InterventionSet.drop
+        monkeypatch.setattr(InterventionSet, "drop", lambda iv, gone: drops.append(iv) or real(iv, gone))
+        for iv in entry.scm.interventions.enumerate():
+            base = eval_scm(entry.scm, {A: E.VInt(2)}, iv)
+            out = eval_consolidated(cons, {A: E.VInt(2)}, iv)
+            assert all(out[v] == base[v] for v in cons.targets)
+            assert drops == ([iv] if iv.has(D_) else [])
+            drops.clear()
+        for iv, kept in [
+            (InterventionSet.of({B_: E.VInt(1)}), "{do(B=1)}"),
+            (InterventionSet.of({B_: E.VInt(1), D_: E.VBool(True)}), "{do(B=1)}"),
+        ]:
+            with pytest.raises(InterventionNotAllowedError) as info:
+                eval_consolidated(cons, {A: E.VInt(0)}, iv)
+            assert str(info.value) == f"{kept} is not in the allowed intervention space"
+            assert drops == ([iv] if iv.has(D_) else [])
+            drops.clear()
+        # a model that marginalizes nothing never drops
+        entry = zoo.dominoes(6)
+        cons = entry.consolidated()
+        assert not cons.dropped_atom_vars
+        for iv in entry.scm.interventions.enumerate():
+            eval_consolidated(cons, {VarRef("push"): E.VBool(True)}, iv)
+        assert drops == []
+
+    def test_an_explicit_space_with_no_set_is_refused_before_any_cluster(self, monkeypatch):
+        entry = zoo.platformer()
+        scm = replace(entry.scm, interventions=InterventionSpace.explicit([]))
+        assert validate(scm).kinds() == {"EmptySpace"}
+        monkeypatch.setattr(C, "extract_sub_scm", lambda *a: pytest.fail("a cluster was built"))
+        with pytest.raises(EmptySpaceError) as info:
+            consolidate(scm, entry.partition, entry.targets)
+        assert str(info.value) == str(validate(scm).findings[0].message)
+        assert isinstance(info.value, ScmcError)
 
     def test_mixed_clusters_answer_as_the_base_under_every_set(self):
         # one consolidated cluster, two passthrough ones, dropped atoms

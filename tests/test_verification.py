@@ -12,10 +12,12 @@ from scmc import verification as Q
 from scmc import zoo
 from scmc.consolidation import (
     Ccv,
+    CcvCluster,
     PassConfig,
     attach_ccvs,
     build_rho,
     consolidate,
+    eval_ccv,
     run_passes,
 )
 from scmc.errors import DivisionByZeroError, DomainError, ModelTooDeepError
@@ -621,17 +623,24 @@ def _stack_depth() -> int:
 
 
 def test_too_deep_model_is_a_typed_error():
-    """The consolidated dominoes(400) nests 400 levels; evaluating it with
-    fewer frames left raises ModelTooDeepError, not RecursionError."""
+    """The consolidated dominoes(400) nests 400 levels.  With fewer frames
+    left, walking its tree (`eval_ccv`) raises ModelTooDeepError, not
+    RecursionError.  The verifier still checks every case: where its columns
+    run out of frames, its per-case loop runs the generated code, which does
+    not recurse."""
     entry = zoo.dominoes(400)
     old_limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(4000)
         cons = consolidate(entry.scm, entry.partition, entry.targets)
+        cluster = next(c for c in cons.clusters if isinstance(c, CcvCluster) and c.ccv.targets == entry.targets)
+        local_u = {v: E.VBool(True) for v in cluster.sub.local_exogenous}
         sys.setrecursionlimit(_stack_depth() + 200)
         with pytest.raises(ModelTooDeepError) as info:
-            verify_equivalence(entry.scm, cons, entry.targets)
+            eval_ccv(cluster.ccv, local_u, InterventionSet.empty())
+        report = verify_equivalence(entry.scm, cons, entry.targets)
     finally:
         sys.setrecursionlimit(old_limit)
     assert isinstance(info.value.__cause__, RecursionError)
-    assert verify_equivalence(entry.scm, cons, entry.targets).equal
+    assert report.equal
+    assert report == verify_equivalence(entry.scm, cons, entry.targets)

@@ -248,6 +248,28 @@ def test_compression_table_exit_status(monkeypatch, capsys):
     assert "not equal: platformer" in capsys.readouterr().err
 
 
+def test_query_table_exit_status(monkeypatch, capsys):
+    table = _script("query_table")
+    monkeypatch.setattr(table, "DRAWS", 8)
+    monkeypatch.setattr(table, "REPEATS", 1)
+    assert table.main() == 0
+    assert capsys.readouterr().err == ""
+
+    real = table.run_plan
+    step_plan = zoo.step_by_step().consolidated().plan
+
+    def step_by_step_differs(plan, u, iv, rng=None):
+        out = real(plan, u, iv, rng)
+        if plan == step_plan:
+            var = next(iter(out))
+            out[var] = E.VSym("tampered")
+        return out
+
+    monkeypatch.setattr(table, "run_plan", step_by_step_differs)
+    assert table.main() == 1
+    assert "generated code differs from run_plan: step_by_step" in capsys.readouterr().err
+
+
 def test_output_fingerprint_is_stable(capsys):
     script = _script("output_fingerprint")
     assert script.main() == 0

@@ -810,39 +810,38 @@ def plan_columns(
     in `keep`.  With `keep`, only the columns still to be read are held: a
     column leaves its cluster after the last row that reads it.
 
-    With `before` = (the rows of another plan over the same cases, their
-    columns), a leading run of rows that are `before`'s own trees, at the
-    same positions, takes `before`'s columns unevaluated.
+    With `before` = (the rows of another plan with the same inputs and
+    atoms, and their columns over the same cases), a row takes `before`'s
+    column unevaluated when `before`'s row at the same position has the same
+    variable and domain and is the same tree object, and every earlier row
+    is clean.  A row is clean when it was taken so, or when the column it
+    evaluates to is `before`'s bit for bit (`_same_bits`); it then hands on
+    `before`'s column object itself.  A clean prefix means the same inputs
+    as `before` had, so the tree gives the same column.
     """
     acc = {}
     for var, dom in plan.inputs:
         acc[var] = col = cases.input(var)
         if dom is not None:
             _check_domain(dom, col)
-    every = cases.every
-    prior, prior_cols = before if before is not None else ((), None)
-    pos, reuse = 0, len(prior)
+    prior, prior_cols = before if before is not None else ((), {})
+    pos, clean = 0, True
     for (inputs, visible, rows), steps in zip(plan.clusters, plan.schedule(keep)):
         scope = _Scope(cases, {v: acc[v] for v in inputs}, visible)
         env = scope.env
-        for (var, dom, tree), (read, kept, done) in zip(rows, steps):
-            if pos < reuse and prior[pos][2] is tree and prior[pos][0] == var and prior[pos][1] == dom:
-                col = prior_cols[var]
-            elif dom is None:
-                reuse = 0
-                col = _COLUMN[type(tree)](scope, tree, every)
+        for row, (read, kept, done) in zip(rows, steps):
+            var = row[0]
+            old = None
+            if clean and pos < len(prior) and prior[pos][0] == var and prior[pos][1] == row[1]:
+                old = prior_cols.get(var)
+            if old is not None and prior[pos][2] is row[2]:
+                col = old
             else:
-                reuse = 0
-                f = scope.forced.get(var)
-                forced = 0 if f is None else np.count_nonzero(f[0])
-                if not forced:
-                    col = _COLUMN[type(tree)](scope, tree, every)
-                elif forced == len(every):
-                    col = f[1]
+                col = _row_column(scope, row)
+                if old is not None and _same_bits(col, old):
+                    col = old
                 else:
-                    free = ~f[0]
-                    col = _fill(f[1], free, _COLUMN[type(tree)](scope, tree, every[free]))
-                _check_domain(dom, col)
+                    clean = False
             pos += 1
             if read:
                 env[var] = col
@@ -853,14 +852,40 @@ def plan_columns(
     return {v: acc[v] for v in (plan.outputs if keep is None else keep)}
 
 
+def _row_column(scope: _Scope, row: tuple) -> Column:
+    """The column of one plan row `(var, domain, tree)`: where the row has a
+    domain, the forced values where its variable is intervened on, and the
+    whole column checked against the domain."""
+    var, dom, tree = row
+    every = scope.every
+    if dom is None:
+        return _COLUMN[type(tree)](scope, tree, every)
+    f = scope.forced.get(var)
+    forced = 0 if f is None else np.count_nonzero(f[0])
+    if not forced:
+        col = _COLUMN[type(tree)](scope, tree, every)
+    elif forced == len(every):
+        col = f[1]
+    else:
+        free = ~f[0]
+        col = _fill(f[1], free, _COLUMN[type(tree)](scope, tree, every[free]))
+    _check_domain(dom, col)
+    return col
+
+
 # ---------------------------------------------------------------------------
 # Comparing
 # ---------------------------------------------------------------------------
 
 
-def _identical(a: Column, b: Column) -> bool:
-    """Equal entry by entry, in value and in kind."""
-    return a.dtype is b.dtype and np.count_nonzero(a != b) == 0
+def _same_bits(a: Column, b: Column) -> bool:
+    """Equal entry by entry in kind and in bits, so that 0.0 is not -0.0 and
+    a NaN matches only a NaN with the same payload."""
+    if a.dtype is not b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype is _REAL:
+        a, b = a.view(np.int64), b.view(np.int64)
+    return np.count_nonzero(a != b) == 0
 
 
 def _first_disagreeing(a: Column, b: Column, tolerance: float) -> Optional[int]:
@@ -901,7 +926,7 @@ def first_disagreement(
     as `verification._first_mismatch` judges a case, or None; and the largest
     real deviation before that position."""
     stop = hi
-    # entries equal in value and type deviate by 0, or by NaN, which never
+    # entries with the same bits deviate by 0, or by NaN, which never
     # counts; with a negative tolerance a deviation of 0 disagrees
     exact = tolerance >= 0
     differ = []
@@ -910,7 +935,7 @@ def first_disagreement(
         if exact and a is b:
             continue
         a, b = a[lo:hi], b[lo:hi]
-        if exact and _identical(a, b):
+        if exact and _same_bits(a, b):
             continue
         differ.append((a, b))
         bad = _first_disagreeing(a[: stop - lo], b[: stop - lo], tolerance)

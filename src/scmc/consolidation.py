@@ -481,6 +481,10 @@ def eval_ccv(ccv: Ccv, local_u: Assignment, local_iv: InterventionSet, rng=None)
     return run_plan(ccv_plan(ccv, tuple(local_u)), local_u, local_iv, rng)
 
 
+#: the variable of an intervention set's `(var, value)` pair
+_VAR = operator.itemgetter(0)
+
+
 def eval_consolidated(
     cons: ConsolidatedScm,
     u: Assignment,
@@ -502,7 +506,7 @@ def eval_consolidated(
     iv = interventions if interventions is not None else InterventionSet.empty()
     if check_membership:
         dropped = cons.dropped_atom_vars
-        kept = iv.drop(dropped) if dropped and not dropped.isdisjoint(iv.vars()) else iv
+        kept = iv.drop(dropped) if dropped and not dropped.isdisjoint(map(_VAR, iv.assignments)) else iv
         if not cons.interventions.contains(kept):
             raise InterventionNotAllowedError(f"{kept} is not in the allowed intervention space")
     return cons.plan.compiled(u, iv, rng)

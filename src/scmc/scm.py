@@ -116,7 +116,7 @@ class InterventionSet:
         return InterventionSet(tuple(p for p in self.assignments if p[0] in keep))
 
     def drop(self, vars_out: Iterable[VarRef]) -> "InterventionSet":
-        gone = set(vars_out)
+        gone = vars_out if isinstance(vars_out, (set, frozenset)) else set(vars_out)
         return InterventionSet(tuple(p for p in self.assignments if p[0] not in gone))
 
     def vars(self) -> tuple[VarRef, ...]:
@@ -261,11 +261,15 @@ class InterventionSpace:
     def contains(self, iset: InterventionSet) -> bool:
         if self.mode == EXPLICIT:
             return iset in self.sets
-        for var, val in iset.assignments:
-            if val not in self.atom_values(var):
+        pairs = iset.assignments
+        if self.mode == SINGLETON and len(pairs) > 1:
+            return False
+        # a scan of a short tuple finds a value by identity first, where a
+        # set would call the value's Python-level hash
+        index = self._atom_index
+        for var, val in pairs:
+            if val not in index.get(var, ()):
                 return False
-        if self.mode == SINGLETON:
-            return len(iset) <= 1
         return True
 
     def size(self) -> int:

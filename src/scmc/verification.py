@@ -10,6 +10,7 @@ explicitly probabilistic verdict for continuous inputs or huge spaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -20,7 +21,7 @@ from . import expr as E
 from . import scm as S
 from .consolidation import Ccv, ConsolidatedScm, PassConfig, ccv_plan, eval_consolidated
 from .errors import DomainError, recursion_as_too_deep
-from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng, run_plan
+from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng, run_plan, run_rows
 from .evaluation import sample_exogenous  # noqa: F401 - bench/tracing.py looks it up here
 from .expr import Value, VarRef, ref_sort_key
 from .partition import SubScm, sub_scm_as_scm
@@ -106,6 +107,20 @@ def _first_mismatch(
             if bad is None:
                 bad = i
     return bad, worst
+
+
+def _same_value(a: Value, b: Value) -> bool:
+    """Whether two values are of the same class with the same payload bits,
+    so that 0.0 is not -0.0.  A NaN, or a payload of another type than its
+    class holds, counts as different."""
+    try:
+        x, y = C.raw(a), C.raw(b)
+    except C.Unsupported:
+        return False
+    if type(a) is not type(b) or x != y:
+        return False
+    # equal floats differ in their bits only as 0.0 and -0.0
+    return type(x) is not float or x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def _canonical_u_order(scm: Scm, assignments: list[Assignment]) -> list[Assignment]:
@@ -369,13 +384,15 @@ def gate_strategy_for(sub: SubScm, config: PassConfig) -> EquivalenceStrategy:
 class GateMemo:
     """What the gate calls of one `run_passes` share.
 
-    The cluster's case list is built on the first call.  The target columns of
-    `before` are kept for as long as the same `before` object comes back,
-    that is, until a candidate is accepted.  They are computed once, except
-    after an acceptance: the candidate that passed left its own columns
-    behind, so the new `before` is not evaluated again.  Rejections are kept
-    by key against the same `before`, so a candidate proposed again gets its
-    report back unevaluated.
+    The cluster's case list is built on the first call.  The target values
+    of `before`, per case in case order and as columns, are kept for as long
+    as the same `before` object comes back, that is, until a candidate is
+    accepted; each candidate is evaluated only from the rows it changed, on
+    top of them.  The columns are computed once, except after an acceptance:
+    the candidate that passed left its own columns behind, so the new
+    `before` is not evaluated again.  Rejections are kept by key against the
+    same `before`, so a candidate proposed again gets its report back
+    unevaluated.
     """
 
     def __init__(self):
@@ -421,7 +438,8 @@ class GateMemo:
             self.rejected = {}
 
     def before_values(self, k: int, env: Assignment, iv: InterventionSet, tlist) -> tuple[Value, ...]:
-        """`before`'s target values on case k; the loop asks for cases in order."""
+        """`before`'s target values on case k, in its rows' order; the loop
+        asks for cases in order."""
         cols = self._before_columns
         if cols is not None:
             return tuple([C.value(cols[t].item(k)) for t in tlist])
@@ -464,9 +482,17 @@ def verify_pass(
     (`consolidation.ccv_plan`), per case and by columns.  The first case is
     checked on its own, since a rejected rewrite usually disagrees there;
     then `after` is walked once over all cases by columns, and the per-case
-    loop resumes only where the columns disagree or cannot be evaluated.  A
-    leading run of targets whose trees are `before`'s own objects takes
-    `before`'s columns unevaluated.
+    loop resumes only where the columns disagree or cannot be evaluated.
+
+    `after` is evaluated only from the rows a candidate changed, per case
+    and by columns (`columns.plan_columns`): a row takes `before`'s value,
+    or column, unevaluated when `before`'s row at its position has the same
+    variable and is the same tree object, and every earlier row is clean.
+    A row is clean when it was taken so, or when it evaluates to `before`'s
+    value of the same class with the same payload bits (so 0.0 is not -0.0,
+    and per case a NaN never is); `before`'s object then takes its place.
+    On a clean prefix the tree reads what it read in `before`, where it was
+    evaluated on this case without raising, so it gives the same value.
 
     `memo` carries the case list, `before`'s columns and the rejections from
     one call to the next.  When `after` passes, its columns stay in the memo,
@@ -478,8 +504,8 @@ def verify_pass(
     trees that differ only in the sign of a real zero compare equal.
 
     With or without a memo, the report, or the error raised, is that of the
-    per-case loop, which visits cases in order and evaluates `before` ahead
-    of `after` on each.
+    per-case loop, which visits cases in order and evaluates all of `before`
+    and then all of `after` on each.
     """
     if set(before.targets) != set(after.targets):
         return EquivalenceReport("inconclusive", message="target sets differ")
@@ -495,11 +521,26 @@ def verify_pass(
     tlist = list(before.targets)
     plan = ccv_plan(after, sub.local_exogenous)
     walked: list[dict] = []
+    rows = after.rows
+    # per row of `after`: whether `before`'s row at its position has the same
+    # variable and domain, and whether it is moreover the same tree object
+    aligned = [a[:2] == b[:2] for a, b in zip(rows, before.rows)]
+    same = [ok and a[2] is b[2] for ok, a, b in zip(aligned, rows, before.rows)]
 
     def values(k: int, env: Assignment, iv: InterventionSet) -> tuple[tuple[Value, ...], tuple[Value, ...]]:
+        # `before`'s values stand in for `after`'s rows while every earlier
+        # row is clean: the same tree on the same inputs gives the same value
         want = memo.before_values(k, env, iv, tlist)
-        out = run_plan(plan, env, iv)
-        return want, tuple([out[t] for t in tlist])
+        scope = dict(env)
+        forced = dict(iv.assignments)
+        for i, row in enumerate(rows):
+            if not same[i]:
+                run_rows(rows[i : i + 1], scope, forced)
+                if not (aligned[i] and _same_value(scope[row[0]], want[i])):
+                    run_rows(rows[i + 1 :], scope, forced)
+                    break
+            scope[row[0]] = want[i]
+        return want, tuple([scope[t] for t in tlist])
 
     def blocks():
         columns, want = memo.columns()

@@ -687,6 +687,103 @@ def oracle_run_plan(plan, u, interventions: InterventionSet, rng=None) -> dict:
     return {v: acc[v] for v in plan.outputs}
 
 
+def oracle_gate(before, after, sub, strategy):
+    """The rewrite gate's report as the plain per-case loop: over the
+    verifier's case list of the cluster viewed as a model, in order, run
+    `before` and then `after` with `oracle_run_plan` and compare the targets
+    in `before`'s order as `verification._first_mismatch` does.  Raises what
+    the first raising run raises."""
+    from scmc.consolidation import ccv_plan
+    from scmc.partition import sub_scm_as_scm
+    from scmc.verification import EXHAUSTIVE, CounterExample, EquivalenceReport, _first_mismatch
+
+    probabilistic = strategy.mode != EXHAUSTIVE
+    cases = oracle_verifier_cases(sub_scm_as_scm(sub), strategy)
+    plans = [ccv_plan(ccv, sub.local_exogenous) for ccv in (before, after)]
+    tlist, worst = list(before.targets), 0.0
+    for k, (u, iv) in enumerate(cases):
+        want, got = (oracle_run_plan(plan, u, iv) for plan in plans)
+        want, got = [want[t] for t in tlist], [got[t] for t in tlist]
+        bad, dev = _first_mismatch(want, got, strategy.tolerance)
+        worst = max(worst, dev)
+        if bad is not None:
+            cx = CounterExample(
+                tuple(sorted(u.items(), key=lambda p: E.ref_sort_key(p[0]))), iv, tlist[bad], want[bad], got[bad]
+            )
+            return EquivalenceReport("counterexample", k + 1, worst, cx, probabilistic)
+    return EquivalenceReport("equal", len(cases), worst, None, probabilistic)
+
+
+def outcome(run) -> str:
+    """What `run()` returns, or the type and message of what it raises, as
+    text: a value's `repr` shows its class and the sign of a real zero."""
+    try:
+        return repr(run())
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+_REUSE_CLUSTERS: list = []
+
+
+def reuse_clusters() -> list:
+    """(cluster, Ccv) pairs for checking the gate's reuse of `before`'s
+    values: every cluster of a few zoo models and of seeded random models,
+    each with the Ccv inlining builds and the one the passes leave.  Built
+    once."""
+    from scmc import zoo
+    from scmc.consolidation import PassConfig, build_rho, run_passes
+    from scmc.partition import extract_sub_scm
+
+    if not _REUSE_CLUSTERS:
+        models = [(e.scm, e.partition) for e in (zoo.step_by_step(), zoo.firing_squad(3), zoo.tool_wear(3))]
+        models += [(scm, random_partition(scm, seed + 5)) for seed in range(12) for scm in [random_model(seed)]]
+        for scm, partition in models:
+            for cluster in partition.clusters:
+                sub = extract_sub_scm(scm, cluster)
+                built, _ = build_rho(sub, sorted(cluster, key=E.ref_sort_key))
+                _REUSE_CLUSTERS.append((sub, built))
+                _REUSE_CLUSTERS.append((sub, run_passes(built, sub, PassConfig())))
+    return _REUSE_CLUSTERS
+
+
+_STAND_INS = (
+    bconst(True),
+    bconst(False),
+    iconst(0),
+    iconst(1),
+    E.rconst(0.0),
+    E.rconst(-0.0),
+    E.rconst(float("nan")),
+    E.rconst(1e-12),
+)
+
+
+def shared_candidate(ccv, rng: random.Random):
+    """A rewrite candidate for `ccv`: one or more targets with a node
+    replaced, sharing every other subtree with `ccv`'s trees, and now and
+    then the targets reordered.  A node is replaced by a conditional that
+    always takes it (the same values from a new tree), by a node of some
+    target's tree, or by a constant."""
+    from scmc.consolidation import Ccv
+
+    pool = [n for t in ccv.targets for n in subtrees(ccv.rho[t])]
+    rho = dict(ccv.rho)
+    targets = ccv.targets
+    for t in rng.sample(targets, rng.choice([1, 1, 1, 2, len(targets)]) if len(targets) > 1 else 1):
+        node = rng.choice(subtrees(rho[t]))
+        kind = rng.randrange(3)
+        new = IfThenElse(bconst(True), node, node) if kind == 0 else rng.choice(pool if kind == 1 else _STAND_INS)
+
+        def swap(e):
+            return new if e is node else E.map_children(e, swap)
+
+        rho[t] = swap(rho[t])
+    if rng.random() < 0.15:
+        targets = tuple(rng.sample(targets, len(targets)))
+    return Ccv(targets, rho, ccv.interventions, ccv.provenance)
+
+
 # ---------------------------------------------------------------------------
 # Reference queried-variable sets
 # ---------------------------------------------------------------------------

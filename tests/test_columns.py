@@ -11,17 +11,30 @@ which decline, and check the declining ones end to end against the loop.
 """
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import cases_of, oracle_eval, random_model, random_partition
+from helpers import (
+    cases_of,
+    oracle_eval,
+    oracle_run_plan,
+    oracle_verifier_cases,
+    outcome,
+    random_model,
+    random_partition,
+    reuse_clusters,
+    shared_candidate,
+)
 from scmc import columns as C
 from scmc import expr as E
 from scmc import verification as Q
 from scmc import zoo
-from scmc.consolidation import PassConfig, ccv_plan, consolidate, eval_ccv, eval_consolidated
+from scmc.consolidation import Ccv, PassConfig, ccv_plan, consolidate, eval_ccv, eval_consolidated
 from scmc.errors import DivisionByZeroError, DomainError
 from scmc.evaluation import enumerate_exogenous, eval_scm, make_rng, sample_exogenous
 from scmc.expr import (
@@ -43,7 +56,7 @@ from scmc.expr import (
     rconst,
     sconst,
 )
-from scmc.partition import extract_sub_scm
+from scmc.partition import extract_sub_scm, sub_scm_as_scm
 from scmc.scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm, UniformFinite
 from scmc.verification import EquivalenceStrategy, verify_equivalence, verify_pass
 
@@ -789,3 +802,65 @@ def test_gate_columns_match_eval_ccv():
         want = [eval_ccv(ccv, env, iv) for env, iv in cases]
         for t in ccv.targets:
             assert column_values(cols[t]) == reprs(out[t] for out in want)
+
+
+def bits(cols: dict) -> dict:
+    """Each column's dtype and entries, a real zero with its sign."""
+    return {v: (col.dtype, column_values(col)) for v, col in cols.items()}
+
+
+@given(which=st.integers(min_value=0), seed=st.integers(0, 2**32 - 1))
+def test_columns_from_before_match_the_per_case_oracle(which, seed):
+    """`plan_columns(..., before=...)` gives each target the values that
+    `oracle_run_plan` gives it case by case, or raises where some case
+    raises, and does what it does without `before`; it hands on `before`'s
+    own column for each row that is `before`'s own in a leading run."""
+    clusters = reuse_clusters()
+    sub, before = clusters[which % len(clusters)]
+    after = shared_candidate(before, random.Random(seed))
+    strategy = Q.gate_strategy_for(sub, PassConfig(gate_case_budget=256, gate_sample_count=24, seed=seed % 7))
+    cases, _ = Q.GateMemo().cases(sub, strategy)
+    plan = ccv_plan(after, sub.local_exogenous)
+    try:
+        want = C.plan_columns(ccv_plan(before, sub.local_exogenous), cases)
+    except Exception:  # noqa: BLE001 - no columns to start from
+        return
+    got = outcome(lambda: bits(C.plan_columns(plan, cases, before=(before.rows, want))))
+    assert got == outcome(lambda: bits(C.plan_columns(plan, cases)))
+    if got.startswith("raises"):
+        return
+    cols = C.plan_columns(plan, cases, before=(before.rows, want))
+    oracle = [oracle_run_plan(plan, u, iv) for u, iv in oracle_verifier_cases(sub_scm_as_scm(sub), strategy)]
+    for t in after.targets:
+        assert column_values(cols[t]) == reprs(out[t] for out in oracle)
+    for (var, dom, tree), (bvar, bdom, btree) in zip(after.rows, before.rows):
+        if (var, dom) != (bvar, bdom) or tree is not btree:
+            break
+        assert cols[var] is want[var]
+
+
+def test_columns_from_before_keep_the_sign_of_zero():
+    T1, T2 = VarRef("T", 1), VarRef("T", 2)
+    scm = Scm(
+        name="signed-zero",
+        endogenous=(
+            EndoVar(T1, RealDomain(), Binary("mul", Ref(X), rconst(0.0))),
+            EndoVar(T2, RealDomain(), Binary("div", Ref(T1), rconst(-1.0))),
+        ),
+        exogenous=(ExoVar(X, RealDomain(), UniformFinite((E.VReal(0.5), E.VReal(1.5)))),),
+        interventions=InterventionSpace.power_set([]),
+    )
+    sub = extract_sub_scm(scm, [T1, T2])
+    cases, _ = Q.GateMemo().cases(sub, Q.gate_strategy_for(sub, PassConfig()))
+    rho = {row.var: row.equation for row in scm.endogenous}
+    before = Ccv((T1, T2), rho, sub.interventions, 0)
+    want = C.plan_columns(ccv_plan(before, sub.local_exogenous), cases)
+    assert column_values(want[T2]) == [repr(E.VReal(-0.0))] * 2
+    # T1 is -0.0 on every case: equal to before's, not the same bits
+    after = Ccv((T1, T2), {**rho, T1: rconst(-0.0)}, sub.interventions, 0)
+    got = C.plan_columns(ccv_plan(after, sub.local_exogenous), cases, before=(before.rows, want))
+    assert column_values(got[T2]) == [repr(E.VReal(0.0))] * 2
+    # the same bits from another tree: before's own columns are handed on
+    same = Ccv((T1, T2), {**rho, T1: Binary("mul", rconst(0.0), Ref(X))}, sub.interventions, 0)
+    got = C.plan_columns(ccv_plan(same, sub.local_exogenous), cases, before=(before.rows, want))
+    assert got[T1] is want[T1] and got[T2] is want[T2]

@@ -2,7 +2,15 @@
 
 import pytest
 
-from helpers import random_intervention, random_model, random_partition, random_u, three_layer_example
+from helpers import (
+    oracle_run_plan,
+    outcome,
+    random_intervention,
+    random_model,
+    random_partition,
+    random_u,
+    three_layer_example,
+)
 from scmc import expr as E
 from scmc import zoo
 from scmc.errors import DomainError, InterventionNotAllowedError, UnboundRefError
@@ -11,11 +19,12 @@ from scmc.evaluation import (
     eval_partitioned,
     eval_scm,
     make_rng,
+    run_plan,
     sample_exogenous,
 )
-from scmc.expr import VarRef
+from scmc.expr import Binary, IntDomain, Ref, VarRef, iconst
 from scmc.partition import Partition
-from scmc.scm import InterventionSet, validate
+from scmc.scm import InterventionSet, Plan, validate
 
 
 class TestEvalScm:
@@ -145,3 +154,41 @@ class TestSampleExogenous:
         first = [float(rng.random()) for _ in range(3)]
         rng2 = make_rng(2024)
         assert [float(rng2.random()) for _ in range(3)] == first
+
+
+def test_a_lone_cluster_on_the_plans_inputs_matches_the_oracle():
+    """A plan whose only cluster reads exactly the plan's inputs runs it on
+    the checked inputs as they stand; it returns and raises what
+    `oracle_run_plan` does, with an input missing or outside its domain,
+    under every atom or a few, and when the cluster reads fewer inputs."""
+    X, Y, T1, T2 = VarRef("X"), VarRef("Y"), VarRef("T", 1), VarRef("T", 2)
+    rows = (
+        (T1, IntDomain(0, 5), Binary("add", Ref(X), Ref(Y))),
+        (T2, None, Binary("mul", Ref(T1), iconst(2))),
+    )
+    inputs = ((X, IntDomain(0, 3)), (Y, None))
+    plans = [
+        Plan(inputs, (((Y, X), visible, rows),), (T2, T1)) for visible in (None, frozenset({T1}), frozenset())
+    ]
+    # a cluster that does not read Y: its tree's ref to Y is unbound
+    plans.append(Plan(inputs, (((X,), None, rows),), (T2,)))
+    us = [
+        {X: E.VInt(1), Y: E.VInt(2)},
+        {X: E.VInt(1)},  # Y missing
+        {Y: E.VInt(2)},  # X missing
+        {X: E.VInt(7), Y: E.VInt(0)},  # X outside its domain
+        {X: E.VBool(True), Y: E.VInt(0)},  # X of another kind
+        {X: E.VInt(3), Y: E.VInt(3)},  # T1 outside its domain
+        {X: E.VInt(1), Y: E.VInt(2), T1: E.VInt(0)},  # an extra entry
+    ]
+    ivs = [InterventionSet.empty(), InterventionSet.of({T1: E.VInt(4)}), InterventionSet.of({T1: E.VInt(9)})]
+    seen = set()
+    for plan in plans:
+        for u in us:
+            for iv in ivs:
+                want = outcome(lambda: oracle_run_plan(plan, dict(u), iv))
+                given = dict(u)
+                assert outcome(lambda: run_plan(plan, given, iv)) == want
+                assert given == u
+                seen.add(want.split(":")[0])
+    assert seen >= {"raises UnboundRefError", "raises DomainError"} and any(not s.startswith("raises") for s in seen)

@@ -4,17 +4,21 @@ import dataclasses
 import graphlib
 import itertools
 import json
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import oracle_sample_power_set, random_model
+from helpers import _scan_atom_values, oracle_sample_power_set, random_model
 from scmc import expr as E
 from scmc import zoo
 from scmc.errors import DomainError, EnumerationTooLargeError, UnknownVariableError
 from scmc.evaluation import sample_exogenous
 from scmc.expr import Binary, BoolDomain, IntDomain, RealDomain, Ref, VarRef, iconst
 from scmc.scm import (
+    EXPLICIT,
+    POWER_SET,
+    SINGLETON,
     EndoVar,
     ExoVar,
     InterventionSet,
@@ -384,3 +388,70 @@ def test_find_cycle_gives_a_closed_path_exactly_when_no_topological_order_exists
     except graphlib.CycleError:
         assert path is not None and len(path) >= 2 and path[0] == path[-1]
         assert all(step in edges for step in zip(path, path[1:]))
+
+
+_NAN = float("nan")
+#: values that compare equal without being the same (0.0 and -0.0), NaNs
+#: that are and are not the same object, one with another payload, and the
+#: numbers 1 of three classes
+_MEMBER_VALUES = (
+    E.VReal(0.0),
+    E.VReal(-0.0),
+    E.VReal(_NAN),
+    E.VReal(_NAN),
+    E.VReal(float("nan")),
+    E.VReal(struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]),
+    E.VInt(1),
+    E.VReal(1.0),
+    E.VBool(True),
+    E.VInt(0),
+    E.VBool(False),
+    E.VSym("a"),
+)
+_MEMBER_VARS = (VarRef("P"), VarRef("Q"), VarRef("R", 1), VarRef("R", 2))
+
+_values = st.sampled_from(_MEMBER_VALUES)
+_isets = st.dictionaries(st.sampled_from(_MEMBER_VARS), _values, max_size=3).map(InterventionSet.of)
+
+
+def _old_contains(space: InterventionSpace, iset: InterventionSet) -> bool:
+    """Membership as a scan: a set of an explicit space is one of its
+    members; else each atom's value is one of its variable's values in the
+    first atom row on it, and a singleton space allows at most one atom.
+    Found means the same object or equal, as `in` on a tuple finds."""
+    if space.mode == EXPLICIT:
+        return any(s is iset or s == iset for s in space.sets)
+    for var, val in iset.assignments:
+        if not any(v is val or v == val for v in _scan_atom_values(space, var)):
+            return False
+    return space.mode != SINGLETON or len(iset) <= 1
+
+
+@given(
+    mode=st.sampled_from([POWER_SET, SINGLETON, EXPLICIT]),
+    atoms=st.lists(st.tuples(st.sampled_from(_MEMBER_VARS), st.lists(_values, max_size=4)), max_size=5),
+    members=st.lists(_isets, max_size=5),
+    queries=st.lists(_isets, min_size=1, max_size=6),
+)
+def test_contains_matches_a_scan(mode, atoms, members, queries):
+    if mode == EXPLICIT:
+        spaces = [InterventionSpace.explicit(members)]
+        queries = queries + list(members)
+    else:
+        # normalized, and as given: rows out of order, one variable twice
+        spaces = [InterventionSpace(mode, tuple((v, tuple(vals)) for v, vals in atoms))]
+        spaces.append(InterventionSpace.power_set(atoms) if mode == POWER_SET else InterventionSpace.singletons(atoms))
+        queries = queries + [InterventionSet.of({v: x}) for v, vals in atoms for x in vals[:1]]
+    for space in spaces:
+        for iset in queries:
+            assert space.contains(iset) == _old_contains(space, iset)
+
+
+def test_contains_tells_equal_values_of_other_classes_apart():
+    P = VarRef("P")
+    space = InterventionSpace.power_set([(P, [E.VInt(1), E.VReal(0.0)])])
+    assert space.contains(InterventionSet.of({P: E.VInt(1)}))
+    assert space.contains(InterventionSet.of({P: E.VReal(-0.0)}))
+    assert not space.contains(InterventionSet.of({P: E.VReal(1.0)}))
+    assert not space.contains(InterventionSet.of({P: E.VBool(True)}))
+    assert not space.contains(InterventionSet.of({P: E.VReal(float("nan"))}))

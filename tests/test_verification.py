@@ -1,11 +1,14 @@
 """The equivalence oracle: exhaustive completeness, counterexamples, replay."""
 
 import math
+import random
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import oracle_verifier_cases
+from helpers import oracle_gate, oracle_verifier_cases, outcome, reuse_clusters, shared_candidate
 from scmc import documents as D
 from scmc import expr as E
 from scmc import verification as Q
@@ -161,30 +164,55 @@ class TestVerifyEquivalence:
 
 
 def count_evals(monkeypatch) -> tuple[list, list]:
-    """Every Ccv the gate evaluates from now on: one entry per case evaluated
-    on its own, and one per column walk over the whole case list."""
-    cases, walks = [], []
-    real_plan, real_eval, real_walk = Q.ccv_plan, Q.run_plan, Q.C.plan_columns
-    #: the Ccv of each plan the gate made, by the plan's id
-    ccvs = {}
+    """What the gate evaluates from now on: one `(Ccv, variable, case)`
+    entry per row evaluated, where `case` is the position of the case for a
+    row evaluated on one case and None for a row evaluated by columns over
+    the whole case list; and the Ccv of each column walk."""
+    rows, walks = [], []
+    real_plan, real_eval, real_rows = Q.ccv_plan, Q.run_plan, Q.run_rows
+    real_walk, real_row, real_before = Q.C.plan_columns, Q.C._row_column, GateMemo.before_values
+    #: the Ccv of each plan and of each row the gate made, by the object's id
+    ccvs, owners = {}, {}
+    case = [None]
 
     def planning(ccv, inputs):
         plan = real_plan(ccv, inputs)
         ccvs[id(plan)] = ccv
+        owners.update((id(row), (row, ccv)) for row in ccv.rows)
         return plan
 
-    def counting(plan, *args, **kwargs):
-        cases.append(ccvs.get(id(plan), plan))
+    def record(row, k):
+        rows.append((owners[id(row)][1], row[0], k))
+
+    def before_values(self, k, *args):
+        case[0] = k  # the loop asks for `before`'s values first on each case
+        return real_before(self, k, *args)
+
+    def evaluating(plan, *args, **kwargs):
+        for row in plan.clusters[0][2]:
+            record(row, case[0])
         return real_eval(plan, *args, **kwargs)
+
+    def running(some, *args, **kwargs):
+        for row in some:
+            record(row, case[0])
+        return real_rows(some, *args, **kwargs)
 
     def walking(plan, *args, **kwargs):
         walks.append(ccvs.get(id(plan), plan))
         return real_walk(plan, *args, **kwargs)
 
+    def column(scope, row):
+        record(row, None)
+        return real_row(scope, row)
+
     monkeypatch.setattr(Q, "ccv_plan", planning)
-    monkeypatch.setattr(Q, "run_plan", counting)
+    monkeypatch.setattr(GateMemo, "before_values", before_values)
+    monkeypatch.setattr(Q, "run_plan", evaluating)
+    monkeypatch.setattr(Q, "run_rows", running)
     monkeypatch.setattr(Q.C, "plan_columns", walking)
-    return cases, walks
+    monkeypatch.setattr(Q.C, "_row_column", column)
+    return rows, walks
 
 
 def test_sample_local_cases_matches_per_atom_stream():
@@ -282,13 +310,13 @@ class TestVerifyPass:
         built, _ = build_rho(sub, [VarRef("F"), VarRef("G")])
         n = local_case_count(sub)
         assert n > 8
-        seen, walks = count_evals(monkeypatch)
+        rows, walks = count_evals(monkeypatch)
         small = EquivalenceStrategy.exhaustive(intervention_budget=8, exogenous_budget=8)
         report = verify_pass(built, built, sub, small)
         assert report.verdict == "inconclusive"
         assert report.cases_checked == 0
         assert f"{n} cases" in report.message
-        assert seen == [] and walks == []
+        assert rows == [] and walks == []
         # the larger of the two budgets applies, as in verify_equivalence
         fits = EquivalenceStrategy.exhaustive(intervention_budget=8, exogenous_budget=n)
         assert verify_pass(built, built, sub, fits).cases_checked == n
@@ -484,45 +512,53 @@ class TestGateMemo:
     def test_accepted_candidate_is_not_evaluated_again(self, monkeypatch):
         sub, good, candidates = self.walkthrough_cluster()
         built = candidates[1]
-        seen, walks = count_evals(monkeypatch)
+        rows, walks = count_evals(monkeypatch)
         for strategy in (EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)):
             memo = GateMemo()
             assert verify_pass(built, good, sub, strategy, memo).equal
             for after in candidates:
                 fresh = verify_pass(good, after, sub, strategy)
-                seen.clear()
+                rows.clear()
                 walks.clear()
                 shared = verify_pass(good, after, sub, strategy, memo)
                 # only `after` is evaluated: `good` left its columns behind
-                assert all(c is after for c in seen + walks)
-                assert len(walks) <= 1 and len(seen) <= shared.cases_checked
+                assert all(c is after for c, _, _ in rows) and all(c is after for c in walks)
+                assert len(walks) <= 1
+                on_their_own = {k for _, _, k in rows if k is not None}
+                assert on_their_own <= set(range(shared.cases_checked))
                 if shared.equal:
                     # one walk settles every case after the leading ones
-                    assert len(walks) == 1 and len(seen) == Q._PROBE_CASES
+                    assert len(walks) == 1 and on_their_own <= set(range(Q._PROBE_CASES))
+                    if any(after.rho[t] is not good.rho[t] for t in good.targets):
+                        assert on_their_own == set(range(Q._PROBE_CASES))
+                    else:
+                        # `good` itself: every row is its own, so none is evaluated
+                        assert rows == []
                 assert shared == fresh
 
     def test_rejected_candidate_is_not_evaluated_again(self, monkeypatch):
         sub, good, candidates = self.walkthrough_cluster()
         broken = candidates[2:]
-        seen, walks = count_evals(monkeypatch)
+        rows, walks = count_evals(monkeypatch)
         for strategy in (EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)):
             fresh = [verify_pass(good, b, sub, strategy) for b in broken]
             memo = GateMemo()
             first = [verify_pass(good, b, sub, strategy, memo, ("mutant", i)) for i, b in enumerate(broken)]
-            seen.clear()
+            rows.clear()
             walks.clear()
             again = [verify_pass(good, b, sub, strategy, memo, ("mutant", i)) for i, b in enumerate(broken)]
-            assert seen == [] and walks == []
+            assert rows == [] and walks == []
             assert again == first == fresh
             assert all(r.verdict == "counterexample" for r in again)
             # a new `before` forgets the rejections recorded against the old one
             assert verify_pass(candidates[1], good, sub, strategy, memo).equal
-            seen.clear()
+            rows.clear()
             walks.clear()
             assert verify_pass(good, broken[0], sub, strategy, memo, ("mutant", 0)) == fresh[0]
-            assert seen and all(c is broken[0] for c in seen + walks)
+            assert rows and all(c is broken[0] for c, _, _ in rows) and all(c is broken[0] for c in walks)
             # the counterexample's own case is evaluated on its own
-            assert len(seen) <= fresh[0].cases_checked and len(walks) <= 1
+            assert {k for _, _, k in rows if k is not None} <= set(range(fresh[0].cases_checked))
+            assert len(walks) <= 1
 
     def test_equal_comparing_candidates_keep_their_own_verdicts(self, monkeypatch):
         X, T = VarRef("X"), VarRef("T")
@@ -540,13 +576,47 @@ class TestGateMemo:
         assert plus == minus and hash(plus.rho[T]) == hash(minus.rho[T])
         strategy = EquivalenceStrategy.exhaustive()
         memo = GateMemo()
-        seen, walks = count_evals(monkeypatch)
+        rows, walks = count_evals(monkeypatch)
         assert verify_pass(before, plus, sub, strategy, memo, ("absorb", T, 0)).verdict == "counterexample"
-        seen.clear()
+        rows.clear()
         report = verify_pass(before, minus, sub, strategy, memo, ("absorb", T, 1))
-        assert seen == [minus] and walks == []
+        assert rows == [(minus, T, 0)] and walks == []
         assert math.copysign(1.0, report.counterexample.ccv_value.r) == -1.0
         assert str(report.counterexample) == str(verify_pass(before, minus, sub, strategy).counterexample)
+
+    def test_rows_behind_a_clean_prefix_are_not_evaluated(self, monkeypatch):
+        """A row of `after` that is `before`'s own row, behind rows that were
+        taken from `before` or evaluated to `before`'s very values, is never
+        evaluated, on a case of its own or by columns."""
+        sub, good, _ = self.walkthrough_cluster()
+        F, G = good.targets
+        assert F in E.free_refs(good.rho[G])
+        rows, walks = count_evals(monkeypatch)
+        # G changed: F, in front of it, is good's own row
+        last = Ccv(good.targets, {**good.rho, G: bnot(bnot(good.rho[G]))}, good.interventions, 0)
+        # F changed, to a tree with good's values on every case: G comes after
+        # a clean row, so it is good's own too
+        first = Ccv(good.targets, {**good.rho, F: bnot(bnot(good.rho[F]))}, good.interventions, 0)
+        # F changed to other values: G reads them, so it is evaluated
+        wrong = Ccv(good.targets, {**good.rho, F: bnot(good.rho[F])}, good.interventions, 0)
+        for strategy in (EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=3)):
+            memo = GateMemo()
+            assert verify_pass(good, good, sub, strategy, memo).equal
+            for after, evaluated in ((last, {G}), (first, {F}), (wrong, {F, G})):
+                fresh = verify_pass(good, after, sub, strategy)
+                rows.clear()
+                walks.clear()
+                report = verify_pass(good, after, sub, strategy, memo)
+                assert report == fresh
+                assert report.equal == (after is not wrong)
+                assert {var for _, var, _ in rows} == evaluated
+                if report.equal:
+                    # evaluated once on the probe case and once by columns
+                    assert sorted(rows, key=str) == sorted(
+                        [(after, v, k) for v in evaluated for k in range(Q._PROBE_CASES)]
+                        + [(after, v, None) for v in evaluated],
+                        key=str,
+                    )
 
     def test_carried_values_keep_the_sign_of_zero(self):
         X, T = VarRef("X"), VarRef("T")
@@ -600,19 +670,127 @@ class TestGateMemo:
             cons = consolidate(entry.scm, entry.partition, entry.targets, {1})
             return D.to_json(D.consolidated_to_doc(cons)), cons.report.passes, cons.report.rejected
 
-        seen, walks = count_evals(monkeypatch)
+        rows, walks = count_evals(monkeypatch)
         shared = run()
-        shared_evals, shared_walks = len(seen), len(walks)
+        shared_evals, shared_walks = len(rows), len(walks)
         real = Q.verify_pass
         monkeypatch.setattr(
             Q, "verify_pass", lambda before, after, sub, strategy, memo=None, key=None: real(before, after, sub, strategy)
         )
-        seen.clear()
+        rows.clear()
         walks.clear()
         fresh = run()
         assert shared == fresh
         assert [e.pass_name for e in shared[2]].count("absorb") > 0
-        assert shared_evals < len(seen) and shared_walks < len(walks)
+        assert shared_evals < len(rows) and shared_walks < len(walks)
+
+
+class TestReuse:
+    """The gate takes `before`'s values for `after`'s rows that are
+    `before`'s own, behind a clean prefix, and still reports what the
+    per-case loop over both Ccvs reports."""
+
+    @given(which=st.integers(min_value=0), seed=st.integers(0, 2**32 - 1))
+    def test_gate_matches_the_per_case_oracle(self, which, seed):
+        clusters = reuse_clusters()
+        sub, before = clusters[which % len(clusters)]
+        after = shared_candidate(before, random.Random(seed))
+        strategy = gate_strategy_for(sub, PassConfig(gate_case_budget=256, gate_sample_count=24, seed=seed % 7))
+        want = outcome(lambda: oracle_gate(before, after, sub, strategy))
+        assert outcome(lambda: verify_pass(before, after, sub, strategy)) == want
+        memo = GateMemo()
+        # with `before`'s values kept from an earlier call, per case or by columns
+        outcome(lambda: verify_pass(before, before, sub, strategy, memo))
+        assert outcome(lambda: verify_pass(before, after, sub, strategy, memo, "after")) == want
+        assert outcome(lambda: verify_pass(before, after, sub, strategy, memo, "after")) == want
+
+    def chain(self, *trees, order=None):
+        """A one-cluster model whose targets T1, T2, ... read the real input
+        X and the targets before them, with the Ccv of `trees`, and a
+        function making Ccvs of that cluster."""
+        X = VarRef("X")
+        targets = tuple(VarRef("T", i + 1) for i in range(len(trees)))
+        scm = Scm(
+            name="chain",
+            endogenous=tuple(EndoVar(t, RealDomain(), tree) for t, tree in zip(targets, trees)),
+            exogenous=(ExoVar(X, RealDomain(), UniformFinite((E.VReal(0.5), E.VReal(1.5)))),),
+            interventions=InterventionSpace.power_set([]),
+        )
+        sub = extract_sub_scm(scm, list(targets))
+
+        def ccv(rho, order=targets):
+            return Ccv(tuple(order), dict(zip(targets, rho)), sub.interventions, 0)
+
+        return sub, ccv(trees), ccv
+
+    def check(self, monkeypatch, before, after, sub, evaluated):
+        """The gate's report on `after`, after asserting that it is the
+        oracle's, with and without a memo, and that exactly the targets in
+        `evaluated` are evaluated, on the probe case and by columns."""
+        strategy = EquivalenceStrategy.exhaustive()
+        want = outcome(lambda: oracle_gate(before, after, sub, strategy))
+        rows, _ = count_evals(monkeypatch)
+        memo = GateMemo()
+        assert verify_pass(before, before, sub, strategy, memo).equal
+        rows.clear()
+        report = verify_pass(before, after, sub, strategy, memo)
+        assert repr(report) == want == outcome(lambda: verify_pass(before, after, sub, strategy))
+        assert {var for c, var, k in rows if c is after and k is not None} == set(evaluated)
+        cases, before_columns = memo.columns()
+        rows.clear()
+        Q.C.plan_columns(Q.ccv_plan(after, sub.local_exogenous), cases, before=(before.rows, before_columns))
+        assert {var for _, var, _ in rows} == set(evaluated)
+        return report
+
+    def test_an_agreeing_row_scaled_past_tolerance(self, monkeypatch):
+        X = Ref(VarRef("X"))
+        sub, before, ccv = self.chain(X, Binary("mul", Ref(VarRef("T", 1)), rconst(1e12)))
+        T1, T2 = before.targets
+        # T1 moves by 1e-12, within tolerance; T2 scales the move to about 1
+        after = ccv([Binary("add", X, rconst(1e-12)), before.rho[T2]])
+        report = self.check(monkeypatch, before, after, sub, {T1, T2})
+        assert report.verdict == "counterexample" and report.counterexample.var == T2
+
+    def test_a_signed_zero_into_a_div(self, monkeypatch):
+        X = Ref(VarRef("X"))
+        sub, before, ccv = self.chain(Binary("mul", X, rconst(0.0)), Binary("div", Ref(VarRef("T", 1)), rconst(-1.0)))
+        T1, T2 = before.targets
+        # T1 is -0.0 instead of 0.0: equal, not the same bits, so T2 is evaluated
+        after = ccv([rconst(-0.0), before.rho[T2]])
+        assert self.check(monkeypatch, before, after, sub, {T1, T2}).equal
+        # and a T1 with the same bits as before's leaves T2 alone
+        same = ccv([Binary("mul", rconst(0.0), X), before.rho[T2]])
+        assert self.check(monkeypatch, before, same, sub, {T1}).equal
+
+    def test_a_nan_row(self, monkeypatch):
+        X = Ref(VarRef("X"))
+        sub, before, ccv = self.chain(X, Binary("lt", Ref(VarRef("T", 1)), rconst(1.0)))
+        T1, T2 = before.targets
+        # a NaN deviation never counts, so T1 agrees; T2 reads the NaN
+        after = ccv([rconst(float("nan")), before.rho[T2]])
+        report = self.check(monkeypatch, before, after, sub, {T1, T2})
+        assert report.verdict == "counterexample" and report.counterexample.var == T2
+        # a NaN in `before` too: never taken as the same value per case
+        nan = ccv([Binary("mul", rconst(float("inf")), rconst(0.0)), before.rho[T2]])
+        assert self.check(monkeypatch, nan, after, sub, {T1, T2}).equal
+
+    def test_reordered_targets(self, monkeypatch):
+        X = Ref(VarRef("X"))
+        T1, T2, T3 = (Ref(VarRef("T", i)) for i in (1, 2, 3))
+        amplified = Binary("mul", Binary("sub", T1, X), rconst(1e12))
+        sub, before, ccv = self.chain(X, Binary("mul", X, rconst(2.0)), amplified)
+        t1, t2, t3 = before.targets
+        # T3 is before's own row at its own position, but behind rows that
+        # moved: T1 agrees within tolerance, and T3 scales its move
+        after = ccv([Binary("add", X, rconst(1e-12)), before.rho[t2], before.rho[t3]], order=(t2, t1, t3))
+        report = self.check(monkeypatch, before, after, sub, {t1, t2, t3})
+        assert report.verdict == "counterexample" and report.counterexample.var == t3
+        # T2 reads T1 ahead of it: the error is the per-case loop's
+        sub, before, ccv = self.chain(X, Binary("add", T1, X))
+        unbound = ccv(list(before.rho.values()), order=before.targets[::-1])
+        want = outcome(lambda: oracle_gate(before, unbound, sub, EquivalenceStrategy.exhaustive()))
+        assert want.startswith("raises UnboundRefError")
+        assert outcome(lambda: verify_pass(before, unbound, sub, EquivalenceStrategy.exhaustive())) == want
 
 
 def _stack_depth() -> int:

@@ -115,6 +115,24 @@ def value(x) -> Value:
     return _VALUE_OF[type(x)](x)
 
 
+def same_value(a: Value, b: Value) -> bool:
+    """Whether two values are of the same class with the same payload bits,
+    so that 0.0 is not -0.0: the per-case form of `_same_bits`.  Unlike a
+    column entry, a NaN never counts, nor does a payload of another type
+    than its class holds.  Python matches a NaN inside a container by object
+    identity (`VReal(x) == VReal(x)` holds, and `x in (x,)`), so per case two
+    NaNs with the same bits can still be told apart; a column's NaN has
+    nothing but its bits."""
+    try:
+        x, y = raw(a), raw(b)
+    except Unsupported:
+        return False
+    if type(a) is not type(b) or x != y:
+        return False
+    # equal floats differ in their bits only as 0.0 and -0.0
+    return type(x) is not float or x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
 def _kind(xs: list) -> np.dtype:
     """The dtype of the column of the Python entries `xs`; raises when they
     mix kinds or hold an int past +-INT_LIMIT.  No entry: an `object` column."""
@@ -880,7 +898,7 @@ def _row_column(scope: _Scope, row: tuple) -> Column:
 
 def _same_bits(a: Column, b: Column) -> bool:
     """Equal entry by entry in kind and in bits, so that 0.0 is not -0.0 and
-    a NaN matches only a NaN with the same payload."""
+    a NaN matches only a NaN with the same payload (per case, `same_value`)."""
     if a.dtype is not b.dtype or a.shape != b.shape:
         return False
     if a.dtype is _REAL:

@@ -95,12 +95,11 @@ def run_plan(plan: S.Plan, u: Assignment, iv: InterventionSet, rng=None) -> Assi
         if dom is not None and not dom._contains(x):
             raise DomainError(f"input {var}={x} is outside its domain")
     pairs = iv.assignments
-    # a lone cluster that reads exactly the plan's inputs runs on `acc` itself
-    direct = len(plan.clusters) == 1 and acc.keys() == set(plan.clusters[0][0])
+    in_place = plan.in_place
     for inputs, visible, rows in plan.clusters:
-        env = acc if direct else {v: acc[v] for v in inputs}
+        env = acc if in_place else {v: acc[v] for v in inputs}
         run_rows(rows, env, dict(pairs) if visible is None else {v: x for v, x in pairs if v in visible}, rng)
-        if not direct:
+        if not in_place:
             acc.update(env)
     return {v: acc[v] for v in plan.outputs}
 

@@ -116,7 +116,7 @@ class InterventionSet:
         return InterventionSet(tuple(p for p in self.assignments if p[0] in keep))
 
     def drop(self, vars_out: Iterable[VarRef]) -> "InterventionSet":
-        gone = vars_out if isinstance(vars_out, (set, frozenset)) else set(vars_out)
+        gone = set(vars_out)
         return InterventionSet(tuple(p for p in self.assignments if p[0] not in gone))
 
     def vars(self) -> tuple[VarRef, ...]:
@@ -423,6 +423,13 @@ class Plan:
     def __getstate__(self):
         # the generated function does not pickle; a copy builds its own
         return {k: v for k, v in self.__dict__.items() if k != "compiled"}
+
+    @cached_property
+    def in_place(self) -> bool:
+        """Whether the plan is one cluster that reads exactly its inputs, so
+        that `evaluation.run_plan` runs its rows on the checked inputs
+        themselves; worked out on first use, not a field."""
+        return len(self.clusters) == 1 and {v for v, _ in self.inputs} == set(self.clusters[0][0])
 
     @cached_property
     def _schedules(self) -> dict:

@@ -10,7 +10,6 @@ explicitly probabilistic verdict for continuous inputs or huge spaces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -107,20 +106,6 @@ def _first_mismatch(
             if bad is None:
                 bad = i
     return bad, worst
-
-
-def _same_value(a: Value, b: Value) -> bool:
-    """Whether two values are of the same class with the same payload bits,
-    so that 0.0 is not -0.0.  A NaN, or a payload of another type than its
-    class holds, counts as different."""
-    try:
-        x, y = C.raw(a), C.raw(b)
-    except C.Unsupported:
-        return False
-    if type(a) is not type(b) or x != y:
-        return False
-    # equal floats differ in their bits only as 0.0 and -0.0
-    return type(x) is not float or x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def _canonical_u_order(scm: Scm, assignments: list[Assignment]) -> list[Assignment]:
@@ -489,8 +474,9 @@ def verify_pass(
     or column, unevaluated when `before`'s row at its position has the same
     variable and is the same tree object, and every earlier row is clean.
     A row is clean when it was taken so, or when it evaluates to `before`'s
-    value of the same class with the same payload bits (so 0.0 is not -0.0,
-    and per case a NaN never is); `before`'s object then takes its place.
+    value of the same class with the same payload bits (`columns.same_value`
+    and `columns._same_bits`, so 0.0 is not -0.0, and per case a NaN never
+    is); `before`'s object then takes its place.
     On a clean prefix the tree reads what it read in `before`, where it was
     evaluated on this case without raising, so it gives the same value.
 
@@ -536,7 +522,7 @@ def verify_pass(
         for i, row in enumerate(rows):
             if not same[i]:
                 run_rows(rows[i : i + 1], scope, forced)
-                if not (aligned[i] and _same_value(scope[row[0]], want[i])):
+                if not (aligned[i] and C.same_value(scope[row[0]], want[i])):
                     run_rows(rows[i + 1 :], scope, forced)
                     break
             scope[row[0]] = want[i]

@@ -215,6 +215,13 @@ def count_evals(monkeypatch) -> tuple[list, list]:
     return rows, walks
 
 
+def evaluated_once(rows: list) -> bool:
+    """Whether `count_evals`'s rows hold no row of a Ccv evaluated twice on
+    the same case, or twice by columns."""
+    keys = [(id(ccv), var, k) for ccv, var, k in rows]
+    return len(keys) == len(set(keys))
+
+
 def test_sample_local_cases_matches_per_atom_stream():
     entry = zoo.tool_wear(6, "sampled")
     for cluster in entry.partition.clusters:
@@ -523,7 +530,7 @@ class TestGateMemo:
                 shared = verify_pass(good, after, sub, strategy, memo)
                 # only `after` is evaluated: `good` left its columns behind
                 assert all(c is after for c, _, _ in rows) and all(c is after for c in walks)
-                assert len(walks) <= 1
+                assert len(walks) <= 1 and evaluated_once(rows)
                 on_their_own = {k for _, _, k in rows if k is not None}
                 assert on_their_own <= set(range(shared.cases_checked))
                 if shared.equal:
@@ -558,7 +565,7 @@ class TestGateMemo:
             assert rows and all(c is broken[0] for c, _, _ in rows) and all(c is broken[0] for c in walks)
             # the counterexample's own case is evaluated on its own
             assert {k for _, _, k in rows if k is not None} <= set(range(fresh[0].cases_checked))
-            assert len(walks) <= 1
+            assert len(walks) <= 1 and evaluated_once(rows)
 
     def test_equal_comparing_candidates_keep_their_own_verdicts(self, monkeypatch):
         X, T = VarRef("X"), VarRef("T")
@@ -734,12 +741,13 @@ class TestReuse:
         assert verify_pass(before, before, sub, strategy, memo).equal
         rows.clear()
         report = verify_pass(before, after, sub, strategy, memo)
+        assert evaluated_once(rows)
         assert repr(report) == want == outcome(lambda: verify_pass(before, after, sub, strategy))
         assert {var for c, var, k in rows if c is after and k is not None} == set(evaluated)
         cases, before_columns = memo.columns()
         rows.clear()
         Q.C.plan_columns(Q.ccv_plan(after, sub.local_exogenous), cases, before=(before.rows, before_columns))
-        assert {var for _, var, _ in rows} == set(evaluated)
+        assert {var for _, var, _ in rows} == set(evaluated) and evaluated_once(rows)
         return report
 
     def test_an_agreeing_row_scaled_past_tolerance(self, monkeypatch):

@@ -179,7 +179,7 @@ def cmd_eval(args) -> int:
 
     iv = InterventionSet.of(_parse_bindings(args.do, domain_of))
     space = model.interventions
-    if not space.contains(iv.drop(model.dropped_atom_vars) if is_cons else iv):
+    if not (space.contains_kept(iv, model.dropped_atom_vars) if is_cons else space.contains(iv)):
         raise ScmcError(f"{iv} is not in the allowed intervention space")
 
     if args.exo and args.samples is not None:

@@ -19,7 +19,8 @@ the same order; it only leaves out the one method call per node that
   call the functions of `expr._BINARY` directly, and conditions test the
   shared `_TRUE`/`_FALSE` by identity first.  `and`, `or`, `IfThenElse`,
   `CaseList` and an `InterventionValue`'s fallback evaluate their operands
-  only where `_eval` does;
+  only where `_eval` does.  In the branch an `IsIntervened(v)` test takes,
+  `InterventionValue(v)` reads `iv[v]` outright, since the set holds `v`;
 - a node kind without a template here (`ExistsIntervention`,
   `MaxIntervenedIndex`) calls its own `_eval` on a dict of the values bound
   at that point and the atoms its cluster sees.
@@ -93,6 +94,9 @@ class _Builder:
         #: and the variables whose atoms it sees (None for all)
         self.scope: dict = {}
         self.visible = None
+        #: the variables an enclosing `IsIntervened` test has found in `iv`
+        #: on the path being written
+        self.intervened: set = set()
 
     # -- names ------------------------------------------------------------
 
@@ -259,17 +263,28 @@ class _Builder:
         else:
             self.line(d, f"{t} = {self.const(apply)}({x}, {y})")
 
+    def taken(self, cond, arm, d, lvl, t):
+        """Sub-generator: emits `arm`, the branch taken where `cond` holds.
+        Under an `IsIntervened(v)` test, `v` is in `iv` throughout it."""
+        var = cond.var if type(cond) is E.IsIntervened and self.sees(cond.var) else None
+        if var is None or var in self.intervened:
+            yield arm, d, lvl, t
+            return
+        self.intervened.add(var)
+        yield arm, d, lvl, t
+        self.intervened.remove(var)
+
     def if_then_else(self, e, d, lvl, t):
         test = yield from self.test(e.cond, d, lvl)
         self.line(d, f"if {test}:")
-        yield e.then, d + 1, lvl + 1, t
+        yield from self.taken(e.cond, e.then, d + 1, lvl + 1, t)
         e, lvl = e.orelse, lvl + 1
         while type(e) is E.IfThenElse and lvl + 1 < _MAX_NESTING:
             test = self.pure_test(e.cond)
             if test is None:
                 break
             self.line(d, f"elif {test}:")
-            yield e.then, d + 1, lvl + 1, t
+            yield from self.taken(e.cond, e.then, d + 1, lvl + 1, t)
             e, lvl = e.orelse, lvl + 1
         self.line(d, "else:")
         # at the limit, the rest of a chain moves into one helper, not each
@@ -292,7 +307,7 @@ class _Builder:
                     d += 1
                 test = yield from self.test(g, d, lvl)
                 self.line(d, f"if {test}:")
-            yield b, d + 1, lvl + 1, t
+            yield from self.taken(g, b, d + 1, lvl + 1, t)
             lvl += 1
         if e.cases:
             self.line(d, "else:")
@@ -305,6 +320,9 @@ class _Builder:
         yield  # a generator, like every template
 
     def intervention_value(self, e, d, lvl, t):
+        if e.var in self.intervened:
+            self.line(d, f"{t} = iv[{self.const(e.var)}]")
+            return
         if self.sees(e.var):
             self.line(d, f"{t} = iv.get({self.const(e.var)})")
             self.line(d, f"if {t} is None:")

@@ -439,7 +439,8 @@ def _quiet(walk):
 # It returns the node's column over the selection, and never writes into a
 # column it was given or handed out.  Children are evaluated through
 # `_COLUMN` inline, so a tree level costs one Python frame, as it does for
-# `_eval`.
+# `_eval`, except along an else-chain, which is walked in one loop
+# (`_branch`), so a chain of any length costs one frame.
 
 
 def _bools(col: Column) -> Column:
@@ -455,15 +456,6 @@ def _same_kind(a: Column, b: Column) -> np.dtype:
     if a.dtype is not b.dtype:
         raise Unsupported("no column holds entries of two kinds")
     return a.dtype
-
-
-def _merge(mask: Column, yes: Column, unmask: Column, no: Column) -> Column:
-    """Entries from `yes`, in order, where `mask` is true, and from `no`
-    where `unmask`, its negation, is."""
-    out = np.empty(len(mask), _same_kind(yes, no))
-    out[mask] = yes
-    out[unmask] = no
-    return out
 
 
 def _const(s, e, sel):
@@ -509,47 +501,48 @@ def _binary(s, e, sel):
     return _BINARY[op](a, _COLUMN[type(right)](s, right, sel))
 
 
-def _if(s, e, sel):
-    cond, then, orelse = e.cond, e.then, e.orelse
-    c = _bools(_COLUMN[type(cond)](s, cond, sel))
-    count = np.count_nonzero(c)
-    if count == len(sel):
-        return _COLUMN[type(then)](s, then, sel)
-    if not count:
-        return _COLUMN[type(orelse)](s, orelse, sel)
-    nc = ~c
-    return _merge(c, _COLUMN[type(then)](s, then, sel[c]), nc, _COLUMN[type(orelse)](s, orelse, sel[nc]))
-
-
-def _case_list(s, e, sel):
-    # `at` holds the positions in `sel` of the cases still open, None for all
+def _branch(s, e, sel):
+    # an else-chain of `IfThenElse` and `CaseList` nodes is one case list,
+    # its guards in the order `_eval` tries them, walked in a loop: each
+    # guard on the cases still open, each arm on the cases that take it, and
+    # one column assembled from the parts at the end, so no frame or
+    # selection is held per rung.  `at` names the open cases within `sel`:
+    # all of them (None), a mask after the first split, then their positions
     parts = []
     rest, at = sel, None
-    for guard, arm in e.cases:
-        if not len(rest):
+    pairs, i = (), 0  # the guards and arms of a case list down the chain
+    while True:
+        if i < len(pairs):
+            guard, arm = pairs[i]
+            i += 1
+        elif type(e) is E.IfThenElse:
+            guard, arm, e = e.cond, e.then, e.orelse
+        elif type(e) is E.CaseList:
+            pairs, i, e = e.cases, 0, e.default
+            continue
+        else:
             break
         g = _bools(_COLUMN[type(guard)](s, guard, rest))
         count = np.count_nonzero(g)
         if count == len(rest):
             # every open case takes this arm: it reads `rest` itself
-            parts.append((at, _COLUMN[type(arm)](s, arm, rest)))
-            rest = rest[:0]
+            e = arm
             break
         if count:
-            yes = rest[g]
-            parts.append((g if at is None else at[g], _COLUMN[type(arm)](s, arm, yes)))
+            if at is not None and at.dtype is _BOOL:
+                at = np.flatnonzero(at)
+            parts.append((g if at is None else at[g], _COLUMN[type(arm)](s, arm, rest[g])))
             open_ = ~g
             rest = rest[open_]
-            at = np.flatnonzero(open_) if at is None else at[open_]
-    if len(rest):
-        d = e.default
-        parts.append((at, _COLUMN[type(d)](s, d, rest)))
-    if len(parts) == 1:
-        return parts[0][1]
-    out = np.empty(len(sel), parts[0][1].dtype)
-    for where, col in parts:
-        _same_kind(out, col)
-        out[where] = col
+            at = open_ if at is None else at[open_]
+    col = _COLUMN[type(e)](s, e, rest)
+    if not parts:
+        return col
+    out = np.empty(len(sel), col.dtype)
+    out[at] = col
+    for where, part in parts:
+        _same_kind(out, part)
+        out[where] = part
     return out
 
 
@@ -768,8 +761,8 @@ _COLUMN = {
     E.Ref: _ref,
     E.Unary: _unary,
     E.Binary: _binary,
-    E.IfThenElse: _if,
-    E.CaseList: _case_list,
+    E.IfThenElse: _branch,
+    E.CaseList: _branch,
     E.IsIntervened: _is_intervened,
     E.InterventionValue: _intervention_value,
     E.ExistsIntervention: _exists,

@@ -505,10 +505,15 @@ def eval_consolidated(
     """
     iv = interventions if interventions is not None else InterventionSet.empty()
     if check_membership:
-        dropped = cons.dropped_atom_vars
-        kept = iv.drop(dropped) if dropped and not dropped.isdisjoint(map(_VAR, iv.assignments)) else iv
-        if not cons.interventions.contains(kept):
-            raise InterventionNotAllowedError(f"{kept} is not in the allowed intervention space")
+        dropped, space = cons.dropped_atom_vars, cons.interventions
+        if dropped and space.mode != S.EXPLICIT:
+            # a generated space is checked without making the projected set
+            if not space.contains_kept(iv, dropped):
+                raise InterventionNotAllowedError(f"{iv.drop(dropped)} is not in the allowed intervention space")
+        else:
+            kept = iv.drop(dropped) if dropped and not dropped.isdisjoint(map(_VAR, iv.assignments)) else iv
+            if not space.contains(kept):
+                raise InterventionNotAllowedError(f"{kept} is not in the allowed intervention space")
     return cons.plan.compiled(u, iv, rng)
 
 

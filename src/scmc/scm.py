@@ -272,6 +272,21 @@ class InterventionSpace:
                 return False
         return True
 
+    def contains_kept(self, iset: InterventionSet, dropped: frozenset) -> bool:
+        """`self.contains(iset.drop(dropped))`.  A generated space scans the
+        set's atoms once, skipping those on `dropped`, and makes no set."""
+        if self.mode == EXPLICIT:
+            return iset.drop(dropped) in self.sets
+        index = self._atom_index
+        kept = 0
+        for var, val in iset.assignments:
+            if var in dropped:
+                continue
+            if val not in index.get(var, ()):
+                return False
+            kept += 1
+        return kept <= 1 or self.mode != SINGLETON
+
     def size(self) -> int:
         if self.mode == EXPLICIT:
             return len(self.sets)

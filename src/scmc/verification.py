@@ -244,8 +244,10 @@ def _over_budget(base: Scm, strategy: EquivalenceStrategy) -> str:
     return ""
 
 
-#: cases of a verifier column block; bounds the columns held at once
-_BLOCK_CASES = 256
+#: cases of a verifier column block, which bounds the columns held at once:
+#: as many as the default `intervention_budget` and `gate_case_budget`, so
+#: that a list of up to that many cases is one walk of each model
+_BLOCK_CASES = 4096
 #: leading cases the gate checks one by one before the columns take over:
 #: a rejected rewrite usually disagrees on the very first case
 _PROBE_CASES = 1

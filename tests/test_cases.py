@@ -354,7 +354,7 @@ def test_verifier_reports_equal_the_list_builders(monkeypatch):
         scm = random_model(seed, max_endo=8)
         targets = scm.endo_vars()[-2:]
         models.append((scm, consolidate(scm, random_partition(scm, seed + 5), targets), targets))
-    # lists longer than one verifier block of 256 cases, exhaustive and sampled
+    # lists of 512 and 600 cases, exhaustive and sampled
     squad = zoo.firing_squad(8)
     models.append((squad.scm, squad.consolidated(PassConfig(gate=False)), squad.targets))
     for scm, cons, targets in models:

@@ -12,6 +12,8 @@ which decline, and check the declining ones end to end against the loop.
 
 import math
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -864,3 +866,145 @@ def test_columns_from_before_keep_the_sign_of_zero():
     same = Ccv((T1, T2), {**rho, T1: Binary("mul", rconst(0.0), Ref(X))}, sub.interventions, 0)
     got = C.plan_columns(ccv_plan(same, sub.local_exogenous), cases, before=(before.rows, want))
     assert got[T1] is want[T1] and got[T2] is want[T2]
+
+
+# ---------------------------------------------------------------------------
+# Else-chains: `IfThenElse` and `CaseList` nodes down an `orelse` chain are
+# walked as one case list
+# ---------------------------------------------------------------------------
+
+CHAIN_ROWS = rows_over(X, INTS, (InterventionSet.empty(), InterventionSet.of({Y: E.VInt(4)}), InterventionSet.of({Y: E.VInt(-1)})))
+
+
+@st.composite
+def chain_guards(draw):
+    """A condition over `X` and `Y`'s atoms; now and then one that holds on
+    every case or on none, and rarely one that is not a boolean."""
+    c = iconst(draw(st.sampled_from([-3, -1, 0, 1, 2, 7])))
+    return draw(
+        st.sampled_from(
+            [Binary("eq", Ref(X), c), Binary("lt", Ref(X), c), IsIntervened(Y), bconst(True), bconst(False)] * 4
+            + [Ref(X)]
+        )
+    )
+
+
+@st.composite
+def chain_arms(draw, depth):
+    """An arm: mostly an int, with a real now and then (two kinds, which the
+    columns decline), arms that raise on some cases (`1 div X` where X is
+    0, `Y`'s forced value where it is not intervened on), and chains."""
+    k = draw(st.integers(0, 6 if depth else 5))
+    if k == 0:
+        return iconst(draw(st.integers(-3, 3)))
+    if k == 1:
+        return Binary("add", Ref(X), iconst(1))
+    if k == 2:
+        return Binary("div", iconst(1), Ref(X))
+    if k == 3:
+        return InterventionValue(Y)
+    if k == 4:
+        return rconst(draw(st.sampled_from([-0.0, 0.0, 1.5])))
+    if k == 5:
+        return Ref(X)
+    return draw(chains(depth - 1))
+
+
+@st.composite
+def chains(draw, depth=2):
+    """An else-chain of up to 8 rungs, each an `IfThenElse` or a guard of a
+    `CaseList` further down, arms included."""
+    rungs = draw(st.lists(st.tuples(chain_guards(), chain_arms(depth)), max_size=8))
+    tree, listed = draw(chain_arms(depth)), []
+    for guard, arm in reversed(rungs):
+        if draw(st.booleans()):
+            listed.insert(0, (guard, arm))
+            continue
+        if listed:
+            tree, listed = CaseList(tuple(listed), tree), []
+        tree = IfThenElse(guard, arm, tree)
+    if listed or draw(st.integers(0, 9)) == 0:
+        tree = CaseList(tuple(listed), tree)
+    return tree
+
+
+@given(chains(), st.lists(st.booleans(), min_size=len(CHAIN_ROWS), max_size=len(CHAIN_ROWS)))
+def test_else_chains_match_the_per_case_oracle(tree, keep):
+    """Over any subset of the rows, none included: the columns raise where
+    some row raises, decline where the values are of two kinds, and
+    otherwise hold the values of `_eval` and of the oracle."""
+    rows = [row for row, k in zip(CHAIN_ROWS, keep) if k]
+    cases = C.Cases.listed({X: (np.array([env[X].i for env, _ in rows], np.int64), False)}, [iv for _, iv in rows])
+    want = per_case(tree, rows)
+    if want is None:
+        with pytest.raises(Exception):
+            C.column(tree, cases, {X: cases.input(X)})
+        return
+    assert reprs(oracle_eval(tree, env, iv) for env, iv in rows) == reprs(want)
+    kinds = {type(v) for v in want}
+    try:
+        got = C.column(tree, cases, {X: cases.input(X)})
+    except C.Unsupported:
+        assert len(kinds) != 1, tree
+        return
+    assert len(kinds) <= 1
+    assert column_values(got) == reprs(want)
+    assert_column_kind(got)
+
+
+def ladder(stones, last):
+    """`if do(S_0) then its value elif do(S_1) ... else last`."""
+    tree = last
+    for s in reversed(stones):
+        tree = IfThenElse(IsIntervened(s), InterventionValue(s), tree)
+    return tree
+
+
+def ladder_rows(stones, n: int):
+    """`n` cases: every second one intervenes on one stone, or on two, the
+    earlier one first in the ladder; the rest on none."""
+    rows = []
+    for k in range(n):
+        atoms = {}
+        if k % 2:
+            atoms[stones[(k * 37) % len(stones)]] = E.VInt(k)
+        if k % 6 == 1:
+            atoms[stones[(k * 11) % len(stones)]] = E.VInt(-k)
+        rows.append(({X: E.VInt(k)}, InterventionSet.of(atoms)))
+    return rows
+
+
+def test_a_ladder_deeper_than_the_recursion_limit_evaluates():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    stones = [VarRef("S", k) for k in range(depth)]
+    rows = ladder_rows(stones, 96)
+    got = column_over(ladder(stones, Ref(X)), rows)
+    want = []
+    for env, iv in rows:
+        first = min((stones.index(v) for v in iv.vars()), default=None)
+        want.append(env[X] if first is None else iv.get(stones[first]))
+    assert column_values(got) == reprs(want)
+
+
+def test_a_walk_holds_nothing_per_rung():
+    """A ladder's walk over 512 cases holds its cases' selections, not one
+    per rung: the tracemalloc peak with 800 rungs is that with 200.  Half
+    the cases take a rung among the first 200, the other half none, so they
+    stay open through every rung.  (A walk that recursed per rung peaked at
+    471 KB with 200 rungs and 706 KB with 800; the loop peaks at 39 KB with
+    either.)"""
+    stones = [VarRef("S", k) for k in range(800)]
+    cases, env = make_cases(ladder_rows(stones[:200], 512))
+    peaks = []
+    for rungs in (200, 800):
+        tree = ladder(stones[:rungs], Ref(X))
+        C.column(tree, cases, env)
+        tracemalloc.start()
+        try:
+            C.column(tree, cases, env)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[1] < 100_000, peaks

@@ -23,7 +23,16 @@ from scmc import documents as D
 from scmc import expr as E
 from scmc import zoo
 from scmc.codegen import _MAX_NESTING, plan_source
-from scmc.consolidation import Ccv, CcvCluster, PassConfig, attach_ccvs, consolidate, eval_ccv, eval_consolidated
+from scmc.consolidation import (
+    Ccv,
+    CcvCluster,
+    PassConfig,
+    attach_ccvs,
+    consolidate,
+    eval_ccv,
+    eval_consolidated,
+    wrap_intervention,
+)
 from scmc.errors import DomainError, ModelTooDeepError, NonDeterministicModelError, UnboundRefError
 from scmc.evaluation import eval_partitioned, eval_scm, make_rng, run_plan, sample_exogenous
 from scmc.expr import (
@@ -497,3 +506,47 @@ def test_lazy_nesting_moves_into_helpers(width):
         iv = InterventionSet.of({b: VInt(7) for b in bits if rng.random() < 0.05})
         got = agree(plan, u, iv)
         assert got[0] == "value", got
+
+
+def test_a_guarded_intervention_value_reads_the_set_outright():
+    """In the branch an `IsIntervened(v)` test takes, `InterventionValue(v)`
+    is `iv[v]`: no lookup that may miss, no `is None` test and no raise.
+    That holds for `consolidation.wrap_intervention`'s shape, along an
+    `elif` ladder and a case list, and in helpers spilled past the nesting
+    limit; elsewhere, or for another variable, the lookup stays."""
+    stones = [VarRef("L", k) for k in range(3 * _MAX_NESTING + 7)]
+    guarded = [
+        wrap_intervention(S2, Ref(A)),
+        ladder(stones, Ref(A)),
+        CaseList(((IsIntervened(S2), InterventionValue(S2)), (IsIntervened(S3), InterventionValue(S3))), Ref(A)),
+    ]
+    for tree in guarded:
+        source = plan_source(one_row_plan(tree))[0]
+        # the one raise left is the input's presence check
+        assert "is None" not in source and "iv.get(" not in source, source
+        assert source.count("raise _UnboundRefError") == 1, source
+    assert "def h1(" in plan_source(one_row_plan(guarded[1]))[0]
+    # S3's value under S2's test, and S2's outside it, are looked up
+    unguarded = IfThenElse(
+        IsIntervened(S2),
+        Binary("add", InterventionValue(S2), InterventionValue(S3, Const(VInt(0)))),
+        InterventionValue(S2),
+    )
+    source = plan_source(one_row_plan(unguarded))[0]
+    assert source.count("is None") == 2 and source.count("iv.get(") == 2 and source.count("iv[") == 1, source
+    assert source.count("raise _UnboundRefError") == 2, source
+    # the generated code agrees with `run_plan` and the oracle
+    sets = [
+        InterventionSet.empty(),
+        InterventionSet.of({S2: VInt(4)}),
+        InterventionSet.of({S3: VInt(-1)}),
+        InterventionSet.of({S2: VInt(4), S3: VReal(-0.0)}),
+        InterventionSet.of({stones[0]: VInt(7)}),
+        InterventionSet.of({stones[-1]: VInt(8), stones[_MAX_NESTING + 3]: VInt(9)}),
+    ]
+    for tree in guarded + [unguarded]:
+        plan = one_row_plan(tree, inputs=((A, None),))
+        for iv in sets:
+            for u in ({A: VInt(2)}, {A: VReal(0.5)}):
+                agree(plan, u, iv)
+    assert agree(one_row_plan(unguarded, inputs=((A, None),)), {A: VInt(2)}, sets[0])[:2] == ("raises", UnboundRefError)

@@ -455,3 +455,39 @@ def test_contains_tells_equal_values_of_other_classes_apart():
     assert not space.contains(InterventionSet.of({P: E.VReal(1.0)}))
     assert not space.contains(InterventionSet.of({P: E.VBool(True)}))
     assert not space.contains(InterventionSet.of({P: E.VReal(float("nan"))}))
+
+
+@given(
+    mode=st.sampled_from([POWER_SET, SINGLETON, EXPLICIT]),
+    atoms=st.lists(st.tuples(st.sampled_from(_MEMBER_VARS), st.lists(_values, max_size=4)), max_size=5),
+    members=st.lists(_isets, max_size=5),
+    dropped=st.frozensets(st.sampled_from(_MEMBER_VARS)),
+    queries=st.lists(_isets, min_size=1, max_size=6),
+)
+def test_contains_kept_is_contains_of_the_projected_set(mode, atoms, members, dropped, queries):
+    """Sets of dropped atoms only, of kept atoms only and of both; values
+    that compare equal across classes or signs, and NaNs."""
+    if mode == EXPLICIT:
+        spaces = [InterventionSpace.explicit(members)]
+        queries = queries + list(members)
+    else:
+        spaces = [InterventionSpace(mode, tuple((v, tuple(vals)) for v, vals in atoms))]
+        spaces.append(InterventionSpace.power_set(atoms) if mode == POWER_SET else InterventionSpace.singletons(atoms))
+        queries = queries + [InterventionSet.of({v: x}) for v, vals in atoms for x in vals[:1]]
+        # every variable's first atom: members of a power set, and with
+        # more than one kept atom never of a singleton space
+        queries.append(InterventionSet.of({v: vals[0] for v, vals in atoms if vals}))
+    for space in spaces:
+        for iset in queries:
+            assert space.contains_kept(iset, dropped) == space.contains(iset.drop(dropped)), (space, iset, dropped)
+
+
+def test_contains_kept_in_a_singleton_space_counts_only_kept_atoms():
+    P, Q = VarRef("P"), VarRef("Q")
+    space = InterventionSpace.singletons([(P, [E.VReal(0.0)]), (Q, [E.VInt(1)])])
+    both = InterventionSet.of({P: E.VReal(-0.0), Q: E.VInt(1)})
+    assert not space.contains(both)
+    assert space.contains_kept(both, frozenset({Q})) and space.contains_kept(both, frozenset({P}))
+    assert not space.contains_kept(both, frozenset())
+    assert not space.contains_kept(InterventionSet.of({P: E.VReal(float("nan")), Q: E.VInt(1)}), frozenset({Q}))
+    assert space.contains_kept(InterventionSet.of({P: E.VReal(float("nan"))}), frozenset({P}))

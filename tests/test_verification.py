@@ -3,12 +3,21 @@
 import math
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import oracle_gate, oracle_verifier_cases, outcome, reuse_clusters, shared_candidate
+from helpers import (
+    oracle_gate,
+    oracle_verifier_cases,
+    outcome,
+    random_model,
+    random_partition,
+    reuse_clusters,
+    shared_candidate,
+)
 from scmc import documents as D
 from scmc import expr as E
 from scmc import verification as Q
@@ -830,3 +839,122 @@ def test_too_deep_model_is_a_typed_error():
     assert isinstance(info.value.__cause__, RecursionError)
     assert report.equal
     assert report == verify_equivalence(entry.scm, cons, entry.targets)
+
+
+# ---------------------------------------------------------------------------
+# Column blocks: the verifier's report does not depend on how its case list
+# is cut into blocks
+# ---------------------------------------------------------------------------
+
+K, Y, Z = VarRef("K"), VarRef("Y"), VarRef("Z")
+BIG = 2**51
+
+
+def overflowing_checks() -> list:
+    """Verifier checks of `Y = K * 2**51`, `Z = Y div 2**51` over K in 0..7,
+    four sets per K: from K = 5 on, `Y` is past 2**53, so the columns of a
+    block that holds such a case decline part-way through the list.  The
+    right consolidation, then wrong ones that disagree first on K = 2, 5
+    and 7, each exhaustive and sampled."""
+    scm = Scm(
+        name="overflowing",
+        endogenous=(
+            EndoVar(Y, IntDomain(0, 8 * BIG), Binary("mul", Ref(K), iconst(BIG))),
+            EndoVar(Z, IntDomain(0, 9), Binary("div", Ref(Y), iconst(BIG))),
+        ),
+        exogenous=(ExoVar(K, IntDomain(0, 7), UniformFinite(tuple(E.VInt(k) for k in range(8)))),),
+        interventions=InterventionSpace.power_set([(Y, [E.VInt(3 * BIG)]), (Z, [E.VInt(1)])]),
+    )
+    cons = consolidate(scm, Partition.of([[Y, Z]]), [Z])
+    (cluster,) = [c for c in cons.clusters if isinstance(c, CcvCluster)]
+    variants = [cons]
+    for k in (2, 5, 7):
+        wrong = IfThenElse(Binary("eq", Ref(K), iconst(k)), iconst(0), cluster.ccv.rho[Z])
+        variants.append(attach_ccvs(cons, {cluster.index: Ccv((Z,), {Z: wrong}, cluster.ccv.interventions, 0)}))
+    strategies = [EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=40, seed=5)]
+    return [(scm, c, [Z], s) for c in variants for s in strategies]
+
+
+def zero_variant(cons):
+    """`cons` with the last target of its first consolidated cluster
+    replaced by -0.0: a counterexample whose value keeps its sign."""
+    cluster = next(c for c in cons.clusters if isinstance(c, CcvCluster))
+    ccv = cluster.ccv
+    rho = {**ccv.rho, ccv.targets[-1]: rconst(-0.0)}
+    return attach_ccvs(cons, {cluster.index: Ccv(ccv.targets, rho, ccv.interventions, 0)})
+
+
+def block_checks() -> list:
+    """Verifier checks of zoo models, with broken variants, and of random
+    models, then of models whose columns decline part-way through the list
+    or from its start, and of one whose cases raise."""
+    from test_cases import broken_variants
+    from test_columns import declining_checks, partial_model
+
+    exhaustive, sampled = EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=64, seed=2)
+    checks = []
+    for entry in (zoo.dominoes(6), zoo.step_by_step(), zoo.firing_squad(4), zoo.tool_wear(6, "sampled")):
+        for c in broken_variants(entry.consolidated(PassConfig(gate=False))):
+            checks += [(entry.scm, c, entry.targets, exhaustive), (entry.scm, c, entry.targets, sampled)]
+    entry = zoo.tool_wear(6, "sampled")
+    checks.append((entry.scm, zero_variant(entry.consolidated()), entry.targets, sampled))
+    # the broken rewrites of the mutation suite, in whole models
+    entry = zoo.step_by_step()
+    good = entry.consolidated()
+    first, *rest = good.clusters  # cluster 0 computes F and G
+    for _, mutate in BROKEN_REWRITES:
+        broken = replace(first, ccv=replace(first.ccv, rho=mutate(dict(first.ccv.rho))))
+        cons = replace(good, clusters=(broken, *rest))
+        checks += [(entry.scm, cons, entry.targets, exhaustive), (entry.scm, cons, entry.targets, sampled)]
+    for seed in range(8):
+        scm = random_model(seed, max_endo=8, max_domain=4)
+        targets = scm.endo_vars()[-2:]
+        cons = consolidate(scm, random_partition(scm, seed + 5), targets)
+        checks.append((scm, cons, targets, EquivalenceStrategy.exhaustive(intervention_budget=512)))
+        checks.append((scm, cons, targets, EquivalenceStrategy.sampled(count=50, seed=seed)))
+    checks += overflowing_checks() + declining_checks()
+    scm = partial_model(Ref(VarRef("X")))
+    plain = consolidate(scm, Partition.of([[Y, Z]]), [Z], clusters_to_consolidate=set())
+    checks.append((scm, plain, [Z], exhaustive))
+    return checks
+
+
+def reports(checks) -> list[str]:
+    """Each check's report as its repr, which shows the values with their
+    classes and the sign of a real zero, or the type and message of the
+    error it raised."""
+    return [outcome(lambda c=c: verify_equivalence(*c)) for c in checks]
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    from test_columns import loop_only
+
+    checks = block_checks()
+    by_size = {}
+    for size in (1, 7, 256, 4096):
+        monkeypatch.setattr(Q, "_BLOCK_CASES", size)
+        by_size[size] = reports(checks)
+    monkeypatch.undo()
+    want = reports(checks)
+    for size, got in by_size.items():
+        assert got == want, size
+    assert sum("verdict='counterexample'" in r for r in want) >= 25
+    assert sum("verdict='equal'" in r for r in want) >= 25
+    assert any("ccv_value=VReal(r=-0.0)" in r for r in want)
+    assert want[-1] == "raises DivisionByZeroError: division by zero"
+    # the overflowing model: its base has columns up to K = 4, cases 0..19,
+    # and none from there on; the right consolidation is equal, and each
+    # wrong one fails on the first case with its K
+    scm = overflowing_checks()[0][0]
+    cases, _ = Q.verifier_cases(scm, EquivalenceStrategy.exhaustive())
+    Q.C.plan_columns(scm.plan, cases.block(0, 20), frozenset([Z]))
+    for lo in (20, 28):
+        with pytest.raises(Q.C.Unsupported):
+            Q.C.plan_columns(scm.plan, cases.block(lo, 32), frozenset([Z]))
+    overflowing = reports(overflowing_checks())
+    assert "verdict='equal'" in overflowing[0] and "verdict='equal'" in overflowing[1]
+    for text, k in zip(overflowing[2::2], (2, 5, 7)):
+        assert f"verdict='counterexample', cases_checked={4 * k + 1}," in text, text
+    # and the per-case loop alone agrees
+    loop_only(monkeypatch)
+    assert reports(checks) == want

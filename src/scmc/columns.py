@@ -25,9 +25,11 @@ symbols and `pow` with an int base all raise `Unsupported`.
 
 Case lists are built in column form from the start: `Cases` holds a column
 per input and a table of what each case's intervention set forces, and
-`Tiling` makes those columns per block for an exhaustive check by repeating
-each input row and tiling a per-set table.  A case as the per-case loop reads
-it, an assignment and an intervention set of Python values, is made only on
+`Tiling`, an exhaustive check's list, works each case out from its position:
+input columns are taken at the mixed-radix digits of the case's input row,
+and a canonical space's sets and forced table come from the set's position,
+with no set listed in advance.  A case as the per-case loop reads it, an
+assignment and an intervention set of Python values, is made only on
 demand.
 
 Every node keeps the per-case semantics of its `_eval`:
@@ -260,12 +262,38 @@ def _forced_of_picks(atoms, picks: np.ndarray) -> _Table:
     return _Table.of({atoms[j][0]: (None,) + tuple(atoms[j][1]) for j in used}, codes)
 
 
-def _taken(sets: Sequence[InterventionSet], table, at: np.ndarray):
+def _forced_of_space(space: InterventionSpace) -> _Table:
+    """The forced table of every member of a canonical singleton or power-set
+    space, in `enumerate`'s order, worked out from the positions alone: no
+    set is made.  A power set's row r holds the digits `(k // stride_r) %
+    radix_r` of each position k, a singleton space's one code per set; rows
+    without values are left out, as `_forced_of_picks` leaves them."""
+    rows = [(v, vals) for v, vals in space.atoms if vals]
+    n = space.size()
+    codes = np.zeros((len(rows), n), _code_dtype(max((len(vals) + 1 for _, vals in rows), default=1)))
+    if space.mode == POWER_SET:
+        i, stride = 0, n
+        for _, vals in space.atoms:
+            radix = 1 + len(vals)
+            stride //= radix
+            if vals:
+                # each code in turn for `stride` positions, over and over
+                codes[i].reshape(-1, radix, stride)[:] = np.arange(radix, dtype=codes.dtype)[:, None]
+                i += 1
+    elif rows:
+        # after the empty set, each row's values in turn, codes 1, 2, ...
+        sizes = np.array([len(vals) for _, vals in rows])
+        at = np.arange(1, n)
+        codes[np.repeat(np.arange(len(rows)), sizes), at] = at - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return _Table.of({v: (None,) + tuple(vals) for v, vals in rows}, codes)
+
+
+def _taken(set_at: Callable[[int], InterventionSet], table, at: np.ndarray):
     """The forced table, or the `Unsupported` it raised, of the cases whose
-    k-th set is `sets[at[k]]`, given the forced table of `sets` or the
-    `Unsupported` it raised: then a set no case takes does not count."""
+    k-th set is `set_at(at[k])`, given the forced table of all the sets or
+    the `Unsupported` it raised: then a set no case takes does not count."""
     if isinstance(table, Unsupported):
-        return _table(_forced_of, [sets[i] for i in at.tolist()])
+        return _table(_forced_of, [set_at(i) for i in at.tolist()])
     return table.taken(at)
 
 
@@ -365,41 +393,109 @@ class Cases(_Indexed):
         return len(self.every)
 
 
+def _by_repr(support: Sequence[Value]) -> tuple[list[Value], Optional[np.ndarray]]:
+    """`support` stably sorted by `repr`; and, where two of its values share
+    a repr, the rank of each sorted value's repr among the distinct ones."""
+    if len(support) < 2:
+        return list(support), None
+    keyed = sorted((repr(x), i) for i, x in enumerate(support))
+    keys = [key for key, _ in keyed]
+    values = [support[i] for _, i in keyed]
+    if len(set(keys)) == len(keys):
+        return values, None
+    return values, np.cumsum([0] + [a != b for a, b in zip(keys, keys[1:])])
+
+
 class Tiling(_Indexed):
     """The case list of an exhaustive check: each input row, in turn, with
     every intervention set, rows outermost.
 
-    `case(k)` hands out the row's own assignment and the set.  Columns are
-    made per block of cases, by repeating each row's entries once per set
-    and tiling a forced table made once per set.
+    Nothing is listed in advance; case k is worked out from k.  Each input
+    has one column, its support sorted by `repr` (stably), and input row r
+    takes from each column the digit of r in their mixed radix, first input
+    outermost (Knuth, TAOCP 4A, 7.2.1.1).  That lists the rows in the order
+    of their reprs, input by input.  Where a support holds two values with
+    the same repr, rows that tie on every repr keep that mixed-radix order,
+    and one stable `np.lexsort` over per-input repr ranks puts each row in
+    its place.  The sets are a sequence, or a canonical singleton or power-set
+    space read by position (`InterventionSpace.member_at`), whose forced
+    table is worked out from the positions (`_forced_of_space`).
+
+    `case(k)` makes the row's assignment and the set when asked.  Columns are
+    made per block of cases, by taking each input's column at the digits of
+    the block's rows, and the forced table at the block's set positions.
     """
 
-    __slots__ = ("_envs", "_sets", "_inputs", "_forced")
+    __slots__ = ("_inputs", "_order", "_rows", "_per", "_set", "_forced")
 
     def __init__(
-        self, names: Sequence[VarRef], envs: Sequence[Mapping[VarRef, Value]], sets: Sequence[InterventionSet]
+        self,
+        supports: Sequence[tuple[VarRef, Sequence[Value]]],
+        sets: Sequence[InterventionSet] | InterventionSpace,
     ):
-        self._envs = envs
-        self._sets = list(sets)
-        self._inputs = {v: entries([env[v] for env in envs]) for v in names}
-        self._forced = _table(_forced_of, self._sets)
+        #: per input: its variable, sorted support, `entries` of it, stride and radix
+        self._inputs = []
+        ranks = []
+        rows = 1
+        for var, support in reversed(supports):
+            values, rank = _by_repr(support)
+            self._inputs.append((var, values, entries(values), max(rows, 1), max(len(values), 1)))
+            ranks.append(rank)
+            rows *= len(values)
+        self._inputs.reverse()
+        self._rows = rows
+        #: the mixed-radix row at each row position, where ties reorder them
+        self._order = None
+        if any(rank is not None for rank in ranks):
+            every = np.arange(rows)
+            # last input first, as `np.lexsort` takes its last key as the
+            # primary one; a digit is its own rank where no two reprs tie
+            keys = []
+            for rank, (*_, stride, radix) in zip(ranks, reversed(self._inputs)):
+                digits = every // stride % radix
+                keys.append(digits if rank is None else rank[digits])
+            self._order = np.lexsort(keys)
+        if isinstance(sets, InterventionSpace):
+            self._per, self._set = sets.size(), sets.member_at
+            self._forced = _table(_forced_of_space, sets)
+        else:
+            sets = list(sets)
+            self._per, self._set = len(sets), sets.__getitem__
+            self._forced = _table(_forced_of, sets)
 
     def __len__(self) -> int:
-        return len(self._envs) * len(self._sets)
+        return self._rows * self._per
 
-    def case(self, k: int) -> tuple[Mapping[VarRef, Value], InterventionSet]:
-        per = len(self._sets)
-        return self._envs[k // per], self._sets[k % per]
+    def case(self, k: int) -> tuple[dict[VarRef, Value], InterventionSet]:
+        row, at = divmod(k, self._per)
+        if self._order is not None:
+            row = int(self._order[row])
+        return {var: values[row // stride % radix] for var, values, _, stride, radix in self._inputs}, self._set(at)
 
     def block(self, lo: int, hi: int) -> Cases:
         """Cases lo..hi-1 in column form."""
-        sets, per = self._sets, max(len(self._sets), 1)
+        set_at, per = self._set, max(self._per, 1)
         rows, at = np.divmod(np.arange(lo, hi), per)
+        # the block's distinct rows, and each case's place among them
+        first = lo // per
+        runs = np.arange(first, (hi - 1) // per + 1) if hi > lo else rows
+        place = None if per == 1 else rows - first
+        if self._order is not None:
+            runs = self._order[runs]
         inputs = {}
-        for v, (col, exact) in self._inputs.items():
-            inputs[v] = ([col[r] for r in rows.tolist()] if exact else col[rows], exact)
-        forced = _taken(sets, self._forced, at)
-        return Cases(inputs, forced, lambda k: sets[(lo + k) % per], hi - lo)
+        for var, values, (col, noform), stride, radix in self._inputs:
+            if radix == 1:
+                inputs[var] = (values * (hi - lo) if noform else np.repeat(col, hi - lo), noform)
+                continue
+            digits = runs // stride % radix
+            if noform:
+                picked = [values[d] for d in digits.tolist()]
+                inputs[var] = (picked if place is None else [picked[p] for p in place.tolist()], True)
+            else:
+                picked = col[digits]
+                inputs[var] = (picked if place is None else picked[place], False)
+        forced = _taken(set_at, self._forced, at)
+        return Cases(inputs, forced, lambda k: set_at((lo + k) % per), hi - lo)
 
 
 class _Scope:

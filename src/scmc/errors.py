@@ -59,10 +59,6 @@ class PassBudgetExceededError(ScmcError):
     pass
 
 
-class BudgetExceededError(ScmcError):
-    pass
-
-
 class ModelTooDeepError(ScmcError):
     """An expression nests deeper than the recursive tree walkers can follow."""
 

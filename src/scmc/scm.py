@@ -316,8 +316,20 @@ class InterventionSpace:
 
     def sample(self, rng) -> InterventionSet:
         """One member drawn with the package RNG; uniform over the enumeration
-        for explicit/singleton modes, independent per-atom for power sets."""
-        return self.member(self.picks(rng, 1)[0].tolist())
+        for explicit/singleton modes, independent per-atom for power sets.
+
+        One `rng.integers` call, which consumes the stream as `picks(rng, 1)`
+        does: a scalar position, or one row of bounds."""
+        if self.mode in _LISTED:
+            return self._members[rng.integers(len(self._members), dtype=np.int64)]
+        if not self.atoms:
+            return InterventionSet.empty()
+        return self.member(rng.integers(self._bounds, dtype=np.int64).tolist())
+
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """A power set's draw bounds, one per atom row: 1 + its values."""
+        return np.array([1 + len(vals) for _, vals in self.atoms], np.int64)
 
     def picks(self, rng, count: int) -> np.ndarray:
         """What `count` draws pick, before they are made sets: for
@@ -332,8 +344,8 @@ class InterventionSpace:
             if not count:
                 return np.zeros(0, np.int64)
             return rng.integers(len(self._members), size=count, dtype=np.int64)
-        bounds = [1 + len(vals) for _, vals in self.atoms]
-        if not count or not bounds:
+        bounds = self._bounds
+        if not count or not len(bounds):
             return np.zeros((count, len(bounds)), np.int64)
         return rng.integers(bounds, size=(count, len(bounds)), dtype=np.int64)
 
@@ -346,6 +358,17 @@ class InterventionSpace:
             return InterventionSet.empty()
         rows, make = self._atom_pairs
         return make(tuple([row[k - 1] for row, k in zip(rows, pick) if k]))
+
+    def member_at(self, position: int) -> InterventionSet:
+        """The member at `position` in `enumerate`'s order, made alone: for a
+        power set, the set whose atom-row entries are the digits of
+        `position` in the mixed radix of the bounds, first row outermost."""
+        if self.mode in _LISTED:
+            return self._members[position]
+        pick = [0] * len(self.atoms)
+        for r in range(len(pick) - 1, -1, -1):
+            position, pick[r] = divmod(position, 1 + len(self.atoms[r][1]))
+        return self.member(pick)
 
     @cached_property
     def _members(self) -> tuple[InterventionSet, ...]:

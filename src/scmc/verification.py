@@ -20,8 +20,8 @@ from . import expr as E
 from . import scm as S
 from .consolidation import Ccv, ConsolidatedScm, PassConfig, ccv_plan, eval_consolidated
 from .errors import DomainError, recursion_as_too_deep
-from .evaluation import Assignment, _draw, enumerate_exogenous, eval_scm, make_rng, run_plan, run_rows
-from .evaluation import sample_exogenous  # noqa: F401 - bench/tracing.py looks it up here
+from .evaluation import Assignment, _draw, eval_scm, make_rng, run_plan, run_rows
+from .evaluation import enumerate_exogenous, sample_exogenous  # noqa: F401 - bench/tracing.py looks them up here
 from .expr import Value, VarRef, ref_sort_key
 from .partition import SubScm, sub_scm_as_scm
 from .scm import InterventionSet, Scm
@@ -108,18 +108,17 @@ def _first_mismatch(
     return bad, worst
 
 
-def _canonical_u_order(scm: Scm, assignments: list[Assignment]) -> list[Assignment]:
-    order = [row.var for row in scm.exogenous]
-
-    def key(u: Assignment):
-        return [repr(u[v]) for v in order]
-
-    return sorted(assignments, key=key)
-
-
-def _intervention_cases(space, strategy: EquivalenceStrategy) -> list[InterventionSet]:
+def _intervention_cases(
+    space: S.InterventionSpace, strategy: EquivalenceStrategy
+) -> list[InterventionSet] | S.InterventionSpace:
+    """The sets an exhaustive check pairs with each input row: the
+    strategy's own; or a canonical singleton or power-set space itself, read
+    by position; or else the space's members, listed now, so that a power
+    set with two rows on one variable raises before any case."""
     if strategy.intervention_sets is not None:
         return list(strategy.intervention_sets)
+    if space.mode != S.EXPLICIT and space.atoms_canonical:
+        return space
     return space.enumerate(strategy.intervention_budget)
 
 
@@ -187,9 +186,8 @@ def verifier_cases(base: Scm, strategy: EquivalenceStrategy) -> tuple[Optional[C
         message = _over_budget(base, strategy)
         if message:
             return None, message
-        u_cases = _canonical_u_order(base, enumerate_exogenous(base, strategy.exogenous_budget))
-        i_cases = _intervention_cases(base.interventions, strategy)
-        return C.Tiling([row.var for row in base.exogenous], u_cases, i_cases), ""
+        supports = [(row.var, S.dist_support(row.dist)) for row in base.exogenous]
+        return C.Tiling(supports, _intervention_cases(base.interventions, strategy)), ""
     count = strategy.sample_count
     if count < 0:
         raise DomainError("count must be non-negative")

@@ -281,16 +281,26 @@ def oracle_sample(space: InterventionSpace, rng) -> InterventionSet:
 # gate built before they built columns, one dict and one set per case.
 
 
+def canonical_u_order(scm: Scm, assignments: list) -> list:
+    """`assignments` stably sorted by the repr of each input's value, inputs
+    in declared order."""
+    order = [row.var for row in scm.exogenous]
+    return sorted(assignments, key=lambda u: [repr(u[v]) for v in order])
+
+
 def oracle_verifier_cases(scm: Scm, strategy) -> list:
     """The verifier's case list: every input assignment in canonical order
     with every allowed set, or seeded samples from two streams, the sets
     drawn one scalar call per atom."""
     from scmc.evaluation import enumerate_exogenous, make_rng, sample_exogenous
-    from scmc.verification import EXHAUSTIVE, _canonical_u_order, _intervention_cases
+    from scmc.verification import EXHAUSTIVE
 
     if strategy.mode == EXHAUSTIVE:
-        us = _canonical_u_order(scm, enumerate_exogenous(scm, strategy.exogenous_budget))
-        ivs = _intervention_cases(scm.interventions, strategy)
+        us = canonical_u_order(scm, enumerate_exogenous(scm, strategy.exogenous_budget))
+        if strategy.intervention_sets is not None:
+            ivs = list(strategy.intervention_sets)
+        else:
+            ivs = scm.interventions.enumerate(strategy.intervention_budget)
         return [(u, iv) for u in us for iv in ivs]
     rng = make_rng(strategy.seed)
     us = sample_exogenous(scm, strategy.seed, strategy.sample_count, strict=False)

@@ -8,6 +8,7 @@ keeps its sign and an int stays an int), the same columns, and the same
 reports, counterexamples and errors from the verifier and the gate.
 """
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -32,6 +33,7 @@ from scmc.scm import (
     BernoulliDist,
     EndoVar,
     ExoVar,
+    InterventionSet,
     InterventionSpace,
     NormalDist,
     PointMass,
@@ -100,6 +102,51 @@ def test_picks_draw_what_sample_draws(space):
         assert got == want and [repr(x) for x in got] == [repr(x) for x in want]
         assert batched.random() == one_by_one.random() == oracle.random()
     assert len(space.picks(make_rng(0), 0)) == 0
+
+
+class CountingRng:
+    """A generator that records the number of dimensions of what each
+    `integers` call returns."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.calls.append(np.ndim(out))
+        return out
+
+
+def sample_spaces() -> list:
+    # spaces() holds a power set of no atom
+    return spaces() + [
+        InterventionSpace.singletons([]),
+        InterventionSpace.explicit([InterventionSet.empty()]),
+        InterventionSpace.power_set([(X[1], [])]),
+    ]
+
+
+@pytest.mark.parametrize("space", sample_spaces(), ids=lambda s: f"{s.mode}-{len(s.atoms)}-{s.size()}")
+def test_sample_is_one_draw_of_picks(space):
+    # one `integers` call of at most one dimension per draw, which moves the
+    # stream as a draw of one row of `picks` does
+    for seed in (0, 3, 11):
+        ours, twin = CountingRng(make_rng(seed)), make_rng(seed)
+        for _ in range(25):
+            got, want = space.sample(ours), space.member(space.picks(twin, 1)[0].tolist())
+            assert got == want and repr(got) == repr(want)
+            assert ours.rng.random() == twin.random()
+        if space.mode != POWER_SET:
+            assert ours.calls == [0] * 25
+        else:
+            assert ours.calls == ([1] * 25 if space.atoms else [])
+
+
+@pytest.mark.parametrize("space", spaces(), ids=lambda s: f"{s.mode}-{len(s.atoms)}")
+def test_member_at_is_the_enumerated_member(space):
+    listed = space.enumerate()
+    made = [space.member_at(k) for k in range(len(listed))]
+    assert made == listed and [repr(x) for x in made] == [repr(x) for x in listed]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +254,30 @@ def strategies(seed: int) -> list:
     return [EquivalenceStrategy.exhaustive(), EquivalenceStrategy.sampled(count=24, seed=seed)]
 
 
+def assert_same_tables(got, want) -> None:
+    """Two forced tables alike row for row, codes, dtypes and atom objects
+    included, or both the `Unsupported` they raised."""
+    if isinstance(want, C.Unsupported):
+        assert isinstance(got, C.Unsupported)
+        return
+    assert not isinstance(got, C.Unsupported), got
+    assert set(got.rows) == set(want.rows)
+    for v, (mask, values, codes, atoms) in want.rows.items():
+        g_mask, g_values, g_codes, g_atoms = got.rows[v]
+        assert g_codes.dtype == codes.dtype and g_codes.tolist() == codes.tolist(), v
+        assert g_mask.tolist() == mask.tolist(), v
+        assert g_values.dtype == values.dtype, v
+        assert [repr(x) for x in g_values.tolist()] == [repr(x) for x in values.tolist()], v
+        assert len(g_atoms) == len(atoms) and all(a is b for a, b in zip(g_atoms, atoms)), v
+
+
+def assert_exhaustive_list(cases, rows, names) -> None:
+    """`assert_same_cases`, and the forced table of the whole list as
+    `_forced_of` makes it from the listed sets."""
+    assert_same_cases(cases, rows, names)
+    assert_same_tables(cases.block(0, len(cases))._forced, C._table(C._forced_of, [iv for _, iv in rows]))
+
+
 def assert_verifier_cases(scm: Scm, seed: int) -> None:
     names = [row.var for row in scm.exogenous]
     for strategy in strategies(seed):
@@ -214,7 +285,8 @@ def assert_verifier_cases(scm: Scm, seed: int) -> None:
         if cases is None:
             assert strategy.mode == Q.EXHAUSTIVE and message
             continue
-        assert_same_cases(cases, oracle_verifier_cases(scm, strategy), names)
+        check = assert_exhaustive_list if strategy.mode == Q.EXHAUSTIVE else assert_same_cases
+        check(cases, oracle_verifier_cases(scm, strategy), names)
 
 
 def assert_gate_cases(scm: Scm, partition: Partition, seed: int) -> None:
@@ -225,7 +297,7 @@ def assert_gate_cases(scm: Scm, partition: Partition, seed: int) -> None:
         n = local_case_count(sub)
         if n is not None and n <= 4096:
             want = oracle_verifier_cases(view, EquivalenceStrategy.exhaustive())
-            assert_same_cases(Q.enumerate_local_cases(sub), want, names)
+            assert_exhaustive_list(Q.enumerate_local_cases(sub), want, names)
         sampled = Q.sample_local_cases(sub, 24, seed)
         want = oracle_verifier_cases(view, EquivalenceStrategy.sampled(count=24, seed=seed))
         assert_same_cases(sampled, want, names)
@@ -287,6 +359,167 @@ def test_exhaustive_inputs_keep_the_canonical_order():
     per = scm.interventions.size()
     firsts = [repr(cases.case(k)[0][scm.exogenous[0].var]) for k in range(0, len(cases), per)]
     assert firsts == sorted(firsts)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive lists by position
+# ---------------------------------------------------------------------------
+
+
+def finite_model(space: InterventionSpace) -> Scm:
+    """`mixed_model` with finite inputs only, so that it has an exhaustive
+    list: a real zero of either sign, an input with no column form, a
+    Bernoulli input and point masses."""
+    base = mixed_model(space)
+    exo = (
+        base.exogenous[0],
+        base.exogenous[1],
+        ExoVar(U[2], RealDomain(), UniformFinite((E.VReal(0.5), E.VReal(-1.0)))),
+        ExoVar(U[3], RealDomain(0.0, 1.0), PointMass(E.VReal(0.25))),
+        base.exogenous[4],
+        base.exogenous[5],
+        base.exogenous[6],
+    )
+    return Scm("finite", base.endogenous, exo, space)
+
+
+def finite_spaces() -> list:
+    canonical = InterventionSpace.power_set(_atoms())
+    return [
+        canonical,
+        InterventionSpace(POWER_SET, tuple(reversed(canonical.atoms))),
+        InterventionSpace.power_set([]),
+        InterventionSpace.singletons(_atoms()),
+        InterventionSpace.singletons([]),
+        InterventionSpace.explicit(InterventionSpace.singletons(_atoms()).enumerate()),
+    ]
+
+
+def tied_model() -> Scm:
+    """Supports holding two values with one repr: two ints 1 and two NaNs,
+    so that the repr order puts a later input's value before an earlier
+    input's tie."""
+    one, other_one = E.VInt(1), E.VInt(1)
+    nan, other_nan = E.VReal(float("nan")), E.VReal(float("nan"))
+    exo = (
+        ExoVar(U[0], IntDomain(0, 3), UniformFinite((one, E.VInt(0), other_one))),
+        ExoVar(U[1], IntDomain(0, 3), UniformFinite((E.VInt(3), E.VInt(2)))),
+        ExoVar(U[2], RealDomain(), UniformFinite((nan, E.VReal(1.0), other_nan))),
+        ExoVar(U[3], BoolDomain(), BernoulliDist(0.5)),
+    )
+    endo = (
+        EndoVar(X[0], IntDomain(0, 6), Binary("add", Ref(U[0]), Ref(U[1]))),
+        EndoVar(X[1], BoolDomain(), Binary("lt", Ref(U[2]), rconst(2.0))),
+        EndoVar(X[2], BoolDomain(), Binary("or", Ref(X[1]), Ref(U[3]))),
+    )
+    return Scm("tied", endo, exo, InterventionSpace.power_set([(X[0], [E.VInt(2)]), (X[1], [E.VBool(True)])]))
+
+
+def exhaustive_rows(scm: Scm, strategy=None):
+    strategy = strategy or EquivalenceStrategy.exhaustive()
+    cases, message = Q.verifier_cases(scm, strategy)
+    assert cases is not None, message
+    return cases, oracle_verifier_cases(scm, strategy), [row.var for row in scm.exogenous]
+
+
+@pytest.mark.parametrize("name", ["platformer", "firing_squad_8", "step_by_step", "dominoes_128"])
+def test_bench_model_lists_match_the_list_builder(name):
+    entry = {
+        "platformer": zoo.platformer,
+        "firing_squad_8": lambda: zoo.firing_squad(8),
+        "step_by_step": zoo.step_by_step,
+        "dominoes_128": lambda: zoo.dominoes(128),
+    }[name]()
+    assert_exhaustive_list(*exhaustive_rows(entry.scm))
+    assert_gate_cases(entry.scm, entry.partition, 0)
+
+
+@pytest.mark.parametrize("index", range(len(finite_spaces())))
+def test_every_space_mode_lists_what_the_list_builder_lists(index):
+    assert_exhaustive_list(*exhaustive_rows(finite_model(finite_spaces()[index])))
+
+
+def test_tied_reprs_keep_the_sorted_order_of_the_assignments():
+    scm = tied_model()
+    cases, rows, names = exhaustive_rows(scm)
+    assert_exhaustive_list(cases, rows, names)
+    # the tied values are told apart by identity, which a repr cannot do; a
+    # Bernoulli input makes new values each time
+    listed = names[:3]
+    for k, (env, _) in enumerate(rows):
+        got, _ = cases.case(k)
+        assert all(got[v] is env[v] for v in listed), k
+    # rows that tie on every repr alternate between the two ints 1, where
+    # the digits alone would take the first 1 for 12 rows
+    one, _, other_one = scm.exogenous[0].dist.values
+    per = scm.interventions.size()
+    firsts = [cases.case(k)[0][U[0]] for k in range(0, len(cases), per)]
+    assert [repr(x) for x in firsts[:12]] == ["VInt(i=0)"] * 12
+    assert firsts[12] is one and firsts[13] is other_one and firsts[14] is one
+
+
+def test_no_input_is_one_empty_row():
+    scm = Scm("no-input", (EndoVar(X[0], IntDomain(0, 3), iconst(2)),), (), InterventionSpace.power_set(_atoms()))
+    cases, rows, names = exhaustive_rows(scm)
+    assert len(cases) == scm.interventions.size() and names == []
+    assert_exhaustive_list(cases, rows, names)
+    assert all(cases.case(k)[0] == {} for k in range(len(cases)))
+
+
+def test_given_sets_are_listed_as_given():
+    space = InterventionSpace.power_set(_atoms())
+    given = tuple(reversed(space.enumerate()[5:40:3]))
+    assert_exhaustive_list(*exhaustive_rows(finite_model(space), EquivalenceStrategy.exhaustive(intervention_sets=given)))
+
+
+def test_a_power_set_with_two_rows_on_one_variable_raises_before_any_case():
+    atoms = tuple(InterventionSpace.power_set(_atoms()).atoms)
+    scm = finite_model(InterventionSpace(POWER_SET, atoms + ((X[0], (E.VReal(5.0),)),)))
+    strategy = EquivalenceStrategy.exhaustive()
+    with pytest.raises(DomainError) as want:
+        oracle_verifier_cases(scm, strategy)
+    with pytest.raises(DomainError) as got:
+        Q.verifier_cases(scm, strategy)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_list_of_several_blocks_matches_at_every_block():
+    scm = zoo.firing_squad(12).scm
+    cases, rows, names = exhaustive_rows(scm)
+    assert len(cases) == 2 * Q._BLOCK_CASES
+    assert_exhaustive_list(cases, rows, names)
+    for lo, hi in [(0, Q._BLOCK_CASES), (Q._BLOCK_CASES, len(cases)), (4000, 4200)]:
+        block = cases.block(lo, hi)
+        assert forced_reprs(forced_lists(block.forced)) == forced_reprs(oracle_forced([iv for _, iv in rows[lo:hi]]))
+        assert block.input(names[0]).tolist() == [C.raw(env[names[0]]) for env, _ in rows[lo:hi]]
+
+
+def test_a_canonical_space_is_verified_without_listing_its_sets(monkeypatch):
+    calls = []
+    enumerate_sets, forced_of = InterventionSpace.enumerate, C._forced_of
+    monkeypatch.setattr(InterventionSpace, "enumerate", lambda *a, **k: calls.append("enumerate") or enumerate_sets(*a, **k))
+    monkeypatch.setattr(C, "_forced_of", lambda *a: calls.append("_forced_of") or forced_of(*a))
+    entries = [zoo.firing_squad(8), zoo.dominoes(16), zoo.platformer()]
+    models = [(e.scm, e.consolidated(PassConfig(gate=False)), e.targets) for e in entries]
+    scm = finite_model(InterventionSpace.singletons(_atoms()))
+    models.append((scm, consolidate(scm, Partition.of(MIXED_CLUSTERS), [X[3], X[4], X[5]]), [X[3], X[4], X[5]]))
+    calls.clear()
+    for base, cons, targets in models:
+        assert base.interventions.mode != "explicit" and base.interventions.atoms_canonical
+        assert verify_equivalence(base, cons, targets).equal
+    assert calls == []
+
+
+def test_reports_over_every_space_equal_the_list_builders(monkeypatch):
+    models = [tied_model()] + [finite_model(space) for space in finite_spaces()]
+    checked = 0
+    for scm in models:
+        targets = [row.var for row in scm.endogenous][-2:]
+        cons = consolidate(scm, Partition.of([[row.var] for row in scm.endogenous]), targets)
+        got, want = verify_outcomes(scm, broken_variants(cons), targets, EquivalenceStrategy.exhaustive(), monkeypatch)
+        assert [g[0] for g in got] == [w[0] for w in want], scm.name
+        checked += len(got)
+    assert checked >= 4 * len(models)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ def _parse_bindings(pairs: list[str], domain_of) -> dict:
             raise ParseError(f"expected VAR=VALUE, got {item!r}")
         name, _, text = item.partition("=")
         var = parse_var_name(name.strip())
+        if var in out:
+            raise ParseError(f"{var} is given twice")
         out[var] = D.parse_value_for_domain(text.strip(), domain_of(var))
     return out
 

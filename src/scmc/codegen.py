@@ -34,6 +34,16 @@ level, so an operand that would nest past `_MAX_NESTING` levels, `elif`s
 counted, moves into a helper function that takes the values it reads as
 arguments and returns the operand's value.
 
+An `IsIntervened` ladder is an else-chain, down `IfThenElse`s and through
+case lists, of `IsIntervened` guards on distinct variables the cluster
+sees.  One of `_LADDER_DISPATCH` rungs or more is not tested rung by rung:
+one pass over `iv` looks each of the set's variables up in a dict from
+variable to rung number, built with the code, and keeps the smallest; a
+binary search on that number leads to the first rung whose variable the
+set holds, or to the chain below the ladder.  A query then pays one lookup
+per atom of the set and about log2 of the rungs in tests, where the
+`elif` chain paid a test per rung up to the one taken.
+
 Building costs about 10 µs per node, so `Plan.compiled` builds the code on
 first use, for the plans that run on many cases (`eval_scm`,
 `eval_consolidated`).  One-shot plans keep `run_plan`.
@@ -51,6 +61,11 @@ from .errors import DomainError, NonDeterministicModelError, UnboundRefError
 #: helper; the parser's own limit is 100 levels of indentation, and the
 #: functions sit two levels in
 _MAX_NESTING = 90
+
+#: fewest rungs of an `IsIntervened` ladder that dispatch on the set's
+#: variables; a shorter ladder is an `elif` chain, which costs less up to
+#: about this many rungs
+_LADDER_DISPATCH = 12
 
 _DRAW_MESSAGE = "model draws at evaluation time; reparameterize it or pass an rng"
 
@@ -263,10 +278,15 @@ class _Builder:
         else:
             self.line(d, f"{t} = {self.const(apply)}({x}, {y})")
 
-    def taken(self, cond, arm, d, lvl, t):
-        """Sub-generator: emits `arm`, the branch taken where `cond` holds.
-        Under an `IsIntervened(v)` test, `v` is in `iv` throughout it."""
-        var = cond.var if type(cond) is E.IsIntervened and self.sees(cond.var) else None
+    def guarded(self, cond):
+        """The variable an `IsIntervened` condition tests, where the cluster
+        sees it, else None."""
+        return cond.var if type(cond) is E.IsIntervened and self.sees(cond.var) else None
+
+    def taken(self, var, arm, d, lvl, t):
+        """Sub-generator: emits `arm`, the branch taken where the condition
+        holds.  Under an `IsIntervened(var)` test, `var` is in `iv`
+        throughout it."""
         if var is None or var in self.intervened:
             yield arm, d, lvl, t
             return
@@ -274,17 +294,87 @@ class _Builder:
         yield arm, d, lvl, t
         self.intervened.remove(var)
 
+    def ladder(self, pairs, i, e, limit=None):
+        """The `IsIntervened` ladder that starts with the guards `pairs[i:]`
+        and goes on down the else-chain at `e`: `{var: arm}` in rung order,
+        up to `limit` rungs, and the chain below it, as the guards
+        `pairs[i:]` and then `e`.  It stops at any other guard, at a
+        repeated variable and at a variable the cluster does not see."""
+        rungs = {}
+        while limit is None or len(rungs) < limit:
+            if i < len(pairs):
+                guard, arm = pairs[i]
+            elif type(e) is E.IfThenElse:
+                guard, arm = e.cond, e.then
+            elif type(e) is E.CaseList:
+                pairs, i, e = e.cases, 0, e.default
+                continue
+            else:
+                break
+            var = self.guarded(guard)
+            if var is None or var in rungs:
+                break
+            rungs[var] = arm
+            if i < len(pairs):
+                i += 1
+            else:
+                e = e.orelse
+        return rungs, pairs, i, e
+
+    def long_ladder(self, pairs, i, e) -> bool:
+        """Whether the ladder at `pairs[i:]`, then `e`, has enough rungs to
+        dispatch."""
+        return len(self.ladder(pairs, i, e, _LADDER_DISPATCH)[0]) == _LADDER_DISPATCH
+
+    def dispatch(self, e, d, lvl, t):
+        """Sub-generator: the ladder at the top of `e` by the first rung
+        whose variable the set holds.  One pass over `iv` through a dict
+        from variable to rung number keeps the smallest, and a binary search
+        on it leads to that rung's arm, or to the chain below the ladder
+        where there is none."""
+        rungs, pairs, i, rest = self.ladder((), 0, e)
+        if i < len(pairs):
+            rest = E.CaseList(pairs[i:], rest)
+        n = len(rungs)
+        if lvl + n.bit_length() >= _MAX_NESTING:
+            # the search would nest too deep here: a helper takes the ladder
+            yield e, d, _MAX_NESTING, t
+            return
+        rung, atom, at = self.local(), self.local(), self.local()
+        lookup = self.const({var: k for k, var in enumerate(rungs)}.get)
+        self.line(d, f"{rung} = {n}")
+        self.line(d, f"for {atom} in iv:")
+        self.line(d + 1, f"{at} = {lookup}({atom}, {n})")
+        self.line(d + 1, f"if {at} < {rung}:")
+        self.line(d + 2, f"{rung} = {at}")
+        yield from self.search([*rungs.items(), (None, rest)], 0, n + 1, rung, d, lvl, t)
+
+    def search(self, arms, lo, hi, rung, d, lvl, t):
+        """Sub-generator: emits `arms[lo:hi]`, each `(var, arm)`, by a binary
+        search on the rung number in the local `rung`."""
+        if hi - lo == 1:
+            yield from self.taken(*arms[lo], d, lvl, t)
+            return
+        mid = (lo + hi) // 2
+        self.line(d, f"if {rung} < {mid}:")
+        yield from self.search(arms, lo, mid, rung, d + 1, lvl + 1, t)
+        self.line(d, "else:")
+        yield from self.search(arms, mid, hi, rung, d + 1, lvl + 1, t)
+
     def if_then_else(self, e, d, lvl, t):
+        if self.long_ladder((), 0, e):
+            yield from self.dispatch(e, d, lvl, t)
+            return
         test = yield from self.test(e.cond, d, lvl)
         self.line(d, f"if {test}:")
-        yield from self.taken(e.cond, e.then, d + 1, lvl + 1, t)
+        yield from self.taken(self.guarded(e.cond), e.then, d + 1, lvl + 1, t)
         e, lvl = e.orelse, lvl + 1
         while type(e) is E.IfThenElse and lvl + 1 < _MAX_NESTING:
             test = self.pure_test(e.cond)
-            if test is None:
+            if test is None or self.long_ladder((), 0, e):
                 break
             self.line(d, f"elif {test}:")
-            yield from self.taken(e.cond, e.then, d + 1, lvl + 1, t)
+            yield from self.taken(self.guarded(e.cond), e.then, d + 1, lvl + 1, t)
             e, lvl = e.orelse, lvl + 1
         self.line(d, "else:")
         # at the limit, the rest of a chain moves into one helper, not each
@@ -293,8 +383,13 @@ class _Builder:
 
     def case_list(self, e, d, lvl, t):
         for i, (g, b) in enumerate(e.cases):
-            if i and lvl + 1 >= _MAX_NESTING:
-                # the cases left would nest too deep here: a helper takes them
+            long = self.long_ladder(e.cases, i, e.default)
+            if long and not i:
+                yield from self.dispatch(e, d, lvl, t)
+                return
+            if i and (long or lvl + 1 >= _MAX_NESTING):
+                # the cases left would nest too deep here, or start a ladder
+                # to dispatch: a case list of their own takes them
                 self.line(d, "else:")
                 yield E.CaseList(e.cases[i:], e.default), d + 1, lvl, t
                 return
@@ -307,7 +402,7 @@ class _Builder:
                     d += 1
                 test = yield from self.test(g, d, lvl)
                 self.line(d, f"if {test}:")
-            yield from self.taken(g, b, d + 1, lvl + 1, t)
+            yield from self.taken(self.guarded(g), b, d + 1, lvl + 1, t)
             lvl += 1
         if e.cases:
             self.line(d, "else:")

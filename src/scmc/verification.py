@@ -10,6 +10,7 @@ explicitly probabilistic verdict for continuous inputs or huge spaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -19,7 +20,7 @@ from . import columns as C
 from . import expr as E
 from . import scm as S
 from .consolidation import Ccv, ConsolidatedScm, PassConfig, ccv_plan, eval_consolidated
-from .errors import DomainError, recursion_as_too_deep
+from .errors import DomainError, InvalidParameterError, recursion_as_too_deep
 from .evaluation import Assignment, _draw, eval_scm, make_rng, run_plan, run_rows
 from .evaluation import enumerate_exogenous, sample_exogenous  # noqa: F401 - bench/tracing.py looks them up here
 from .expr import Value, VarRef, ref_sort_key
@@ -40,6 +41,13 @@ class EquivalenceStrategy:
     exogenous_budget: int = 10**6
     #: explicit intervention sets override enumeration when given
     intervention_sets: Optional[tuple[InterventionSet, ...]] = None
+
+    def __post_init__(self):
+        # a NaN or infinite tolerance would call any deviation equal, and a
+        # negative one would call identical values different
+        t = self.tolerance
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t) or t < 0:
+            raise InvalidParameterError(f"tolerance must be a finite number >= 0, got {t!r}")
 
     @staticmethod
     def exhaustive(**kw) -> "EquivalenceStrategy":

@@ -108,6 +108,17 @@ class TestEval:
         assert code == 1
         assert "not in the allowed intervention space" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bindings",
+        [["--exo", "push=1", "--do", "S_2=true", "--do", "S_2=false"], ["--exo", "push=1", "--exo", "push=0"]],
+        ids=["do", "exo"],
+    )
+    def test_a_variable_given_twice_is_a_parse_error(self, demo_dir, capsys, bindings):
+        # not the last value given, silently
+        assert main(["--json", "eval", str(demo_dir / "dominoes.model.json"), *bindings]) == 1
+        name = bindings[-1].split("=")[0]
+        assert json.loads(capsys.readouterr().out) == {"error": {"kind": "parse", "message": f"{name} is given twice"}}
+
     def test_sampled_mode_writes_per_draw_rows(self, demo_dir, tmp_path):
         out = tmp_path / "draws.csv"
         assert (
@@ -338,6 +349,17 @@ class TestConsolidateVerify:
         assert main(["verify", str(model), str(bad), "--exhaustive"]) == 1
         out = capsys.readouterr().out
         assert "counterexample" in out
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("mode", [["--exhaustive"], ["--samples", "16"]])
+    def test_a_tolerance_that_is_not_a_finite_number_at_least_zero_is_refused(self, demo_dir, capsys, eps, mode):
+        model = demo_dir / "dominoes.model.json"
+        ref = demo_dir / "dominoes.reference.json"
+        assert main(["--json", "verify", str(model), str(ref), *mode, f"--eps={eps}"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "InvalidParameterError"
+        assert "tolerance must be a finite number >= 0" in error["message"]
+        assert main(["--json", "verify", str(model), str(ref), *mode, "--eps=0"]) == 0
 
     def test_zero_samples_is_inconclusive(self, demo_dir, capsys):
         model = demo_dir / "dominoes.model.json"

@@ -15,14 +15,14 @@ import weakref
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_run_plan, random_intervention, random_model, random_partition, random_u
 from scmc import documents as D
 from scmc import expr as E
 from scmc import zoo
-from scmc.codegen import _MAX_NESTING, plan_source
+from scmc.codegen import _LADDER_DISPATCH, _MAX_NESTING, plan_source
 from scmc.consolidation import (
     Ccv,
     CcvCluster,
@@ -67,6 +67,8 @@ Z = VarRef("Z")  # never an input, never a row
 INPUT_VARS = [A, B]
 ROW_VARS = [S1, S2, S3, A]
 POOL = [A, B, S1, S2, S3]
+#: the variables of `IsIntervened` ladders; only ladders test them
+RUNGS = [VarRef("L", k) for k in range(_LADDER_DISPATCH + 8)]
 
 VALUES = [
     VBool(False),
@@ -142,12 +144,65 @@ def leaves(draw):
     )
 
 
+KINDS = st.integers(0, 19)
+LADDER_LENGTHS = st.integers(_LADDER_DISPATCH - 2, len(RUNGS))
+LINKS = st.integers(0, 4)
+TAME_ARMS = st.builds(Const, values)
+TAME_GUARDS = st.builds(Const, st.sampled_from(VALUES[:3]))
+
+
+@st.composite
+def ladders(draw, depth, tame=False):
+    """An else-chain of `IsIntervened` guards, long enough to dispatch on
+    the set now and then: `IfThenElse` links, `CaseList`s and both mixed.
+    Most rungs test a rung variable not tested above them and take its
+    forced value, with or without a fallback; some test a repeated
+    variable, one the cluster may not see, or another condition, and
+    some arms are trees, or ladders on the same variables.  A tame ladder
+    takes its other conditions, arms and fallbacks from constants, so that
+    it raises only where a forced value is missing."""
+    if tame:
+        sub, other = TAME_ARMS, TAME_GUARDS
+    else:
+        sub = other = trees(depth=max(depth - 2, 0))
+    order = draw(st.permutations(RUNGS))
+    pairs = []
+    for k in range(draw(LADDER_LENGTHS)):
+        kind = draw(KINDS)  # hypothesis favours 0: the usual rung
+        if kind == 1:
+            guard = draw(other)
+        elif kind == 2:
+            guard = IsIntervened(draw(st.sampled_from(POOL + [Z] + order[:k])))
+        else:
+            guard = IsIntervened(order[k])
+        kind = draw(KINDS)
+        if kind == 1 or type(guard) is not IsIntervened:
+            arm = draw(sub)
+        elif kind == 2 and depth > 1:
+            arm = draw(ladders(depth - 2, tame))
+        else:
+            var = draw(st.sampled_from(order)) if kind == 3 else guard.var
+            arm = InterventionValue(var, draw(sub) if kind > 9 else None)
+        pairs.append((guard, arm))
+    tree = draw(sub)
+    while pairs:
+        # the links from the bottom up: one `IfThenElse`, or a case list
+        size = min(draw(LINKS), len(pairs))
+        if size:
+            tree = CaseList(tuple(pairs[-size:]), tree)
+            del pairs[-size:]
+        else:
+            guard, arm = pairs.pop()
+            tree = IfThenElse(guard, arm, tree)
+    return tree
+
+
 @st.composite
 def trees(draw, depth=3):
     if depth == 0:
         return draw(leaves())
     sub = trees(depth=depth - 1)
-    kind = draw(st.integers(0, 8))
+    kind = draw(st.integers(0, 9))
     if kind == 1:
         return Unary(draw(st.sampled_from(["neg", "not", "abs"])), draw(sub))
     if kind == 2:
@@ -162,6 +217,8 @@ def trees(draw, depth=3):
         return MaxIntervenedIndex(draw(st.sampled_from(["S", "A"])), draw(sub), draw(sub))
     if kind == 7:
         return RandomBernoulli(draw(sub))
+    if kind == 8 and depth > 1:
+        return draw(ladders(depth))
     return draw(leaves())
 
 
@@ -182,33 +239,95 @@ def members(domain) -> list:
 @st.composite
 def cases(draw):
     """A plan, and one case of it: inputs, an intervention set and an rng
-    seed (or None for no random source)."""
-    inputs = tuple(draw(st.lists(st.tuples(st.sampled_from(INPUT_VARS), st.sampled_from(DOMAINS)), max_size=3)))
+    seed (or None for no random source).  In a tame case the rows are tame
+    ladders without domains, and each input is given once and holds a
+    member of its domain, so that the case reaches its ladders."""
+    tame = draw(st.booleans())
+    inputs = st.lists(
+        st.tuples(st.sampled_from(INPUT_VARS), st.sampled_from(DOMAINS)),
+        max_size=3,
+        unique_by=(lambda pair: pair[0]) if tame else None,
+    )
+    inputs = tuple(draw(inputs))
     bound = [v for v, _ in inputs]
     clusters = []
     for _ in range(draw(st.integers(1, 3))):
         # mostly variables bound so far; now and then one that is not
         local = draw(st.lists(st.sampled_from(bound + [Z] if bound else [Z]), max_size=3))
-        if bound and draw(st.integers(0, 4)):
+        if bound and (tame or draw(st.integers(0, 4))):
             local = [v for v in local if v is not Z]
         visible = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(POOL))))
-        rows = tuple(
-            draw(st.lists(st.tuples(st.sampled_from(ROW_VARS), st.sampled_from(DOMAINS), trees()), min_size=1, max_size=3))
-        )
+        if visible is not None:
+            # most rung variables, so that most ladders are long
+            visible |= frozenset(RUNGS) - draw(st.frozensets(st.sampled_from(RUNGS), max_size=2))
+        if tame:
+            row = st.tuples(st.sampled_from(ROW_VARS), st.none(), ladders(3, tame=True))
+        else:
+            row = st.tuples(st.sampled_from(ROW_VARS), st.sampled_from(DOMAINS), trees())
+        rows = tuple(draw(st.lists(row, min_size=1, max_size=3)))
         clusters.append((tuple(local), visible, rows))
         bound += [v for v, _, _ in rows]
     pool = bound + [Z] if not bound or not draw(st.integers(0, 9)) else bound
     outputs = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
     u = {}
     for var, dom in inputs:
-        if draw(st.integers(0, 19)):
+        if tame:
+            u[var] = draw(st.sampled_from(members(dom) or VALUES))
+        elif draw(st.integers(0, 19)):
             u[var] = draw(st.one_of(st.sampled_from(members(dom) or VALUES), values))
-    iv = InterventionSet.of(draw(st.dictionaries(st.sampled_from(POOL), values, max_size=3)))
+    # no rung, one, or several (where the first rung wins)
+    atoms = draw(st.dictionaries(st.sampled_from(POOL), values, max_size=3))
+    atoms.update(draw(st.dictionaries(st.sampled_from(RUNGS), values, max_size=3)))
+    iv = InterventionSet.of(atoms)
     seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
     return Plan(inputs, tuple(clusters), outputs), u, iv, seed
 
 
+def ladder_cases() -> list:
+    """Ladders that random draws seldom build, as cases: a repeated
+    variable past the first rungs, a case list that another guard splits,
+    and a ladder nested in an arm on the same variables; each seeing every
+    rung or all but one, under the empty set, one rung, the unseen rung,
+    several rungs (the first wins) and other variables only."""
+    top = [(IsIntervened(v), InterventionValue(v)) for v in RUNGS]
+    k = _LADDER_DISPATCH + 1
+
+    def chain(pairs, default):
+        for guard, arm in reversed(pairs):
+            default = IfThenElse(guard, arm, default)
+        return default
+
+    ladders_ = [
+        chain(top[:k] + [(IsIntervened(RUNGS[3]), Const(VInt(99)))] + top[k:], Ref(A)),
+        chain(top[:8], CaseList((*top[8:k], (Const(VBool(True)), Const(VInt(42))), *top[k:]), Ref(A))),
+        chain([(g, chain(top[::-1], Const(VInt(7))) if j == 2 else arm) for j, (g, arm) in enumerate(top)], Ref(A)),
+    ]
+    sets = [
+        {},
+        {RUNGS[3]: VInt(5)},
+        {RUNGS[5]: VInt(1), RUNGS[-2]: VInt(8)},
+        {RUNGS[12]: VInt(3), RUNGS[2]: VInt(4), RUNGS[9]: VInt(2)},
+        {S1: VInt(6)},
+    ]
+    out = []
+    for tree in ladders_:
+        for visible in (None, frozenset(RUNGS) - {RUNGS[5]}):
+            plan = Plan(((A, None),), (((A,), visible, ((S2, None, tree),)),), (S2,))
+            out += [(plan, {A: VInt(0)}, InterventionSet.of(atoms), None) for atoms in sets]
+    return out
+
+
+def with_examples(examples):
+    def decorate(test):
+        for case in examples:
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
 @settings(max_examples=500)
+@with_examples(ladder_cases())
 @given(cases())
 def test_compiled_plans_match_the_tree_walker_and_the_oracle(case):
     plan, u, iv, seed = case
@@ -259,6 +378,16 @@ def test_zoo_models_match_under_every_set(entry):
         for k, iv in enumerate(sets):
             for j, u in enumerate(draws):
                 assert agree(plan, u, iv, seed=k * 3 + j)[0] == "value"
+
+
+def test_the_consolidated_dominoes_ladder_dispatches_on_the_set():
+    """No stone is tested in turn: the 127-rung ladder is one pass over the
+    set and a binary search of 7 levels down to the arms."""
+    plan = zoo.dominoes(128).consolidated().plan
+    source = plan_source(plan)[0]
+    assert "elif" not in source and source.count(" in iv") == 1, source
+    assert source.count("iv[") == 127
+    assert nesting(plan) == 2 + (127).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +637,46 @@ def test_lazy_nesting_moves_into_helpers(width):
         assert got[0] == "value", got
 
 
+def test_a_ladder_whose_search_would_nest_too_deep_moves_into_a_helper():
+    """A long ladder under `depth` computed `if`s: near the nesting limit
+    the whole ladder, not each of its arms, is dispatched in a helper."""
+    stones = [VarRef("L", k) for k in range(2 * _LADDER_DISPATCH)]
+    bits = [VarRef("b", k) for k in range(_MAX_NESTING + 2)]
+    sets = [
+        InterventionSet.empty(),
+        InterventionSet.of({stones[0]: VInt(1)}),
+        InterventionSet.of({stones[-1]: VInt(2), S1: VInt(3)}),
+        InterventionSet.of({stones[3]: VInt(4), stones[9]: VInt(5)}),
+    ]
+    for depth in range(_MAX_NESTING - 8, _MAX_NESTING + 2):
+        tree = ladder(stones, Const(VInt(-1)))
+        for k, b in enumerate(bits[:depth]):
+            tree = IfThenElse(Unary("not", Ref(b)), tree, Const(VInt(k)))
+        plan = Plan(tuple((b, BoolDomain()) for b in bits), ((tuple(bits), None, ((S1, None, tree),)),), (S1,))
+        source = plan_source(plan)[0]
+        assert source.count(" in iv") == 1 and "elif" not in source, source
+        assert nesting(plan) <= _MAX_NESTING + 2
+        for iv in sets:
+            assert agree(plan, {b: VBool(False) for b in bits}, iv)[0] == "value"
+
+
 def test_a_guarded_intervention_value_reads_the_set_outright():
     """In the branch an `IsIntervened(v)` test takes, `InterventionValue(v)`
     is `iv[v]`: no lookup that may miss, no `is None` test and no raise.
-    That holds for `consolidation.wrap_intervention`'s shape, along an
-    `elif` ladder and a case list, and in helpers spilled past the nesting
-    limit; elsewhere, or for another variable, the lookup stays."""
+    That holds for `consolidation.wrap_intervention`'s shape, along a
+    ladder dispatched on the set, an `elif` chain and a case list, and in
+    helpers spilled past the nesting limit; elsewhere, or for another
+    variable, the lookup stays."""
     stones = [VarRef("L", k) for k in range(3 * _MAX_NESTING + 7)]
+    # rungs split by a constant guard: no ladder is long enough to dispatch,
+    # so the chain is `elif`s and spills into helpers
+    split = Ref(A)
+    for s in stones:
+        split = IfThenElse(IsIntervened(s), InterventionValue(s), IfThenElse(Const(VBool(False)), Ref(A), split))
     guarded = [
         wrap_intervention(S2, Ref(A)),
         ladder(stones, Ref(A)),
+        split,
         CaseList(((IsIntervened(S2), InterventionValue(S2)), (IsIntervened(S3), InterventionValue(S3))), Ref(A)),
     ]
     for tree in guarded:
@@ -525,7 +684,8 @@ def test_a_guarded_intervention_value_reads_the_set_outright():
         # the one raise left is the input's presence check
         assert "is None" not in source and "iv.get(" not in source, source
         assert source.count("raise _UnboundRefError") == 1, source
-    assert "def h1(" in plan_source(one_row_plan(guarded[1]))[0]
+    assert "def h1(" not in plan_source(one_row_plan(guarded[1]))[0]
+    assert "def h1(" in plan_source(one_row_plan(split))[0]
     # S3's value under S2's test, and S2's outside it, are looked up
     unguarded = IfThenElse(
         IsIntervened(S2),

@@ -32,7 +32,7 @@ from scmc.consolidation import (
     eval_ccv,
     run_passes,
 )
-from scmc.errors import DivisionByZeroError, DomainError, ModelTooDeepError
+from scmc.errors import DivisionByZeroError, DomainError, InvalidParameterError, ModelTooDeepError
 from scmc.expr import (
     Binary,
     Const,
@@ -347,6 +347,43 @@ def test_a_negative_gate_sample_count_is_a_typed_error():
     entry = zoo.tool_wear(13)
     with pytest.raises(DomainError, match="count must be non-negative"):
         entry.consolidated(PassConfig(gate_sample_count=-5))
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0, -1e-300, "0", True, None])
+def test_a_tolerance_that_is_not_a_finite_number_at_least_zero_is_refused(tolerance):
+    for build in (EquivalenceStrategy, EquivalenceStrategy.exhaustive, EquivalenceStrategy.sampled):
+        with pytest.raises(InvalidParameterError, match="tolerance must be a finite number >= 0"):
+            build(tolerance=tolerance)
+    # the gate builds its strategy through `gate_strategy_for`, before any case
+    entry = zoo.tool_wear(3)
+    sub = extract_sub_scm(entry.scm, entry.partition.clusters[0])
+    with pytest.raises(InvalidParameterError):
+        gate_strategy_for(sub, PassConfig(tolerance=tolerance))
+    with pytest.raises(InvalidParameterError):
+        entry.consolidated(PassConfig(tolerance=tolerance))
+
+
+def test_a_wrong_model_is_a_counterexample_at_every_tolerance_allowed():
+    """Every target of `tool_wear(3)` replaced by 0.0 differs from the base
+    model, in both modes, from a tolerance of 0 up to a large one."""
+    entry = zoo.tool_wear(3)
+    cons = entry.consolidated()
+    zeroed = attach_ccvs(
+        cons,
+        {
+            c.index: Ccv(c.ccv.targets, {v: rconst(0.0) for v in c.ccv.targets}, c.ccv.interventions, c.index)
+            for c in cons.clusters
+            if isinstance(c, CcvCluster)
+        },
+    )
+    for tolerance in (0, 0.0, E.EPS_VAL, 1e-3):
+        for strategy in (
+            EquivalenceStrategy.exhaustive(tolerance=tolerance),
+            EquivalenceStrategy.sampled(count=64, seed=3, tolerance=tolerance),
+        ):
+            assert verify_equivalence(entry.scm, zeroed, entry.targets, strategy).verdict == "counterexample"
+            if tolerance:
+                assert verify_equivalence(entry.scm, cons, entry.targets, strategy).equal
 
 
 def test_a_check_of_no_case_is_never_equal():

@@ -138,7 +138,7 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_bindings(pairs: list[str], domain_of) -> dict:
+def _parse_bindings(pairs: list[str], parse) -> dict:
     out = {}
     for item in pairs:
         if "=" not in item:
@@ -147,8 +147,22 @@ def _parse_bindings(pairs: list[str], domain_of) -> dict:
         var = parse_var_name(name.strip())
         if var in out:
             raise ParseError(f"{var} is given twice")
-        out[var] = D.parse_value_for_domain(text.strip(), domain_of(var))
+        out[var] = parse(var, text.strip())
     return out
+
+
+def _parse_literal(text: str):
+    """A value read from its own spelling: `true`/`false`, an integer, a
+    number, else a symbol."""
+    low = text.lower()
+    if low in ("true", "false"):
+        return E.VBool(low == "true")
+    for kind, read in ((E.VInt, int), (E.VReal, float)):
+        try:
+            return kind(read(text))
+        except ValueError:
+            pass
+    return E.VSym(text)
 
 
 def _load_evaluable(path: str):
@@ -179,7 +193,18 @@ def cmd_eval(args) -> int:
                     return row.domain
         raise ParseError(f"unknown variable {var}")
 
-    iv = InterventionSet.of(_parse_bindings(args.do, domain_of))
+    def parse(var, text):
+        return D.parse_value_for_domain(text, domain_of(var))
+
+    def parse_atom(var, text):
+        # a consolidated model ignores atoms on a variable it marginalized,
+        # and keeps neither its domain nor its atom values (its space drops
+        # them): such a value is read as its literal
+        if is_cons and var in model.dropped_atom_vars:
+            return _parse_literal(text)
+        return parse(var, text)
+
+    iv = InterventionSet.of(_parse_bindings(args.do, parse_atom))
     space = model.interventions
     if not (space.contains_kept(iv, model.dropped_atom_vars) if is_cons else space.contains(iv)):
         raise ScmcError(f"{iv} is not in the allowed intervention space")
@@ -187,7 +212,7 @@ def cmd_eval(args) -> int:
     if args.exo and args.samples is not None:
         raise ParseError("--exo and --samples are mutually exclusive")
     if args.exo:
-        u = _parse_bindings(args.exo, domain_of)
+        u = _parse_bindings(args.exo, parse)
         draws = [u]
     else:
         seed = args.seed if args.seed is not None else _default_seed()

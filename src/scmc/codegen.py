@@ -15,12 +15,15 @@ the same order; it only leaves out the one method call per node that
   when the code is built, so a `Ref` to a variable the cluster has not bound
   becomes a `raise UnboundRefError` at the point where `_eval` would raise,
   and an atom the cluster does not see is never looked up;
-- every node is one statement that stores its value in a local.  Operators
-  call the functions of `expr._BINARY` directly, and conditions test the
-  shared `_TRUE`/`_FALSE` by identity first.  `and`, `or`, `IfThenElse`,
-  `CaseList` and an `InterventionValue`'s fallback evaluate their operands
-  only where `_eval` does.  In the branch an `IsIntervened(v)` test takes,
-  `InterventionValue(v)` reads `iv[v]` outright, since the set holds `v`;
+- each node is written as one statement that stores its value in a local.
+  Operators call the functions of `expr._BINARY` directly, and conditions
+  test the shared `_TRUE`/`_FALSE` by identity first.  `and`, `or`,
+  `IfThenElse`, `CaseList` and an `InterventionValue`'s fallback evaluate
+  their operands only where `_eval` does.  In the branch an
+  `IsIntervened(v)` test takes, `InterventionValue(v)` reads `iv[v]`
+  outright, since the set holds `v`;
+- a composite sub-expression that recurs is computed once per query (lazy
+  common-subexpression elimination), below;
 - a node kind without a template here (`ExistsIntervention`,
   `MaxIntervenedIndex`) calls its own `_eval` on a dict of the values bound
   at that point and the atoms its cluster sees.
@@ -44,6 +47,26 @@ set holds, or to the chain below the ladder.  A query then pays one lookup
 per atom of the set and about log2 of the rungs in tests, where the
 `elif` chain paid a test per rung up to the one taken.
 
+Consolidation inlines a mechanism once per consumer, so equal subtrees
+recur within and across the rows of a cluster.  Each node gets a value
+number: a small int keyed on its class, its fields other than its children
+(a constant's value by class, payload type and bits, so `0.0` and `-0.0`
+differ) and its children's numbers (`_shared`, one postorder walk).  Rows
+whose composite nodes have cached hashes that are all distinct repeat
+nothing, and skip the numbering (`_may_repeat`).  A composite number that
+the rows reach along two edges or more is written as one memo local
+`m<k>`.  Its first use in a function writes the node into it.  A later use
+reads it outright where an earlier use runs whenever it does (it sits in
+the same block or in one around it), and else writes the node behind an
+`if m<k> is _UNSET:` test.  The value of an equal subtree depends only on
+the values it reads, which do not change once bound, and on the atoms its
+cluster sees, so the first use to run computes what every later one would;
+a first use that raises ends the query, as the tree walk would.  A subtree
+that draws is evaluated at each use and never shared.  Clusters and helper
+functions share nothing across their boundaries, and neither do the rows on
+either side of one that binds a variable again.  A plan that repeats
+nothing gets the source it got without memo locals.
+
 Building costs about 10 µs per node, so `Plan.compiled` builds the code on
 first use, for the plans that run on many cases (`eval_scm`,
 `eval_consolidated`).  One-shot plans keep `run_plan`.
@@ -51,6 +74,7 @@ first use, for the plans that run on many cases (`eval_scm`,
 
 from __future__ import annotations
 
+import struct
 import textwrap
 from typing import Callable
 
@@ -69,17 +93,180 @@ _LADDER_DISPATCH = 12
 
 _DRAW_MESSAGE = "model draws at evaluation time; reparameterize it or pass an rng"
 
+#: the value of a memo local that no use has filled yet
+_UNSET = object()
+
+
+# -- value numbers -----------------------------------------------------------
+
+_PAYLOAD = {E.VBool: "b", E.VInt: "i", E.VSym: "name", E.VReal: "r"}
+
+
+def _exact(v):
+    """A key that two values share only when they are of one class and hold
+    payloads of one type with the same bits: `0.0` and `-0.0` differ, and
+    so do NaNs with different payloads, where `==` would say otherwise.
+    None (an `ExistsIntervention` on any value) is its own key."""
+    if v is None:
+        return None
+    p = getattr(v, _PAYLOAD[type(v)])
+    return type(v), type(p), struct.pack("<d", p) if isinstance(p, float) else p
+
+
+#: per node class: its fields other than its children, as a key, and its
+#: children in `E.children` order
+_SHAPES = {
+    E.Const: lambda e: ((E.Const, _exact(e.value)), ()),
+    E.Ref: lambda e: ((E.Ref, e.var), ()),
+    E.Unary: lambda e: ((E.Unary, e.op), (e.operand,)),
+    E.Binary: lambda e: ((E.Binary, e.op), (e.left, e.right)),
+    E.IfThenElse: lambda e: ((E.IfThenElse,), (e.cond, e.then, e.orelse)),
+    E.CaseList: lambda e: ((E.CaseList, len(e.cases)), E.children(e)),
+    E.IsIntervened: lambda e: ((E.IsIntervened, e.var), ()),
+    E.InterventionValue: lambda e: ((E.InterventionValue, e.var), () if e.fallback is None else (e.fallback,)),
+    E.ExistsIntervention: lambda e: (
+        (E.ExistsIntervention, e.family, type(e.lo), e.lo, type(e.hi), e.hi, _exact(e.value)),
+        (),
+    ),
+    E.MaxIntervenedIndex: lambda e: ((E.MaxIntervenedIndex, e.family), (e.upper, e.default)),
+    E.RandomBernoulli: lambda e: ((E.RandomBernoulli,), (e.p,)),
+}
+
+
+#: node kinds that never have children, and those of them holding a value
+_LEAVES = frozenset({E.Const, E.Ref, E.IsIntervened, E.ExistsIntervention})
+_VALUED = (E.Const, E.ExistsIntervention)
+
+
+def _may_repeat(rows) -> bool:
+    """False only where no composite subtree of `rows` repeats: the hashes
+    that the composite nodes reached have cached are all distinct.  Equal
+    trees hash alike, so this rules a repeat out without numbering.  A node
+    whose hash is not cached yet answers True, since working it out would
+    recurse once per level, and so does a NaN, which hashes by identity:
+    copies of one NaN would hash apart."""
+    hashes: set[int] = set()
+    for _, _, tree in rows:
+        stack = [tree]
+        while stack:
+            e = stack.pop()
+            t = type(e)
+            if t in _LEAVES:
+                if t in _VALUED and e.value is not None:
+                    p = getattr(e.value, _PAYLOAD[type(e.value)])
+                    if p != p:
+                        return True
+                continue
+            kids = _SHAPES[type(e)](e)[1]
+            if not kids:
+                continue
+            h = getattr(e, "_hash", None)
+            if h is None or h in hashes:
+                return True
+            hashes.add(h)
+            stack += kids
+    return False
+
+
+def _shared(rows) -> dict:
+    """`{id(node): number}` for the composite nodes of `rows`' trees that
+    the rows reach along two edges or more, where a node's number stands
+    for its class, its other fields and its children's numbers.
+
+    One postorder walk over an explicit stack numbers each node object
+    once.  Each distinct number counts the edges to its children once, and
+    each row one edge to its tree, so a subtree reached only through a
+    repeated one is not counted twice.  A node that draws, or has a draw
+    below it, is evaluated at each use: it is walked and takes a new
+    number at each, and is never shared.  The children of a node that
+    calls its own `_eval` are not counted, since the code never evaluates
+    them apart.  Rows that `_may_repeat` clears are not numbered."""
+    if not _may_repeat(rows):
+        return {}
+    numbers: dict[int, int] = {}
+    keys: dict[tuple, int] = {}
+    #: composite numbers without a draw: the edges that reach each
+    edges: dict[int, int] = {}
+    draws: set[int] = set()
+    count = 0
+    for _, _, tree in rows:
+        stack = [tree]
+        while stack:
+            e = stack.pop()
+            if type(e) is tuple:  # a node whose children are numbered
+                e, head, kids = e
+            else:
+                n = numbers.get(id(e))
+                if n is not None and n not in draws:
+                    continue
+                head, kids = _SHAPES[type(e)](e)
+                if kids:
+                    stack.append((e, head, kids))
+                    stack.extend(kids)
+                    continue
+            if not kids:
+                key = head
+            else:
+                below = [numbers[id(c)] for c in kids]
+                if head[0] is E.RandomBernoulli or not draws.isdisjoint(below):
+                    key = None
+                else:
+                    key = (*head, *below)
+            n = keys.get(key)
+            if n is None:
+                n, count = count, count + 1
+                if key is None:
+                    draws.add(n)
+                else:
+                    keys[key] = n
+                    if kids:
+                        edges[n] = 0
+                if kids and type(e) in _TEMPLATES:
+                    for m in below:
+                        if m in edges:
+                            edges[m] += 1
+            numbers[id(e)] = n
+        n = numbers[id(tree)]
+        if n in edges:
+            edges[n] += 1
+    shared = {n for n, k in edges.items() if k > 1}
+    return {i: n for i, n in numbers.items() if n in shared} if shared else {}
+
+
+def _runs(bound, rows):
+    """`rows` cut after each row that binds a variable already bound,
+    starting from `bound`: past the cut, a tree may read another value than
+    an equal tree before it."""
+    bound, start = set(bound), 0
+    for k, (var, _, _) in enumerate(rows):
+        if var in bound:
+            yield rows[start : k + 1]
+            start = k + 1
+        bound.add(var)
+    if start < len(rows):
+        yield rows[start:]
+
 
 class _Function:
     """One generated function: its lines, and the locals of the functions
-    around it that it reads, which become its parameters."""
+    around it that it reads, which become its parameters.
 
-    __slots__ = ("name", "lines", "params")
+    `blocks[d]` is the block that the lines written at depth `d` fall in.
+    `memo` maps each value number written here to its memo local and the
+    `(depth, block)` of each use that fills it; `unset` holds the memo
+    locals that some use tests against `_UNSET`, which are set to it at
+    line `start`."""
+
+    __slots__ = ("name", "lines", "params", "blocks", "memo", "unset", "start")
 
     def __init__(self, name: str):
         self.name = name
         self.lines: list[str] = []
         self.params: dict[str, None] = {}
+        self.blocks = [0, 0]
+        self.memo: dict[int, tuple] = {}
+        self.unset: dict[str, None] = {}
+        self.start = 0
 
 
 class _Builder:
@@ -99,10 +286,12 @@ class _Builder:
             "_DomainError": DomainError,
             "_UnboundRefError": UnboundRefError,
             "_NonDeterministicModelError": NonDeterministicModelError,
+            "_UNSET": _UNSET,
         }
         self.constants: dict[int, str] = {}
         self.locals: set[str] = set()
         self.count = 0
+        self.opened = 0
         self.fn = _Function("plan")
         self.helpers: list[_Function] = []
         #: the cluster being built: variable -> the local holding its value,
@@ -112,6 +301,10 @@ class _Builder:
         #: the variables an enclosing `IsIntervened` test has found in `iv`
         #: on the path being written
         self.intervened: set = set()
+        #: `_shared` of the rows being written, and the numbers whose memo
+        #: local is being filled
+        self.shared: dict = {}
+        self.filling: set = set()
 
     # -- names ------------------------------------------------------------
 
@@ -123,9 +316,9 @@ class _Builder:
             self.namespace[name] = obj
         return name
 
-    def local(self) -> str:
+    def local(self, prefix: str = "t") -> str:
         self.count += 1
-        name = f"t{self.count}"
+        name = f"{prefix}{self.count}"
         self.locals.add(name)
         return name
 
@@ -138,6 +331,11 @@ class _Builder:
 
     def line(self, depth: int, text: str) -> None:
         self.fn.lines.append("    " * depth + text)
+        if text[-1] == ":":  # `if`, `elif`, `else` or `for`: a new block one level in
+            blocks = self.fn.blocks
+            del blocks[depth + 1 :]
+            self.opened += 1
+            blocks.append(self.opened)
 
     def sees(self, var) -> bool:
         return self.visible is None or var in self.visible
@@ -196,14 +394,18 @@ class _Builder:
 
         Each node is a generator that yields `(child, depth, level, target)`
         for each operand it needs and gets the operand back; the stack below
-        replaces recursion.  A child asked for at `_MAX_NESTING` levels or
-        deeper is built in a helper function."""
+        replaces recursion.  A shared child goes through its memo local
+        (`memo`).  A child asked for at `_MAX_NESTING` levels or deeper is
+        built in a helper function."""
         stack = []
         sent, request = None, (e, depth, level, target)
         while True:
             if request is not None:
                 child, d, lvl, t = request
                 x = self.leaf(child, d)
+                filled = None
+                if x is None and id(child) in self.shared:
+                    x, filled, d, lvl, t = self.memo(child, d, lvl, t)
                 if x is None:
                     spilled = None
                     if lvl >= _MAX_NESTING:
@@ -212,7 +414,7 @@ class _Builder:
                         self.helpers.append(self.fn)
                         d, lvl, t = 1, 1, None
                     t = t or self.local()
-                    stack.append((self.node(child, d, lvl, t), t, spilled))
+                    stack.append((self.node(child, d, lvl, t), t, spilled, filled))
                     sent = None
                 else:
                     if t is not None:
@@ -220,14 +422,64 @@ class _Builder:
                     if not stack:
                         return t or x
                     sent = t or x
-            gen, t, spilled = stack[-1]
+            gen, t, spilled, filled = stack[-1]
             try:
                 request = gen.send(sent)
             except StopIteration:
                 stack.pop()
                 request, sent = None, t if spilled is None else self.close_helper(spilled, t)
+                if filled is not None:
+                    sent = self.read_memo(*filled)
                 if not stack:
                     return sent
+
+    def memo(self, e, d: int, lvl: int, t):
+        """A use of the shared node `e` at depth `d`: `(operand, None, ...)`
+        where an earlier use in the same block or one around it has filled
+        its memo local, else `(None, filled, d, lvl, target)`, to write `e`
+        into its memo local at `d` and `lvl`.  The first use in a function
+        writes it as it stands; a later one, behind an `is _UNSET` test.
+        `e` itself, asked for again while it is written (a ladder moved
+        into a helper), is written as it stands."""
+        n = self.shared[id(e)]
+        fn = self.fn
+        if n in self.filling:
+            return None, None, d, lvl, t
+        entry = fn.memo.get(n)
+        if entry is None:
+            entry = fn.memo[n] = (self.local("m"), [])
+        name, uses = entry
+        guarded = bool(uses)
+        if guarded:
+            if any(du <= d and fn.blocks[du] == block for du, block in uses):
+                return name, None, d, lvl, t
+            self.line(d, f"if {name} is _UNSET:")
+            fn.unset[name] = None
+        uses.append((d, fn.blocks[d]))
+        self.filling.add(n)
+        return None, (n, name, d, t), d + guarded, lvl + guarded, name
+
+    def read_memo(self, n: int, name: str, d: int, t) -> str:
+        """Ends a use of a shared node: `t`, when the use asked for a
+        target, set from the memo local `name`, else `name`."""
+        self.filling.discard(n)
+        if t is None:
+            return name
+        self.line(d, f"{t} = {name}")
+        return t
+
+    def share(self, rows) -> None:
+        """Starts writing `rows`: their shared nodes, with no memo local
+        filled yet."""
+        self.shared = _shared(rows)
+        self.fn.memo, self.fn.unset, self.fn.start = {}, {}, len(self.fn.lines)
+
+    @staticmethod
+    def declare(fn: _Function) -> None:
+        """Sets `fn`'s memo locals that are tested against `_UNSET` to it,
+        before the first of their uses."""
+        if fn.unset:
+            fn.lines.insert(fn.start, "    " + " = ".join(fn.unset) + " = _UNSET")
 
     def close_helper(self, spilled, result: str) -> str:
         """Ends the helper being written, which returns `result`, and calls
@@ -235,6 +487,7 @@ class _Builder:
         was asked for there."""
         helper = self.fn
         self.line(1, f"return {result}")
+        self.declare(helper)
         self.fn, depth, t = spilled
         t = t or self.local()
         args = ", ".join(["iv", "rng"] + [self.use(p) for p in helper.params])
@@ -492,8 +745,11 @@ class _Builder:
                 self.line(1, f"raise KeyError({self.const(missing)})")
                 return
             self.scope, self.visible = {v: acc[v] for v in inputs}, visible
-            for var, domain, tree in rows:
-                self.row(var, domain, tree)
+            for run in _runs(self.scope, rows):
+                self.share(run)
+                for var, domain, tree in run:
+                    self.row(var, domain, tree)
+                self.declare(self.fn)
             acc.update(self.scope)
         missing = next((v for v in plan.outputs if v not in acc), None)
         if missing is not None:

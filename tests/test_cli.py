@@ -152,6 +152,24 @@ class TestEval:
         rows = dict(line.split(",")[1:] for line in capsys.readouterr().out.splitlines()[1:])
         assert rows["F"] == "true" and rows["C"] == "false" and rows["H"] == "true"
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_an_atom_on_a_marginalized_variable_evaluates_like_the_base(self, demo_dir, capsys, tmp_path, value):
+        # D is marginalized: the consolidated document keeps no domain for
+        # it, yet do(D=...) is in its space and the targets answer as in the
+        # base model
+        model = demo_dir / "step-by-step.model.json"
+        part = demo_dir / "step-by-step.partition.json"
+        out = tmp_path / "sb.consolidated.json"
+        assert main(["consolidate", str(model), str(part), "--targets", "C,F,H", "-o", str(out)]) == 0
+        capsys.readouterr()
+        answers = []
+        for path in (model, out):
+            args = ["eval", str(path), "--do", f"D={value}", "--seed", "1", "--samples", "4"]
+            assert main(args) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            answers.append(sorted(line for line in lines if line.split(",")[1] in ("C", "F", "H")))
+        assert len(answers[0]) == 12 and answers[0] == answers[1]
+
     def test_pow_overflow_is_a_typed_error(self, tmp_path, capsys):
         # Y = X ** 2 leaves the float range at X = 1e200, where mul gives inf
         doc = {

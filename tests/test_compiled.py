@@ -8,10 +8,14 @@ the recursion limit."""
 from __future__ import annotations
 
 import gc
+import itertools
 import pickle
 import random
+import re
+import struct
 import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -152,7 +156,7 @@ TAME_GUARDS = st.builds(Const, st.sampled_from(VALUES[:3]))
 
 
 @st.composite
-def ladders(draw, depth, tame=False):
+def ladders(draw, depth, tame=False, common=()):
     """An else-chain of `IsIntervened` guards, long enough to dispatch on
     the set now and then: `IfThenElse` links, `CaseList`s and both mixed.
     Most rungs test a rung variable not tested above them and take its
@@ -164,7 +168,7 @@ def ladders(draw, depth, tame=False):
     if tame:
         sub, other = TAME_ARMS, TAME_GUARDS
     else:
-        sub = other = trees(depth=max(depth - 2, 0))
+        sub = other = trees(depth=max(depth - 2, 0), common=common)
     order = draw(st.permutations(RUNGS))
     pairs = []
     for k in range(draw(LADDER_LENGTHS)):
@@ -179,7 +183,7 @@ def ladders(draw, depth, tame=False):
         if kind == 1 or type(guard) is not IsIntervened:
             arm = draw(sub)
         elif kind == 2 and depth > 1:
-            arm = draw(ladders(depth - 2, tame))
+            arm = draw(ladders(depth - 2, tame, common))
         else:
             var = draw(st.sampled_from(order)) if kind == 3 else guard.var
             arm = InterventionValue(var, draw(sub) if kind > 9 else None)
@@ -198,10 +202,20 @@ def ladders(draw, depth, tame=False):
 
 
 @st.composite
-def trees(draw, depth=3):
+def repeats(draw, common):
+    """One of the trees `common`: the object itself, or an equal copy made
+    of other objects."""
+    tree = draw(st.sampled_from(common))
+    return tree if draw(st.booleans()) else pickle.loads(pickle.dumps(tree))
+
+
+@st.composite
+def trees(draw, depth=3, common=()):
+    """A tree over every node kind, which now and then takes a subtree from
+    `common` (`repeats`)."""
     if depth == 0:
         return draw(leaves())
-    sub = trees(depth=depth - 1)
+    sub = trees(depth=depth - 1, common=common)
     kind = draw(st.integers(0, 9))
     if kind == 1:
         return Unary(draw(st.sampled_from(["neg", "not", "abs"])), draw(sub))
@@ -218,7 +232,9 @@ def trees(draw, depth=3):
     if kind == 7:
         return RandomBernoulli(draw(sub))
     if kind == 8 and depth > 1:
-        return draw(ladders(depth))
+        return draw(ladders(depth, common=common))
+    if kind == 9 and common:
+        return draw(repeats(common))
     return draw(leaves())
 
 
@@ -241,20 +257,28 @@ def cases(draw):
     """A plan, and one case of it: inputs, an intervention set and an rng
     seed (or None for no random source).  In a tame case the rows are tame
     ladders without domains, and each input is given once and holds a
-    member of its domain, so that the case reaches its ladders."""
+    member of its domain, so that the case reaches its ladders.  Otherwise
+    the rows' trees take subtrees from a few common ones (`repeats`), so
+    that equal subtrees, as one object or as copies, recur within a row,
+    across rows and across clusters that see different atoms.  Most cases
+    give their inputs as a tame case does, so that they reach the trees;
+    the others give an input twice, leave one out or put one outside its
+    domain now and then."""
     tame = draw(st.booleans())
+    clean = tame or draw(st.integers(0, 9))
     inputs = st.lists(
         st.tuples(st.sampled_from(INPUT_VARS), st.sampled_from(DOMAINS)),
         max_size=3,
-        unique_by=(lambda pair: pair[0]) if tame else None,
+        unique_by=(lambda pair: pair[0]) if clean else None,
     )
     inputs = tuple(draw(inputs))
+    common = () if tame else tuple(draw(st.lists(trees(depth=2), min_size=1, max_size=3)))
     bound = [v for v, _ in inputs]
     clusters = []
     for _ in range(draw(st.integers(1, 3))):
         # mostly variables bound so far; now and then one that is not
-        local = draw(st.lists(st.sampled_from(bound + [Z] if bound else [Z]), max_size=3))
-        if bound and (tame or draw(st.integers(0, 4))):
+        local = draw(st.lists(st.sampled_from(bound + [Z]), max_size=3))
+        if tame or draw(st.integers(0, 9)):
             local = [v for v in local if v is not Z]
         visible = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(POOL))))
         if visible is not None:
@@ -263,7 +287,7 @@ def cases(draw):
         if tame:
             row = st.tuples(st.sampled_from(ROW_VARS), st.none(), ladders(3, tame=True))
         else:
-            row = st.tuples(st.sampled_from(ROW_VARS), st.sampled_from(DOMAINS), trees())
+            row = st.tuples(st.sampled_from(ROW_VARS), st.sampled_from(DOMAINS), trees(common=common))
         rows = tuple(draw(st.lists(row, min_size=1, max_size=3)))
         clusters.append((tuple(local), visible, rows))
         bound += [v for v, _, _ in rows]
@@ -271,7 +295,7 @@ def cases(draw):
     outputs = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
     u = {}
     for var, dom in inputs:
-        if tame:
+        if clean:
             u[var] = draw(st.sampled_from(members(dom) or VALUES))
         elif draw(st.integers(0, 19)):
             u[var] = draw(st.one_of(st.sampled_from(members(dom) or VALUES), values))
@@ -279,7 +303,7 @@ def cases(draw):
     atoms = draw(st.dictionaries(st.sampled_from(POOL), values, max_size=3))
     atoms.update(draw(st.dictionaries(st.sampled_from(RUNGS), values, max_size=3)))
     iv = InterventionSet.of(atoms)
-    seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    seed = draw(st.integers(0, 2**16)) if draw(st.integers(0, 4)) else None
     return Plan(inputs, tuple(clusters), outputs), u, iv, seed
 
 
@@ -317,6 +341,53 @@ def ladder_cases() -> list:
     return out
 
 
+#: a NaN with another payload than `float("nan")`'s
+OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
+
+
+def deep_ifs(bottom, levels=_MAX_NESTING + 5):
+    """`bottom` under `levels` `if`s on computed conditions on B, each of
+    which takes the branch towards it where B holds."""
+    tree = bottom
+    for k in range(levels):
+        tree = IfThenElse(Unary("not", Ref(B)), Const(VInt(k)), tree)
+    return tree
+
+
+def sharing_cases() -> list:
+    """Repeated subtrees that random draws seldom build, as cases: copies
+    that differ only in the sign of a zero or in a NaN's payload; a
+    repeated draw; a repeat first reached in a branch not taken; a repeat
+    that raises, or that reads a variable unbound at its first use; a
+    repeat first filled in a helper spilled past the nesting limit, before
+    or after a use outside it; and a repeat before and after a row that
+    binds an input again.  Each under B false and B true."""
+    one, two = Const(VInt(1)), Const(VInt(2))
+    inc = Binary("add", Ref(A), one)
+    draw = RandomBernoulli(Binary("mul", Ref(A), Const(VReal(0.5))))
+    late = Binary("add", Ref(S2), one)
+    fails = Binary("div", Ref(A), Const(VInt(0)))
+    rows_ = [
+        [(S1, Binary("add", Ref(A), Const(VReal(-0.0)))), (S2, Binary("add", Ref(A), Const(VReal(0.0))))],
+        [(S1, Binary("add", Ref(A), Const(VReal(float("nan"))))), (S2, Binary("add", Ref(A), Const(VReal(OTHER_NAN))))],
+        [(S1, Binary("eq", draw, draw)), (S2, pickle.loads(pickle.dumps(draw))), (S3, draw)],
+        [(S1, IfThenElse(Ref(B), inc, Const(VInt(0)))), (S2, Binary("mul", inc, two))],
+        [(S1, IfThenElse(Ref(B), fails, one)), (S2, Binary("add", fails, one))],
+        [(S1, IfThenElse(Ref(B), late, one)), (S2, Ref(A)), (S3, Binary("mul", late, late))],
+        [(S1, deep_ifs(Binary("mul", inc, inc))), (S2, Binary("mul", inc, two))],
+        [(S1, Binary("mul", inc, two)), (S2, deep_ifs(Binary("mul", inc, inc)))],
+        [(S1, inc), (A, Binary("add", Ref(A), two)), (S2, pickle.loads(pickle.dumps(inc))), (S3, inc)],
+    ]
+    out = []
+    for rows in rows_:
+        cluster = ((A, B), None, tuple((v, None, t) for v, t in rows))
+        plan = Plan(((A, None), (B, None)), (cluster,), tuple(v for v, _ in rows))
+        for a in (VInt(3), VReal(-0.0)):
+            for b in (VBool(False), VBool(True)):
+                out.append((plan, {A: a, B: b}, InterventionSet.empty(), 7))
+    return out
+
+
 def with_examples(examples):
     def decorate(test):
         for case in examples:
@@ -327,7 +398,7 @@ def with_examples(examples):
 
 
 @settings(max_examples=500)
-@with_examples(ladder_cases())
+@with_examples(ladder_cases() + sharing_cases())
 @given(cases())
 def test_compiled_plans_match_the_tree_walker_and_the_oracle(case):
     plan, u, iv, seed = case
@@ -378,6 +449,107 @@ def test_zoo_models_match_under_every_set(entry):
         for k, iv in enumerate(sets):
             for j, u in enumerate(draws):
                 assert agree(plan, u, iv, seed=k * 3 + j)[0] == "value"
+
+
+# ---------------------------------------------------------------------------
+# Repeated sub-expressions: computed once per query
+# ---------------------------------------------------------------------------
+
+
+def memo_locals(plan) -> set:
+    return set(re.findall(r"\bm\d+\b", plan_source(plan)[0]))
+
+
+def composites(tree):
+    """Every node of `tree` that has children, once per place it is reached."""
+    stack = [tree]
+    while stack:
+        e = stack.pop()
+        kids = E.children(e)
+        if kids:
+            yield e
+        stack.extend(kids)
+
+
+def test_the_consolidated_platformer_computes_each_distinct_operation_once_per_query():
+    """On the bench's 256 draws, no query calls an operator more often than
+    the plan has distinct sub-expressions on it: the 74 composite nodes the
+    rows write hold 23 distinct ones, and each is evaluated at most once."""
+    entry = zoo.platformer()
+    plan = entry.consolidated().plan
+    ((_, _, rows),) = plan.clusters
+    written = [e for _, _, tree in rows for e in composites(tree)]
+    assert (len(written), len({repr(e) for e in written})) == (74, 23)
+    distinct = Counter(e.op for e in {repr(e): e for e in written}.values() if type(e) is Binary)
+    assert memo_locals(plan)
+    source, namespace = plan_source(plan)
+    calls = Counter()
+
+    def counted(op, apply):
+        def call(a, b):
+            calls[op] += 1
+            return apply(a, b)
+
+        return call
+
+    ops = {id(apply): op for op, apply in E._BINARY.items()}
+    for name, obj in list(namespace.items()):
+        if id(obj) in ops:
+            namespace[name] = counted(ops[id(obj)], obj)
+    exec(compile(source, "<plan>", "exec"), namespace)
+    run = namespace.pop("make")()
+    rng = make_rng(2)
+    most = Counter()
+    for u in sample_exogenous(entry.scm, 1, 256, strict=False):
+        iv = entry.scm.interventions.sample(rng)
+        calls.clear()
+        assert repr(run(u, iv)) == repr(run_plan(plan, u, iv))
+        assert all(calls[op] <= distinct[op] for op in calls), (calls, distinct)
+        most |= calls
+    assert set(most) == {"add", "mul", "lt", "eq"} and sum(most.values()) > 4
+
+
+@pytest.mark.parametrize("entry", ZOO, ids=[f"{e.name}-{e.scm.name}-{i}" for i, e in enumerate(ZOO)])
+def test_plans_without_a_repeated_composite_write_no_memo(entry):
+    """A plan whose clusters repeat no composite sub-expression writes the
+    code it wrote before memo locals: no `_UNSET`, no memo local.  Every
+    plan writes the same code whether its nodes have their hashes cached
+    (here, from the check) or not (a copy)."""
+    for plan in (entry.scm.plan, entry.consolidated().plan):
+        repeated = False
+        for _, _, rows in plan.clusters:
+            seen = set()
+            for e in (e for _, _, tree in rows for e in composites(tree)):
+                repeated |= e in seen
+                seen.add(e)
+        if not repeated:
+            assert not memo_locals(plan) and "_UNSET" not in plan_source(plan)[0]
+        assert plan_source(pickle.loads(pickle.dumps(plan)))[0] == plan_source(plan)[0]
+
+
+@pytest.mark.parametrize("other", [-0.0, OTHER_NAN], ids=["zero", "nan"])
+def test_copies_that_differ_in_the_bits_of_a_real_are_not_shared(other):
+    """`0.0` and `-0.0`, or two NaN payloads, compare equal or print alike,
+    yet the rows read each constant's own bits; copies of one value are
+    shared, also where they are two float objects (two NaN objects hash
+    apart), with the nodes' hashes cached or not."""
+    first = float("nan") if other != other else 0.0
+    again = struct.unpack("<d", struct.pack("<d", first))[0]
+
+    def row(var, x):
+        return var, None, Binary("add", Const(VReal(x)), Ref(A))
+
+    def bits(out):
+        return [struct.pack("<d", v.r) for v in out.values()]
+
+    for (xs, memo), cached in itertools.product((((first, other), False), ((first, again), True)), (False, True)):
+        plan = Plan(((A, None),), (((A,), None, (row(S1, xs[0]), row(S2, xs[1]))),), (S1, S2))
+        if cached:
+            hash(plan)
+        assert bool(memo_locals(plan)) == memo
+        got = plan.compiled({A: VReal(-0.0)}, InterventionSet.empty())
+        assert bits(got) == bits(run_plan(plan, {A: VReal(-0.0)}, InterventionSet.empty()))
+        assert (bits(got)[0] == bits(got)[1]) == memo
 
 
 def test_the_consolidated_dominoes_ladder_dispatches_on_the_set():

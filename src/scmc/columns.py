@@ -27,10 +27,10 @@ Case lists are built in column form from the start: `Cases` holds a column
 per input and a table of what each case's intervention set forces, and
 `Tiling`, an exhaustive check's list, works each case out from its position:
 input columns are taken at the mixed-radix digits of the case's input row,
-and a canonical space's sets and forced table come from the set's position,
-with no set listed in advance.  A case as the per-case loop reads it, an
-assignment and an intervention set of Python values, is made only on
-demand.
+and a space's sets and forced table come from the set's position, with no
+set of a singleton or power-set space listed in advance.  A case as the
+per-case loop reads it, an assignment and an intervention set of Python
+values, is made only on demand.
 
 Every node keeps the per-case semantics of its `_eval`:
 
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import expr as E
 from .expr import Value, VarRef
-from .scm import POWER_SET, InterventionSet, InterventionSpace, Plan
+from .scm import EXPLICIT, POWER_SET, InterventionSet, InterventionSpace, Plan
 
 Column = np.ndarray
 
@@ -254,8 +254,8 @@ def _forced_of(sets: Sequence[InterventionSet]) -> _Table:
 
 
 def _forced_of_picks(atoms, picks: np.ndarray) -> _Table:
-    """The forced table of power-set `picks` (cases x atom rows) over atom
-    rows that are sorted and one per variable."""
+    """The forced table of power-set `picks` (cases x atom rows) over a
+    space's atom rows."""
     used = np.flatnonzero(np.count_nonzero(picks, axis=0)).tolist()
     width = max((len(atoms[j][1]) + 1 for j in used), default=1)
     codes = picks[:, used].T.astype(_code_dtype(width))
@@ -263,11 +263,14 @@ def _forced_of_picks(atoms, picks: np.ndarray) -> _Table:
 
 
 def _forced_of_space(space: InterventionSpace) -> _Table:
-    """The forced table of every member of a canonical singleton or power-set
-    space, in `enumerate`'s order, worked out from the positions alone: no
-    set is made.  A power set's row r holds the digits `(k // stride_r) %
-    radix_r` of each position k, a singleton space's one code per set; rows
-    without values are left out, as `_forced_of_picks` leaves them."""
+    """The forced table of every member of a space, in canonical order.  An
+    explicit space's is made from its sets; a singleton or power-set space's
+    is worked out from the positions alone, and no set is made.  A power
+    set's row r holds the digits `(k // stride_r) % radix_r` of each
+    position k, a singleton space's one code per set; rows without values
+    are left out, as `_forced_of_picks` leaves them."""
+    if space.mode == EXPLICIT:
+        return _forced_of(space.sets)
     rows = [(v, vals) for v, vals in space.atoms if vals]
     n = space.size()
     codes = np.zeros((len(rows), n), _code_dtype(max((len(vals) + 1 for _, vals in rows), default=1)))
@@ -356,11 +359,10 @@ class Cases(_Indexed):
     @staticmethod
     def drawn(inputs: Mapping[VarRef, tuple], space: InterventionSpace, picks: np.ndarray) -> "Cases":
         """Cases whose k-th intervention set is `space.member(picks[k])`."""
-        if space.mode == POWER_SET and space.atoms_canonical:
+        if space.mode == POWER_SET:
             forced = _table(_forced_of_picks, space.atoms, picks)
             return Cases(inputs, forced, lambda k: space.member(picks[k].tolist()), len(picks))
-        # members of a listed space are shared; a power set whose atoms must be
-        # sorted makes its sets now, and raises where `sample` would
+        # the members of a listed space are made already, and shared
         return Cases.listed(inputs, [space.member(p) for p in picks.tolist()])
 
     @property
@@ -417,9 +419,9 @@ class Tiling(_Indexed):
     of their reprs, input by input.  Where a support holds two values with
     the same repr, rows that tie on every repr keep that mixed-radix order,
     and one stable `np.lexsort` over per-input repr ranks puts each row in
-    its place.  The sets are a sequence, or a canonical singleton or power-set
-    space read by position (`InterventionSpace.member_at`), whose forced
-    table is worked out from the positions (`_forced_of_space`).
+    its place.  The sets are a sequence, or a space read by position
+    (`InterventionSpace.member_at`), whose forced table `_forced_of_space`
+    makes.
 
     `case(k)` makes the row's assignment and the set when asked.  Columns are
     made per block of cases, by taking each input's column at the digits of
@@ -1031,18 +1033,17 @@ def first_disagreement(
 ) -> tuple[Optional[int], float]:
     """The first position in lo..hi-1 where some target's entries disagree,
     as `verification._first_mismatch` judges a case, or None; and the largest
-    real deviation before that position."""
+    real deviation before that position.  The tolerance is never negative
+    (`EquivalenceStrategy` refuses it)."""
     stop = hi
-    # entries with the same bits deviate by 0, or by NaN, which never
-    # counts; with a negative tolerance a deviation of 0 disagrees
-    exact = tolerance >= 0
     differ = []
     for t in targets:
         a, b = want[t], got[t]
-        if exact and a is b:
+        if a is b:
             continue
         a, b = a[lo:hi], b[lo:hi]
-        if exact and _same_bits(a, b):
+        # entries with the same bits deviate by 0, or by NaN, which never counts
+        if _same_bits(a, b):
             continue
         differ.append((a, b))
         bad = _first_disagreeing(a[: stop - lo], b[: stop - lo], tolerance)

@@ -25,7 +25,7 @@ from .consolidation import (
     PassLogEntry,
     PassthroughCluster,
 )
-from .errors import ModelTooDeepError, ParseError, recursion_as_too_deep
+from .errors import DomainError, ModelTooDeepError, ParseError, recursion_as_too_deep
 from .expr import Domain, Expr, Value, VarRef, parse_var_name, ref_sort_key
 from .partition import Partition, SubScm
 from .scm import EndoVar, ExoVar, InterventionSet, InterventionSpace, Scm
@@ -119,6 +119,13 @@ def domain_to_json(d: Domain) -> dict:
 
 
 def domain_from_json(raw) -> Domain:
+    try:
+        return _domain_from_json(raw)
+    except DomainError as exc:  # an empty domain
+        raise ParseError(str(exc)) from exc
+
+
+def _domain_from_json(raw) -> Domain:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ParseError(f"bad domain {raw!r}")
     kind = raw["kind"]
@@ -127,15 +134,15 @@ def domain_from_json(raw) -> Domain:
         return E.BoolDomain()
     if kind == "int":
         _expect_keys(raw, {"kind", "lo", "hi"}, "domain")
-        return E.IntDomain(int(raw["lo"]), int(raw["hi"]))
+        return E.IntDomain(_of(raw["lo"], int, "domain bound"), _of(raw["hi"], int, "domain bound"))
     if kind == "sym":
         _expect_keys(raw, {"kind", "symbols"}, "domain")
-        return E.SymDomain(tuple(raw["symbols"]))
+        return E.SymDomain(tuple(_of(x, str, "symbol") for x in _of(raw["symbols"], list, "symbols")))
     if kind == "real":
         _expect_keys(raw, {"kind", "lo", "hi"}, "domain", optional={"lo", "hi"})
         return E.RealDomain(
-            float(raw["lo"]) if "lo" in raw else None,
-            float(raw["hi"]) if "hi" in raw else None,
+            _number(raw["lo"], "domain bound") if "lo" in raw else None,
+            _number(raw["hi"], "domain bound") if "hi" in raw else None,
         )
     raise ParseError(f"unknown domain kind {kind!r}")
 
@@ -164,21 +171,53 @@ def dist_from_json(raw) -> S.ExoDistribution:
         return S.PointMass(value_from_json(raw["value"]))
     if kind == "uniform_finite":
         _expect_keys(raw, {"kind", "values"}, "distribution")
-        return S.UniformFinite(tuple(value_from_json(v) for v in raw["values"]))
+        return S.UniformFinite(tuple(value_from_json(v) for v in _of(raw["values"], list, "support")))
     if kind == "normal":
         _expect_keys(raw, {"kind", "mean", "variance"}, "distribution")
-        return S.NormalDist(float(raw["mean"]), float(raw["variance"]))
+        return S.NormalDist(_number(raw["mean"], "mean"), _number(raw["variance"], "variance"))
     if kind == "uniform_real":
         _expect_keys(raw, {"kind", "lo", "hi"}, "distribution")
-        return S.UniformReal(float(raw["lo"]), float(raw["hi"]))
+        return S.UniformReal(_number(raw["lo"], "distribution bound"), _number(raw["hi"], "distribution bound"))
     if kind == "bernoulli":
         _expect_keys(raw, {"kind", "p"}, "distribution")
-        return S.BernoulliDist(float(raw["p"]))
+        return S.BernoulliDist(_number(raw["p"], "p"))
     raise ParseError(f"unknown distribution kind {kind!r}")
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer", float: "a number"}
+_JSON_TYPES.update({bool: "a boolean", type(None): "null"})
+
+
+def _of(raw, kind, what: str):
+    """`raw` where it is a `kind`, a type or a tuple of types, and a bool
+    only where `kind` is `bool`; else a `ParseError`."""
+    if type(raw) is not kind and (not isinstance(raw, kind) or isinstance(raw, bool)):
+        want = " or ".join(_JSON_TYPES[t] for t in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ParseError(f"{what} must be {want}, not {_JSON_TYPES.get(type(raw), type(raw).__name__)}")
+    return raw
+
+
+def _number(raw, what: str) -> float:
+    try:
+        return float(_of(raw, (int, float), what))
+    except OverflowError as exc:
+        raise ParseError(f"{what} is out of the float range") from exc
+
+
+def _names(raw, what: str) -> list[VarRef]:
+    return [parse_var_name(n) for n in _of(raw, list, what)]
+
+
+def _args(raw, count: int, what: str) -> list:
+    """`raw`, a list of `count` entries."""
+    if type(raw) is not list or len(raw) != count:
+        got = f"{len(raw)} of them" if type(raw) is list else _JSON_TYPES.get(type(raw), type(raw).__name__)
+        raise ParseError(f"{what} takes {count} argument(s) in an array, not {got}")
+    return raw
+
+
 def _expect_keys(raw: dict, allowed: set, what: str, optional: set = frozenset()):
-    keys = set(raw)
+    keys = set(_of(raw, dict, what))
     if not keys <= allowed:
         extra = ", ".join(sorted(keys - allowed))
         raise ParseError(f"unknown field(s) in {what}: {extra}")
@@ -249,36 +288,33 @@ def expr_from_json(raw, index: Optional[int] = None) -> Expr:
         raise ParseError(f"bad expression {raw!r}")
     if "ref" in raw:
         _expect_keys(raw, {"ref", "index"}, "ref", optional={"index"})
-        name = raw["ref"]
-        idx = raw.get("index")
-        if isinstance(idx, str):
-            idx = _resolve_relative(idx, index)
-        if idx is None:
+        name = _of(raw["ref"], str, "ref")
+        if "index" not in raw:
             return E.Ref(parse_var_name(name))
-        return E.Ref(VarRef(name, int(idx)))
+        idx = raw["index"]
+        return E.Ref(VarRef(name, _resolve_relative(idx, index) if isinstance(idx, str) else _of(idx, int, "index")))
     if "op" not in raw:
         raise ParseError(f"expression without op: {raw!r}")
-    op = raw["op"]
+    op = _of(raw["op"], str, "op")
     if op == "const":
         _expect_keys(raw, {"op", "value"}, "const")
         return E.Const(value_from_json(raw["value"]))
     if op in ("not", "neg"):
         _expect_keys(raw, {"op", "args"}, op)
-        (a,) = raw["args"]
+        (a,) = _args(raw["args"], 1, op)
         return E.Unary(op, expr_from_json(a, index))
     if op in E.BINARY_OPS:
         _expect_keys(raw, {"op", "args"}, op)
-        l, r = raw["args"]
+        l, r = _args(raw["args"], 2, op)
         return E.Binary(op, expr_from_json(l, index), expr_from_json(r, index))
     if op == "if":
         _expect_keys(raw, {"op", "args"}, "if")
-        c, t, o = raw["args"]
+        c, t, o = _args(raw["args"], 3, op)
         return E.IfThenElse(expr_from_json(c, index), expr_from_json(t, index), expr_from_json(o, index))
     if op == "cases":
         _expect_keys(raw, {"op", "cases", "default"}, "cases")
-        cases = tuple(
-            (expr_from_json(g, index), expr_from_json(b, index)) for g, b in raw["cases"]
-        )
+        pairs = [_args(case, 2, "case") for case in _of(raw["cases"], list, "cases")]
+        cases = tuple((expr_from_json(g, index), expr_from_json(b, index)) for g, b in pairs)
         return E.CaseList(cases, expr_from_json(raw["default"], index))
     if op == "is_intervened":
         _expect_keys(raw, {"op", "var"}, op)
@@ -287,24 +323,25 @@ def expr_from_json(raw, index: Optional[int] = None) -> Expr:
         _expect_keys(raw, {"op", "var", "args"}, op, optional={"args"})
         fb = None
         if "args" in raw:
-            (fb_raw,) = raw["args"]
+            (fb_raw,) = _args(raw["args"], 1, op)
             fb = expr_from_json(fb_raw, index)
         return E.InterventionValue(parse_var_name(raw["var"]), fb)
     if op == "exists_intervention":
         _expect_keys(raw, {"op", "family", "lo", "hi", "value"}, op, optional={"lo", "hi", "value"})
         return E.ExistsIntervention(
-            raw["family"],
-            raw.get("lo"),
-            raw.get("hi"),
+            _of(raw["family"], str, "family"),
+            _of(raw["lo"], int, "lo") if "lo" in raw else None,
+            _of(raw["hi"], int, "hi") if "hi" in raw else None,
             value_from_json(raw["value"]) if "value" in raw else None,
         )
     if op == "max_intervened_index":
         _expect_keys(raw, {"op", "family", "args"}, op)
-        u, d = raw["args"]
-        return E.MaxIntervenedIndex(raw["family"], expr_from_json(u, index), expr_from_json(d, index))
+        u, d = _args(raw["args"], 2, op)
+        family = _of(raw["family"], str, "family")
+        return E.MaxIntervenedIndex(family, expr_from_json(u, index), expr_from_json(d, index))
     if op == "bernoulli":
         _expect_keys(raw, {"op", "args"}, op)
-        (p,) = raw["args"]
+        (p,) = _args(raw["args"], 1, op)
         return E.RandomBernoulli(expr_from_json(p, index))
     raise ParseError(f"unknown expression op {op!r}")
 
@@ -315,10 +352,13 @@ def _resolve_relative(text: str, index: Optional[int]) -> int:
     t = text.replace(" ", "")
     if t == "i":
         return index
-    if t.startswith("i+"):
-        return index + int(t[2:])
-    if t.startswith("i-"):
-        return index - int(t[2:])
+    try:
+        if t.startswith("i+"):
+            return index + int(t[2:])
+        if t.startswith("i-"):
+            return index - int(t[2:])
+    except ValueError:
+        pass
     raise ParseError(f"bad relative index {text!r}")
 
 
@@ -353,22 +393,23 @@ def space_from_json(raw) -> InterventionSpace:
     if mode == "explicit":
         _expect_keys(raw, {"mode", "sets"}, "interventions")
         sets = []
-        for entry in raw["sets"]:
+        for entry in _of(raw["sets"], list, "sets"):
             pairs = []
-            for a in entry:
+            for a in _of(entry, list, "intervention set"):
                 _expect_keys(a, {"var", "value"}, "intervention atom")
                 pairs.append((parse_var_name(a["var"]), value_from_json(a["value"])))
-            sets.append(InterventionSet.of(pairs))
+            try:
+                sets.append(InterventionSet.of(pairs))
+            except DomainError as exc:
+                raise ParseError(str(exc)) from exc
         return InterventionSpace.explicit(sets)
     if mode in (S.POWER_SET, S.SINGLETON):
         _expect_keys(raw, {"mode", "atoms"}, "interventions")
         atoms = []
-        for a in raw["atoms"]:
+        for a in _of(raw["atoms"], list, "atoms"):
             _expect_keys(a, {"var", "values"}, "intervention atom")
-            atoms.append((parse_var_name(a["var"]), [value_from_json(v) for v in a["values"]]))
-        if mode == S.POWER_SET:
-            return InterventionSpace.power_set(atoms)
-        return InterventionSpace.singletons(atoms)
+            atoms.append((parse_var_name(a["var"]), [value_from_json(v) for v in _of(a["values"], list, "atom values")]))
+        return InterventionSpace(mode, atoms)
     raise ParseError(f"unknown interventions mode {mode!r}")
 
 
@@ -404,31 +445,29 @@ def model_to_doc(scm: Scm) -> dict:
 
 @recursion_as_too_deep
 def model_from_doc(doc) -> Scm:
-    if not isinstance(doc, dict):
-        raise ParseError("model document must be an object")
     _expect_keys(doc, _MODEL_KEYS, "model document", optional={"inverse_pairs"})
     exo_rows: list[ExoVar] = []
-    for raw in doc["exogenous"]:
+    for raw in _of(doc["exogenous"], list, "exogenous"):
         _expect_keys(raw, {"name", "domain", "dist", "range"}, "exogenous entry", optional={"range"})
         dom = domain_from_json(raw["domain"])
         dist = dist_from_json(raw["dist"])
         for var in _expand_names(raw):
             exo_rows.append(ExoVar(var, dom, dist))
     endo_rows: list[EndoVar] = []
-    for raw in doc["endogenous"]:
+    for raw in _of(doc["endogenous"], list, "endogenous"):
         _expect_keys(raw, {"name", "domain", "eq", "range"}, "endogenous entry", optional={"range"})
         dom = domain_from_json(raw["domain"])
         if "range" in raw:
-            lo, hi = _range_bounds(raw["range"])
-            for i in range(lo, hi + 1):
-                endo_rows.append(EndoVar(VarRef(raw["name"], i), dom, expr_from_json(raw["eq"], i)))
+            for var in _expand_names(raw):
+                endo_rows.append(EndoVar(var, dom, expr_from_json(raw["eq"], var.index)))
         else:
             endo_rows.append(EndoVar(parse_var_name(raw["name"]), dom, expr_from_json(raw["eq"])))
     pairs = tuple(
-        (parse_var_name(a), parse_var_name(b)) for a, b in doc.get("inverse_pairs", [])
+        tuple(_names(_args(p, 2, "inverse pair"), "inverse pair"))
+        for p in _of(doc.get("inverse_pairs", []), list, "inverse_pairs")
     )
     return Scm(
-        name=doc["name"],
+        name=_of(doc["name"], str, "name"),
         endogenous=tuple(endo_rows),
         exogenous=tuple(exo_rows),
         interventions=space_from_json(doc["interventions"]),
@@ -438,14 +477,15 @@ def model_from_doc(doc) -> Scm:
 
 def _expand_names(raw: dict) -> list[VarRef]:
     if "range" in raw:
+        name = _of(raw["name"], str, "family name")
         lo, hi = _range_bounds(raw["range"])
-        return [VarRef(raw["name"], i) for i in range(lo, hi + 1)]
+        return [VarRef(name, i) for i in range(lo, hi + 1)]
     return [parse_var_name(raw["name"])]
 
 
 def _range_bounds(raw) -> tuple[int, int]:
     _expect_keys(raw, {"lo", "hi"}, "range")
-    lo, hi = int(raw["lo"]), int(raw["hi"])
+    lo, hi = _of(raw["lo"], int, "range bound"), _of(raw["hi"], int, "range bound")
     if lo > hi:
         raise ParseError(f"empty range {lo}..{hi}")
     return lo, hi
@@ -465,12 +505,8 @@ def partition_to_doc(partition: Partition) -> dict:
 
 
 def partition_from_doc(doc) -> Partition:
-    if not isinstance(doc, dict):
-        raise ParseError("partition document must be an object")
     _expect_keys(doc, {"clusters"}, "partition document")
-    return Partition.of(
-        [[parse_var_name(n) for n in cluster] for cluster in doc["clusters"]]
-    )
+    return Partition.of([_names(cluster, "cluster") for cluster in _of(doc["clusters"], list, "clusters")])
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +549,12 @@ def _pass_to_doc(p: PassLogEntry) -> dict:
 def _pass_from_doc(raw) -> PassLogEntry:
     _expect_keys(raw, {"cluster", "target", "pass", "nodes_removed", "verdict", "guards_dropped"}, "pass entry")
     return PassLogEntry(
-        cluster=raw["cluster"],
+        cluster=_of(raw["cluster"], int, "cluster"),
         target=parse_var_name(raw["target"]) if raw["target"] is not None else None,
-        pass_name=raw["pass"],
-        nodes_removed=raw["nodes_removed"],
-        verdict=raw["verdict"],
-        guards_dropped=raw["guards_dropped"],
+        pass_name=_of(raw["pass"], str, "pass"),
+        nodes_removed=_of(raw["nodes_removed"], int, "nodes_removed"),
+        verdict=_of(raw["verdict"], str, "verdict"),
+        guards_dropped=_of(raw["guards_dropped"], int, "guards_dropped"),
     )
 
 
@@ -529,10 +565,10 @@ def report_from_doc(raw) -> CompressionReport:
         "report",
     )
     report = CompressionReport(
-        variables_marginalized=[parse_var_name(n) for n in raw["variables_marginalized"]],
-        atoms_dropped=[parse_var_name(n) for n in raw["atoms_dropped"]],
+        variables_marginalized=_names(raw["variables_marginalized"], "variables_marginalized"),
+        atoms_dropped=_names(raw["atoms_dropped"], "atoms_dropped"),
     )
-    for c in raw["clusters"]:
+    for c in _of(raw["clusters"], list, "cluster reports"):
         _expect_keys(
             c,
             {"cluster", "members", "consolidated", "nodes_before", "nodes_after", "source_equation_nodes", "inlined_images"},
@@ -540,17 +576,20 @@ def report_from_doc(raw) -> CompressionReport:
         )
         report.clusters.append(
             ClusterReport(
-                cluster=c["cluster"],
-                members=tuple(parse_var_name(n) for n in c["members"]),
-                consolidated=c["consolidated"],
-                nodes_before=c["nodes_before"],
-                nodes_after=c["nodes_after"],
-                source_equation_nodes=c["source_equation_nodes"],
-                inlined_images={parse_var_name(k): v for k, v in c["inlined_images"].items()},
+                cluster=_of(c["cluster"], int, "cluster"),
+                members=tuple(_names(c["members"], "members")),
+                consolidated=_of(c["consolidated"], bool, "consolidated"),
+                nodes_before=_of(c["nodes_before"], int, "nodes_before"),
+                nodes_after=_of(c["nodes_after"], int, "nodes_after"),
+                source_equation_nodes=_of(c["source_equation_nodes"], int, "source_equation_nodes"),
+                inlined_images={
+                    parse_var_name(k): _of(v, int, "inlined image")
+                    for k, v in _of(c["inlined_images"], dict, "inlined_images").items()
+                },
             )
         )
-    report.passes = [_pass_from_doc(p) for p in raw["passes"]]
-    report.rejected = [_pass_from_doc(p) for p in raw["rejected"]]
+    report.passes = [_pass_from_doc(p) for p in _of(raw["passes"], list, "passes")]
+    report.rejected = [_pass_from_doc(p) for p in _of(raw["rejected"], list, "rejected")]
     return report
 
 
@@ -607,17 +646,23 @@ def consolidated_to_doc(cons: ConsolidatedScm) -> dict:
     }
 
 
+def _equations(raw, names, what: str) -> dict:
+    """The `what`, an object of one equation per variable of `names`."""
+    out = {parse_var_name(k): expr_from_json(v) for k, v in _of(raw, dict, what).items()}
+    if set(out) != set(names):
+        raise ParseError(f"the {what} must give one equation for each of {', '.join(map(str, names))}")
+    return out
+
+
 @recursion_as_too_deep
 def consolidated_from_doc(doc) -> ConsolidatedScm:
-    if not isinstance(doc, dict):
-        raise ParseError("consolidated document must be an object")
     _expect_keys(doc, _CONS_KEYS, "consolidated document")
-    exo_rows = tuple(
-        ExoVar(parse_var_name(r["name"]), domain_from_json(r["domain"]), dist_from_json(r["dist"]))
-        for r in doc["exogenous"]
-    )
+    exo_rows = []
+    for r in _of(doc["exogenous"], list, "exogenous"):
+        _expect_keys(r, {"name", "domain", "dist"}, "exogenous entry")
+        exo_rows.append(ExoVar(parse_var_name(r["name"]), domain_from_json(r["domain"]), dist_from_json(r["dist"])))
     domains: dict[VarRef, Domain] = {}
-    for r in doc["variables"]:
+    for r in _of(doc["variables"], list, "variables"):
         _expect_keys(r, {"name", "domain"}, "variable entry")
         domains[parse_var_name(r["name"])] = domain_from_json(r["domain"])
     space = space_from_json(doc["interventions"])
@@ -625,55 +670,49 @@ def consolidated_from_doc(doc) -> ConsolidatedScm:
     exo_dists = {r.var: r.dist for r in exo_rows}
 
     clusters: list[CcvCluster | PassthroughCluster] = []
-    for raw in doc["ccvs"]:
-        kind = raw.get("kind")
+    for raw in _of(doc["ccvs"], list, "ccvs"):
+        kind = _of(raw, dict, "cluster").get("kind")
         if kind == "ccv":
             _expect_keys(raw, {"index", "kind", "members", "local_exogenous", "targets", "rho"}, "ccv cluster")
         elif kind == "passthrough":
             _expect_keys(raw, {"index", "kind", "members", "local_exogenous", "equations"}, "passthrough cluster")
         else:
             raise ParseError(f"unknown cluster kind {kind!r}")
-        members = tuple(parse_var_name(n) for n in raw["members"])
-        local_exo = tuple(parse_var_name(n) for n in raw["local_exogenous"])
-        sub_domains = {v: domains[v] for v in members}
-        for v in local_exo:
-            sub_domains[v] = exo_doms.get(v) or domains[v]
+        index = _of(raw["index"], int, "cluster index")
+        members = tuple(_names(raw["members"], "members"))
+        local_exo = tuple(_names(raw["local_exogenous"], "local_exogenous"))
+        sub_domains = {v: domains.get(v) for v in members}
+        sub_domains.update((v, exo_doms.get(v, domains.get(v))) for v in local_exo)
+        missing = [v for v, dom in sub_domains.items() if dom is None]
+        if missing:
+            raise ParseError(f"{missing[0]} of cluster {index} has no domain in the document")
         local_dists = {v: exo_dists[v] for v in local_exo if v in exo_dists}
         if kind == "ccv":
-            targets = tuple(parse_var_name(n) for n in raw["targets"])
-            rho = {parse_var_name(k): expr_from_json(v) for k, v in raw["rho"].items()}
-            sub = SubScm(
-                cluster=frozenset(members),
-                local_exogenous=local_exo,
-                order=members,
-                equations={},
-                domains=sub_domains,
-                local_dists=local_dists,
-                interventions=space.restrict(members),
-            )
-            clusters.append(
-                CcvCluster(raw["index"], sub, Ccv(targets, rho, sub.interventions, raw["index"]))
-            )
+            targets = tuple(_names(raw["targets"], "targets"))
+            rho, equations = _equations(raw["rho"], targets, f"rho of cluster {index}"), {}
         else:
-            equations = {parse_var_name(k): expr_from_json(v) for k, v in raw["equations"].items()}
-            sub = SubScm(
-                cluster=frozenset(members),
-                local_exogenous=local_exo,
-                order=members,
-                equations=equations,
-                domains=sub_domains,
-                local_dists=local_dists,
-                interventions=space.restrict(members),
-            )
-            clusters.append(PassthroughCluster(raw["index"], sub))
+            equations = _equations(raw["equations"], members, f"equations of cluster {index}")
+        sub = SubScm(
+            cluster=frozenset(members),
+            local_exogenous=local_exo,
+            order=members,
+            equations=equations,
+            domains=sub_domains,
+            local_dists=local_dists,
+            interventions=space.restrict(members),
+        )
+        if kind == "ccv":
+            clusters.append(CcvCluster(index, sub, Ccv(targets, rho, sub.interventions, index)))
+        else:
+            clusters.append(PassthroughCluster(index, sub))
     return ConsolidatedScm(
-        name=doc["name"],
-        base_name=doc["base"],
-        exogenous=exo_rows,
+        name=_of(doc["name"], str, "name"),
+        base_name=_of(doc["base"], str, "base"),
+        exogenous=tuple(exo_rows),
         clusters=tuple(clusters),
-        targets=tuple(parse_var_name(n) for n in doc["targets"]),
+        targets=tuple(_names(doc["targets"], "targets")),
         interventions=space,
-        dropped_atom_vars=frozenset(parse_var_name(n) for n in doc["dropped_atoms"]),
+        dropped_atom_vars=frozenset(_names(doc["dropped_atoms"], "dropped_atoms")),
         domains=domains,
         report=report_from_doc(doc["report"]),
     )
@@ -794,6 +833,8 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an int literal past `sys.get_int_max_str_digits()` digits
+        raise ParseError(str(exc)) from exc
     except RecursionError as exc:
         raise ParseError("document nests too deeply") from exc
     except OSError as exc:

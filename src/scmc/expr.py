@@ -29,7 +29,7 @@ import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, Mapping, Optional, Union
 
-from .errors import DivisionByZeroError, DomainError, NonDeterministicModelError, UnboundRefError
+from .errors import DivisionByZeroError, DomainError, NonDeterministicModelError, ParseError, UnboundRefError
 
 # ---------------------------------------------------------------------------
 # Values and domains
@@ -66,6 +66,12 @@ class VBool:
 @_value
 class VInt:
     i: int
+
+    def __repr__(self):
+        try:
+            return f"VInt(i={self.i!r})"
+        except ValueError:  # past `sys.get_int_max_str_digits()` digits
+            return f"VInt(i=<int of {self.i.bit_length()} bits>)"
 
 
 @_value
@@ -164,8 +170,12 @@ class RealDomain:
         if isinstance(v, VReal):
             r = v.r
         elif isinstance(v, VInt):
-            # integers are acceptable carriers for real-valued variables
-            r = float(v.i)
+            # integers are acceptable carriers for real-valued variables,
+            # those within the float range
+            try:
+                r = float(v.i)
+            except OverflowError:
+                return False
         else:
             return False
         if self.lo is not None and r < self.lo:
@@ -272,10 +282,13 @@ def ref_sort_key(v: VarRef) -> tuple:
 
 
 def parse_var_name(text: str) -> VarRef:
-    """Parse ``S_3`` into an indexed ref; a trailing ``_<int>`` is the index."""
+    """Parse ``S_3`` into an indexed ref; a trailing ``_<int>`` is the index.
+    Anything but a string, as a document may hold, is a `ParseError`."""
+    if type(text) is not str:
+        raise ParseError(f"a variable name must be a string, not {text!r}")
     if "_" in text:
         stem, _, tail = text.rpartition("_")
-        if stem and tail.lstrip("-").isdigit():
+        if stem and tail.removeprefix("-").isdecimal():
             return VarRef(stem, int(tail))
     return VarRef(text)
 
@@ -871,12 +884,16 @@ def _wrap_number(x) -> Value:
 
 def _arithmetic(fn: Callable) -> Callable[[Value, Value], Value]:
     """The operator that applies `fn` to two numbers and wraps the result."""
+    message = f"{fn.__name__} result is out of the float range"
 
     def apply(a, b):
         ta, tb = type(a), type(b)
         x = a.r if ta is VReal else a.i if ta is VInt else _numeric(a)
         y = b.r if tb is VReal else b.i if tb is VInt else _numeric(b)
-        r = fn(x, y)
+        try:
+            r = fn(x, y)
+        except OverflowError:  # an int past the float range with a real
+            raise DomainError(message) from None
         if type(r) is float:
             v = _new(VReal)
             _set_real(v, r)
@@ -907,7 +924,10 @@ def _div(a: Value, b: Value) -> Value:
         raise DivisionByZeroError("division by zero")
     if isinstance(x, int) and isinstance(y, int):
         return _int(x // y)
-    return _real(x / y)
+    try:
+        return _real(x / y)
+    except OverflowError:  # an int past the float range with a real
+        raise DomainError("div result is out of the float range") from None
 
 
 def _mod(a: Value, b: Value) -> Value:

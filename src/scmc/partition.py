@@ -26,12 +26,6 @@ class Partition:
     def of(clusters: Iterable[Iterable[VarRef]]) -> "Partition":
         return Partition(tuple(frozenset(c) for c in clusters))
 
-    def cluster_of(self, var: VarRef) -> Optional[int]:
-        for i, c in enumerate(self.clusters):
-            if var in c:
-                return i
-        return None
-
     def restrict_to(self, keep: Iterable[VarRef]) -> "Partition":
         """Drop variables outside `keep`; empty clusters disappear."""
         ks = set(keep)

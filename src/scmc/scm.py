@@ -10,6 +10,7 @@ within one set.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -163,77 +164,64 @@ class InterventionSpace:
     the atom table, `singleton` admits the empty set and one-atom sets, and
     `explicit` lists every member outright.  The two generator modes are
     closed under subsets by construction.
+
+    Every space is built in one canonical form, whatever it is given: a
+    power set's or singleton space's atoms are one row per variable, in
+    `ref_sort_key` order, with the values of the rows given for it merged
+    in their first-seen order without repeats; an explicit space holds its
+    distinct sets in canonical order, and its atoms are derived from them.
+    Any other mode raises `DomainError`.
     """
 
     mode: str
     atoms: tuple[tuple[VarRef, tuple[Value, ...]], ...] = ()
     sets: tuple[InterventionSet, ...] = ()
 
+    def __post_init__(self):
+        if self.mode == EXPLICIT:
+            distinct = dict.fromkeys(self.sets)
+            sets = tuple(sorted(distinct, key=lambda s: [(ref_sort_key(v), repr(val)) for v, val in s.assignments]))
+            rows = [(var, (val,)) for s in sets for var, val in s.assignments]
+        elif self.mode in (POWER_SET, SINGLETON):
+            sets, rows = (), self.atoms
+        else:
+            raise DomainError(f"unknown intervention-space mode {self.mode!r}")
+        grouped: dict[VarRef, list[Value]] = {}
+        for var, vals in rows:
+            bucket = grouped.setdefault(var, [])
+            for v in vals:
+                if v not in bucket:
+                    bucket.append(v)
+        atoms = tuple((var, tuple(vals)) for var, vals in sorted(grouped.items(), key=lambda p: ref_sort_key(p[0])))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "sets", sets)
+
     @staticmethod
     def power_set(atoms: Iterable[tuple[VarRef, Iterable[Value]]]) -> "InterventionSpace":
-        return InterventionSpace(POWER_SET, _norm_atoms(atoms))
+        return InterventionSpace(POWER_SET, atoms)
 
     @staticmethod
     def singletons(atoms: Iterable[tuple[VarRef, Iterable[Value]]]) -> "InterventionSpace":
-        return InterventionSpace(SINGLETON, _norm_atoms(atoms))
+        return InterventionSpace(SINGLETON, atoms)
 
     @staticmethod
     def explicit(sets: Iterable[InterventionSet]) -> "InterventionSpace":
-        seen: list[InterventionSet] = []
-        for s in sets:
-            if s not in seen:
-                seen.append(s)
-        atoms: dict[VarRef, list[Value]] = {}
-        for s in seen:
-            for var, val in s.assignments:
-                atoms.setdefault(var, [])
-                if val not in atoms[var]:
-                    atoms[var].append(val)
-        normed = tuple(
-            (var, tuple(vals)) for var, vals in sorted(atoms.items(), key=lambda p: ref_sort_key(p[0]))
-        )
-        ordered = tuple(sorted(seen, key=lambda s: [(ref_sort_key(v), repr(val)) for v, val in s.assignments]))
-        return InterventionSpace(EXPLICIT, normed, ordered)
+        return InterventionSpace(EXPLICIT, sets=sets)
 
     @cached_property
     def _atom_index(self) -> dict[VarRef, tuple[Value, ...]]:
-        """The atom table by variable, built on first use.
-
-        Not a field: equality, hashing, repr and documents ignore it.  The
-        first row wins, as a scan of `atoms` would.
-        """
-        index: dict[VarRef, tuple[Value, ...]] = {}
-        for v, vals in self.atoms:
-            index.setdefault(v, vals)
-        return index
+        """The atom table by variable, built on first use.  Not a field:
+        equality, hashing, repr and documents ignore it."""
+        return dict(self.atoms)
 
     @cached_property
-    def _atom_pairs(self) -> tuple[tuple, Callable[[tuple], InterventionSet]]:
-        """Per atom row, its `(var, value)` pairs, and what makes a set of a
-        selection of them in row order.
-
-        That is the `InterventionSet` constructor when the rows are in
-        `ref_sort_key` order, one per variable, as `_norm_atoms` leaves
-        them, since `InterventionSet.of` would sort and check them for
-        nothing; else `InterventionSet.of`.  Worked out once per space,
-        since `InterventionSpace(...)` takes atoms in any order.
-        """
-        rows = tuple(tuple((v, val) for val in vals) for v, vals in self.atoms)
-        keys = [ref_sort_key(v) for v, _ in self.atoms]
-        canonical = len({v for v, _ in self.atoms}) == len(keys) and keys == sorted(keys)
-        return rows, InterventionSet if canonical else InterventionSet.of
-
-    @property
-    def atoms_canonical(self) -> bool:
-        """Whether the atom rows are in `ref_sort_key` order, one per
-        variable, as `_norm_atoms` leaves them."""
-        return self._atom_pairs[1] is InterventionSet
+    def _rows(self) -> tuple[tuple[tuple[VarRef, Value], ...], ...]:
+        """Per atom row, its `(var, value)` pairs, shared by every set made
+        of them; built on first use, not a field."""
+        return tuple(tuple((v, val) for val in vals) for v, vals in self.atoms)
 
     def atom_values(self, var: VarRef) -> tuple[Value, ...]:
         return self._atom_index.get(var, ())
-
-    def intervenable_vars(self) -> list[VarRef]:
-        return [v for v, vals in self.atoms if vals]
 
     def family_atoms(self, family: str) -> list[tuple[VarRef, tuple[Value, ...]]]:
         return [
@@ -292,27 +280,17 @@ class InterventionSpace:
             return len(self.sets)
         if self.mode == SINGLETON:
             return 1 + sum(len(vals) for _, vals in self.atoms)
-        if self.mode == POWER_SET:
-            n = 1
-            for _, vals in self.atoms:
-                n *= 1 + len(vals)
-            return n
-        raise DomainError(f"unknown intervention-space mode {self.mode!r}")
+        return math.prod(1 + len(vals) for _, vals in self.atoms)
 
     def enumerate(self, budget: int = 4096) -> list[InterventionSet]:
-        """All members in canonical order; refuses to materialize past `budget`."""
+        """All members in canonical order, `member_at(0)` to
+        `member_at(size() - 1)`; refuses to materialize past `budget`."""
         total = self.size()
         if total > budget:
             raise EnumerationTooLargeError(
                 f"intervention space has {total} sets, budget is {budget}"
             )
-        if self.mode in _LISTED:
-            return list(self._members)
-        rows, make = self._atom_pairs
-        return [
-            make(tuple([p for p in combo if p is not None]))
-            for combo in itertools.product(*[(None,) + row for row in rows])
-        ]
+        return [self.member_at(k) for k in range(total)]
 
     def sample(self, rng) -> InterventionSet:
         """One member drawn with the package RNG; uniform over the enumeration
@@ -356,13 +334,13 @@ class InterventionSpace:
             return self._members[pick]
         if not any(pick):
             return InterventionSet.empty()
-        rows, make = self._atom_pairs
-        return make(tuple([row[k - 1] for row, k in zip(rows, pick) if k]))
+        return InterventionSet(tuple([row[k - 1] for row, k in zip(self._rows, pick) if k]))
 
     def member_at(self, position: int) -> InterventionSet:
-        """The member at `position` in `enumerate`'s order, made alone: for a
+        """The member at `position` in canonical order, made alone: for a
         power set, the set whose atom-row entries are the digits of
-        `position` in the mixed radix of the bounds, first row outermost."""
+        `position` in the mixed radix of the bounds, first row outermost;
+        for the other modes, the listed member."""
         if self.mode in _LISTED:
             return self._members[position]
         pick = [0] * len(self.atoms)
@@ -376,40 +354,20 @@ class InterventionSpace:
         on first use; not a field."""
         if self.mode == EXPLICIT:
             return self.sets
-        out = [InterventionSet.empty()]
-        for var, vals in self.atoms:
-            for val in vals:
-                out.append(InterventionSet.of({var: val}))
-        return tuple(out)
+        return (InterventionSet.empty(),) + tuple(InterventionSet((p,)) for row in self._rows for p in row)
 
     def restrict(self, cluster: Iterable[VarRef]) -> "InterventionSpace":
         """Image of the space under the projection onto `cluster`."""
         keep = set(cluster)
-        atoms = tuple((v, vals) for v, vals in self.atoms if v in keep)
-        if self.mode == EXPLICIT:
-            return InterventionSpace.explicit([s.restrict(keep) for s in self.sets])
-        return InterventionSpace(self.mode, atoms)
+        return self.drop_atoms([v for v, _ in self.atoms if v not in keep])
 
     def drop_atoms(self, vars_out: Iterable[VarRef]) -> "InterventionSpace":
         """Remove every atom on the given variables, mapping each member set
         to its projection; the result stays closed under subsets."""
         gone = set(vars_out)
-        atoms = tuple((v, vals) for v, vals in self.atoms if v not in gone)
         if self.mode == EXPLICIT:
             return InterventionSpace.explicit([s.drop(gone) for s in self.sets])
-        return InterventionSpace(self.mode, atoms)
-
-
-def _norm_atoms(atoms) -> tuple[tuple[VarRef, tuple[Value, ...]], ...]:
-    grouped: dict[VarRef, list[Value]] = {}
-    for var, vals in atoms:
-        bucket = grouped.setdefault(var, [])
-        for v in vals:
-            if v not in bucket:
-                bucket.append(v)
-    return tuple(
-        (var, tuple(vals)) for var, vals in sorted(grouped.items(), key=lambda p: ref_sort_key(p[0]))
-    )
+        return InterventionSpace(self.mode, [(v, vals) for v, vals in self.atoms if v not in gone])
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +510,6 @@ class Scm:
         for row in self.endogenous:
             kinds[row.var] = domain_kind(row.domain)
         return kinds
-
-    def has_var(self, var: VarRef) -> bool:
-        return any(r.var == var for r in self.endogenous) or any(
-            r.var == var for r in self.exogenous
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +674,6 @@ def _check_space(scm: Scm, report: ValidationReport):
                             f"{s} is allowed but its subset {sub} is not",
                             (s, sub),
                         )
-    elif space.mode not in (POWER_SET, SINGLETON):
-        report.add("SpaceMode", f"unknown intervention-space mode {space.mode!r}", ())
 
 
 def find_cycle(successors: Mapping) -> Optional[list]:

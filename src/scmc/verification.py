@@ -102,7 +102,7 @@ def _first_mismatch(
             try:
                 av = a.r if isinstance(a, E.VReal) else float(a.i)
                 bv = b.r if isinstance(b, E.VReal) else float(b.i)
-            except AttributeError:
+            except (AttributeError, OverflowError):  # not a number, or an int past the float range
                 if bad is None:
                     bad = i
                 continue
@@ -114,20 +114,6 @@ def _first_mismatch(
             if bad is None:
                 bad = i
     return bad, worst
-
-
-def _intervention_cases(
-    space: S.InterventionSpace, strategy: EquivalenceStrategy
-) -> list[InterventionSet] | S.InterventionSpace:
-    """The sets an exhaustive check pairs with each input row: the
-    strategy's own; or a canonical singleton or power-set space itself, read
-    by position; or else the space's members, listed now, so that a power
-    set with two rows on one variable raises before any case."""
-    if strategy.intervention_sets is not None:
-        return list(strategy.intervention_sets)
-    if space.mode != S.EXPLICIT and space.atoms_canonical:
-        return space
-    return space.enumerate(strategy.intervention_budget)
 
 
 @recursion_as_too_deep
@@ -195,7 +181,8 @@ def verifier_cases(base: Scm, strategy: EquivalenceStrategy) -> tuple[Optional[C
         if message:
             return None, message
         supports = [(row.var, S.dist_support(row.dist)) for row in base.exogenous]
-        return C.Tiling(supports, _intervention_cases(base.interventions, strategy)), ""
+        given = strategy.intervention_sets
+        return C.Tiling(supports, base.interventions if given is None else list(given)), ""
     count = strategy.sample_count
     if count < 0:
         raise DomainError("count must be non-negative")

@@ -375,18 +375,21 @@ def oracle_apply_binary(op: str, a: E.Value, b: E.Value) -> E.Value:
         return E.VBool(a == b)
 
     x, y = oracle_numeric(a), oracle_numeric(b)
-    if op == "add":
-        return oracle_wrap_number(x + y)
-    if op == "sub":
-        return oracle_wrap_number(x - y)
-    if op == "mul":
-        return oracle_wrap_number(x * y)
-    if op == "div":
-        if y == 0:
-            raise DivisionByZeroError("division by zero")
-        if isinstance(x, int) and isinstance(y, int):
-            return E.VInt(x // y)
-        return E.VReal(x / y)
+    try:
+        if op == "add":
+            return oracle_wrap_number(x + y)
+        if op == "sub":
+            return oracle_wrap_number(x - y)
+        if op == "mul":
+            return oracle_wrap_number(x * y)
+        if op == "div":
+            if y == 0:
+                raise DivisionByZeroError("division by zero")
+            if isinstance(x, int) and isinstance(y, int):
+                return E.VInt(x // y)
+            return E.VReal(x / y)
+    except OverflowError:  # an int past the float range meets a real
+        raise DomainError(f"{op} result is out of the float range") from None
     if op == "mod":
         if not (isinstance(x, int) and isinstance(y, int)):
             raise DomainError("mod is defined on integers only")
@@ -434,8 +437,10 @@ def oracle_value_in_domain(v: E.Value, d: E.Domain) -> bool:
                 return False
             return True
         case E.RealDomain(lo, hi), E.VInt(i):
-            # integers are acceptable carriers for real-valued variables
-            return oracle_value_in_domain(E.VReal(float(i)), d)
+            # integers are acceptable carriers for real-valued variables,
+            # those that round to a finite float: below the halfway point
+            # between the largest float and 2**1024
+            return abs(i) < 2**1024 - 2**970 and oracle_value_in_domain(E.VReal(float(i)), d)
     return False
 
 

@@ -24,7 +24,6 @@ from scmc import expr as E
 from scmc import verification as Q
 from scmc import zoo
 from scmc.consolidation import Ccv, CcvCluster, PassConfig, attach_ccvs, build_rho, consolidate, run_passes
-from scmc.errors import DomainError
 from scmc.evaluation import make_rng
 from scmc.expr import Binary, BoolDomain, IfThenElse, IntDomain, RealDomain, Ref, VarRef, iconst, rconst
 from scmc.partition import Partition, extract_sub_scm, sub_scm_as_scm
@@ -334,22 +333,27 @@ def test_every_distribution_kind_matches_the_list_builders(index):
         assert_gate_cases(scm, Partition.of(MIXED_CLUSTERS), seed)
 
 
-def test_a_set_with_two_atoms_on_one_variable_raises_as_sample_does():
+def two_row_space() -> InterventionSpace:
+    """A power set given a second row on `X[0]`, and its twin with the two
+    rows merged."""
     atoms = tuple(InterventionSpace.power_set(_atoms()).atoms)
-    space = InterventionSpace(POWER_SET, atoms + ((X[0], (E.VReal(5.0),)),))
-    scm = mixed_model(space)
-    strategy = EquivalenceStrategy.sampled(count=24, seed=0)
-    with pytest.raises(DomainError) as want:
-        oracle_verifier_cases(scm, strategy)
-    with pytest.raises(DomainError) as got:
-        Q.verifier_cases(scm, strategy)
-    assert str(got.value) == str(want.value)
-    sub = extract_sub_scm(scm, MIXED_CLUSTERS[0])
-    with pytest.raises(DomainError) as want:
-        oracle_verifier_cases(sub_scm_as_scm(sub), strategy)
-    with pytest.raises(DomainError) as got:
-        Q.sample_local_cases(sub, 24, 0)
-    assert str(got.value) == str(want.value)
+    merged = [(v, vals + (E.VReal(5.0),) if v == X[0] else vals) for v, vals in atoms]
+    return InterventionSpace(POWER_SET, atoms + ((X[0], (E.VReal(5.0),)),)), InterventionSpace.power_set(merged)
+
+
+def test_a_power_set_given_two_rows_on_one_variable_lists_what_its_merged_twin_lists():
+    space, twin = two_row_space()
+    assert space == twin and repr(space) == repr(twin)
+    for build in (mixed_model, finite_model):
+        for strategy in strategies(0):
+            cases, _ = Q.verifier_cases(build(space), strategy)
+            twin_cases, _ = Q.verifier_cases(build(twin), strategy)
+            if cases is None:
+                assert twin_cases is None
+                continue
+            assert len(cases) == len(twin_cases) and [repr(c) for c in cases[:]] == [repr(c) for c in twin_cases[:]]
+        assert_verifier_cases(build(space), 0)
+    assert_gate_cases(mixed_model(space), Partition.of(MIXED_CLUSTERS), 0)
 
 
 def test_exhaustive_inputs_keep_the_canonical_order():
@@ -472,17 +476,6 @@ def test_given_sets_are_listed_as_given():
     assert_exhaustive_list(*exhaustive_rows(finite_model(space), EquivalenceStrategy.exhaustive(intervention_sets=given)))
 
 
-def test_a_power_set_with_two_rows_on_one_variable_raises_before_any_case():
-    atoms = tuple(InterventionSpace.power_set(_atoms()).atoms)
-    scm = finite_model(InterventionSpace(POWER_SET, atoms + ((X[0], (E.VReal(5.0),)),)))
-    strategy = EquivalenceStrategy.exhaustive()
-    with pytest.raises(DomainError) as want:
-        oracle_verifier_cases(scm, strategy)
-    with pytest.raises(DomainError) as got:
-        Q.verifier_cases(scm, strategy)
-    assert str(got.value) == str(want.value)
-
-
 def test_a_list_of_several_blocks_matches_at_every_block():
     scm = zoo.firing_squad(12).scm
     cases, rows, names = exhaustive_rows(scm)
@@ -494,20 +487,33 @@ def test_a_list_of_several_blocks_matches_at_every_block():
         assert block.input(names[0]).tolist() == [C.raw(env[names[0]]) for env, _ in rows[lo:hi]]
 
 
-def test_a_canonical_space_is_verified_without_listing_its_sets(monkeypatch):
+def test_an_exhaustive_verify_lists_no_set_in_advance(monkeypatch):
+    """No space is enumerated; only an explicit space's forced table is made
+    from sets, its own, once per list."""
     calls = []
     enumerate_sets, forced_of = InterventionSpace.enumerate, C._forced_of
     monkeypatch.setattr(InterventionSpace, "enumerate", lambda *a, **k: calls.append("enumerate") or enumerate_sets(*a, **k))
-    monkeypatch.setattr(C, "_forced_of", lambda *a: calls.append("_forced_of") or forced_of(*a))
-    entries = [zoo.firing_squad(8), zoo.dominoes(16), zoo.platformer()]
+    monkeypatch.setattr(C, "_forced_of", lambda sets: calls.append(sets) or forced_of(sets))
+    entries = [zoo.firing_squad(8), zoo.dominoes(16), zoo.platformer(), zoo.step_by_step()]
     models = [(e.scm, e.consolidated(PassConfig(gate=False)), e.targets) for e in entries]
-    scm = finite_model(InterventionSpace.singletons(_atoms()))
-    models.append((scm, consolidate(scm, Partition.of(MIXED_CLUSTERS), [X[3], X[4], X[5]]), [X[3], X[4], X[5]]))
+    for space in (InterventionSpace.singletons(_atoms()), finite_spaces()[-1]):
+        scm = finite_model(space)
+        models.append((scm, consolidate(scm, Partition.of(MIXED_CLUSTERS), [X[3], X[4], X[5]]), [X[3], X[4], X[5]]))
     calls.clear()
+    explicit = 0
     for base, cons, targets in models:
-        assert base.interventions.mode != "explicit" and base.interventions.atoms_canonical
         assert verify_equivalence(base, cons, targets).equal
-    assert calls == []
+        if base.interventions.mode == "explicit":
+            explicit += 1
+            assert len(calls) == 1 and calls.pop() is base.interventions.sets
+        assert calls == []
+    assert explicit == 2
+
+
+def test_the_forced_table_of_an_explicit_space_is_made_from_its_sets():
+    for space in [zoo.step_by_step().scm.interventions, finite_spaces()[-1], InterventionSpace.explicit([])]:
+        assert space.mode == "explicit"
+        assert_same_tables(C._table(C._forced_of_space, space), C._table(C._forced_of, space.sets))
 
 
 def test_reports_over_every_space_equal_the_list_builders(monkeypatch):

@@ -193,6 +193,60 @@ class TestEval:
         assert json.loads(out)["error"] == {"kind": "DomainError", "message": "pow result is out of the float range"}
         assert "Traceback" not in err
 
+    def test_an_int_past_the_float_range_in_a_real_domain_is_a_typed_error(self, tmp_path, capsys):
+        # Y = 10 ** X is an int; past the float range it cannot carry a real
+        doc = {
+            "name": "pow10",
+            "exogenous": [
+                {"name": "X", "domain": {"kind": "int", "lo": 0, "hi": 10000}, "dist": {"kind": "point", "value": 0}}
+            ],
+            "endogenous": [
+                {
+                    "name": "Y",
+                    "domain": {"kind": "real"},
+                    "eq": {"op": "pow", "args": [{"op": "const", "value": 10}, {"ref": "X"}]},
+                }
+            ],
+            "interventions": {"mode": "power_set", "atoms": []},
+        }
+        path = tmp_path / "pow10.model.json"
+        save(str(path), doc)
+        assert main(["eval", str(path), "--exo", "X=300"]) == 0
+        capsys.readouterr()
+        for x in ("400", "5000"):
+            assert main(["eval", str(path), "--exo", f"X={x}"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: Y evaluated to VInt(i=") and "outside its domain" in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["exogenous without dist", "ccvs entry a list", "member without variable", "endogenous entry a list", "null name"],
+    )
+    def test_a_damaged_document_is_a_parse_error(self, demo_dir, tmp_path, capsys, damage):
+        model = demo_dir / "step-by-step.model.json"
+        part = demo_dir / "step-by-step.partition.json"
+        cons = tmp_path / "sb.consolidated.json"
+        assert main(["consolidate", str(model), str(part), "--targets", "C,F,H", "-o", str(cons)]) == 0
+        capsys.readouterr()
+        doc = load_json(str(cons if damage in ("exogenous without dist", "ccvs entry a list", "member without variable") else model))
+        if damage == "exogenous without dist":
+            del doc["exogenous"][0]["dist"]
+        elif damage == "ccvs entry a list":
+            doc["ccvs"][0] = [doc["ccvs"][0]]
+        elif damage == "member without variable":
+            doc["variables"] = [v for v in doc["variables"] if v["name"] != doc["ccvs"][0]["members"][0]]
+        elif damage == "endogenous entry a list":
+            doc["endogenous"][0] = [1, 2]
+        else:
+            doc["endogenous"][0]["name"] = None
+        path = tmp_path / "damaged.json"
+        save(str(path), doc)
+        assert main(["eval", str(path), "--exo", "A=10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert main(["--json", "eval", str(path), "--exo", "A=10"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "parse"
+
 
 class TestDeepModels:
     def deep_model(self, tmp_path, depth=5000):

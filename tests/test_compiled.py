@@ -101,6 +101,12 @@ DOMAINS = [
     SymDomain(("a", "b")),
 ]
 values = st.sampled_from(VALUES)
+#: the kinds of value a tree is drawn to yield, and the values of each
+VALUE_KINDS = ("bool", "int", "real", "sym")
+KIND_OF = {VBool: "bool", VInt: "int", VReal: "real", VSym: "sym"}
+OF_KIND = {kind: st.sampled_from([v for v in VALUES if KIND_OF[type(v)] == kind]) for kind in VALUE_KINDS}
+DOMAIN_KIND = {BoolDomain: "bool", IntDomain: "int", RealDomain: "real", SymDomain: "sym"}
+NUMBERS = st.sampled_from(["int", "real"])
 
 
 def outcome(fn):
@@ -132,12 +138,15 @@ def agree(plan: Plan, u, iv: InterventionSet, seed=None):
 
 
 @st.composite
-def leaves(draw):
+def leaves(draw, of=None):
+    """A leaf.  Given a kind `of`, a constant is one of that kind, refs
+    never read the unbound `Z`, and a test of the set is drawn only where
+    the kind is bool: a constant takes its place."""
     kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return Const(draw(values))
+    if kind == 0 or kind > 1 and of not in (None, "bool"):
+        return Const(draw(values if of is None else OF_KIND[of]))
     if kind == 1:
-        return Ref(draw(st.sampled_from(POOL + [Z])))
+        return Ref(draw(st.sampled_from(POOL + [Z] if of is None else POOL)))
     if kind == 2:
         return IsIntervened(draw(st.sampled_from(POOL)))
     return ExistsIntervention(
@@ -156,7 +165,7 @@ TAME_GUARDS = st.builds(Const, st.sampled_from(VALUES[:3]))
 
 
 @st.composite
-def ladders(draw, depth, tame=False, common=()):
+def ladders(draw, depth, tame=False, common=(), of=None):
     """An else-chain of `IsIntervened` guards, long enough to dispatch on
     the set now and then: `IfThenElse` links, `CaseList`s and both mixed.
     Most rungs test a rung variable not tested above them and take its
@@ -164,11 +173,13 @@ def ladders(draw, depth, tame=False, common=()):
     variable, one the cluster may not see, or another condition, and
     some arms are trees, or ladders on the same variables.  A tame ladder
     takes its other conditions, arms and fallbacks from constants, so that
-    it raises only where a forced value is missing."""
+    it raises only where a forced value is missing.  Given a kind `of`,
+    the arms are trees of that kind and the other conditions bool trees."""
     if tame:
         sub, other = TAME_ARMS, TAME_GUARDS
     else:
-        sub = other = trees(depth=max(depth - 2, 0), common=common)
+        sub = trees(depth=max(depth - 2, 0), common=common, of=of)
+        other = trees(depth=max(depth - 2, 0), common=common, of=of and "bool")
     order = draw(st.permutations(RUNGS))
     pairs = []
     for k in range(draw(LADDER_LENGTHS)):
@@ -183,7 +194,7 @@ def ladders(draw, depth, tame=False, common=()):
         if kind == 1 or type(guard) is not IsIntervened:
             arm = draw(sub)
         elif kind == 2 and depth > 1:
-            arm = draw(ladders(depth - 2, tame, common))
+            arm = draw(ladders(depth - 2, tame, common, of))
         else:
             var = draw(st.sampled_from(order)) if kind == 3 else guard.var
             arm = InterventionValue(var, draw(sub) if kind > 9 else None)
@@ -210,9 +221,16 @@ def repeats(draw, common):
 
 
 @st.composite
-def trees(draw, depth=3, common=()):
+def trees(draw, depth=3, common=(), of=None):
     """A tree over every node kind, which now and then takes a subtree from
-    `common` (`repeats`)."""
+    `common`, pairs of a kind and a tree (`repeats`).
+
+    Given a kind `of`, most nodes read operands of the kinds their
+    operator reads, so that the tree yields a value of that kind wherever
+    its refs and forced values do; one node in ten or so ignores kinds, and
+    so does the tree under it."""
+    if of is not None and draw(st.integers(0, 9)):
+        return draw(kinded(of, depth, common))
     if depth == 0:
         return draw(leaves())
     sub = trees(depth=depth - 1, common=common)
@@ -234,22 +252,69 @@ def trees(draw, depth=3, common=()):
     if kind == 8 and depth > 1:
         return draw(ladders(depth, common=common))
     if kind == 9 and common:
-        return draw(repeats(common))
+        return draw(repeats([tree for _, tree in common]))
     return draw(leaves())
+
+
+@st.composite
+def kinded(draw, kind, depth, common):
+    """A tree of `kind` for `trees`: a branch or a forced value of that
+    kind, or an operator that yields it over operands of the kinds it
+    reads."""
+    if depth == 0:
+        return draw(leaves(of=kind))
+
+    def sub(of=kind):
+        return draw(trees(depth - 1, common, of))
+
+    node = draw(st.integers(0, 6))
+    if node == 1:
+        return IfThenElse(sub("bool"), sub(), sub())
+    if node == 2:
+        return CaseList(tuple((sub("bool"), sub()) for _ in range(draw(st.integers(0, 2)))), sub())
+    if node == 3:
+        return InterventionValue(draw(st.sampled_from(POOL)), sub() if draw(st.booleans()) else None)
+    if node == 4 and depth > 1:
+        return draw(ladders(depth, common=common, of=kind))
+    shared = [tree for k, tree in common if k == kind]
+    if node == 5 and shared:
+        return draw(repeats(shared))
+    if node == 6 or kind == "sym":
+        return draw(leaves(of=kind))
+    if kind == "bool":
+        op = draw(st.sampled_from(["not", "and", "or", "lt", "le", "eq", "bernoulli"]))
+        if op == "not":
+            return Unary(op, sub())
+        if op == "bernoulli":
+            return RandomBernoulli(sub("real"))
+        if op in ("and", "or"):
+            return Binary(op, sub(), sub())
+        operands = draw(NUMBERS) if op != "eq" else draw(st.sampled_from(VALUE_KINDS))
+        return Binary(op, sub(operands), sub(operands))
+    op = draw(st.sampled_from(["neg", "max_intervened_index"] + sorted(E._NUMERIC_BINOPS)))
+    if op == "neg":
+        return Unary(op, sub())
+    if op == "max_intervened_index":
+        return MaxIntervenedIndex(draw(st.sampled_from(["S", "A"])), sub("int"), sub())
+    # an int operator reads ints; a real one a real and a number
+    left = kind if kind == "int" or draw(st.booleans()) else draw(NUMBERS)
+    return Binary(op, sub(left), sub(kind if left != kind else draw(NUMBERS)))
+
+
+@st.composite
+def kinded_rows(draw, common):
+    """A row `(var, domain, tree)` whose tree is drawn to yield a value of
+    its domain's kind, or of any kind where it has no domain."""
+    domain = draw(st.sampled_from(DOMAINS))
+    kind = DOMAIN_KIND[type(domain)] if domain is not None else draw(st.sampled_from(VALUE_KINDS))
+    return draw(st.sampled_from(ROW_VARS)), domain, draw(trees(common=common, of=kind))
 
 
 def members(domain) -> list:
     """The values of VALUES that `domain` holds, or all of them for None."""
     if domain is None:
         return VALUES
-    out = []
-    for v in VALUES:
-        try:
-            if domain._contains(v):
-                out.append(v)
-        except OverflowError:
-            pass
-    return out
+    return [v for v in VALUES if domain._contains(v)]
 
 
 @st.composite
@@ -272,7 +337,8 @@ def cases(draw):
         unique_by=(lambda pair: pair[0]) if clean else None,
     )
     inputs = tuple(draw(inputs))
-    common = () if tame else tuple(draw(st.lists(trees(depth=2), min_size=1, max_size=3)))
+    kinded_trees = st.sampled_from(VALUE_KINDS).flatmap(lambda k: st.tuples(st.just(k), trees(2, of=k)))
+    common = () if tame else tuple(draw(st.lists(kinded_trees, min_size=1, max_size=3)))
     bound = [v for v, _ in inputs]
     clusters = []
     for _ in range(draw(st.integers(1, 3))):
@@ -287,7 +353,7 @@ def cases(draw):
         if tame:
             row = st.tuples(st.sampled_from(ROW_VARS), st.none(), ladders(3, tame=True))
         else:
-            row = st.tuples(st.sampled_from(ROW_VARS), st.sampled_from(DOMAINS), trees(common=common))
+            row = kinded_rows(common)
         rows = tuple(draw(st.lists(row, min_size=1, max_size=3)))
         clusters.append((tuple(local), visible, rows))
         bound += [v for v, _, _ in rows]

@@ -375,3 +375,75 @@ class TestTooDeep:
         assert path.read_text(encoding="utf-8") == to_json(doc)
         assert load_json(str(path)) == doc
         assert model_to_doc(load_model(str(path))) == doc
+
+
+# ---------------------------------------------------------------------------
+# Damaged documents
+# ---------------------------------------------------------------------------
+
+#: values of every JSON type, and names whose index `int` cannot read, put in
+#: place of a field or an entry
+WRONG_VALUES = [None, True, 7, -1, 2.5, "x", "i-", "S_\u00b2", "S_--1", [], {}, [1, 2], {"x": 1}]
+#: in place of a wrong value: the entry deleted
+_DELETE = object()
+
+
+def _paths(doc, at=()):
+    """The path of every entry of `doc`, containers included, outermost first."""
+    yield at
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, at + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _paths(value, at + (k,))
+
+
+def _damaged(doc):
+    """Copies of `doc`, each with one entry deleted or swapped for a value
+    of another type."""
+    for path in _paths(doc):
+        if not path:
+            continue
+        for wrong in [_DELETE] + WRONG_VALUES:
+            copy = json.loads(json.dumps(doc))
+            *head, last = path
+            parent = copy
+            for key in head:
+                parent = parent[key]
+            if wrong is _DELETE:
+                del parent[last]
+            else:
+                parent[last] = wrong
+            yield path, copy
+
+
+def _damage_cases():
+    entries = [zoo.step_by_step(), zoo.dominoes(3), zoo.tool_wear(2), zoo.firing_squad(3)]
+    cases = [
+        pytest.param(model_from_doc, TestFamilies().make_doc(), id="family-model"),
+        pytest.param(model_from_doc, model_to_doc(zoo.bernoulli_fork().scm), id="bernoulli_fork-model"),
+    ]
+    for entry in entries:
+        name = entry.scm.name
+        cases.append(pytest.param(model_from_doc, model_to_doc(entry.scm), id=f"{name}-model"))
+        cases.append(pytest.param(partition_from_doc, partition_to_doc(entry.partition), id=f"{name}-partition"))
+        cases.append(pytest.param(consolidated_from_doc, consolidated_to_doc(entry.consolidated()), id=f"{name}-consolidated"))
+    return cases
+
+
+@pytest.mark.parametrize("load, doc", _damage_cases())
+def test_a_damaged_document_raises_only_parse_errors(load, doc):
+    """Every key deleted and every entry swapped for a value of each JSON
+    type, one at a time: the loader returns or raises `ParseError`."""
+    load(json.loads(json.dumps(doc)))
+    checked = 0
+    for path, copy in _damaged(doc):
+        try:
+            load(copy)
+        except ParseError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - reported with the path
+            pytest.fail(f"damaged at {path}: {type(exc).__name__}: {exc}")
+        checked += 1
+    assert checked >= len(WRONG_VALUES)

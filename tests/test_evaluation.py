@@ -192,3 +192,44 @@ def test_a_lone_cluster_on_the_plans_inputs_matches_the_oracle():
                 assert given == u
                 seen.add(want.split(":")[0])
     assert seen >= {"raises UnboundRefError", "raises DomainError"} and any(not s.startswith("raises") for s in seen)
+
+
+@pytest.mark.parametrize("bounds", [(None, None), (0.0, None), (None, 1e300)], ids=["unbounded", "lo", "hi"])
+def test_an_int_past_the_float_range_is_outside_a_real_domain(bounds):
+    """An int carries a real only within the float range: past it, an
+    input, a computed row and a forced value in a real domain raise
+    `DomainError` in `run_plan` and in the generated code, as the oracle
+    does, with the same message, whatever the int's number of digits."""
+    X, Y, Z = VarRef("X"), VarRef("Y"), VarRef("Z")
+    real = E.RealDomain(*bounds)
+    plan = Plan(
+        ((X, IntDomain(0, 10**4)), (Z, real)),
+        (((X, Z), None, ((Y, real, Binary("pow", iconst(10), Ref(X))),)),),
+        (Y,),
+    )
+    one = E.VInt(1)
+    cases = [
+        ({X: E.VInt(300), Z: one}, InterventionSet.empty(), "value"),
+        ({X: E.VInt(400), Z: one}, InterventionSet.empty(), "Y evaluated to VInt(i=1000"),
+        ({X: E.VInt(5000), Z: one}, InterventionSet.empty(), "Y evaluated to VInt(i=<int of 16610 bits>)"),
+        ({X: E.VInt(1), Z: E.VInt(-(10**400))}, InterventionSet.empty(), "input Z=VInt(i=-1000"),
+        ({X: E.VInt(1), Z: one}, InterventionSet.of({Y: E.VInt(2**1024)}), "Y evaluated to VInt(i=1797"),
+    ]
+    for u, iv, want in cases:
+        got = outcome(lambda: run_plan(plan, u, iv))
+        assert got == outcome(lambda: plan.compiled(u, iv)) == outcome(lambda: oracle_run_plan(plan, u, iv))
+        if want == "value":
+            assert not got.startswith("raises")
+        else:
+            assert got.startswith(f"raises DomainError: {want}"), got
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_arithmetic_of_an_int_past_the_float_range_with_a_real_is_a_domain_error(op):
+    X, Y = VarRef("X"), VarRef("Y")
+    plan = Plan(((X, None),), (((X,), None, ((Y, None, Binary(op, Ref(X), E.rconst(0.5))),)),), (Y,))
+    for x, want in ((10**300, "{VarRef"), (10**400, f"raises DomainError: {op} result is out of the float range")):
+        u, iv = {X: E.VInt(x)}, InterventionSet.empty()
+        got = outcome(lambda: run_plan(plan, u, iv))
+        assert got == outcome(lambda: plan.compiled(u, iv)) == outcome(lambda: oracle_run_plan(plan, u, iv))
+        assert got.startswith(want), got

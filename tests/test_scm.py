@@ -334,14 +334,14 @@ class TestInterventionSpace:
                     assert ours.standard_normal() == theirs.standard_normal()
                     assert ours.integers(2**40) == theirs.integers(2**40)
 
-    def test_power_set_members_are_built_without_sorting(self):
-        """Spaces whose atoms are canonical build drawn and enumerated sets
-        from shared pairs; the sets equal `InterventionSet.of` of the same
-        pairs, and the stream moves exactly as one scalar draw per atom."""
+    def test_power_set_members_are_the_product_of_the_atom_rows(self):
+        """Drawn and enumerated sets equal `InterventionSet.of` of their
+        pairs, the enumeration runs through the product of the atom rows,
+        first row outermost, and the stream moves exactly as one scalar
+        draw per atom."""
         from scmc.evaluation import make_rng
 
         for space in self.power_set_spaces():
-            assert space._atom_pairs[1] is InterventionSet
             for seed in (0, 7):
                 ours, theirs = make_rng(seed), make_rng(seed)
                 for _ in range(20):
@@ -353,17 +353,6 @@ class TestInterventionSpace:
                 options = [[None] + [(v, val) for val in vals] for v, vals in space.atoms]
                 want = [InterventionSet.of([p for p in combo if p]) for combo in itertools.product(*options)]
                 assert space.enumerate(4096) == want
-        # the constructor takes atoms in any order: those spaces sort and check
-        X, Y = VarRef("X"), VarRef("Y")
-        unsorted = InterventionSpace("power_set", ((Y, (E.VInt(1),)), (X, (E.VInt(0),))))
-        repeated = InterventionSpace("power_set", ((X, (E.VInt(0),)), (X, (E.VInt(1),))))
-        assert unsorted._atom_pairs[1] == repeated._atom_pairs[1] == InterventionSet.of
-        rng, oracle = make_rng(3), make_rng(3)
-        for _ in range(20):
-            assert unsorted.sample(rng) == oracle_sample_power_set(unsorted, oracle)
-        assert unsorted.enumerate()[-1].assignments == ((X, E.VInt(0)), (Y, E.VInt(1)))
-        with pytest.raises(DomainError):
-            repeated.enumerate()
 
     def test_sampling_is_deterministic(self):
         from scmc.evaluation import make_rng
@@ -491,3 +480,60 @@ def test_contains_kept_in_a_singleton_space_counts_only_kept_atoms():
     assert not space.contains_kept(both, frozenset())
     assert not space.contains_kept(InterventionSet.of({P: E.VReal(float("nan")), Q: E.VInt(1)}), frozenset({Q}))
     assert space.contains_kept(InterventionSet.of({P: E.VReal(float("nan"))}), frozenset({P}))
+
+
+def _distinct(values) -> list:
+    out = []
+    for v in values:
+        if v not in out:
+            out.append(v)
+    return out
+
+
+@given(
+    rows=st.dictionaries(st.sampled_from(_MEMBER_VARS), st.lists(_values, max_size=4), max_size=4),
+    members=st.lists(_isets, max_size=6),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_a_raw_space_equals_its_factory_twin(rows, members, rnd):
+    """The constructor puts any space into the factories' form: atom rows
+    out of order, several rows on one variable and repeated values merge
+    into one row per variable in `ref_sort_key` order, each variable's
+    values in their first-seen order; explicit sets repeated or out of
+    order become the distinct sets in canonical order, with the atoms
+    derived from them."""
+    canonical = [(v, _distinct(vals)) for v, vals in sorted(rows.items(), key=lambda p: E.ref_sort_key(p[0]))]
+    # each variable's values split over rows that repeat some of them, the
+    # rows of all variables interleaved, each variable's in their own order
+    pieces = []
+    for var, vals in canonical:
+        cuts = sorted(rnd.sample(range(len(vals) + 1), min(2, len(vals) + 1)))
+        parts = [vals[: cuts[-1]], vals[cuts[0] :]] + [vals[: rnd.randint(0, len(vals))] for _ in range(rnd.randint(0, 2))]
+        pieces.append([(var, tuple(part)) for part in parts])
+    given_rows = []
+    while any(pieces):
+        given_rows.append(rnd.choice([p for p in pieces if p]).pop(0))
+    for mode, factory in ((POWER_SET, InterventionSpace.power_set), (SINGLETON, InterventionSpace.singletons)):
+        raw, twin = InterventionSpace(mode, tuple(given_rows)), factory(canonical)
+        assert raw == twin and repr(raw) == repr(twin) and hash(raw) == hash(twin)
+        assert raw.atoms == tuple((v, tuple(vals)) for v, vals in canonical) and raw.sets == ()
+        assert InterventionSpace(mode, raw.atoms) == raw
+        assert raw.enumerate(10**6) == twin.enumerate(10**6)
+    distinct = _distinct(members)
+    shuffled = distinct + [rnd.choice(distinct) for _ in range(rnd.randint(0, 3))] if distinct else []
+    rnd.shuffle(shuffled)
+    raw, twin = InterventionSpace(EXPLICIT, sets=tuple(shuffled)), InterventionSpace.explicit(distinct)
+    assert raw == twin and repr(raw) == repr(twin) and hash(raw) == hash(twin)
+    key = lambda s: [(E.ref_sort_key(v), repr(val)) for v, val in s.assignments]  # noqa: E731
+    assert list(raw.sets) == sorted(distinct, key=key)
+    derived = {}
+    for s in raw.sets:
+        for var, val in s.assignments:
+            derived.setdefault(var, []).append(val)
+    assert raw.atoms == tuple((v, tuple(_distinct(vals))) for v, vals in sorted(derived.items(), key=lambda p: E.ref_sort_key(p[0])))
+    assert InterventionSpace(EXPLICIT, raw.atoms[::-1], raw.sets[::-1]) == raw
+
+
+def test_a_space_of_another_mode_is_refused():
+    with pytest.raises(DomainError, match="unknown intervention-space mode 'bogus'"):
+        InterventionSpace("bogus", ((VarRef("P"), (E.VInt(1),)),))

@@ -333,7 +333,7 @@ def test_every_distribution_kind_matches_the_list_builders(index):
         assert_gate_cases(scm, Partition.of(MIXED_CLUSTERS), seed)
 
 
-def two_row_space() -> InterventionSpace:
+def two_row_space() -> tuple[InterventionSpace, InterventionSpace]:
     """A power set given a second row on `X[0]`, and its twin with the two
     rows merged."""
     atoms = tuple(InterventionSpace.power_set(_atoms()).atoms)
@@ -341,18 +341,32 @@ def two_row_space() -> InterventionSpace:
     return InterventionSpace(POWER_SET, atoms + ((X[0], (E.VReal(5.0),)),)), InterventionSpace.power_set(merged)
 
 
-def test_a_power_set_given_two_rows_on_one_variable_lists_what_its_merged_twin_lists():
-    space, twin = two_row_space()
+def assert_twin_lists(space: InterventionSpace, twin: InterventionSpace, strategy) -> None:
+    """The verifier's lists of `space` and `twin` alike under `strategy`, in
+    both models, and equal to the list builder's."""
     assert space == twin and repr(space) == repr(twin)
     for build in (mixed_model, finite_model):
-        for strategy in strategies(0):
-            cases, _ = Q.verifier_cases(build(space), strategy)
-            twin_cases, _ = Q.verifier_cases(build(twin), strategy)
-            if cases is None:
-                assert twin_cases is None
-                continue
-            assert len(cases) == len(twin_cases) and [repr(c) for c in cases[:]] == [repr(c) for c in twin_cases[:]]
-        assert_verifier_cases(build(space), 0)
+        scm = build(space)
+        cases, _ = Q.verifier_cases(scm, strategy)
+        twin_cases, _ = Q.verifier_cases(build(twin), strategy)
+        if cases is None:
+            assert twin_cases is None and strategy.mode == Q.EXHAUSTIVE
+            continue
+        assert len(cases) == len(twin_cases) and [repr(c) for c in cases[:]] == [repr(c) for c in twin_cases[:]]
+        check = assert_exhaustive_list if strategy.mode == Q.EXHAUSTIVE else assert_same_cases
+        check(cases, oracle_verifier_cases(scm, strategy), [row.var for row in scm.exogenous])
+
+
+def test_an_exhaustive_list_of_a_power_set_given_two_rows_on_one_variable_is_its_merged_twins():
+    space, twin = two_row_space()
+    assert_twin_lists(space, twin, EquivalenceStrategy.exhaustive())
+
+
+def test_a_sample_of_a_power_set_given_two_rows_on_one_variable_is_its_merged_twins():
+    space, twin = two_row_space()
+    assert_twin_lists(space, twin, EquivalenceStrategy.sampled(count=24, seed=0))
+    sub, twin_sub = (extract_sub_scm(mixed_model(s), MIXED_CLUSTERS[0]) for s in (space, twin))
+    assert Q.sample_local_cases(sub, 24, 0)[:] == Q.sample_local_cases(twin_sub, 24, 0)[:]
     assert_gate_cases(mixed_model(space), Partition.of(MIXED_CLUSTERS), 0)
 
 
@@ -487,7 +501,7 @@ def test_a_list_of_several_blocks_matches_at_every_block():
         assert block.input(names[0]).tolist() == [C.raw(env[names[0]]) for env, _ in rows[lo:hi]]
 
 
-def test_an_exhaustive_verify_lists_no_set_in_advance(monkeypatch):
+def test_a_canonical_space_is_verified_without_listing_its_sets(monkeypatch):
     """No space is enumerated; only an explicit space's forced table is made
     from sets, its own, once per list."""
     calls = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
 from . import expr as E
@@ -271,7 +272,7 @@ def build_rho(
     order: list[VarRef] = []
     for var in sub.order:
         eq = sub.equations[var]
-        bindings = {w: defs[w] for w in E.free_refs(eq) if w in defs}
+        bindings = {w: defs[w] for w in sub.reads[var] if w in defs}
         core = E.substitute(eq, bindings)
         if sub.interventions.atom_values(var):
             core = wrap_intervention(var, core)
@@ -351,6 +352,12 @@ def run_passes(
     `build_rho` worked in, else a new one.  It forgets what it holds before
     every acceptance check and before `absorb`.
 
+    Where `build_rho` inlined some definition into two or more places
+    (`_shares_definitions`), each sweep of a pure pass gets a memo of its
+    own, so each shared subtree is rewritten once per sweep and stays
+    shared (see `passes`).  The memo goes with the sweep's context, before
+    the gate runs.
+
     A pure pass is deterministic, so it is not run again on a tree it left
     unchanged.  Per (pass, target), a memo holds the tree object the pass
     last left as it was; a sweep that meets that same object keeps it
@@ -372,6 +379,7 @@ def run_passes(
     inverse_rules = _inverse_rules(sub)
     strategy = gate_strategy_for(sub, config) if config.gate else None
     memo = GateMemo()
+    shared = _shares_definitions(sub, ccv.targets)
     exhaustive_gate = strategy is not None and strategy.mode == "exhaustive"
     #: (pass, target) -> the trees the pass last read and left unchanged
     idle: dict[tuple[str, VarRef], tuple[Expr, ...]] = {}
@@ -428,6 +436,7 @@ def run_passes(
                 var_kinds=var_kinds,
                 inverse_rules=inverse_rules,
                 images=images,
+                memo={} if shared else None,
             )
             reads_earlier = pass_name == "dedupe_targets"
             new_rho: dict[VarRef, Expr] = {}
@@ -451,6 +460,7 @@ def run_passes(
                         guards_total += ctx.stats.guards_dropped
                 new_rho[target] = candidate
                 ctx.add_earlier_target(target, candidate)
+            del ctx  # and its memo, which holds every node the sweep saw
             if all(new_rho[t] is current.rho[t] for t in current.targets):
                 continue
             trial = replace(current, rho=new_rho)
@@ -459,6 +469,16 @@ def run_passes(
         if not changed:
             return current
     raise PassBudgetExceededError(f"no fixpoint after {config.max_rounds} rounds")
+
+
+def _shares_definitions(sub: SubScm, targets: Iterable[VarRef]) -> bool:
+    """Whether `build_rho` inlines some definition of `sub` into two or more
+    places, which makes the trees it builds share that subtree: whether
+    some member that is not a target is read twice in the cluster's
+    equations."""
+    inlined = sub.cluster.difference(targets)
+    reads = list(filter(inlined.__contains__, chain.from_iterable(sub.reads.values())))
+    return len(reads) != len(set(reads))
 
 
 # ---------------------------------------------------------------------------

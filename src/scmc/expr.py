@@ -633,6 +633,21 @@ def _add_free_refs(x: Expr, out: set[VarRef]) -> None:
         _add_free_refs(c, out)
 
 
+def read_refs(e: Expr) -> list[VarRef]:
+    """`free_refs` with repeats: the variable of every `Ref` node, in
+    preorder."""
+    out: list[VarRef] = []
+    _add_read_refs(e, out)
+    return out
+
+
+def _add_read_refs(x: Expr, out: list[VarRef]) -> None:
+    if isinstance(x, Ref):
+        out.append(x.var)
+    for c in children(x):
+        _add_read_refs(c, out)
+
+
 def intervention_queries(e: Expr) -> set[VarRef]:
     """Variables and families whose intervention state the expression inspects.
 

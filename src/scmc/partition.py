@@ -9,6 +9,7 @@ computed later, inside another cluster that itself waits on the first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import expr as E
@@ -161,6 +162,12 @@ class SubScm:
 
     def var_kinds(self) -> dict[VarRef, str]:
         return {v: E.domain_kind(d) for v, d in self.domains.items()}
+
+    @cached_property
+    def reads(self) -> dict[VarRef, list[VarRef]]:
+        """`read_refs` of each member's equation, worked out on first use;
+        not a field."""
+        return {v: E.read_refs(eq) for v, eq in self.equations.items()}
 
     @property
     def rows(self) -> tuple[tuple[VarRef, Domain, Expr], ...]:

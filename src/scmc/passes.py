@@ -5,6 +5,21 @@ node count; the pipeline driver additionally gates each accepted application
 behind an equivalence check, so a buggy rule loses a round trip, not
 correctness.  Passes are deliberately local and oriented (no rule undoes
 another), which keeps the fixpoint iteration terminating.
+
+Inlining substitutes one definition object wherever it is read, so a
+cluster's trees can share subtrees.  Where they do, `run_passes` gives each
+sweep (one pure pass over every target) a memo, `PassContext.memo`, and the
+walkers of `fold_constants`, `prune_branches`, `fold_by_image`,
+`simplify_algebra` and `prune_interventions` rewrite each distinct node once
+in the sweep and hand back that one result at every occurrence, in every
+target: the sharing survives the passes.  The image passes key it on
+(node, image context), the others on the node; a hit adds to the walk's
+counter (dropped guards, open nodes) what the first walk added.  The memo
+lives as long as the sweep's context and holds every node it keys, so no
+id is reused while it lives; `run_passes` drops it before the gate runs.
+Trees that share nothing get no memo and walk with no memo work per node.
+`dedupe_targets` reads a table that grows target by target, and
+`cancel_inverses` matches whole patterns, so neither uses it.
 """
 
 from __future__ import annotations
@@ -25,6 +40,9 @@ class PassStats:
 
 @dataclass
 class PassContext:
+    """What the passes of one sweep read: the cluster's input images, space
+    and kinds, the targets swept so far, and the sweep memo."""
+
     env_images: Mapping[VarRef, I.Image]
     space: InterventionSpace
     var_kinds: Mapping[VarRef, str]
@@ -33,6 +51,9 @@ class PassContext:
     stats: PassStats = field(default_factory=PassStats)
     #: the image context the image passes share; made on first use
     images: Optional[I.ImageContext] = None
+    #: the sweep memo, walker -> {(id(node), id(arg)): entry}, or None for
+    #: trees that share no node; see the module docstring
+    memo: Optional[dict] = None
     #: earlier targets' trees of two or more nodes -> the target; of two
     #: equal trees the later target wins.  Kept in step with `earlier_targets`.
     _dedupe_table: dict[Expr, VarRef] = field(default_factory=dict, init=False, repr=False)
@@ -70,19 +91,55 @@ _OPEN_NODES = (
 def fold_constants(e: Expr, ctx: PassContext) -> Expr:
     """Evaluate closed subtrees (no refs, no intervention queries, no draws);
     a subtree that errors is left in place."""
-    return _fold_closed(e, [0])
+    return _rewrite(e, _fold_closed, None, ctx)
 
 
 # The walkers below are module-level functions, not closures that call
 # themselves: such a closure is a reference cycle, which keeps its context
-# and the trees it saw alive until the cyclic collector runs.
+# and the trees it saw alive until the cyclic collector runs.  Each takes
+# `(x, arg, count, walk)`: `arg` is what the rewrite of `x` depends on
+# besides `x` (the image context, for the image passes), `count` a
+# one-item list the walk adds to, and `walk` what it recurses with: the
+# walker itself, or the sweep memo around it.
 
 
-def _fold_closed(x: Expr, opened: list[int]) -> Expr:
+def _rewrite(e: Expr, walker, arg, ctx: PassContext, count: Optional[list[int]] = None) -> Expr:
+    """`e` rewritten by `walker`, through the sweep memo when `ctx` has one."""
+    if ctx.memo is None:
+        walk = walker
+    else:
+        walk = _Memo(walker, ctx.memo.setdefault(walker, {}))
+    return walk(e, arg, count if count is not None else [0], walk)
+
+
+class _Memo:
+    """A walker that rewrites each distinct (node, arg) once per sweep and
+    hands back that one result wherever the node recurs.  A hit adds to
+    `count` what the walk added the first time.  Each entry keeps its node
+    and arg alive, so their ids are not reused while the memo lives."""
+
+    __slots__ = ("walker", "done")
+
+    def __init__(self, walker, done: dict):
+        self.walker, self.done = walker, done
+
+    def __call__(self, x: Expr, arg, count: list[int], walk) -> Expr:
+        key = (id(x), id(arg))
+        hit = self.done.get(key)
+        if hit is None:
+            before = count[0]
+            out = self.walker(x, arg, count, walk)
+            self.done[key] = (x, arg, out, count[0] - before)
+            return out
+        count[0] += hit[3]
+        return hit[2]
+
+
+def _fold_closed(x: Expr, _, opened: list[int], walk) -> Expr:
     """`opened[0]` counts the open nodes walked so far: a subtree is closed
     when its walk adds none."""
     before = opened[0]
-    x = E.map_children(x, _fold_closed, opened)
+    x = E.map_children(x, walk, None, opened, walk)
     if isinstance(x, _OPEN_NODES):
         opened[0] += 1
     elif opened[0] == before and not isinstance(x, E.Const):
@@ -102,29 +159,29 @@ def _branch_contexts(x: E.IfThenElse, ictx: I.ImageContext) -> tuple[I.ImageCont
     return ictx, ictx, ictx
 
 
-def _map_branches(x: E.IfThenElse, walk, contexts: tuple, *args) -> Expr:
-    """`x` with `walk(child, context, *args)` in place of its guard and its
-    branches, each with its own one of the three `contexts`."""
+def _map_branches(x: E.IfThenElse, contexts: tuple, count: list[int], walk) -> Expr:
+    """`x` with its guard and its branches walked, each in its own one of
+    the three `contexts`."""
     guard_ctx, then_ctx, else_ctx = contexts
-    c = walk(x.cond, guard_ctx, *args)
-    t = walk(x.then, then_ctx, *args)
-    o = walk(x.orelse, else_ctx, *args)
+    c = walk(x.cond, guard_ctx, count, walk)
+    t = walk(x.then, then_ctx, count, walk)
+    o = walk(x.orelse, else_ctx, count, walk)
     return x if c is x.cond and t is x.then and o is x.orelse else E.IfThenElse(c, t, o)
 
 
 def fold_by_image(e: Expr, ctx: PassContext) -> Expr:
     """Replace any subtree whose image is a single value with that constant."""
-    return _fold_image(e, ctx.image_ctx())
+    return _rewrite(e, _fold_image, ctx.image_ctx(), ctx)
 
 
-def _fold_image(x: Expr, ictx: I.ImageContext) -> Expr:
+def _fold_image(x: Expr, ictx: I.ImageContext, count: list[int], walk) -> Expr:
     if not isinstance(x, E.Const):
         sv = I.singleton_value(I.image_of(x, ictx))
         if sv is not None:
             return E.Const(sv)
     if isinstance(x, E.IfThenElse):
-        return _map_branches(x, _fold_image, _branch_contexts(x, ictx))
-    return E.map_children(x, _fold_image, ictx)
+        return _map_branches(x, _branch_contexts(x, ictx), count, walk)
+    return E.map_children(x, walk, ictx, count, walk)
 
 
 def _const_bool(x: Expr) -> Optional[bool]:
@@ -141,9 +198,9 @@ def _zero_like(kind: str) -> Optional[E.Const]:
     return None
 
 
-def _kind_of(x: Expr, ctx: PassContext) -> Optional[str]:
+def _kind_of(x: Expr, var_kinds: Mapping[VarRef, str]) -> Optional[str]:
     try:
-        return E.check_expr(x, ctx.var_kinds)
+        return E.check_expr(x, var_kinds)
     except Exception:  # noqa: BLE001
         return None
 
@@ -159,11 +216,11 @@ def _num_const(x: Expr) -> Optional[float]:
 
 def simplify_algebra(e: Expr, ctx: PassContext) -> Expr:
     """Operator identities plus branch canonicalization."""
-    return _simplify(e, ctx)
+    return _rewrite(e, _simplify, ctx.var_kinds, ctx)
 
 
-def _simplify(x: Expr, ctx: PassContext) -> Expr:
-    x = E.map_children(x, _simplify, ctx)
+def _simplify(x: Expr, kinds: Mapping[VarRef, str], count: list[int], walk) -> Expr:
+    x = E.map_children(x, walk, kinds, count, walk)
     match x:
         case E.Unary("not", E.Unary("not", inner)):
             return inner
@@ -186,28 +243,28 @@ def _simplify(x: Expr, ctx: PassContext) -> Expr:
             if lb is True or rb is True:
                 return E.bconst(True)
         case E.Binary("add", l, r):
-            if _num_const(l) == 0.0 and _kind_of(r, ctx) == _kind_of(x, ctx):
+            if _num_const(l) == 0.0 and _kind_of(r, kinds) == _kind_of(x, kinds):
                 return r
-            if _num_const(r) == 0.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+            if _num_const(r) == 0.0 and _kind_of(l, kinds) == _kind_of(x, kinds):
                 return l
         case E.Binary("sub", l, r):
-            if _num_const(r) == 0.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+            if _num_const(r) == 0.0 and _kind_of(l, kinds) == _kind_of(x, kinds):
                 return l
         case E.Binary("mul", l, r):
-            if _num_const(l) == 1.0 and _kind_of(r, ctx) == _kind_of(x, ctx):
+            if _num_const(l) == 1.0 and _kind_of(r, kinds) == _kind_of(x, kinds):
                 return r
-            if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+            if _num_const(r) == 1.0 and _kind_of(l, kinds) == _kind_of(x, kinds):
                 return l
             for c, other in ((l, r), (r, l)):
                 if _num_const(c) == 0.0:
-                    zero = _zero_like(_kind_of(x, ctx) or "")
+                    zero = _zero_like(_kind_of(x, kinds) or "")
                     if zero is not None:
                         return zero
         case E.Binary("div", l, r):
-            if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+            if _num_const(r) == 1.0 and _kind_of(l, kinds) == _kind_of(x, kinds):
                 return l
         case E.Binary("pow", l, r):
-            if _num_const(r) == 1.0 and _kind_of(l, ctx) == _kind_of(x, ctx):
+            if _num_const(r) == 1.0 and _kind_of(l, kinds) == _kind_of(x, kinds):
                 return l
         case E.Binary("eq", l, r):
             lb, rb = _const_bool(l), _const_bool(r)
@@ -260,11 +317,11 @@ def _simplify(x: Expr, ctx: PassContext) -> Expr:
         case E.Binary(op, branch, E.Const() as k) if op in ("eq", "lt", "le"):
             pushed = _push_into_branches(op, branch, k, right_const=True)
             if pushed is not None:
-                return _simplify(pushed, ctx)
+                return walk(pushed, kinds, count, walk)
         case E.Binary(op, E.Const() as k, branch) if op in ("eq", "lt", "le"):
             pushed = _push_into_branches(op, branch, k, right_const=False)
             if pushed is not None:
-                return _simplify(pushed, ctx)
+                return walk(pushed, kinds, count, walk)
     return x
 
 
@@ -299,38 +356,41 @@ def prune_branches(e: Expr, ctx: PassContext) -> Expr:
     queries specialize (in particular an intervention value with a single
     allowed atom value becomes that constant).
     """
-    return _prune(e, ctx.image_ctx(), ctx)
+    dropped = [0]
+    out = _rewrite(e, _prune, ctx.image_ctx(), ctx, dropped)
+    ctx.stats.guards_dropped += dropped[0]
+    return out
 
 
-def _prune(x: Expr, ictx: I.ImageContext, ctx: PassContext) -> Expr:
+def _prune(x: Expr, ictx: I.ImageContext, dropped: list[int], walk) -> Expr:
     match x:
         case E.IfThenElse(c, t, o):
             gi = I.singleton_value(I.image_of(c, ictx))
             guard_ctx, then_ctx, else_ctx = _branch_contexts(x, ictx)
             if gi == E.VBool(True):
-                ctx.stats.guards_dropped += 1
-                return _prune(t, then_ctx, ctx)
+                dropped[0] += 1
+                return walk(t, then_ctx, dropped, walk)
             if gi == E.VBool(False):
-                ctx.stats.guards_dropped += 1
-                return _prune(o, else_ctx, ctx)
-            return _map_branches(x, _prune, (guard_ctx, then_ctx, else_ctx), ctx)
+                dropped[0] += 1
+                return walk(o, else_ctx, dropped, walk)
+            return _map_branches(x, (guard_ctx, then_ctx, else_ctx), dropped, walk)
         case E.CaseList(cases, default):
             kept = []
             new_default = default
             for g, b in cases:
                 gi = I.singleton_value(I.image_of(g, ictx))
                 if gi == E.VBool(False):
-                    ctx.stats.guards_dropped += 1
+                    dropped[0] += 1
                     continue
                 if gi == E.VBool(True):
-                    ctx.stats.guards_dropped += 1
+                    dropped[0] += 1
                     new_default = b
                     break
                 kept.append((g, b))
             if kept and len(kept) == len(cases):
-                return E.map_children(x, _prune, ictx, ctx)
-            arms = tuple((_prune(g, ictx, ctx), _prune(b, ictx, ctx)) for g, b in kept)
-            out = E.CaseList(arms, _prune(new_default, ictx, ctx))
+                return E.map_children(x, walk, ictx, dropped, walk)
+            arms = tuple((walk(g, ictx, dropped, walk), walk(b, ictx, dropped, walk)) for g, b in kept)
+            out = E.CaseList(arms, walk(new_default, ictx, dropped, walk))
             if not out.cases:
                 return out.default
             return out
@@ -343,17 +403,17 @@ def _prune(x: Expr, ictx: I.ImageContext, ctx: PassContext) -> Expr:
                 if len(vals) == 1:
                     return E.Const(vals[0])
             if state is False and fb is not None:
-                return _prune(fb, ictx, ctx)
-    return E.map_children(x, _prune, ictx, ctx)
+                return walk(fb, ictx, dropped, walk)
+    return E.map_children(x, walk, ictx, dropped, walk)
 
 
 def prune_interventions(e: Expr, ctx: PassContext) -> Expr:
     """Specialize intervention queries against the local atom table."""
-    return _prune_queries(e, ctx.space)
+    return _rewrite(e, _prune_queries, ctx.space, ctx)
 
 
-def _prune_queries(x: Expr, space: InterventionSpace) -> Expr:
-    x = E.map_children(x, _prune_queries, space)
+def _prune_queries(x: Expr, space: InterventionSpace, count: list[int], walk) -> Expr:
+    x = E.map_children(x, walk, space, count, walk)
     match x:
         case E.IsIntervened(v):
             if not space.atom_values(v):

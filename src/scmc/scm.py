@@ -367,7 +367,13 @@ class InterventionSpace:
         gone = set(vars_out)
         if self.mode == EXPLICIT:
             return InterventionSpace.explicit([s.drop(gone) for s in self.sets])
-        return InterventionSpace(self.mode, [(v, vals) for v, vals in self.atoms if v not in gone])
+        # the kept rows of a canonical space are canonical as they stand, so
+        # the result skips `__post_init__`
+        out = object.__new__(InterventionSpace)
+        object.__setattr__(out, "mode", self.mode)
+        object.__setattr__(out, "atoms", tuple(row for row in self.atoms if row[0] not in gone))
+        object.__setattr__(out, "sets", ())
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from scmc import documents as Docs
 from scmc import expr as E
 from scmc import images as I
 from scmc.errors import DivisionByZeroError, DomainError, NonDeterministicModelError, UnboundRefError
@@ -552,6 +554,12 @@ def oracle_rebuild(x: E.Expr, f) -> E.Expr:
     return type(x)(*values)
 
 
+def unshared(e: E.Expr) -> E.Expr:
+    """An equal tree that shares no node object, with itself or any other
+    tree: every node is built anew."""
+    return oracle_rebuild(e, unshared)
+
+
 def oracle_dedupe_targets(e: E.Expr, ctx) -> E.Expr:
     """`dedupe_targets` with its table built from scratch out of
     `ctx.earlier_targets` on every call, and every node rebuilt."""
@@ -972,3 +980,29 @@ def oracle_image_of(e: E.Expr, ctx: OracleImageContext) -> I.Image:
 def oracle_to_json(doc) -> str:
     """The canonical document text as the standard library writes it."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The bench models
+# ---------------------------------------------------------------------------
+
+BENCH_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "inputs")
+
+
+def bench_models() -> list:
+    """`(name, scm, partition, targets, clusters)` per row of the bench's
+    manifest, loaded from the frozen documents."""
+    with open(os.path.join(BENCH_INPUTS, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    out = []
+    for workload in sorted(manifest):
+        for row in manifest[workload]:
+            stem = os.path.join(BENCH_INPUTS, row["model"])
+            with open(stem + ".model.json", encoding="utf-8") as fh:
+                scm = Docs.model_from_doc(json.load(fh))
+            with open(stem + ".partition.json", encoding="utf-8") as fh:
+                partition = Docs.partition_from_doc(json.load(fh))
+            targets = [E.parse_var_name(t) for t in row["targets"]]
+            clusters = None if row["clusters"] is None else set(row["clusters"])
+            out.append((row["model"], scm, partition, targets, clusters))
+    return out

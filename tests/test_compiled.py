@@ -138,15 +138,19 @@ def agree(plan: Plan, u, iv: InterventionSet, seed=None):
 
 
 @st.composite
-def leaves(draw, of=None):
+def leaves(draw, of=None, refs=None):
     """A leaf.  Given a kind `of`, a constant is one of that kind, refs
     never read the unbound `Z`, and a test of the set is drawn only where
-    the kind is bool: a constant takes its place."""
+    the kind is bool: a constant takes its place.  Given `refs`, pairs of
+    a variable bound where the leaf is read and its kind (None where any
+    kind may be bound), a ref reads one of them, of the kind `of` where
+    one is given, and a constant takes its place where none is."""
     kind = draw(st.integers(0, 3))
-    if kind == 0 or kind > 1 and of not in (None, "bool"):
+    bound = None if refs is None else [v for v, k in refs if of is None or k == of]
+    if kind == 0 or kind > 1 and of not in (None, "bool") or kind == 1 and bound == []:
         return Const(draw(values if of is None else OF_KIND[of]))
     if kind == 1:
-        return Ref(draw(st.sampled_from(POOL + [Z] if of is None else POOL)))
+        return Ref(draw(st.sampled_from(bound or (POOL + [Z] if of is None else POOL))))
     if kind == 2:
         return IsIntervened(draw(st.sampled_from(POOL)))
     return ExistsIntervention(
@@ -165,7 +169,7 @@ TAME_GUARDS = st.builds(Const, st.sampled_from(VALUES[:3]))
 
 
 @st.composite
-def ladders(draw, depth, tame=False, common=(), of=None):
+def ladders(draw, depth, tame=False, common=(), of=None, refs=None):
     """An else-chain of `IsIntervened` guards, long enough to dispatch on
     the set now and then: `IfThenElse` links, `CaseList`s and both mixed.
     Most rungs test a rung variable not tested above them and take its
@@ -178,8 +182,8 @@ def ladders(draw, depth, tame=False, common=(), of=None):
     if tame:
         sub, other = TAME_ARMS, TAME_GUARDS
     else:
-        sub = trees(depth=max(depth - 2, 0), common=common, of=of)
-        other = trees(depth=max(depth - 2, 0), common=common, of=of and "bool")
+        sub = trees(depth=max(depth - 2, 0), common=common, of=of, refs=refs)
+        other = trees(depth=max(depth - 2, 0), common=common, of=of and "bool", refs=refs)
     order = draw(st.permutations(RUNGS))
     pairs = []
     for k in range(draw(LADDER_LENGTHS)):
@@ -194,7 +198,7 @@ def ladders(draw, depth, tame=False, common=(), of=None):
         if kind == 1 or type(guard) is not IsIntervened:
             arm = draw(sub)
         elif kind == 2 and depth > 1:
-            arm = draw(ladders(depth - 2, tame, common, of))
+            arm = draw(ladders(depth - 2, tame, common, of, refs))
         else:
             var = draw(st.sampled_from(order)) if kind == 3 else guard.var
             arm = InterventionValue(var, draw(sub) if kind > 9 else None)
@@ -221,19 +225,19 @@ def repeats(draw, common):
 
 
 @st.composite
-def trees(draw, depth=3, common=(), of=None):
+def trees(draw, depth=3, common=(), of=None, refs=None):
     """A tree over every node kind, which now and then takes a subtree from
     `common`, pairs of a kind and a tree (`repeats`).
 
     Given a kind `of`, most nodes read operands of the kinds their
     operator reads, so that the tree yields a value of that kind wherever
     its refs and forced values do; one node in ten or so ignores kinds, and
-    so does the tree under it."""
+    so does the tree under it.  Refs are drawn as `leaves` draws them."""
     if of is not None and draw(st.integers(0, 9)):
-        return draw(kinded(of, depth, common))
+        return draw(kinded(of, depth, common, refs))
     if depth == 0:
-        return draw(leaves())
-    sub = trees(depth=depth - 1, common=common)
+        return draw(leaves(refs=refs))
+    sub = trees(depth=depth - 1, common=common, refs=refs)
     kind = draw(st.integers(0, 9))
     if kind == 1:
         return Unary(draw(st.sampled_from(["neg", "not", "abs"])), draw(sub))
@@ -250,22 +254,22 @@ def trees(draw, depth=3, common=(), of=None):
     if kind == 7:
         return RandomBernoulli(draw(sub))
     if kind == 8 and depth > 1:
-        return draw(ladders(depth, common=common))
+        return draw(ladders(depth, common=common, refs=refs))
     if kind == 9 and common:
         return draw(repeats([tree for _, tree in common]))
-    return draw(leaves())
+    return draw(leaves(refs=refs))
 
 
 @st.composite
-def kinded(draw, kind, depth, common):
+def kinded(draw, kind, depth, common, refs=None):
     """A tree of `kind` for `trees`: a branch or a forced value of that
     kind, or an operator that yields it over operands of the kinds it
     reads."""
     if depth == 0:
-        return draw(leaves(of=kind))
+        return draw(leaves(of=kind, refs=refs))
 
     def sub(of=kind):
-        return draw(trees(depth - 1, common, of))
+        return draw(trees(depth - 1, common, of, refs))
 
     node = draw(st.integers(0, 6))
     if node == 1:
@@ -275,12 +279,12 @@ def kinded(draw, kind, depth, common):
     if node == 3:
         return InterventionValue(draw(st.sampled_from(POOL)), sub() if draw(st.booleans()) else None)
     if node == 4 and depth > 1:
-        return draw(ladders(depth, common=common, of=kind))
+        return draw(ladders(depth, common=common, of=kind, refs=refs))
     shared = [tree for k, tree in common if k == kind]
     if node == 5 and shared:
         return draw(repeats(shared))
     if node == 6 or kind == "sym":
-        return draw(leaves(of=kind))
+        return draw(leaves(of=kind, refs=refs))
     if kind == "bool":
         op = draw(st.sampled_from(["not", "and", "or", "lt", "le", "eq", "bernoulli"]))
         if op == "not":
@@ -302,12 +306,13 @@ def kinded(draw, kind, depth, common):
 
 
 @st.composite
-def kinded_rows(draw, common):
+def kinded_rows(draw, common, refs=None):
     """A row `(var, domain, tree)` whose tree is drawn to yield a value of
-    its domain's kind, or of any kind where it has no domain."""
+    its domain's kind, or of any kind where it has no domain, and to read
+    `refs`, or any variable where they are None; and that kind."""
     domain = draw(st.sampled_from(DOMAINS))
     kind = DOMAIN_KIND[type(domain)] if domain is not None else draw(st.sampled_from(VALUE_KINDS))
-    return draw(st.sampled_from(ROW_VARS)), domain, draw(trees(common=common, of=kind))
+    return (draw(st.sampled_from(ROW_VARS)), domain, draw(trees(common=common, of=kind, refs=refs))), kind
 
 
 def members(domain) -> list:
@@ -322,13 +327,17 @@ def cases(draw):
     """A plan, and one case of it: inputs, an intervention set and an rng
     seed (or None for no random source).  In a tame case the rows are tame
     ladders without domains, and each input is given once and holds a
-    member of its domain, so that the case reaches its ladders.  Otherwise
+    member of its domain (of one kind, where it has none), so that the
+    case reaches its ladders.  Otherwise
     the rows' trees take subtrees from a few common ones (`repeats`), so
     that equal subtrees, as one object or as copies, recur within a row,
-    across rows and across clusters that see different atoms.  Most cases
-    give their inputs as a tame case does, so that they reach the trees;
-    the others give an input twice, leave one out or put one outside its
-    domain now and then."""
+    across rows and across clusters that see different atoms; a row's
+    refs read mostly the cluster's local inputs and earlier rows, and the
+    common trees' refs the inputs.  Most cases give their inputs as
+    a tame case does, so that they reach the trees; the others give an
+    input twice, leave one out or put one outside its domain now and
+    then.  Most forced values are values the forced variable's last
+    binding holds."""
     tame = draw(st.booleans())
     clean = tame or draw(st.integers(0, 9))
     inputs = st.lists(
@@ -337,9 +346,22 @@ def cases(draw):
         unique_by=(lambda pair: pair[0]) if clean else None,
     )
     inputs = tuple(draw(inputs))
-    kinded_trees = st.sampled_from(VALUE_KINDS).flatmap(lambda k: st.tuples(st.just(k), trees(2, of=k)))
-    common = () if tame else tuple(draw(st.lists(kinded_trees, min_size=1, max_size=3)))
     bound = [v for v, _ in inputs]
+    #: the kind and the domain of each bound variable's last binding; an
+    #: input without a domain is given values of one kind
+    kind_of = {v: draw(st.sampled_from(VALUE_KINDS)) if dom is None else DOMAIN_KIND[type(dom)] for v, dom in inputs}
+    domain_of = dict(inputs)
+
+    def holds(var) -> list:
+        """The values of VALUES that `var`'s last binding holds."""
+        if domain_of.get(var) is not None:
+            return members(domain_of[var])
+        return [v for v in VALUES if KIND_OF[type(v)] == kind_of[var]] if kind_of.get(var) else VALUES
+
+    given = tuple(kind_of.items())
+    fitting = {var: holds(var) for var in kind_of}
+    kinded_trees = st.sampled_from(VALUE_KINDS).flatmap(lambda k: st.tuples(st.just(k), trees(2, of=k, refs=given)))
+    common = () if tame else tuple(draw(st.lists(kinded_trees, min_size=1, max_size=3)))
     clusters = []
     for _ in range(draw(st.integers(1, 3))):
         # mostly variables bound so far; now and then one that is not
@@ -350,23 +372,32 @@ def cases(draw):
         if visible is not None:
             # most rung variables, so that most ladders are long
             visible |= frozenset(RUNGS) - draw(st.frozensets(st.sampled_from(RUNGS), max_size=2))
-        if tame:
-            row = st.tuples(st.sampled_from(ROW_VARS), st.none(), ladders(3, tame=True))
-        else:
-            row = kinded_rows(common)
-        rows = tuple(draw(st.lists(row, min_size=1, max_size=3)))
+        rows, refs = [], [(v, kind_of.get(v)) for v in local]
+        for _ in range(draw(st.integers(1, 3))):
+            if tame:
+                row, kind = draw(st.tuples(st.sampled_from(ROW_VARS), st.none(), ladders(3, tame=True))), None
+            else:
+                row, kind = draw(kinded_rows(common, tuple(refs) if draw(st.integers(0, 9)) else None))
+            rows.append(row)
+            refs.append((row[0], kind))
+        rows = tuple(rows)
         clusters.append((tuple(local), visible, rows))
         bound += [v for v, _, _ in rows]
+        kind_of.update(refs[len(local):])
+        domain_of.update((v, dom) for v, dom, _ in rows)
     pool = bound + [Z] if not bound or not draw(st.integers(0, 9)) else bound
     outputs = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
     u = {}
     for var, dom in inputs:
         if clean:
-            u[var] = draw(st.sampled_from(members(dom) or VALUES))
+            u[var] = draw(st.sampled_from(fitting[var] or VALUES))
         elif draw(st.integers(0, 19)):
-            u[var] = draw(st.one_of(st.sampled_from(members(dom) or VALUES), values))
-    # no rung, one, or several (where the first rung wins)
-    atoms = draw(st.dictionaries(st.sampled_from(POOL), values, max_size=3))
+            u[var] = draw(st.one_of(st.sampled_from(fitting[var] or VALUES), values))
+    # mostly values the forced variables' rows hold; no rung, one, or
+    # several (where the first rung wins)
+    atoms = {}
+    for var in draw(st.lists(st.sampled_from(POOL), max_size=3, unique=True)):
+        atoms[var] = draw(st.sampled_from(holds(var) or VALUES) if draw(st.integers(0, 9)) else values)
     atoms.update(draw(st.dictionaries(st.sampled_from(RUNGS), values, max_size=3)))
     iv = InterventionSet.of(atoms)
     seed = draw(st.integers(0, 2**16)) if draw(st.integers(0, 4)) else None

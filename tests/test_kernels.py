@@ -18,16 +18,14 @@ reaches a report, a counterexample, a case view or a document.
 """
 
 import dataclasses
-import json
 import math
-import os
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cases_of, random_model, random_partition
+from helpers import bench_models, cases_of, random_model, random_partition
 from test_columns import assert_column_agrees, assert_column_matches, case_rows, column_over, per_case
 from scmc import columns as C
 from scmc import documents as D
@@ -397,26 +395,6 @@ def test_columns_compute_wherever_every_case_does():
                     C.plan_columns(ccv_plan(cluster.ccv, cluster.sub.local_exogenous), cases)
         computed += 1
     assert computed >= 190  # all 200 seeds, at the time of writing
-
-
-INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "inputs")
-
-
-def bench_models() -> list:
-    with open(os.path.join(INPUTS, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    out = []
-    for workload in sorted(manifest):
-        for row in manifest[workload]:
-            stem = os.path.join(INPUTS, row["model"])
-            with open(stem + ".model.json", encoding="utf-8") as fh:
-                scm = D.model_from_doc(json.load(fh))
-            with open(stem + ".partition.json", encoding="utf-8") as fh:
-                partition = D.partition_from_doc(json.load(fh))
-            targets = [E.parse_var_name(t) for t in row["targets"]]
-            clusters = None if row["clusters"] is None else set(row["clusters"])
-            out.append((row["model"], scm, partition, targets, clusters))
-    return out
 
 
 def bench_strategy(scm, seed: int):

@@ -16,12 +16,15 @@ import types
 import pytest
 
 from helpers import (
+    bench_models,
     oracle_dedupe_targets,
     oracle_fold_constants,
     random_expr,
     random_model,
     random_partition,
+    unshared,
 )
+from scmc import consolidation as C
 from scmc import expr as E
 from scmc import images as I
 from scmc import passes as P
@@ -309,3 +312,125 @@ def test_consolidate_and_verify_leave_no_walker_in_a_cycle(name):
     ]
     assert functions == []
     assert not any(isinstance(o, PassContext) for o in garbage)
+
+
+# ---------------------------------------------------------------------------
+# The sweep memo
+# ---------------------------------------------------------------------------
+
+
+def node_objects(trees) -> tuple[int, int]:
+    """How many nodes `trees` have, each occurrence counted, and how many
+    distinct node objects."""
+    seen, stack, occurrences = set(), list(trees), 0
+    while stack:
+        x = stack.pop()
+        occurrences += 1
+        seen.add(id(x))
+        stack.extend(E.children(x))
+    return occurrences, len(seen)
+
+
+def test_run_passes_gives_the_same_result_on_an_unshared_copy(monkeypatch):
+    """With a memo on every sweep, `run_passes` gives the trees, pass log and
+    reject log (nodes removed and guards dropped included) that the walkers
+    without a memo give on a copy of the Ccv that shares no node."""
+    real_run, real_shares = C.run_passes, C._shares_definitions
+    memo_on = [True]
+    monkeypatch.setattr(C, "_shares_definitions", lambda sub, targets: memo_on[0])
+    shared = []
+
+    def both(ccv, sub, config=None, log=None, rejected=None, images=None):
+        copy = dataclasses.replace(ccv, rho={t: unshared(tree) for t, tree in ccv.rho.items()})
+        occurrences, distinct = node_objects(copy.rho.values())
+        assert occurrences == distinct
+        memo_on[0] = False
+        want_log, want_rejected = [], []
+        want = real_run(copy, sub, config, want_log, want_rejected)
+        memo_on[0] = True
+        got_log, got_rejected = [], []
+        got = real_run(ccv, sub, config, got_log, got_rejected, images)
+        assert got.rho == want.rho
+        assert got_log == want_log
+        assert got_rejected == want_rejected
+        shared.append(real_shares(sub, ccv.targets))
+        log.extend(got_log)
+        rejected.extend(got_rejected)
+        return got
+
+    monkeypatch.setattr(C, "run_passes", both)
+    for name, build in sorted(zoo.ZOO_BUILDERS.items()):
+        build().consolidated(PassConfig(seed=1))
+    for seed in range(100):
+        scm = random_model(seed, max_endo=8)
+        consolidate(scm, random_partition(scm, seed + 999), scm.endo_vars()[-2:])
+    # inlining shares a subtree in some of these clusters, not in most
+    assert 0 < sum(shared) < len(shared) // 2, (sum(shared), len(shared))
+
+
+def test_a_subtree_shared_under_two_guard_states_is_rewritten_in_each():
+    """The image passes key the memo on the node and its image context: one
+    object read inside and outside an `IsIntervened(H)` branch is rewritten
+    once for each."""
+    inner = Binary("add", IfThenElse(IsIntervened(H), InterventionValue(H), Ref(X)), Ref(Y))
+    tree = IfThenElse(IsIntervened(H), inner, Binary("mul", inner, iconst(2)))
+    for name in ("prune_branches", "fold_by_image"):
+        ctx = context()
+        ctx.memo = {}
+        got = PURE_PASSES[name](tree, ctx)
+        assert got == PURE_PASSES[name](unshared(tree), context()), name
+        assert got.then != got.orelse.left, name
+
+
+def test_each_walker_handles_each_node_once_per_sweep(monkeypatch):
+    """On `platformer`, whose trees share most of their nodes, each walker
+    is called at most once per distinct (node, context) in a sweep, and
+    the consolidated trees keep the sharing inlining made."""
+    sweep = [None]
+    for name, fn in list(PURE_PASSES.items()):
+
+        def marked(e, ctx, fn=fn):
+            sweep[0] = ctx  # one context per sweep
+            return fn(e, ctx)
+
+        monkeypatch.setitem(PURE_PASSES, name, marked)
+    calls: dict[tuple, int] = {}
+    alive = []  # keeps every id used in a key from reuse
+
+    walkers = ("_fold_closed", "_prune", "_fold_image", "_simplify", "_prune_queries")
+    for walker in walkers:
+        real = getattr(P, walker)
+
+        def counting(x, arg, count, walk, real=real, walker=walker):
+            key = (walker, id(sweep[0]), id(x), id(arg))
+            calls[key] = calls.get(key, 0) + 1
+            alive.append((sweep[0], x, arg))
+            return real(x, arg, count, walk)
+
+        monkeypatch.setattr(P, walker, counting)
+    cons = zoo.platformer().consolidated(PassConfig(seed=1))
+    assert {key[0] for key in calls} == set(walkers)
+    assert max(calls.values()) == 1
+    (cluster,) = [c for c in cons.clusters if getattr(c, "ccv", None) is not None]
+    # 131 node objects where each sweep rebuilt a shared subtree per occurrence
+    assert node_objects(cluster.ccv.rho.values()) == (189, 89)
+
+
+def test_which_bench_clusters_share_inlined_subtrees(monkeypatch):
+    """The sweep memo runs only where `build_rho` inlines a definition into
+    two or more places."""
+    seen = []
+    real = C._shares_definitions
+    monkeypatch.setattr(C, "_shares_definitions", lambda sub, targets: seen.append(real(sub, targets)) or seen[-1])
+    found = {}
+    for name, scm, partition, targets, clusters in bench_models():
+        seen.clear()
+        consolidate(scm, partition, targets, clusters, PassConfig(seed=1))
+        found[name] = list(seen)
+    assert found == {
+        "dominoes_128": [False],
+        "platformer": [True],
+        "firing_squad_8": [False],
+        "step_by_step": [False, True, False],
+        "tool_wear_36": [False],
+    }

@@ -534,6 +534,31 @@ def test_a_raw_space_equals_its_factory_twin(rows, members, rnd):
     assert InterventionSpace(EXPLICIT, raw.atoms[::-1], raw.sets[::-1]) == raw
 
 
+@given(
+    mode=st.sampled_from([POWER_SET, SINGLETON, EXPLICIT]),
+    atoms=st.lists(st.tuples(st.sampled_from(_MEMBER_VARS), st.lists(_values, max_size=4)), max_size=5),
+    members=st.lists(_isets, max_size=5),
+    kept=st.frozensets(st.sampled_from(_MEMBER_VARS)),
+)
+def test_restrict_and_drop_atoms_give_the_canonical_form(mode, atoms, members, kept):
+    """A selection of a canonical space's rows keeps them as they stand:
+    the result is the space the constructor makes of the selection, and
+    the constructor leaves it as it is."""
+    if mode == EXPLICIT:
+        space = InterventionSpace.explicit(members)
+    else:
+        space = InterventionSpace(mode, tuple((v, tuple(vals)) for v, vals in atoms))
+    gone = frozenset(_MEMBER_VARS) - kept
+    if mode == EXPLICIT:
+        want = InterventionSpace(EXPLICIT, sets=tuple(s.drop(gone) for s in space.sets))
+    else:
+        want = InterventionSpace(mode, tuple((v, vals) for v, vals in space.atoms if v in kept))
+    for out in (space.restrict(kept), space.drop_atoms(gone)):
+        assert out == want and repr(out) == repr(want) and hash(out) == hash(want)
+        assert InterventionSpace(out.mode, out.atoms, out.sets) == out
+        assert out.enumerate(10**6) == want.enumerate(10**6)
+
+
 def test_a_space_of_another_mode_is_refused():
     with pytest.raises(DomainError, match="unknown intervention-space mode 'bogus'"):
         InterventionSpace("bogus", ((VarRef("P"), (E.VInt(1),)),))
